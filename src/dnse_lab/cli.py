@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -137,11 +138,12 @@ def cmd_sweep(args) -> int:
     params = ModelParams(args.c_from, initial.boundary)
     if args.c_step <= 0:
         raise DnseError("--c-step must be positive")
-    c_values = []
-    c = args.c_from
-    while c <= args.c_to + 1e-12 * max(1.0, abs(args.c_to)):
-        c_values.append(c)
-        c += args.c_step
+    if not math.isfinite(args.c_to):
+        raise DnseError("--c-to must be finite")
+    # c_from + k*step, not a running sum, so rounding does not accumulate
+    slack = 1e-12 * max(1.0, abs(args.c_to))
+    n_steps = math.floor((args.c_to + slack - args.c_from) / args.c_step)
+    c_values = [args.c_from + k * args.c_step for k in range(n_steps + 1)]
     records = sweep_c(initial, params, c_values, _newton_config(args))
     lines = ["c,E,converged,n,m,l,max_amp"]
     for rec in records:

@@ -6,95 +6,70 @@ from a double-precision solution amplifies the residual floor (~1e-15)
 far above any useful tolerance after ~100 sites.  The identity itself is
 exact, and becomes visible numerically once the solution is polished and
 the map iterated at sufficient precision.  This module does both with
-mpmath working at a configurable number of decimal digits.
+mpmath working at a configurable number of decimal digits.  The polish
+takes bordered Newton steps on (psi, E), built from the float64 code run
+on mpf values: the tridiagonal kernel of newton and the lattice residual.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from mpmath import mp, mpf
 
-from .lattice import Boundary, LatticeState, ModelParams
-
-
-def _mp_residual(psi, c, energy, periodic):
-    n = len(psi)
-    out = []
-    for i in range(n):
-        if periodic:
-            left = psi[(i - 1) % n]
-            right = psi[(i + 1) % n]
-        else:
-            left = psi[i - 1] if i > 0 else mpf(0)
-            right = psi[i + 1] if i < n - 1 else mpf(0)
-        out.append(-left + 2 * psi[i] - right - c * psi[i] ** 3 - energy * psi[i])
-    return out
-
-
-def _mp_rayleigh(psi, c, periodic):
-    applied = _mp_residual(psi, c, mpf(0), periodic)
-    num = sum(p * a for p, a in zip(psi, applied))
-    den = sum(p * p for p in psi)
-    return num / den
-
-
-def _mp_cyclic_thomas(diag, rhs):
-    """Thomas + Sherman-Morrison for off-diagonals -1 and corners -1."""
-    n = len(diag)
-
-    def thomas(d, b):
-        cp = [mpf(0)] * n
-        dp = [mpf(0)] * n
-        cp[0] = -1 / d[0]
-        dp[0] = b[0] / d[0]
-        for i in range(1, n):
-            den = d[i] + cp[i - 1]
-            cp[i] = -1 / den
-            dp[i] = (b[i] + dp[i - 1]) / den
-        for i in range(n - 2, -1, -1):
-            dp[i] -= cp[i] * dp[i + 1]
-        return dp
-
-    gamma = -(abs(diag[0]) + 1)
-    t_diag = list(diag)
-    t_diag[0] -= gamma
-    t_diag[-1] -= 1 / gamma
-    y = thomas(t_diag, rhs)
-    u = [mpf(0)] * n
-    u[0] = gamma
-    u[-1] = mpf(-1)
-    q = thomas(t_diag, u)
-    vy = y[0] - y[-1] / gamma
-    vq = q[0] - q[-1] / gamma
-    factor = vy / (1 + vq)
-    return [yi - qi * factor for yi, qi in zip(y, q)]
+from .errors import NoConvergence
+from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
+from .newton import NewtonReport, _tridiag_solve, rayleigh_energy
 
 
 def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
                     max_iter: int = 60):
-    """Re-converge a double-precision solution with mpmath Newton steps.
+    """Re-converge a double-precision solution with bordered mpmath Newton steps.
 
-    Renormalizes each iterate and uses the Rayleigh energy (exact at the
-    fixed point regardless of symmetry).  Returns (psi list, E) as mpf at
-    a residual max-norm around 10**-(dps-10).  PBC only.
+    The unknowns are (psi, E); the border is the norm condition
+    g = (psi.psi - 1)/2 = 0 (Keller 1977).  Each step solves J a = F and
+    J b = psi in one kernel call, with F the residual and J its Jacobian
+    in psi at fixed E, then sets
+
+        dE = (psi.a - g) / (psi.b),    dpsi = -a + b dE,
+
+    which converges quadratically from the float64 state and its Rayleigh
+    energy.  Returns (psi list, E) as mpf once the residual max-norm is at
+    most 10**-(dps-10).  PBC only.
+
+    Raises NoConvergence when max_iter steps do not reach that tolerance;
+    it carries the last iterate (a list of mpf), its E and a NewtonReport
+    with the iteration count and the residual history.  A singular
+    Jacobian raises SingularJacobian.
     """
     if state.boundary is not Boundary.PERIODIC:
         raise ValueError("high-precision polish supports PBC only")
+    start_energy = rayleigh_energy(state, params)
     with mp.workdps(dps):
-        c = mpf(float(params.c))
-        psi = [mpf(float(v)) for v in state.values]
-        tol = mpf(10) ** (-(dps - 10))
-        for _ in range(max_iter):
-            energy = _mp_rayleigh(psi, c, True)
-            res = _mp_residual(psi, c, energy, True)
-            if max(abs(r) for r in res) <= tol:
+        c = mpf(params.c)
+        psi = np.array([mpf(v) for v in state.values.tolist()], dtype=object)
+        energy = mpf(start_energy)
+        tol = mpf(10) ** (10 - dps)
+        e_hist, r_hist = [], []
+        for iteration in range(max_iter + 1):
+            res = _stencil_residual(psi, c, energy, Boundary.PERIODIC)
+            worst = max(abs(r) for r in res)
+            e_hist.append(float(energy))
+            r_hist.append(float(worst))
+            if worst <= tol:
+                return psi.tolist(), energy
+            if iteration == max_iter:
                 break
-            diag = [2 - energy - 3 * c * p * p for p in psi]
-            step = _mp_cyclic_thomas(diag, res)
-            psi = [p - s for p, s in zip(psi, step)]
-            norm = mp.sqrt(sum(p * p for p in psi))
-            psi = [p / norm for p in psi]
-        energy = _mp_rayleigh(psi, c, True)
-        return psi, energy
+            diag = 2 - energy - 3 * c * psi**2
+            a, b = (np.array(x, dtype=object) for x in
+                    _tridiag_solve(diag.tolist(), [res.tolist(), psi.tolist()], True))
+            g = (np.dot(psi, psi) - 1) / 2
+            d_energy = (np.dot(psi, a) - g) / np.dot(psi, b)
+            psi = psi - a + b * d_energy
+            energy += d_energy
+        report = NewtonReport(iterations=max_iter, energy_history=tuple(e_hist),
+                              residual_history=tuple(r_hist), converged=False,
+                              final_norm=float(np.dot(psi, psi)))
+        raise NoConvergence(psi.tolist(), energy, report)
 
 
 def map_reproduction_error(psi, energy, c, dps: int = 60):

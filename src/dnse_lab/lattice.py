@@ -114,9 +114,14 @@ def residual(state: LatticeState, params: ModelParams, energy: float) -> np.ndar
     The state is an exact solution at (c, E) iff every component vanishes.
     """
     _check_boundary(state, params)
-    psi = state.values
-    left, right = _neighbors(psi, state.boundary)
-    return -left + 2.0 * psi - right - params.c * psi**3 - energy * psi
+    return _stencil_residual(state.values, params.c, energy, state.boundary)
+
+
+def _stencil_residual(psi: np.ndarray, c, energy, boundary: Boundary) -> np.ndarray:
+    """The residual of bare amplitudes: a float array, or an object array
+    of mpf with mpf c and energy for the high-precision polish."""
+    left, right = _neighbors(psi, boundary)
+    return -left + 2.0 * psi - right - c * psi**3 - energy * psi
 
 
 def hamiltonian(state: LatticeState, params: ModelParams, energy: float) -> float:

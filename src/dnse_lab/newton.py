@@ -2,28 +2,34 @@
 
 The Hessian of the energy functional is (up to a factor 2 shared with the
 gradient) a symmetric tridiagonal matrix with diagonal 2 - E - 3 c psi**2,
-off-diagonal -1 and, under PBC, -1 in the two corners.  Each Newton step
-solves this system in O(N) by Thomas elimination plus a rank-1
-Sherman-Morrison correction for the corners.  The energy is re-estimated
-before every step from the cubic sum formula
+off-diagonal -1 and, under PBC, -1 in the two corners.  One private
+kernel, _tridiag_solve, solves this system in O(N) for float64 here and
+for mpmath in the high-precision polish: it factors the matrix once by
+Thomas elimination, restores the corners by a rank-1 Sherman-Morrison
+correction, and sweeps every right-hand side through the one
+factorization.  The energy is re-estimated before every step from the
+cubic sum formula
 
     E(k) = -c sum psi**3 / sum psi        (PBC)
 
 falling back to the Rayleigh quotient when the amplitude sum is too small
 (exactly antisymmetric states make the formula 0/0; both estimators agree
 at any true solution).  After each step the state is renormalized to unit
-norm by default, which pins the iteration to the normalized solution
-branch instead of drifting along the amplitude-rescaling family.
+norm, which pins the iteration to the normalized solution branch instead
+of drifting along the amplitude-rescaling family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    AllZero,
     LatticeTooSmall,
     NoConvergence,
     SingularJacobian,
@@ -32,6 +38,17 @@ from .errors import (
 )
 from .lattice import Boundary, LatticeState, ModelParams, normalize, residual
 from .patterns import PatternCounts, count_pattern, quantize_state
+
+# The cubic energy estimator is abandoned when |sum psi| falls below
+# SUM_REL_THRESHOLD * sqrt(N); the sqrt(N) scaling handles random
+# cancellation on large lattices uniformly.
+SUM_REL_THRESHOLD = 1e-8
+# A pivot below PIVOT_REL_THRESHOLD * max(max|diag|, 1), or a
+# Sherman-Morrison denominator below PIVOT_REL_THRESHOLD, is singular.
+PIVOT_REL_THRESHOLD = 1e-14
+# An energy jump larger than this between iterations, after the second,
+# flags a change of localization pattern.
+STRUCTURE_CHANGE_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
@@ -74,32 +91,14 @@ class JacobianMatrix:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration tolerances and switches.
-
-    sum_threshold is the cutoff |sum psi| below which the cubic energy
-    estimator is abandoned; None means 1e-8 * sqrt(N), scaled with lattice
-    size so random cancellation on large lattices is handled uniformly.
-    """
+    """Residual max-norm tolerance and iteration budget."""
 
     tol_residual: float = 1e-12
     max_iter: int = 200
-    structure_change_threshold: float = 1.0
-    sum_threshold: Optional[float] = None
-    renormalize: bool = True
-    pivot_rel_threshold: float = 1e-14
 
     def __post_init__(self):
         if self.tol_residual <= 0 or self.max_iter <= 0:
             raise ValueError("tolerance and max_iter must be positive")
-        if self.structure_change_threshold <= 0 or self.pivot_rel_threshold <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.sum_threshold is not None and self.sum_threshold <= 0:
-            raise ValueError("sum_threshold must be positive")
-
-    def effective_sum_threshold(self, n_sites: int) -> float:
-        if self.sum_threshold is not None:
-            return self.sum_threshold
-        return 1e-8 * np.sqrt(n_sites)
 
 
 @dataclass(frozen=True)
@@ -131,15 +130,13 @@ class NewtonReport:
         }
 
 
-def energy_estimate(
-    state: LatticeState, params: ModelParams, sum_threshold: Optional[float] = None
-) -> float:
+def energy_estimate(state: LatticeState, params: ModelParams) -> float:
     """Cubic-sum energy estimator, defined for PBC only."""
     if params.boundary is not Boundary.PERIODIC:
         raise ValueError("the cubic energy estimator is defined for PBC only")
     psi = state.values
     total = float(np.sum(psi))
-    cutoff = sum_threshold if sum_threshold is not None else 1e-8 * np.sqrt(psi.size)
+    cutoff = SUM_REL_THRESHOLD * np.sqrt(psi.size)
     if abs(total) < cutoff:
         raise SumTooSmall(f"|sum psi| = {abs(total):.3e} below {cutoff:.3e}")
     return -params.c * float(np.sum(psi**3)) / total
@@ -163,66 +160,80 @@ def assemble_jacobian(state: LatticeState, params: ModelParams, energy: float) -
     return JacobianMatrix(diag=diag, periodic=state.boundary is Boundary.PERIODIC)
 
 
-def _thomas(diag: np.ndarray, rhs: np.ndarray, pivot_tol: float) -> np.ndarray:
-    """Thomas elimination for off-diagonals fixed at -1."""
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    den = diag[0]
-    if abs(den) < pivot_tol:
-        raise SingularJacobian(f"pivot {den:.3e} at row 0")
-    cp[0] = -1.0 / den
-    dp[0] = rhs[0] / den
-    for i in range(1, n):
-        den = diag[i] + cp[i - 1]
+def _sweep(inv, rhs):
+    """Forward and back substitution through the reciprocal pivots inv."""
+    x = inv[:]  # sized up front: growing it by append raised peak RSS
+    prev = 0
+    for i, (b, w) in enumerate(zip(rhs, inv)):
+        prev = x[i] = (b + prev) * w
+    for i in range(len(x) - 2, -1, -1):
+        prev = x[i] = x[i] + inv[i] * prev
+    return x
+
+
+def _tridiag_solve(diag, rhss, periodic: bool):
+    """Solve T x = b for every b in rhss, factoring T once.
+
+    T has the diagonal diag, off-diagonals -1 and, when periodic, -1 in
+    the two corners.  The loops run on the elements as plain Python
+    numbers, so one code serves float (diag an array('d')) and mpmath
+    (diag a list of mpf); each solution comes back in the container type
+    of diag.  A ring is solved as in Numerical Recipes 2.7: the corners
+    are peeled off as a rank-1 update u v^T of an open chain, and
+    Sherman-Morrison restores them with one more sweep, of u.
+
+    Raises SingularJacobian on a pivot below PIVOT_REL_THRESHOLD times
+    max(max|diag|, 1), or a Sherman-Morrison denominator below
+    PIVOT_REL_THRESHOLD, before dividing by it.
+    """
+    n = len(diag)
+    if periodic and n < 3:
+        raise LatticeTooSmall("cyclic solve needs at least 3 sites")
+    pivot_tol = PIVOT_REL_THRESHOLD * max(max(map(abs, diag)), 1)
+    inv = diag[:]  # the modified diagonal, then the reciprocal pivots
+    if periodic:
+        gamma = -(abs(diag[0]) + 1)
+        inv[0] -= gamma
+        inv[-1] -= 1 / gamma  # corners are -1, -1: product/gamma
+    w = 0
+    for i, d in enumerate(inv):
+        den = d - w
         if abs(den) < pivot_tol:
-            raise SingularJacobian(f"pivot {den:.3e} at row {i}")
-        cp[i] = -1.0 / den
-        dp[i] = (rhs[i] + dp[i - 1]) / den
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return dp
+            raise SingularJacobian(f"pivot {float(den):.3e} at row {i}")
+        w = inv[i] = 1 / den
+    if not periodic:
+        return [_sweep(inv, b) for b in rhss]
+
+    # u = (gamma, 0, ..., 0, -1), v = (1, 0, ..., 0, -1/gamma)
+    q = _sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)))
+    den = 1 + q[0] - q[-1] / gamma
+    if abs(den) < PIVOT_REL_THRESHOLD:
+        raise SingularJacobian(f"rank-1 correction denominator {float(den):.3e}")
+    solutions = []
+    for b in rhss:
+        y = _sweep(inv, b)
+        factor = (y[0] - y[-1] / gamma) / den
+        for i, qi in enumerate(q):
+            y[i] -= qi * factor
+        solutions.append(y)
+    return solutions
 
 
-def solve_linear(jac: JacobianMatrix, rhs: np.ndarray, pivot_rel_threshold: float = 1e-14) -> np.ndarray:
+def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve J x = rhs in O(N).
 
     Open boundary: plain Thomas elimination.  PBC: the corner entries are
     peeled off as a rank-1 update and restored by the Sherman-Morrison
-    formula.  A pivot below pivot_rel_threshold times the matrix scale
+    formula.  A pivot below PIVOT_REL_THRESHOLD times the matrix scale
     raises SingularJacobian.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (jac.n,):
         raise ValueError("rhs length does not match the matrix")
-    scale = max(float(np.max(np.abs(jac.diag))), 1.0)
-    pivot_tol = pivot_rel_threshold * scale
-
-    if not jac.periodic:
-        return _thomas(jac.diag, rhs, pivot_tol)
-
-    if jac.n < 3:
-        raise LatticeTooSmall("cyclic solve needs at least 3 sites")
-
-    diag = jac.diag
-    gamma = -(abs(diag[0]) + 1.0)
-    t_diag = diag.copy()
-    t_diag[0] -= gamma
-    t_diag[-1] -= 1.0 / gamma  # corners are -1, -1: product/gamma
-
-    y = _thomas(t_diag, rhs, pivot_tol)
-    u = np.zeros(jac.n)
-    u[0] = gamma
-    u[-1] = -1.0
-    q = _thomas(t_diag, u, pivot_tol)
-
-    # v = (1, 0, ..., 0, -1/gamma)
-    vy = y[0] - y[-1] / gamma
-    vq = q[0] - q[-1] / gamma
-    den = 1.0 + vq
-    if abs(den) < pivot_rel_threshold:
-        raise SingularJacobian(f"rank-1 correction denominator {den:.3e}")
-    return y - q * (vy / den)
+    # array('d') holds a site in 8 bytes, where a list of floats takes 32
+    [x] = _tridiag_solve(array("d", jac.diag.tobytes()), [array("d", rhs.tobytes())],
+                         jac.periodic)
+    return np.frombuffer(x)
 
 
 def _dense_small_jacobian(state: LatticeState, params: ModelParams, energy: float) -> np.ndarray:
@@ -239,37 +250,36 @@ def _dense_small_jacobian(state: LatticeState, params: ModelParams, energy: floa
     return np.array([[diag[0], off], [off, diag[1]]])
 
 
-def _newton_step(state: LatticeState, params: ModelParams, energy: float,
-                 config: NewtonConfig) -> np.ndarray:
+def _newton_step(state: LatticeState, params: ModelParams, energy: float) -> np.ndarray:
     res = residual(state, params, energy)
     if state.n_sites < 3:
         jac = _dense_small_jacobian(state, params, energy)
         det = np.linalg.det(jac)
-        if abs(det) < config.pivot_rel_threshold * max(np.max(np.abs(jac)), 1.0):
+        if abs(det) < PIVOT_REL_THRESHOLD * max(np.max(np.abs(jac)), 1.0):
             raise SingularJacobian(f"small-system determinant {det:.3e}")
         return np.linalg.solve(jac, res)
     jac = assemble_jacobian(state, params, energy)
-    return solve_linear(jac, res, config.pivot_rel_threshold)
+    return solve_linear(jac, res)
 
 
-def _estimate(state: LatticeState, params: ModelParams, config: NewtonConfig) -> float:
+def _estimate(state: LatticeState, params: ModelParams) -> float:
     if params.boundary is Boundary.PERIODIC:
         try:
-            return energy_estimate(state, params, config.effective_sum_threshold(state.n_sites))
+            return energy_estimate(state, params)
         except SumTooSmall:
             return rayleigh_energy(state, params)
     return rayleigh_energy(state, params)
 
 
-def _finalize(state, energy, iterations, e_hist, r_hist, converged, config, seed):
+def _finalize(state, iterations, e_hist, r_hist, converged, seed):
     changed_at = None
     for j in range(3, len(e_hist)):
-        if abs(e_hist[j] - e_hist[j - 1]) > config.structure_change_threshold:
+        if abs(e_hist[j] - e_hist[j - 1]) > STRUCTURE_CHANGE_THRESHOLD:
             changed_at = j
             break
     try:
         counts = count_pattern(quantize_state(state))
-    except Exception:
+    except AllZero:
         counts = None
     return NewtonReport(
         iterations=iterations,
@@ -304,7 +314,7 @@ def newton_solve(
     SingularJacobian with the best iterate attached.
     """
     state = normalize(initial)
-    energy = _estimate(state, params, config)
+    energy = _estimate(state, params)
     res_norm = float(np.max(np.abs(residual(state, params, energy))))
     e_hist = [energy]
     r_hist = [res_norm]
@@ -312,26 +322,24 @@ def newton_solve(
 
     while res_norm > config.tol_residual and iterations < config.max_iter:
         try:
-            step = _newton_step(state, params, energy, config)
+            step = _newton_step(state, params, energy)
         except SingularJacobian as exc:
-            report = _finalize(state, energy, iterations, e_hist, r_hist, False, config, seed)
+            report = _finalize(state, iterations, e_hist, r_hist, False, seed)
             raise SingularJacobian(str(exc), state=state, energy=energy, report=report) from exc
         new_values = state.values - step
         if not np.all(np.isfinite(new_values)) or not np.any(new_values):
-            report = _finalize(state, energy, iterations, e_hist, r_hist, False, config, seed)
+            report = _finalize(state, iterations, e_hist, r_hist, False, seed)
             raise SingularJacobian("Newton step produced a degenerate state",
                                    state=state, energy=energy, report=report)
-        state = LatticeState(new_values, state.boundary)
-        if config.renormalize:
-            state = normalize(state)
-        energy = _estimate(state, params, config)
+        state = normalize(LatticeState(new_values, state.boundary))
+        energy = _estimate(state, params)
         res_norm = float(np.max(np.abs(residual(state, params, energy))))
         e_hist.append(energy)
         r_hist.append(res_norm)
         iterations += 1
 
     converged = res_norm <= config.tol_residual
-    report = _finalize(state, energy, iterations, e_hist, r_hist, converged, config, seed)
+    report = _finalize(state, iterations, e_hist, r_hist, converged, seed)
     if not converged:
         raise NoConvergence(state, energy, report)
     return state, energy, report

@@ -114,6 +114,15 @@ class TestSweepCommand:
         for line in lines[1:]:
             assert line.split(",")[2] == "1"
 
+    def test_grid_has_no_rounding_drift(self, tmp_path, capsys):
+        # 24 -> 30 at step 0.1: a running sum ends at 30.000000000000085
+        code = main(["sweep", "--pattern", "+" + "0" * 9, "--c-from", "24",
+                     "--c-to", "30", "--c-step", "0.1", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 61
+        assert float(rows[-1].split(",")[0]) == 30.0
+
     def test_empty_range(self, tmp_path, capsys):
         code = main(["sweep", "--pattern", "+", "--c-from", "30",
                      "--c-to", "24", "--out", str(tmp_path)])
@@ -124,6 +133,8 @@ class TestSweepCommand:
     def test_bad_step(self, tmp_path, capsys):
         assert main(["sweep", "--pattern", "+", "--c-from", "1", "--c-to", "2",
                      "--c-step", "0", "--out", str(tmp_path)]) == EXIT_INPUT
+        assert main(["sweep", "--pattern", "+", "--c-from", "1", "--c-to", "inf",
+                     "--out", str(tmp_path)]) == EXIT_INPUT
 
 
 class TestMapCommand:

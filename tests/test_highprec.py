@@ -1,0 +1,174 @@
+import numpy as np
+import pytest
+from mpmath import mp, mpf
+
+import dnse_lab as dl
+from dnse_lab.errors import NoConvergence, SingularJacobian
+from dnse_lab.highprec import map_reproduction_error, polish_solution
+from dnse_lab.newton import _tridiag_solve
+
+from conftest import alternating_spot_pattern, irregular_pair_pattern
+
+
+def _oracle_thomas(diag, rhs, pivot_tol):
+    """Thomas elimination for off-diagonals fixed at -1, one pass per rhs."""
+    n = diag.size
+    cp = np.empty(n)
+    dp = np.empty(n)
+    den = diag[0]
+    if abs(den) < pivot_tol:
+        raise SingularJacobian(f"pivot {den:.3e} at row 0")
+    cp[0] = -1.0 / den
+    dp[0] = rhs[0] / den
+    for i in range(1, n):
+        den = diag[i] + cp[i - 1]
+        if abs(den) < pivot_tol:
+            raise SingularJacobian(f"pivot {den:.3e} at row {i}")
+        cp[i] = -1.0 / den
+        dp[i] = (rhs[i] + dp[i - 1]) / den
+    for i in range(n - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
+    return dp
+
+
+def _oracle_solve(jac, rhs, pivot_rel_threshold=1e-14):
+    """The float64 solve the shared kernel replaced: Thomas elimination,
+    and for a ring a second elimination of the Sherman-Morrison vector."""
+    pivot_tol = pivot_rel_threshold * max(float(np.max(np.abs(jac.diag))), 1.0)
+    if not jac.periodic:
+        return _oracle_thomas(jac.diag, rhs, pivot_tol)
+    diag = jac.diag
+    gamma = -(abs(diag[0]) + 1.0)
+    t_diag = diag.copy()
+    t_diag[0] -= gamma
+    t_diag[-1] -= 1.0 / gamma
+    y = _oracle_thomas(t_diag, rhs, pivot_tol)
+    u = np.zeros(jac.n)
+    u[0] = gamma
+    u[-1] = -1.0
+    q = _oracle_thomas(t_diag, u, pivot_tol)
+    vy = y[0] - y[-1] / gamma
+    vq = q[0] - q[-1] / gamma
+    den = 1.0 + vq
+    if abs(den) < pivot_rel_threshold:
+        raise SingularJacobian(f"rank-1 correction denominator {den:.3e}")
+    return y - q * (vy / den)
+
+
+def _corpus():
+    """(name, state, c): the acceptance chains, solved, and the random
+    rings with N in {208, 1000} and seeds 0-9 at their strong-coupling
+    start, c = 4N."""
+    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
+                          ("chain130", irregular_pair_pattern(), 40.0)]:
+        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
+        yield name, state, c
+    for n in (208, 1000):
+        for seed in range(10):
+            state = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
+            yield f"ring{n}/{seed}", state, 4.0 * n
+
+
+class TestFloatKernelAgainstOracle:
+    def test_newton_systems(self):
+        # the step system J x = F and the bordering system J x = psi of each
+        # corpus state, at its Rayleigh energy
+        for name, state, c in _corpus():
+            params = dl.ModelParams(c)
+            energy = dl.rayleigh_energy(state, params)
+            jac = dl.assemble_jacobian(state, params, energy)
+            for rhs in (dl.residual(state, params, energy), state.values):
+                x = dl.solve_linear(jac, rhs)
+                ref = _oracle_solve(jac, rhs)
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(x - ref)) <= 1e-13 * scale, name
+
+
+def _random_system(rng, n):
+    diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+    return [mpf(float(d)) for d in diag], [mpf(float(b)) for b in rng.standard_normal(n)]
+
+
+def _dense_mp(diag, periodic):
+    n = len(diag)
+    a = mp.matrix(n, n)
+    for i in range(n):
+        a[i, i] = diag[i]
+        if i + 1 < n:
+            a[i, i + 1] = a[i + 1, i] = -1
+    if periodic:
+        a[0, n - 1] += -1
+        a[n - 1, 0] += -1
+    return a
+
+
+class TestMpKernel:
+    def test_against_dense_lu(self):
+        rng = np.random.default_rng(5)
+        with mp.workdps(50):
+            for n in (3, 4, 5, 9, 23, 40):
+                for periodic in (False, True):
+                    diag, b = _random_system(rng, n)
+                    _, b2 = _random_system(rng, n)
+                    xs = _tridiag_solve(diag, [b, b2], periodic)
+                    a = _dense_mp(diag, periodic)
+                    for x, rhs in zip(xs, (b, b2)):
+                        ref = mp.lu_solve(a, mp.matrix(rhs))
+                        err = max(abs(x[i] - ref[i]) for i in range(n))
+                        assert err <= mpf(10) ** -45 * max(1, mp.norm(ref, mp.inf))
+
+    def test_singular_ring_detected(self):
+        # the ring Laplacian: exactly singular, caught by the
+        # Sherman-Morrison denominator at any precision
+        with mp.workdps(50):
+            with pytest.raises(SingularJacobian):
+                _tridiag_solve([mpf(2)] * 6, [[mpf(1)] * 6], True)
+
+    def test_zero_pivot_detected(self):
+        with mp.workdps(50):
+            with pytest.raises(SingularJacobian):
+                _tridiag_solve([mpf(1), mpf(1), mpf(5)], [[mpf(1)] * 3], False)
+
+
+# E of the polish that renormalized and re-estimated E every step, 40 digits
+# (its residual stalled at 1.9e-38 and 1.2e-43)
+RENORMALIZING_POLISH_E = {
+    "chain100": "-0.4213203609592210949127558806323730343516",
+    "chain130": "-0.6657632012610528134493780078988540092373",
+}
+
+
+class TestPolish:
+    @pytest.mark.parametrize("name, spec, c, dps", [
+        ("chain100", alternating_spot_pattern(), 24.0, 60),
+        ("chain130", irregular_pair_pattern(), 40.0, 80),
+    ], ids=["chain100", "chain130"])
+    def test_reaches_tolerance(self, name, spec, c, dps):
+        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
+        psi, energy = polish_solution(state, dl.ModelParams(c), dps=dps)
+        with mp.workdps(dps):
+            n = len(psi)
+            worst = max(abs(-psi[i - 1] + 2 * psi[i] - psi[(i + 1) % n]
+                            - c * psi[i] ** 3 - energy * psi[i]) for i in range(n))
+            assert worst <= mpf(10) ** (10 - dps)
+            assert abs(mp.fsum(p * p for p in psi) - 1) <= mpf(10) ** (10 - dps)
+            assert abs(energy - mpf(RENORMALIZING_POLISH_E[name])) <= mpf(10) ** -30
+        assert max(abs(float(p) - v) for p, v in zip(psi, state.values)) <= 1e-10
+        max_dev, closure = map_reproduction_error(psi, energy, c, dps=dps)
+        assert max_dev <= 1e-40 and closure <= 1e-40
+
+    def test_budget_exhausted_raises(self, chain130_solution):
+        _, state, _, _ = chain130_solution
+        with pytest.raises(NoConvergence) as exc:
+            polish_solution(state, dl.ModelParams(40.0), dps=80, max_iter=1)
+        report = exc.value.report
+        assert report.iterations == 1 and not report.converged
+        assert len(report.residual_history) == 2
+        assert report.residual_history[1] < report.residual_history[0]
+        assert report.residual_history[1] > 1e-70
+        assert len(exc.value.state) == 130
+
+    def test_open_boundary_rejected(self):
+        state = dl.LatticeState([0.0, 1.0, 0.0], dl.Boundary.OPEN)
+        with pytest.raises(ValueError):
+            polish_solution(state, dl.ModelParams(10.0, dl.Boundary.OPEN))

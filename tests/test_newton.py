@@ -233,8 +233,6 @@ class TestNewtonSolve:
             dl.NewtonConfig(tol_residual=-1.0)
         with pytest.raises(ValueError):
             dl.NewtonConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            dl.NewtonConfig(sum_threshold=0.0)
 
 
 class TestSmallLattices:
