@@ -9,6 +9,13 @@ criteria are qualitative, so the commensurate/incommensurate split is an
 explicit heuristic with configurable thresholds; the regular test is
 exact up to a shift tolerance.
 
+Classification runs in near-linear time in the number of points: the
+distinct-point count buckets cluster representatives on a grid of cell
+size tol, the period search tests in full only the shifts that pass a
+one-site check, and the curve thickness finds exact nearest neighbors
+with a k-d tree, breaking distance ties by the lower index.  Each gives
+the result the all-pairs search would.
+
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
 approximation exp(-sqrt(-E)) is its small-|E| limit and is reported
@@ -18,6 +25,7 @@ only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -127,38 +135,99 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
 
 
 def distinct_points(portrait: PhasePortrait, tol: float) -> int:
-    """Greedy first-fit cluster count in max-norm, deterministic in order."""
-    if tol <= 0:
+    """Greedy first-fit cluster count in max-norm, deterministic in order.
+
+    A point opens a new cluster exactly when no earlier cluster
+    representative lies within tol of it in both coordinates.  For a
+    finite tol a point with a NaN or infinite coordinate matches nothing,
+    so each one counts as a cluster of its own.
+    """
+    if not tol > 0:
         raise ValueError("tol must be positive")
     reps = _cluster_representatives(portrait.points, tol)
     return len(reps)
 
 
+# cell indices floor(p / tol) are exact integers well below 2**53; points
+# farther out are compared against every representative instead
+_GRID_LIMIT = 2.0**49
+
+
 def _cluster_representatives(points: np.ndarray, tol: float) -> np.ndarray:
+    """Representatives of the greedy first-fit clustering, in point order.
+
+    Representatives are bucketed by the cell floor(p / tol), and a point
+    is compared only with the cells its tol-box can reach.  Those cells
+    run from the cell of p - reach to the cell of p + reach, with reach
+    the float just above tol: a match r has |p - r| <= tol + ulp(tol)/2
+    exactly, so fl(p - reach) <= r <= fl(p + reach), and a correctly
+    rounded p / tol followed by floor is monotone in p.  The span is
+    three cells, or four when p + reach or p - reach lands on a cell edge.
+    """
+    limit = _GRID_LIMIT * tol
+    if not math.isfinite(limit):
+        limit = 0.0  # tol too large for exact cells: compare with every representative
+    reach = math.nextafter(tol, math.inf)
     reps = []
-    for p in points:
-        placed = False
-        for r in reps:
-            if abs(p[0] - r[0]) <= tol and abs(p[1] - r[1]) <= tol:
-                placed = True
-                break
-        if not placed:
-            reps.append(p)
+    loose = []  # finite representatives off the grid
+    buckets: dict = {}
+    for x, y in zip(points[:, 0].tolist(), points[:, 1].tolist()):
+        gridded = abs(x) < limit and abs(y) < limit
+        finite = gridded or (math.isfinite(x) and math.isfinite(y))
+        if gridded:
+            near = [r for cx in range(math.floor((x - reach) / tol), math.floor((x + reach) / tol) + 1)
+                    for cy in range(math.floor((y - reach) / tol), math.floor((y + reach) / tol) + 1)
+                    for r in buckets.get((cx, cy), ())]
+            near += loose
+        else:
+            # a non-finite point matches nothing unless tol itself is inf
+            near = reps if finite or tol == math.inf else ()
+        if any(abs(x - rx) <= tol and abs(y - ry) <= tol for rx, ry in near):
+            continue
+        reps.append((x, y))
+        if gridded:
+            buckets.setdefault((math.floor(x / tol), math.floor(y / tol)), []).append((x, y))
+        elif finite:
+            loose.append((x, y))
     return np.array(reps)
 
 
+_PERIOD_ANCHORS = 8
+
+
 def _detect_period(psi: np.ndarray, cyclic: bool, tol: float) -> Optional[int]:
+    """Smallest shift that maps the amplitude track onto itself within tol.
+
+    A shift is tested in full only if it carries each of the
+    _PERIOD_ANCHORS largest-magnitude sites (for an open track, those in
+    the part every shift overlaps) to within tol of itself.  That is a
+    necessary condition, so the result is the one a full test of every
+    shift gives; large sites make it selective, since a shift must map
+    peaks onto peaks of the same height.
+    """
     n = psi.size
     if cyclic:
-        for p in range(1, n):
+        shifts = np.arange(1, n)
+        for a in _largest_sites(psi):
+            # np.roll(psi, p)[a] == psi[(a - p) % n]
+            shifts = shifts[np.abs(psi[a] - psi[(a - shifts) % n]) <= tol]
+        for p in shifts.tolist():
             if np.max(np.abs(psi - np.roll(psi, p))) <= tol:
                 return p
         return None
     # non-cyclic track: require the overlap to cover at least half the data
-    for p in range(1, n // 2 + 1):
+    shifts = np.arange(1, n // 2 + 1)
+    for a in _largest_sites(psi[: n - n // 2]):
+        shifts = shifts[np.abs(psi[a + shifts] - psi[a]) <= tol]
+    for p in shifts.tolist():
         if np.max(np.abs(psi[p:] - psi[:-p])) <= tol:
             return p
     return None
+
+
+def _largest_sites(psi: np.ndarray) -> np.ndarray:
+    count = min(_PERIOD_ANCHORS, psi.size)
+    return np.argpartition(-np.abs(psi), count - 1)[:count]
 
 
 def classify_portrait(portrait: PhasePortrait, config: ClassifyConfig = ClassifyConfig()) -> PortraitClass:
@@ -186,9 +255,15 @@ def _curve_thickness(points: np.ndarray, config: ClassifyConfig) -> Optional[flo
     """Median local perpendicular spread relative to the portrait diameter.
 
     Points on a thin closed curve have locally collinear neighborhoods;
-    a smeared cloud does not.
+    a smeared cloud does not.  The neighborhood of a distinct point is
+    its k + 1 nearest distinct points, itself included, by squared
+    distance with ties going to the lower index in lexicographic order;
+    the spread is the square root of the smaller eigenvalue of their
+    covariance.  A portrait with a non-finite point has no thickness.
     """
     pts = np.unique(points, axis=0)
+    if not np.all(np.isfinite(pts)):
+        return None
     if pts.shape[0] < 4:
         return 0.0
     lo = pts.min(axis=0)
@@ -198,14 +273,146 @@ def _curve_thickness(points: np.ndarray, config: ClassifyConfig) -> Optional[flo
         return 0.0
     k = min(config.neighbors, pts.shape[0] - 1)
     spreads = []
-    for p in pts:
-        d2 = np.sum((pts - p) ** 2, axis=1)
-        idx = np.argsort(d2)[: k + 1]  # includes the point itself
-        local = pts[idx] - pts[idx].mean(axis=0)
-        cov = local.T @ local / local.shape[0]
-        eigvals = np.linalg.eigvalsh(cov)
-        spreads.append(np.sqrt(max(eigvals[0], 0.0)))
-    return float(np.median(spreads)) / diameter
+    for hood in _nearest_neighbors(pts, k + 1):
+        local = hood - hood.mean(axis=1, keepdims=True)
+        cov = local.transpose(0, 2, 1) @ local / (k + 1)
+        spreads.append(np.sqrt(np.maximum(np.linalg.eigvalsh(cov)[:, 0], 0.0)))
+    return float(np.median(np.concatenate(spreads))) / diameter
+
+
+_LEAF_MAX = 16  # a k-d node with more points is split, so leaves hold 8-16
+_PAIR_BUDGET = 1 << 12  # (query, point or node) pairs the kNN search works on at once
+
+
+def _kd_tree(pts: np.ndarray):
+    """Balanced 2-d tree over pts, built level by level.
+
+    Node i covers positions start[i]:end[i] of `order` and has the
+    bounding box lo[i], hi[i].  A node with more than _LEAF_MAX points is
+    split at its middle along the wider side of its box; its children
+    are left[i] and left[i] + 1, and left[i] is -1 at a leaf.
+    """
+    m = pts.shape[0]
+    order = np.arange(m)
+    parts = []
+    s, e = np.array([0]), np.array([m])
+    next_id = 0
+    while s.size:
+        xy = np.vstack([pts[order], np.zeros((1, 2))])  # reduceat may index m
+        cut = np.column_stack([s, e]).ravel()
+        lo = np.minimum.reduceat(xy, cut)[::2]
+        hi = np.maximum.reduceat(xy, cut)[::2]
+        split = e - s > _LEAF_MAX
+        next_id += s.size  # the children of this level are numbered from here
+        left = np.full(s.size, -1)
+        left[split] = next_id + 2 * np.arange(np.count_nonzero(split))
+        parts.append((s, e, lo, hi, left))
+        axis = np.argmax(hi - lo, axis=1)[split]
+        s, e = s[split], e[split]
+        pos, seg = _ragged(s, e - s)
+        order[pos] = order[pos[np.lexsort((pts[order[pos], axis[seg]], seg))]]
+        mid = s + (e - s) // 2
+        s, e = np.column_stack([s, mid]).ravel(), np.column_stack([mid, e]).ravel()
+    start, end, lo, hi, left = (np.concatenate(col) for col in zip(*parts))
+    return order, start, end, lo, hi, left
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray):
+    """Positions starts[g] + j for j < lengths[g], with their group g."""
+    group = np.repeat(np.arange(lengths.size), lengths)
+    offset = np.arange(group.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return starts[group] + offset, group
+
+
+def _nearest_neighbors(pts: np.ndarray, count: int):
+    """Yield, batch by batch, the `count` nearest points of every point.
+
+    Exact: squared distances are dx*dx + dy*dy with dx = neighbor - query,
+    and ties go to the lower index into pts.  Each query bounds its
+    count-th distance by the points of the deepest tree node around it
+    that holds at least `count` of them, then descends the tree keeping
+    the nodes whose box lies within that bound; box distances round the
+    same way, so no point is nearer than its box.  Working memory stays
+    within a few _PAIR_BUDGET cells whatever the number of points (a
+    single query may exceed it): a batch of queries holds at most
+    _PAIR_BUDGET candidates for its bounds, a batch whose descent
+    frontier outgrows _PAIR_BUDGET (query, node) pairs is retried with
+    half the queries, and candidates are ranked in groups whose row
+    count times largest candidate count stays within _PAIR_BUDGET.
+    Yields arrays of shape (queries, count, 2).
+    """
+    order, start, end, lo, hi, left = _kd_tree(pts)
+    xy = pts[order]
+    size = end - start
+    m = pts.shape[0]
+    most = max(1, _PAIR_BUDGET // max(2 * count, _LEAF_MAX))
+    b0, batch = 0, most
+    while b0 < m:
+        qpos = np.arange(b0, min(b0 + batch, m))
+        # deepest node on each query's path that still holds `count` points
+        node = np.zeros(qpos.size, dtype=np.int64)
+        while True:
+            child = np.where(qpos < end[np.maximum(left[node], 0)], left[node], left[node] + 1)
+            deeper = (left[node] >= 0) & (size[child] >= count)
+            if not deeper.any():
+                break
+            node = np.where(deeper, child, node)
+        cols = np.arange(size[node].max())
+        slot = np.minimum(start[node][:, None] + cols, m - 1)
+        d2 = np.where(cols < size[node][:, None], _sq_dist(xy[slot], xy[qpos][:, None]), np.inf)
+        bound = np.partition(d2, count - 1, axis=1)[:, count - 1]
+
+        q = np.arange(qpos.size)
+        nd = np.zeros(qpos.size, dtype=np.int64)
+        leaf_q, leaf_n = [], []
+        while q.size and (q.size <= _PAIR_BUDGET or qpos.size == 1):
+            qxy = xy[qpos[q]]
+            gap = np.maximum(np.maximum(lo[nd] - qxy, qxy - hi[nd]), 0.0)
+            keep = _sq_dist(gap, 0.0) <= bound[q]
+            q, nd = q[keep], nd[keep]
+            at_leaf = left[nd] < 0
+            leaf_q.append(q[at_leaf])
+            leaf_n.append(nd[at_leaf])
+            q = np.repeat(q[~at_leaf], 2)
+            nd = (left[nd[~at_leaf]][:, None] + np.array([0, 1])).ravel()
+        if q.size:
+            # frontier over budget (a bound that underflowed to 0 keeps every
+            # box around the origin): retry with half the queries
+            batch = max(1, qpos.size // 2)
+            continue
+        b0 += qpos.size
+        batch = min(most, 2 * batch)
+        leaf_q, leaf_n = np.concatenate(leaf_q), np.concatenate(leaf_n)
+        by_query = np.argsort(leaf_q, kind="stable")
+        leaf_q, leaf_n = leaf_q[by_query], leaf_n[by_query]
+        n_cand = np.bincount(leaf_q, weights=size[leaf_n], minlength=qpos.size)
+
+        g0 = 0
+        while g0 < qpos.size:
+            widest = np.maximum.accumulate(n_cand[g0 : g0 + _PAIR_BUDGET // count])
+            g1 = g0 + max(1, np.count_nonzero(widest * np.arange(1, widest.size + 1) <= _PAIR_BUDGET))
+            a, b = np.searchsorted(leaf_q, [g0, g1])
+            pos, grp = _ragged(start[leaf_n[a:b]], size[leaf_n[a:b]])
+            row = leaf_q[a:b][grp]
+            d2 = _sq_dist(xy[pos], xy[qpos[row]])
+            keep = d2 <= bound[row]
+            pos, row, d2 = pos[keep], row[keep] - g0, d2[keep]
+            kept = np.bincount(row, minlength=g1 - g0)
+            col = np.arange(row.size) - np.repeat(np.cumsum(kept) - kept, kept)
+            dist = np.full((g1 - g0, kept.max()), np.inf)
+            dist[row, col] = d2
+            index = np.zeros(dist.shape, dtype=np.int64)
+            index[row, col] = order[pos]
+            at = np.zeros(dist.shape, dtype=np.int64)
+            at[row, col] = pos
+            best = np.lexsort((index, dist), axis=1)[:, :count]
+            yield xy[np.take_along_axis(at, best, axis=1)]
+            g0 = g1
+
+
+def _sq_dist(a: np.ndarray, b) -> np.ndarray:
+    d = a - b
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
 
 
 def tail_decay_predicted(energy: float) -> float:

@@ -74,8 +74,9 @@ def iterate_map(
 ) -> MapOrbit:
     """Iterate the map, recording visited points (including the seed).
 
-    Stops early once |psi| or |Z| exceeds escape_bound; the offending
-    point is kept and the orbit is flagged escaped.  stride > 1 thins the
+    Stops early once |psi| or |Z| exceeds escape_bound or leaves the
+    float range; the offending point (inf or nan in the latter case) is
+    kept and the orbit is flagged escaped.  stride > 1 thins the
     recording for very long runs (every stride-th point is kept).
     """
     if steps < 1:
@@ -87,7 +88,13 @@ def iterate_map(
     escaped = False
     escape_index = None
     for k in range(1, steps + 1):
-        s = map_step(s, energy, c)
+        try:
+            s = map_step(s, energy, c)
+        except OverflowError:
+            # psi**3 left the float range; the same step on float64 records
+            # the overflowed point as inf or nan, and the orbit escapes below
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = map_step(MapState(np.float64(s.psi), np.float64(s.Z)), energy, c)
         if k % stride == 0 or not np.isfinite(s.psi) or abs(s.psi) > escape_bound or abs(s.Z) > escape_bound:
             recorded.append(s)
         if not (np.isfinite(s.psi) and np.isfinite(s.Z)) or abs(s.psi) > escape_bound or abs(s.Z) > escape_bound:

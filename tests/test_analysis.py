@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnse_lab as dl
+from dnse_lab import analysis
 from dnse_lab.errors import (
+    NoConvergence,
     NotLocalized,
     WindowTouchesPeak,
     ZeroAmplitudeInWindow,
@@ -55,8 +57,9 @@ class TestDistinctPoints:
         assert dl.distinct_points(dl.PhasePortrait(pts), 0.5) == 3
 
     def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            dl.distinct_points(dl.PhasePortrait(np.zeros((2, 2))), 0.0)
+        for tol in (0.0, -1e-6, np.nan):
+            with pytest.raises(ValueError):
+                dl.distinct_points(dl.PhasePortrait(np.zeros((2, 2))), tol)
 
     @given(
         st.lists(
@@ -115,6 +118,15 @@ class TestClassification:
         portrait = dl.PhasePortrait(pts, psi_sequence=np.cos(theta) + theta * 1e-3)
         cls = dl.classify_portrait(portrait)
         assert cls.label is dl.PortraitLabel.IRREGULAR_COMMENSURATE
+
+    def test_non_finite_point_has_no_thickness(self):
+        theta = np.linspace(0, 2 * np.pi, 50, endpoint=False)
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        pts[7] = [-np.inf, np.inf]
+        portrait = dl.PhasePortrait(pts, psi_sequence=pts[:, 0] + theta * 1e-3)
+        cls = dl.classify_portrait(portrait)
+        assert cls.diagnostics["curve_thickness"] is None
+        assert cls.label is dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
 
     def test_as_dict_payload(self):
         cls = dl.classify_portrait(dl.phase_portrait(dl.LatticeState(np.full(4, 0.5))))
@@ -260,3 +272,255 @@ class TestZoom:
             dl.zoom_report(portrait, (1, 0, 0, 1), 2)
         with pytest.raises(ValueError):
             dl.zoom_report(portrait, (0, 1, 0, 1), 2, shrink=1.0)
+
+
+# --- differential test: the quadratic kernels the near-linear ones replaced
+
+def _oracle_representatives(points, tol):
+    """Greedy first-fit clustering, every point against every cluster.
+
+    Given `points.tolist()` it runs on Python floats, which compare and
+    subtract exactly as float64 does, only faster."""
+    reps = []
+    for p in points:
+        placed = False
+        for r in reps:
+            if abs(p[0] - r[0]) <= tol and abs(p[1] - r[1]) <= tol:
+                placed = True
+                break
+        if not placed:
+            reps.append(p)
+    return np.array(reps)
+
+
+def _oracle_period(psi, cyclic, tol):
+    """Every shift tested in full."""
+    n = psi.size
+    if cyclic:
+        for p in range(1, n):
+            if np.max(np.abs(psi - np.roll(psi, p))) <= tol:
+                return p
+        return None
+    for p in range(1, n // 2 + 1):
+        if np.max(np.abs(psi[p:] - psi[:-p])) <= tol:
+            return p
+    return None
+
+
+def _oracle_thickness(points, config):
+    """A full argsort of the distances for every point."""
+    pts = np.unique(points, axis=0)
+    if pts.shape[0] < 4:
+        return 0.0
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    diameter = float(np.linalg.norm(hi - lo))
+    if diameter == 0.0:
+        return 0.0
+    k = min(config.neighbors, pts.shape[0] - 1)
+    spreads = []
+    for p in pts:
+        d2 = np.sum((pts - p) ** 2, axis=1)
+        idx = np.argsort(d2)[: k + 1]
+        local = pts[idx] - pts[idx].mean(axis=0)
+        cov = local.T @ local / local.shape[0]
+        eigvals = np.linalg.eigvalsh(cov)
+        spreads.append(np.sqrt(max(eigvals[0], 0.0)))
+    return float(np.median(spreads)) / diameter
+
+
+def _thickness_agrees(new, old):
+    return abs(new - old) <= max(1e-9 * abs(old), 1e-15)
+
+
+DISTINCT_TOLS = (1e-9, 1e-6, 1e-3, 1e-1)
+
+
+@pytest.fixture(scope="module")
+def portrait_corpus(chain100_solution, chain130_solution):
+    """(name, portrait): the acceptance chains; the random rings with
+    N in {208, 1000} and seeds 0-9, solved at c = 4N (the last iterate
+    where Newton gives up) and as their asymptotic initial states; and
+    ten 2000-step orbits of the map at E = 1, c = 1."""
+    corpus = [("chain100", dl.phase_portrait(chain100_solution[1])),
+              ("chain130", dl.phase_portrait(chain130_solution[1]))]
+    for n in (208, 1000):
+        for seed in range(10):
+            initial = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
+            try:
+                solved, _, _ = dl.newton_solve(initial, dl.ModelParams(4.0 * n))
+            except NoConvergence as exc:
+                solved = exc.state
+            corpus.append((f"ring{n}/{seed}", dl.phase_portrait(solved)))
+            corpus.append((f"ring{n}/{seed}/asymptotic", dl.phase_portrait(initial)))
+    for k in range(10):
+        orbit = dl.iterate_map(dl.MapState(0.05 * (k + 1), 0.0), 1.0, 1.0, 2000)
+        corpus.append((f"map/{k}", dl.portrait_from_orbit(orbit)))
+    return corpus
+
+
+def _brute_neighbors(pts, count):
+    """Rows of the `count` nearest points by (squared distance, index)."""
+    rows = []
+    for p in pts:
+        d = pts - p
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        rows.append(pts[np.lexsort((np.arange(pts.shape[0]), d2))[:count]])
+    return np.array(rows)
+
+
+def _row_multiset(rows):
+    return sorted(map(tuple, rows.reshape(rows.shape[0], -1).tolist()))
+
+
+class TestAgainstOracle:
+    def test_counts(self, portrait_corpus):
+        for name, portrait in portrait_corpus:
+            for tol in DISTINCT_TOLS:
+                expected = len(_oracle_representatives(portrait.points.tolist(), tol))
+                assert dl.distinct_points(portrait, tol) == expected, (name, tol)
+
+    def test_periods(self, portrait_corpus):
+        for name, portrait in portrait_corpus:
+            psi = portrait.psi_sequence
+            for tol in (1e-6, 1e-1):
+                for cyclic in (True, False):
+                    assert analysis._detect_period(psi, cyclic, tol) == \
+                        _oracle_period(psi, cyclic, tol), (name, tol, cyclic)
+
+    def test_thickness_and_labels(self, portrait_corpus):
+        config = dl.ClassifyConfig()
+        for name, portrait in portrait_corpus:
+            new = analysis._curve_thickness(portrait.points, config)
+            old = _oracle_thickness(portrait.points, config)
+            assert _thickness_agrees(new, old), (name, new, old)
+            if _oracle_period(portrait.psi_sequence, portrait.cyclic, config.shift_tol) is not None:
+                expected = dl.PortraitLabel.REGULAR_PERIODIC
+            elif old <= config.band_frac:
+                expected = dl.PortraitLabel.IRREGULAR_COMMENSURATE
+            else:
+                expected = dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
+            assert dl.classify_portrait(portrait, config).label is expected, name
+
+    def test_thickness_more_neighbors_than_a_leaf(self, portrait_corpus):
+        # k + 1 = 21 exceeds the 16-point leaves, so the bound comes from
+        # a node above the query's leaf
+        config = dl.ClassifyConfig(neighbors=20)
+        picked = dict(portrait_corpus)
+        for name in ("chain130", "ring1000/0", "ring208/3", "map/0", "map/7"):
+            new = analysis._curve_thickness(picked[name].points, config)
+            old = _oracle_thickness(picked[name].points, config)
+            assert _thickness_agrees(new, old), (name, new, old)
+
+
+class TestNearestNeighbors:
+    """The k-d search against a full ranking by (squared distance, index)."""
+
+    def _check(self, points, count):
+        pts = np.unique(points, axis=0)
+        found = np.concatenate(list(analysis._nearest_neighbors(pts, count)))
+        assert _row_multiset(found) == _row_multiset(_brute_neighbors(pts, count))
+
+    def test_random_cloud(self):
+        rng = np.random.default_rng(8)
+        for count in (7, 21):
+            self._check(rng.uniform(-1, 1, (1500, 2)), count)
+
+    def test_lattice_ties_go_to_lower_index(self):
+        g = np.arange(-12, 13, dtype=float)
+        xx, yy = np.meshgrid(g, g)
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        for count in (5, 7, 21):
+            self._check(pts, count)
+
+    def test_underflow_ring(self):
+        # one peak on a solved N = 1000 ring (pattern seed 2): hundreds of
+        # its 757 distinct points sit so close to the origin that their
+        # squared distances underflow to 0, and the descent frontier
+        # outgrows the budget, so batches are retried with fewer queries
+        initial = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(1000, 2)))
+        state, _, _ = dl.newton_solve(initial, dl.ModelParams(4000.0))
+        points = dl.phase_portrait(state).points
+        for count in (7, 21):
+            self._check(points, count)
+        assert analysis._curve_thickness(points, dl.ClassifyConfig()) == \
+            _oracle_thickness(points, dl.ClassifyConfig())
+
+    def test_budget_below_one_query(self, monkeypatch):
+        # one query per batch, and many ranked alone over the budget
+        monkeypatch.setattr(analysis, "_PAIR_BUDGET", 24)
+        g = np.arange(-6, 7, dtype=float)
+        xx, yy = np.meshgrid(g, g)
+        cloud = np.random.default_rng(10).uniform(-1, 1, (300, 2))
+        for pts in (np.column_stack([xx.ravel(), yy.ravel()]), cloud):
+            for count in (7, 21):
+                self._check(pts, count)
+
+    def test_tiny_sets(self):
+        rng = np.random.default_rng(9)
+        for m in (4, 5, 8, 16, 17, 33):
+            pts = rng.uniform(-1, 1, (m, 2))
+            for count in sorted({2, min(7, m), m}):
+                self._check(pts, count)
+
+
+class TestDistinctEdgeCases:
+    def _check(self, points, tol):
+        points = np.asarray(points, dtype=float)
+        expected = len(_oracle_representatives(points.tolist(), tol))
+        assert dl.distinct_points(dl.PhasePortrait(points), tol) == expected
+
+    def test_multiples_of_tol(self):
+        rng = np.random.default_rng(4)
+        for tol in (0.1, 1e-3, 1e-6, 3.0):
+            k = rng.integers(-6, 7, (400, 2)).astype(float)
+            pts = k * tol
+            # one ulp either way moves points across cell edges
+            nudged = np.nextafter(pts, rng.choice([-np.inf, np.inf], pts.shape))
+            self._check(pts, tol)
+            self._check(np.concatenate([pts, nudged]), tol)
+            self._check(rng.permutation(np.concatenate([nudged, pts])), tol)
+
+    def test_exactly_tol_apart(self):
+        tol = 0.1
+        for base in (0.0, 0.05, 0.3, -0.7, 12345.6789):
+            chain = [[base + j * tol, base] for j in range(6)]
+            chain += [[base, base + j * tol] for j in range(6)]
+            self._check(chain, tol)
+            self._check(chain[::-1], tol)
+
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                           st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=40),
+        st.sampled_from([0.1, 0.3, 1e-3, 2.0**-3, 7e-7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_near_cell_edges(self, cells, tol):
+        pts = []
+        for kx, ky, ux, uy in cells:
+            x, y = kx * tol, ky * tol
+            for _ in range(abs(ux)):
+                x = np.nextafter(x, np.inf if ux > 0 else -np.inf)
+            for _ in range(abs(uy)):
+                y = np.nextafter(y, np.inf if uy > 0 else -np.inf)
+            pts.append([x, y])
+        self._check(pts, tol)
+
+    def test_non_finite_points_count_alone(self):
+        nan, inf = np.nan, np.inf
+        pts = [[0.0, 0.0], [nan, 0.0], [0.0, 0.0], [inf, 0.0], [inf, 0.0],
+               [-inf, inf], [nan, nan], [1e-9, 0.0], [0.0, -inf]]
+        for tol in (1e-6, 1.0, 1e300, inf):
+            self._check(pts, tol)
+        assert dl.distinct_points(dl.PhasePortrait(pts), 1e-6) == 7
+
+    def test_beyond_the_grid(self):
+        # |p| >= 2**49 tol leaves the grid; such points still merge with
+        # grid neighbors within tol
+        tol = 1e-6
+        edge = 2.0**49 * tol
+        pts = [[edge - 0.5 * tol, 0.0], [edge, 0.0], [edge + 0.7 * tol, 0.0],
+               [-edge, edge], [-edge + tol, edge - tol], [1e30, 1e30], [1e30, 1e30]]
+        self._check(pts, tol)
+        self._check(pts[::-1], tol)
+        self._check(pts, 1e-300)

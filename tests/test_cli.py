@@ -157,6 +157,19 @@ class TestMapCommand:
         assert summary["escaped"]
         assert summary["escape_index"] is not None
 
+    def test_overflow_reported_as_escape(self, tmp_path, capsys):
+        code = main(["map", "--E", "1", "--c", "1", "--psi0", "1e200", "--z0", "0",
+                     "--escape", "1e300", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        summary = run_json(capsys)
+        assert summary["escaped"]
+        assert summary["escape_index"] == 1
+
+    def test_nan_tolerance_is_input_error(self, tmp_path, capsys):
+        code = main(["map", "--E", "1", "--c", "1", "--psi0", "0.1", "--z0", "0",
+                     "--steps", "10", "--tol-distinct", "nan", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+
 
 class TestPortraitCommand:
     def test_reanalyze_stored_state(self, tmp_path, capsys):

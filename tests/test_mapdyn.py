@@ -65,6 +65,14 @@ class TestIterateMap:
         last = orbit.points[-1]
         assert max(abs(last[0]), abs(last[1])) > 1e6
 
+    def test_overflow_is_escape(self):
+        # psi**3 overflows a Python float at the first step
+        orbit = dl.iterate_map(dl.MapState(1e200, 0.0), 1.0, 1.0, 10, escape_bound=1e300)
+        assert orbit.escaped
+        assert orbit.escape_index == 1
+        assert orbit.points.shape[0] == 2
+        assert not np.all(np.isfinite(orbit.points[-1]))
+
     def test_bounded_elliptic_orbit(self):
         # linear map at E in (0, 4) is a rotation: stays bounded forever
         orbit = dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 0.0, 10_000)
