@@ -11,10 +11,11 @@ exact up to a shift tolerance.
 
 Classification runs in near-linear time in the number of points: the
 distinct-point count buckets cluster representatives on a grid of cell
-size tol, the period search tests in full only the shifts that pass a
-one-site check, and the curve thickness finds exact nearest neighbors
-with a k-d tree, breaking distance ties by the lower index.  Each gives
-the result the all-pairs search would.
+size tol, the period search tests in full only the shifts that carry
+each of the 8 largest sites to within tol of itself, and the curve
+thickness finds exact nearest neighbors with a k-d tree, breaking
+distance ties by the lower index.  Each gives the result the all-pairs
+search would.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -80,6 +81,10 @@ class ClassifyConfig:
     distinct_tol: float = 1e-6
     band_frac: float = 0.05  # local curve thickness / diameter cutoff
     neighbors: int = 6
+
+    def __post_init__(self):
+        if not self.distinct_tol > 0:
+            raise ValueError("distinct_tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -93,13 +93,14 @@ def _build_initial(args):
 
 
 def cmd_solve(args) -> int:
+    classify = ClassifyConfig(distinct_tol=args.tol_distinct)
     outdir = _ensure_outdir(args)
     initial, seed = _build_initial(args)
     params = ModelParams(args.c, initial.boundary)
     config = _newton_config(args)
     prefix = args.out_prefix
 
-    def _write(state, energy, report, failed: bool | None):
+    def _write(state, energy, report, failed: str | None):
         lab_io.write_state(outdir / f"{prefix}.state.csv", state, args.c, energy)
         payload = report.as_dict()
         if failed:
@@ -108,7 +109,7 @@ def cmd_solve(args) -> int:
         if state.n_sites >= 2:
             portrait = phase_portrait(state)
             lab_io.write_portrait(outdir / f"{prefix}.portrait.csv", portrait)
-            cls = classify_portrait(portrait, ClassifyConfig(distinct_tol=args.tol_distinct))
+            cls = classify_portrait(portrait, classify)
             lab_io.write_json(
                 outdir / f"{prefix}.class.json", cls.as_dict(args.tol_distinct)
             )
@@ -164,6 +165,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_map(args) -> int:
+    classify = ClassifyConfig(distinct_tol=args.tol_distinct)
     outdir = _ensure_outdir(args)
     orbit = iterate_map(
         MapState(args.psi0, args.z0), args.E, args.c, args.steps,
@@ -172,7 +174,7 @@ def cmd_map(args) -> int:
     lab_io.write_orbit(outdir / "orbit.csv", orbit)
     portrait = portrait_from_orbit(orbit)
     lab_io.write_portrait(outdir / "portrait.csv", portrait)
-    cls = classify_portrait(portrait, ClassifyConfig(distinct_tol=args.tol_distinct))
+    cls = classify_portrait(portrait, classify)
     lab_io.write_json(outdir / "classification.json", cls.as_dict(args.tol_distinct))
     _write_run_json(outdir, "map", args)
     print(json.dumps({"steps_recorded": int(orbit.points.shape[0]),
@@ -182,11 +184,12 @@ def cmd_map(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    classify = ClassifyConfig(distinct_tol=args.tol_distinct)
     outdir = _ensure_outdir(args)
     state, _meta = lab_io.read_state(args.state_file)
     portrait = phase_portrait(state)
     lab_io.write_portrait(outdir / "portrait.csv", portrait)
-    cls = classify_portrait(portrait, ClassifyConfig(distinct_tol=args.tol_distinct))
+    cls = classify_portrait(portrait, classify)
     lab_io.write_json(outdir / "classification.json", cls.as_dict(args.tol_distinct))
     _write_run_json(outdir, "portrait", args)
     print(json.dumps(cls.as_dict(args.tol_distinct), sort_keys=True))

@@ -58,10 +58,6 @@ class NoConvergence(DnseError):
         )
 
 
-class LatticeTooSmall(DnseError):
-    """Tridiagonal Jacobian assembly needs at least 3 sites."""
-
-
 class EscapedOrbit(DnseError):
     """Orbit escaped before a lattice state could be extracted."""
 

@@ -8,7 +8,8 @@ exact, and becomes visible numerically once the solution is polished and
 the map iterated at sufficient precision.  This module does both with
 mpmath working at a configurable number of decimal digits.  The polish
 takes bordered Newton steps on (psi, E), built from the float64 code run
-on mpf values: the tridiagonal kernel of newton and the lattice residual.
+on mpf values: the Newton loop and the tridiagonal kernel of newton, and
+the lattice residual.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import NoConvergence
 from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
-from .newton import NewtonReport, _tridiag_solve, rayleigh_energy
+from .newton import NewtonReport, _newton_loop, _tridiag_solve, rayleigh_energy
 
 
 def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
@@ -37,39 +37,34 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
     most 10**-(dps-10).  PBC only.
 
     Raises NoConvergence when max_iter steps do not reach that tolerance;
-    it carries the last iterate (a list of mpf), its E and a NewtonReport
-    with the iteration count and the residual history.  A singular
-    Jacobian raises SingularJacobian.
+    it carries the last iterate (an object array of mpf), its E and a
+    NewtonReport with the iteration count and the E and residual
+    histories.  A singular Jacobian raises SingularJacobian carrying the same.
     """
     if state.boundary is not Boundary.PERIODIC:
         raise ValueError("high-precision polish supports PBC only")
-    start_energy = rayleigh_energy(state, params)
     with mp.workdps(dps):
         c = mpf(params.c)
-        psi = np.array([mpf(v) for v in state.values.tolist()], dtype=object)
-        energy = mpf(start_energy)
-        tol = mpf(10) ** (10 - dps)
-        e_hist, r_hist = [], []
-        for iteration in range(max_iter + 1):
-            res = _stencil_residual(psi, c, energy, Boundary.PERIODIC)
-            worst = max(abs(r) for r in res)
-            e_hist.append(float(energy))
-            r_hist.append(float(worst))
-            if worst <= tol:
-                return psi.tolist(), energy
-            if iteration == max_iter:
-                break
+
+        def bordered_step(psi, energy, res):
             diag = 2 - energy - 3 * c * psi**2
             a, b = (np.array(x, dtype=object) for x in
                     _tridiag_solve(diag.tolist(), [res.tolist(), psi.tolist()], True))
             g = (np.dot(psi, psi) - 1) / 2
             d_energy = (np.dot(psi, a) - g) / np.dot(psi, b)
-            psi = psi - a + b * d_energy
-            energy += d_energy
-        report = NewtonReport(iterations=max_iter, energy_history=tuple(e_hist),
-                              residual_history=tuple(r_hist), converged=False,
-                              final_norm=float(np.dot(psi, psi)))
-        raise NoConvergence(psi.tolist(), energy, report)
+            return psi - a + b * d_energy, energy + d_energy
+
+        def report(psi, iterations, e_hist, r_hist, converged):
+            return NewtonReport(iterations=iterations, energy_history=tuple(e_hist),
+                                residual_history=tuple(r_hist), converged=converged,
+                                final_norm=float(np.dot(psi, psi)))
+
+        psi, energy, _ = _newton_loop(
+            np.array([mpf(v) for v in state.values.tolist()], dtype=object),
+            mpf(rayleigh_energy(state, params)),
+            lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
+            bordered_step, mpf(10) ** (10 - dps), max_iter, report)
+        return psi.tolist(), energy
 
 
 def map_reproduction_error(psi, energy, c, dps: int = 60):

