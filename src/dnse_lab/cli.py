@@ -94,10 +94,10 @@ def _build_initial(args):
 
 def cmd_solve(args) -> int:
     classify = ClassifyConfig(distinct_tol=args.tol_distinct)
+    config = _newton_config(args)
     outdir = _ensure_outdir(args)
     initial, seed = _build_initial(args)
     params = ModelParams(args.c, initial.boundary)
-    config = _newton_config(args)
     prefix = args.out_prefix
 
     def _write(state, energy, report, failed: str | None):
@@ -133,6 +133,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    config = _newton_config(args)
     outdir = _ensure_outdir(args)
     spec = parse_pattern(args.pattern, Boundary(args.bc))
     initial = build_asymptotic_state(spec)
@@ -145,7 +146,7 @@ def cmd_sweep(args) -> int:
     slack = 1e-12 * max(1.0, abs(args.c_to))
     n_steps = math.floor((args.c_to + slack - args.c_from) / args.c_step)
     c_values = [args.c_from + k * args.c_step for k in range(n_steps + 1)]
-    records = sweep_c(initial, params, c_values, _newton_config(args))
+    records = sweep_c(initial, params, c_values, config)
     lines = ["c,E,converged,n,m,l,max_amp"]
     for rec in records:
         counts = rec.counts
@@ -214,6 +215,9 @@ def _add_out(p):
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-12, help="residual max-norm tolerance")
     p.add_argument("--max-iter", type=int, default=200)
+
+
+def _add_classify_flags(p):
     p.add_argument("--tol-distinct", type=float, default=1e-6,
                    help="clustering tolerance for distinct portrait points")
 
@@ -241,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--out-prefix", default="solve")
     _add_solver_flags(p)
+    _add_classify_flags(p)
     _add_out(p)
     p.set_defaults(func=cmd_solve)
 
@@ -261,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--escape", type=float, default=1e8)
-    p.add_argument("--tol-distinct", type=float, default=1e-6)
+    _add_classify_flags(p)
     _add_out(p)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("portrait", help="re-analyze a stored state file")
     p.add_argument("--state-file", required=True)
-    p.add_argument("--tol-distinct", type=float, default=1e-6)
+    _add_classify_flags(p)
     _add_out(p)
     p.set_defaults(func=cmd_portrait)
 

@@ -2,13 +2,18 @@
 
 The Hessian of the energy functional is (up to a factor 2 shared with the
 gradient) a symmetric tridiagonal matrix with diagonal 2 - E - 3 c psi**2,
-off-diagonal -1 and, under PBC, -1 in the two corners.  One private
-kernel, _tridiag_solve, solves this system in O(N) for any N, for float64
-here and for mpmath in the high-precision polish: it factors the matrix
-once by Thomas elimination, restores the corners by a rank-1
-Sherman-Morrison correction, and sweeps every right-hand side through the
-one factorization.  One private loop, _newton_loop, iterates both solvers;
-each supplies only its step.  The float64 step freezes E at the estimate
+off-diagonal -1 and, under PBC, -1 in the two corners.  solve_linear
+solves it in O(N).  Below PARTITION_MIN_SITES it calls the scalar kernel,
+_tridiag_solve, which also serves mpmath in the high-precision polish: it
+factors the matrix once by Thomas elimination, restores the corners by a
+rank-1 Sherman-Morrison correction, and sweeps every right-hand side
+through the one factorization, one site at a time in Python.  From
+PARTITION_MIN_SITES float64 sites on it takes the partition method
+(Wang 1981; SPIKE, Polizzi & Sameh 2006): short chains are eliminated all
+at once by numpy operations across the chains, and the sites between them
+satisfy a small tridiagonal Schur complement that the scalar kernel
+solves.  One private loop, _newton_loop, iterates both solvers; each
+supplies only its step.  The float64 step freezes E at the estimate
 
     E(k) = -c sum psi**3 / sum psi        (PBC)
 
@@ -21,6 +26,7 @@ of drifting along the amplitude-rescaling family.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial
@@ -51,6 +57,11 @@ PIVOT_REL_THRESHOLD = 1e-14
 STRUCTURE_CHANGE_THRESHOLD = 1.0
 # The nearest-neighbour hop: the off-diagonal and ring-corner entry of J.
 OFF_DIAGONAL = -1.0
+# solve_linear takes the partitioned path from this many sites on.  The
+# scalar sweep costs about 1.2 us a site and the partitioned path wins from
+# a few hundred sites; the threshold keeps the paper's chains and the rings
+# of up to 10^3 sites on the scalar path.
+PARTITION_MIN_SITES = 2000
 
 
 @dataclass(frozen=True)
@@ -98,8 +109,10 @@ class NewtonConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerance and max_iter must be positive")
+        if not 0 < self.tol_residual < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if self.max_iter <= 0:
+            raise ValueError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,62 +172,75 @@ def assemble_jacobian(state: LatticeState, params: ModelParams, energy: float) -
     return JacobianMatrix(diag=diag, periodic=state.boundary is Boundary.PERIODIC)
 
 
-def _sweep(inv, rhs):
-    """Forward and back substitution through the reciprocal pivots inv."""
+def _sweep(inv, rhs, off=None):
+    """Forward and back substitution through the reciprocal pivots inv.
+
+    off as in _tridiag_solve.  Without it the hops are -1 and the loops
+    skip their multiplications: at N ~ 100 this kernel is half the time of
+    a float Newton step.
+    """
     x = inv[:]  # sized up front: growing it by append raised peak RSS
     prev = 0
-    for i, (b, w) in enumerate(zip(rhs, inv)):
-        prev = x[i] = (b + prev) * w
+    if off is None:
+        for i, (b, w) in enumerate(zip(rhs, inv)):
+            prev = x[i] = (b + prev) * w
+        for i in range(len(x) - 2, -1, -1):
+            prev = x[i] = x[i] + inv[i] * prev
+        return x
+    for i, (b, w, e) in enumerate(zip(rhs, inv, chain((0,), off))):
+        prev = x[i] = (b - e * prev) * w
     for i in range(len(x) - 2, -1, -1):
-        prev = x[i] = x[i] + inv[i] * prev
+        prev = x[i] = x[i] - off[i] * inv[i] * prev
     return x
 
 
-def _tridiag_solve(diag, rhss, periodic: bool):
+def _tridiag_solve(diag, rhss, periodic: bool, off=None, pivot_rel=PIVOT_REL_THRESHOLD):
     """Solve T x = b for every b in rhss, factoring T once.
 
-    T has the diagonal diag, off-diagonals -1 and, when periodic, -1 in
-    the two corners.  The loops run on the elements as plain Python
-    numbers, so one code serves float (diag an array('d')) and mpmath
-    (diag a list of mpf); each solution comes back in the container type
-    of diag.  A ring is solved as in Numerical Recipes 2.7: the corners
-    are peeled off as a rank-1 update u v^T of an open chain, and
+    T is symmetric with the diagonal diag and, when periodic, -1 in the
+    two corners.  Its off-diagonals are -1, or off[i] between rows i and
+    i + 1 when off is given.  The loops run on the elements as plain
+    Python numbers, so one code serves float (diag an array('d')) and
+    mpmath (diag a list of mpf); each solution comes back in the container
+    type of diag.  A ring is solved as in Numerical Recipes 2.7: the
+    corners are peeled off as a rank-1 update u v^T of an open chain, and
     Sherman-Morrison restores them with one more sweep, of u.  On a
-    two-site ring the corners land on the off-diagonals, which become -2;
-    a one-site ring is the 1x1 system d - 2.
+    two-site ring the corners land on the off-diagonals; a one-site ring
+    is the 1x1 system d - 2.
 
-    Raises SingularJacobian on a pivot below PIVOT_REL_THRESHOLD times
-    max(max|diag|, 1), or a Sherman-Morrison denominator below
-    PIVOT_REL_THRESHOLD, before dividing by it.
+    Raises SingularJacobian on a pivot below pivot_rel times
+    max(max|diag|, 1), or a Sherman-Morrison denominator below pivot_rel,
+    before dividing by it.
     """
     n = len(diag)
     if periodic and n == 1:
         diag = diag[:]
         diag[0] -= 2  # both hops land on the site itself
         periodic = False
-    pivot_tol = PIVOT_REL_THRESHOLD * max(max(map(abs, diag)), 1)
+    pivot_tol = pivot_rel * max(max(map(abs, diag)), 1)
     inv = diag[:]  # the modified diagonal, then the reciprocal pivots
     if periodic:
         gamma = -(abs(diag[0]) + 1)
         inv[0] -= gamma
         inv[-1] -= 1 / gamma  # corners are -1, -1: product/gamma
+    squares = None if off is None else [0, *(e * e for e in off)]
     w = 0
     for i, d in enumerate(inv):
-        den = d - w
+        den = d - w if squares is None else d - squares[i] * w
         if abs(den) < pivot_tol:
             raise SingularJacobian(f"pivot {float(den):.3e} at row {i}")
         w = inv[i] = 1 / den
     if not periodic:
-        return [_sweep(inv, b) for b in rhss]
+        return [_sweep(inv, b, off) for b in rhss]
 
     # u = (gamma, 0, ..., 0, -1), v = (1, 0, ..., 0, -1/gamma)
-    q = _sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)))
+    q = _sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)), off)
     den = 1 + q[0] - q[-1] / gamma
-    if abs(den) < PIVOT_REL_THRESHOLD:
+    if abs(den) < pivot_rel:
         raise SingularJacobian(f"rank-1 correction denominator {float(den):.3e}")
     solutions = []
     for b in rhss:
-        y = _sweep(inv, b)
+        y = _sweep(inv, b, off)
         factor = (y[0] - y[-1] / gamma) / den
         for i, qi in enumerate(q):
             y[i] -= qi * factor
@@ -222,17 +248,104 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     return solutions
 
 
+def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
+    """Solve J x = rhs by the partition method, or return None.
+
+    The first P m sites form P blocks of m = isqrt(N) // 2 sites (fastest
+    at N = 10^4 and 10^5): one separator row, then a chain of L = m - 1
+    interior rows.  The last r sites, 1 <= r <= m, stay whole.  Each
+    Python loop below runs over the L rows of a chain, and each of its
+    steps is one numpy operation across all P chains.  With A a chain's
+    matrix and g = A^-1 b, the separators and the last r sites satisfy a
+    symmetric tridiagonal system of size P + r: A^-1_11 and A^-1_LL come
+    off the separators' diagonal, -A^-1_1L (the product of the chain's
+    reciprocal pivots, negated) is the hop across the chain, and g[0] and
+    g[-1] join the right-hand side.  Only these end entries are needed: a
+    forward elimination gives A^-1_LL, A^-1_1L and g[-1], a backward one
+    A^-1_11 and g[0].  _tridiag_solve solves the reduced system; since
+    site N - 1 is in it, a ring's corner stays -1.  A last sweep through
+    the stored forward pivots then gives each chain's interior from its
+    own b and its two separators.
+
+    Returns None, so that the caller falls back to the scalar sweep and
+    its singularity test, when a chain pivot (either direction) is below
+    the threshold of that test, or when the reduced system fails it with
+    the threshold widened m-fold.  The reduced diagonal is d_s - A^-1_11
+    - A^-1_LL, which cancels to rounding times m when J is near singular:
+    on the all-2 ring of 10^4 sites its Sherman-Morrison denominator is
+    3.8e-14, where the scalar sweep's is 1.1e-15.
+    """
+    n = diag.size
+    m = max(2, math.isqrt(n) // 2)
+    blocks = (n - 1) // m
+    edge = blocks * m
+
+    def interiors(a):  # the chains of a site array, as an (L, P) view
+        return a[:edge].reshape(blocks, m)[:, 1:].T
+
+    d, b = list(interiors(diag)), list(interiors(rhs))
+    limit = 1 / (PIVOT_REL_THRESHOLD * max(diag.max(), -diag.min(), 1.0))
+    inv = np.empty((m - 1, blocks))  # reciprocal forward pivots
+    x = np.empty(n)
+    chains = interiors(x)
+    xs, ws = list(chains), list(inv)
+    with np.errstate(all="ignore"):  # a zero pivot is caught below
+        w = z = 0.0
+        for dj, bj, wj in zip(d, b, ws):
+            w = np.divide(1.0, dj - w, out=wj)
+            z = (bj + z) * w
+        w0 = z0 = 0.0
+        # until the last sweep, the interiors of x hold the backward pivots
+        for dj, bj, xj in zip(d[::-1], b[::-1], xs[::-1]):
+            w0 = np.divide(1.0, dj - w0, out=xj)
+            z0 = (bj + z0) * w0
+        if not all(-limit <= a.min() and a.max() <= limit for a in (inv, chains)):
+            return None
+        hop = -inv.prod(axis=0)
+    reduced_diag = np.concatenate((diag[:edge:m], diag[edge:]))
+    reduced_diag[:blocks] -= w0
+    reduced_diag[1:blocks + 1] -= w
+    reduced_rhs = np.concatenate((rhs[:edge:m], rhs[edge:]))
+    reduced_rhs[:blocks] += z0
+    reduced_rhs[1:blocks + 1] += z
+    off = np.full(reduced_diag.size - 1, OFF_DIAGONAL)
+    off[:blocks] = hop
+    try:
+        [sep] = _tridiag_solve(array("d", reduced_diag.tobytes()),
+                               [array("d", reduced_rhs.tobytes())], periodic,
+                               array("d", off.tobytes()), PIVOT_REL_THRESHOLD * m)
+    except SingularJacobian:
+        return None
+    sep = np.frombuffer(sep)
+    x[:edge:m] = sep[:blocks]
+    x[edge:] = sep[blocks:]
+    z = sep[:blocks]  # the left separators enter as the row before each chain
+    for bj, wj, xj in zip(b, ws, xs):
+        np.add(bj, z, out=xj)
+        z = np.multiply(xj, wj, out=xj)
+    xs[-1] += sep[1:blocks + 1] * ws[-1]  # the right separators, on the last row
+    for j in range(m - 3, -1, -1):
+        xs[j] += ws[j] * xs[j + 1]
+    return x
+
+
 def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve J x = rhs in O(N).
 
-    Open boundary: plain Thomas elimination.  PBC: the corner entries are
-    peeled off as a rank-1 update and restored by the Sherman-Morrison
-    formula.  A pivot below PIVOT_REL_THRESHOLD times the matrix scale
-    raises SingularJacobian.
+    From PARTITION_MIN_SITES sites on by the partition method, with a
+    numpy operation across all chains at each row; below that, and when
+    the partitioned path finds a small pivot, by the scalar kernel (Thomas
+    elimination, and for PBC a Sherman-Morrison restore of the corners).
+    Only the scalar kernel decides that J is singular: a pivot below
+    PIVOT_REL_THRESHOLD times the matrix scale raises SingularJacobian.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (jac.n,):
         raise ValueError("rhs length does not match the matrix")
+    if jac.n >= PARTITION_MIN_SITES:
+        x = _partitioned_solve(jac.diag, rhs, jac.periodic)
+        if x is not None:
+            return x
     # array('d') holds a site in 8 bytes, where a list of floats takes 32
     [x] = _tridiag_solve(array("d", jac.diag.tobytes()), [array("d", rhs.tobytes())],
                          jac.periodic)

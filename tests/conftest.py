@@ -38,3 +38,17 @@ def chain130_solution():
 
 def random_state(rng, n, boundary=dl.Boundary.PERIODIC, amp=1.0):
     return dl.LatticeState(rng.uniform(-amp, amp, n), boundary)
+
+
+def kernel_corpus():
+    """(name, state, c): the acceptance chains, solved, and the random
+    rings with N in {208, 1000} and seeds 0-9 at their strong-coupling
+    start, c = 4N."""
+    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
+                          ("chain130", irregular_pair_pattern(), 40.0)]:
+        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
+        yield name, state, c
+    for n in (208, 1000):
+        for seed in range(10):
+            state = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
+            yield f"ring{n}/{seed}", state, 4.0 * n

@@ -130,6 +130,17 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1
 
+    def test_no_distinct_tolerance(self, tmp_path, capsys):
+        # sweep never classifies, so it takes no --tol-distinct
+        argv = ["sweep", "--pattern", "+00", "--c-from", "10", "--c-to", "10"]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol-distinct", "nan", "--out", str(out)])
+        assert exc.value.code == EXIT_INPUT
+        assert not out.exists()
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert "tol_distinct" not in json.loads((out / "run.json").read_text())["options"]
+
     def test_bad_step(self, tmp_path, capsys):
         assert main(["sweep", "--pattern", "+", "--c-from", "1", "--c-to", "2",
                      "--c-step", "0", "--out", str(tmp_path)]) == EXIT_INPUT
@@ -208,6 +219,20 @@ class TestBadDistinctTolerance:
         out = tmp_path / "out"
         argv = [str(state_file) if a == "STATE" else a for a in command]
         assert main(argv + ["--tol-distinct", tol, "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
+
+class TestBadSolverTolerance:
+    """A non-positive or non-finite --tol is rejected before any work."""
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--pattern", "+0000-0000", "--c", "30"],
+        ["sweep", "--pattern", "+0000-0000", "--c-from", "30", "--c-to", "31"],
+    ], ids=["solve", "sweep"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out"
+        assert main(command + ["--tol", tol, "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
 
 

@@ -7,7 +7,7 @@ from dnse_lab.errors import NoConvergence, SingularJacobian
 from dnse_lab.highprec import map_reproduction_error, polish_solution
 from dnse_lab.newton import _tridiag_solve
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern
+from conftest import alternating_spot_pattern, irregular_pair_pattern, kernel_corpus
 
 
 def _oracle_thomas(diag, rhs, pivot_tol):
@@ -55,25 +55,11 @@ def _oracle_solve(jac, rhs, pivot_rel_threshold=1e-14):
     return y - q * (vy / den)
 
 
-def _corpus():
-    """(name, state, c): the acceptance chains, solved, and the random
-    rings with N in {208, 1000} and seeds 0-9 at their strong-coupling
-    start, c = 4N."""
-    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
-                          ("chain130", irregular_pair_pattern(), 40.0)]:
-        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
-        yield name, state, c
-    for n in (208, 1000):
-        for seed in range(10):
-            state = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
-            yield f"ring{n}/{seed}", state, 4.0 * n
-
-
 class TestFloatKernelAgainstOracle:
     def test_newton_systems(self):
         # the step system J x = F and the bordering system J x = psi of each
         # corpus state, at its Rayleigh energy
-        for name, state, c in _corpus():
+        for name, state, c in kernel_corpus():
             params = dl.ModelParams(c)
             energy = dl.rayleigh_energy(state, params)
             jac = dl.assemble_jacobian(state, params, energy)

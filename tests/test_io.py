@@ -44,6 +44,8 @@ class TestStateFiles:
         lab_io.write_state(b, state, 3.0, -1.0)
         assert a.read_bytes() == b.read_bytes()
         assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
+        rows = "".join(f"{i},{lab_io.fmt(v)}\n" for i, v in enumerate(state.values))
+        assert a.read_text() == "index,psi\n" + rows
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -224,8 +224,9 @@ class TestNewtonSolve:
         assert report.seed == 77
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            dl.NewtonConfig(tol_residual=-1.0)
+        for tol in (-1.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                dl.NewtonConfig(tol_residual=tol)
         with pytest.raises(ValueError):
             dl.NewtonConfig(max_iter=0)
 

@@ -1,0 +1,34 @@
+"""Each experiment script under scripts/ runs to the end at a toy size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TOY_ARGS = {
+    "irregular_chain.py": [],
+    "map_portraits.py": ["--seeds", "1", "--steps", "200"],
+    "periodic_chain.py": [],
+    "random_chains.py": ["--seeds", "1", "--cases", "208:260"],
+}
+
+
+def test_every_script_is_covered():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(TOY_ARGS)
+
+
+@pytest.mark.parametrize("script", sorted(TOY_ARGS))
+def test_script_runs(tmp_path, script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--out", str(tmp_path),
+         *TOY_ARGS[script]],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert any(tmp_path.iterdir())
