@@ -213,7 +213,8 @@ def _add_out(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--tol", type=float, default=1e-12, help="residual max-norm tolerance")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="residual max-norm tolerance (or the rounding floor, where larger)")
     p.add_argument("--max-iter", type=int, default=200)
 
 

@@ -45,6 +45,7 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
         raise ValueError("high-precision polish supports PBC only")
     with mp.workdps(dps):
         c = mpf(params.c)
+        tol = mpf(10) ** (10 - dps)
 
         def bordered_step(psi, energy, res):
             diag = 2 - energy - 3 * c * psi**2
@@ -63,7 +64,7 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
             np.array([mpf(v) for v in state.values.tolist()], dtype=object),
             mpf(rayleigh_energy(state, params)),
             lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
-            bordered_step, mpf(10) ** (10 - dps), max_iter, report)
+            bordered_step, lambda *_: tol, max_iter, report)
         return psi.tolist(), energy
 
 

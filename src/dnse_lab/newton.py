@@ -12,8 +12,11 @@ PARTITION_MIN_SITES float64 sites on it takes the partition method
 (Wang 1981; SPIKE, Polizzi & Sameh 2006): short chains are eliminated all
 at once by numpy operations across the chains, and the sites between them
 satisfy a small tridiagonal Schur complement that the scalar kernel
-solves.  One private loop, _newton_loop, iterates both solvers; each
-supplies only its step.  The float64 step freezes E at the estimate
+solves; a solution whose backward error is not small is solved again by
+the scalar kernel.  One private loop, _newton_loop, iterates both
+solvers; each supplies only its step.  newton_solve stops at its
+tolerance or, where that is larger, at the residual that rounding alone
+can leave.  The float64 step freezes E at the estimate
 
     E(k) = -c sum psi**3 / sum psi        (PBC)
 
@@ -52,6 +55,12 @@ SUM_REL_THRESHOLD = 1e-8
 # A pivot below PIVOT_REL_THRESHOLD * max(max|diag|, 1), or a
 # Sherman-Morrison denominator below PIVOT_REL_THRESHOLD, is singular.
 PIVOT_REL_THRESHOLD = 1e-14
+# The partitioned solve is kept when |J x - b| is at most this times
+# max|diag| + 2 times max|x|, plus max|b| (about 450 machine epsilons).
+# Seen: up to 6.5 eps on Newton steps and 35 eps on random diagonals in
+# (-1.9, 1.9), where the scalar sweep itself reaches 59 eps; a chain pivot
+# of 1e-6 that passes the pivot test gives 6800 eps.
+BACKWARD_REL_THRESHOLD = 1e-13
 # An energy jump larger than this between iterations, after the second,
 # flags a change of localization pattern.
 STRUCTURE_CHANGE_THRESHOLD = 1.0
@@ -103,7 +112,8 @@ class JacobianMatrix:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Residual max-norm tolerance and iteration budget."""
+    """Residual max-norm tolerance and iteration budget.  newton_solve
+    accepts a residual up to the rounding floor where that is larger."""
 
     tol_residual: float = 1e-12
     max_iter: int = 200
@@ -176,8 +186,10 @@ def _sweep(inv, rhs, off=None):
     """Forward and back substitution through the reciprocal pivots inv.
 
     off as in _tridiag_solve.  Without it the hops are -1 and the loops
-    skip their multiplications: at N ~ 100 this kernel is half the time of
-    a float Newton step.
+    skip their multiplications, and mpmath its conversions of the float
+    hops.  With the general loops alone the chain_continuation benchmark
+    read wall_s 1.16x its parent, higher in 6 of 6 pairs; with these
+    loops 1.04x, higher in 7 of 10 and inside the parent's spread.
     """
     x = inv[:]  # sized up front: growing it by append raised peak RSS
     prev = 0
@@ -210,7 +222,7 @@ def _tridiag_solve(diag, rhss, periodic: bool, off=None, pivot_rel=PIVOT_REL_THR
 
     Raises SingularJacobian on a pivot below pivot_rel times
     max(max|diag|, 1), or a Sherman-Morrison denominator below pivot_rel,
-    before dividing by it.
+    before dividing by it; a NaN pivot or denominator counts as below.
     """
     n = len(diag)
     if periodic and n == 1:
@@ -227,7 +239,7 @@ def _tridiag_solve(diag, rhss, periodic: bool, off=None, pivot_rel=PIVOT_REL_THR
     w = 0
     for i, d in enumerate(inv):
         den = d - w if squares is None else d - squares[i] * w
-        if abs(den) < pivot_tol:
+        if not abs(den) >= pivot_tol:  # a NaN pivot is singular too
             raise SingularJacobian(f"pivot {float(den):.3e} at row {i}")
         w = inv[i] = 1 / den
     if not periodic:
@@ -236,7 +248,7 @@ def _tridiag_solve(diag, rhss, periodic: bool, off=None, pivot_rel=PIVOT_REL_THR
     # u = (gamma, 0, ..., 0, -1), v = (1, 0, ..., 0, -1/gamma)
     q = _sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)), off)
     den = 1 + q[0] - q[-1] / gamma
-    if abs(den) < pivot_rel:
+    if not abs(den) >= pivot_rel:
         raise SingularJacobian(f"rank-1 correction denominator {float(den):.3e}")
     solutions = []
     for b in rhss:
@@ -269,11 +281,16 @@ def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
 
     Returns None, so that the caller falls back to the scalar sweep and
     its singularity test, when a chain pivot (either direction) is below
-    the threshold of that test, or when the reduced system fails it with
-    the threshold widened m-fold.  The reduced diagonal is d_s - A^-1_11
-    - A^-1_LL, which cancels to rounding times m when J is near singular:
-    on the all-2 ring of 10^4 sites its Sherman-Morrison denominator is
-    3.8e-14, where the scalar sweep's is 1.1e-15.
+    the threshold of that test, when the reduced system fails it with the
+    threshold widened m-fold, or when the solution's backward error is
+    above BACKWARD_REL_THRESHOLD (NaN included).  The reduced diagonal is
+    d_s - A^-1_11 - A^-1_LL, which cancels to rounding times m when J is
+    near singular: on the all-2 ring of 10^4 sites its Sherman-Morrison
+    denominator is 3.8e-14, where the scalar sweep's is 1.1e-15.  No
+    pivoting is done, so a chain pivot just above the threshold leaves
+    huge entries in A^-1 that later cancel: before the backward-error
+    test, a chain pivot of 1e-8 in an all-4 ring, which the scalar sweep
+    does not meet, gave x a relative error of 5e-10.
     """
     n = diag.size
     m = max(2, math.isqrt(n) // 2)
@@ -284,7 +301,8 @@ def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
         return a[:edge].reshape(blocks, m)[:, 1:].T
 
     d, b = list(interiors(diag)), list(interiors(rhs))
-    limit = 1 / (PIVOT_REL_THRESHOLD * max(diag.max(), -diag.min(), 1.0))
+    diag_max = max(diag.max(), -diag.min())
+    limit = 1 / (PIVOT_REL_THRESHOLD * max(diag_max, 1.0))
     inv = np.empty((m - 1, blocks))  # reciprocal forward pivots
     x = np.empty(n)
     chains = interiors(x)
@@ -326,6 +344,16 @@ def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     xs[-1] += sep[1:blocks + 1] * ws[-1]  # the right separators, on the last row
     for j in range(m - 3, -1, -1):
         xs[j] += ws[j] * xs[j + 1]
+    r = np.multiply(diag, x)  # r = J x - rhs, the hops being -1
+    r -= rhs
+    r[1:] -= x[:-1]
+    r[:-1] -= x[1:]
+    if periodic:
+        r[0] -= x[-1]
+        r[-1] -= x[0]
+    scale = (diag_max + 2) * max(x.max(), -x.min()) + max(rhs.max(), -rhs.min())
+    if not max(r.max(), -r.min()) <= BACKWARD_REL_THRESHOLD * scale:
+        return None
     return x
 
 
@@ -334,8 +362,9 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
 
     From PARTITION_MIN_SITES sites on by the partition method, with a
     numpy operation across all chains at each row; below that, and when
-    the partitioned path finds a small pivot, by the scalar kernel (Thomas
-    elimination, and for PBC a Sherman-Morrison restore of the corners).
+    the partitioned path finds a small pivot or a backward error above
+    BACKWARD_REL_THRESHOLD, by the scalar kernel (Thomas elimination, and
+    for PBC a Sherman-Morrison restore of the corners).
     Only the scalar kernel decides that J is singular: a pivot below
     PIVOT_REL_THRESHOLD times the matrix scale raises SingularJacobian.
     """
@@ -384,16 +413,38 @@ def _finalize(state, iterations, e_hist, r_hist, converged, seed):
     )
 
 
-def _newton_loop(state, energy, residual_of, step, tol, max_iter, report):
+def _rounding_floor(state: LatticeState, params: ModelParams, energy: float) -> float:
+    """A bound on the residual max-norm that rounding alone can leave.
+
+    Newton's method in floating point stops improving once the residual
+    is as small as the errors of evaluating it and of storing the state
+    (Tisseur 2001, SIAM J. Matrix Anal. Appl. 22, 1038).  The residual
+    at site i sums psi[i-1], 2 psi[i], psi[i+1], c psi[i]**3 and E psi[i]:
+    evaluating it errs by up to about eps times the sum of their
+    magnitudes, and rounding psi and E to float64 moves it by up to eps/2
+    times |J_ii psi[i]| + |psi[i-1]| + |psi[i+1]| + |E psi[i]|.  With
+    m = max|psi| and |J_ii| <= 2 + |E| + 3|c| m**2 the two add up to at
+    most eps m (6 + 2|E| + 2.5|c| m**2).  A ring of 10^4 sites at
+    c = 4 10^4 that collapses onto two sites of amplitude 1/sqrt(2)
+    computes its residual there in steps of 2**-39 = 1.8e-12; its bound
+    is 1.4e-11.
+    """
+    m = float(abs(state.values).max())
+    return float(np.finfo(float).eps * m
+                 * (6.0 + 2.0 * abs(energy) + 2.5 * abs(params.c) * m * m))
+
+
+def _newton_loop(state, energy, residual_of, step, tol_of, max_iter, report):
     """The Newton iteration of newton_solve and the mpmath polish.
 
     Each iteration evaluates res = residual_of(state, energy) once and
     records E and the residual max-norm.  It stops when the norm is not
-    above tol (tested before stepping; NaN stops unconverged) or after
-    max_iter steps; otherwise step(state, energy, res) gives the next
-    (state, energy).  Returns (state, energy, report(state, iterations,
-    e_hist, r_hist, converged)).  Raises NoConvergence, or SingularJacobian
-    when a step does, with the last iterate, its E and the report attached.
+    above tol_of(state, energy) (tested before stepping; NaN stops
+    unconverged) or after max_iter steps; otherwise step(state, energy,
+    res) gives the next (state, energy).  Returns (state, energy,
+    report(state, iterations, e_hist, r_hist, converged)).  Raises
+    NoConvergence, or SingularJacobian when a step does, with the last
+    iterate, its E and the report attached.
     """
     e_hist, r_hist = [], []
     for iterations in count():
@@ -401,6 +452,7 @@ def _newton_loop(state, energy, residual_of, step, tol, max_iter, report):
         res_norm = np.max(np.abs(res))
         e_hist.append(float(energy))
         r_hist.append(float(res_norm))
+        tol = tol_of(state, energy)
         if not res_norm > tol or iterations == max_iter:
             break
         try:
@@ -428,12 +480,14 @@ def newton_solve(
 
     Each step freezes E at its estimate, solves J step = F at (psi, E)
     for the residual F the loop has just evaluated, renormalizes and
-    re-estimates E.  Stops when the residual max-norm drops below tol
-    (checked before stepping, so an exact start converges at iteration
-    0).  A jump in the energy history larger than the structure-change
-    threshold after the second iteration is flagged as a change of
-    localization pattern; the run still converges to the new structure,
-    which is a solution in its own right.
+    re-estimates E.  Stops when the residual max-norm is not above the
+    tolerance or, where that is larger, the residual that rounding alone
+    can leave (_rounding_floor); this is checked before stepping, so an
+    exact start converges at iteration 0.  A jump in the energy history
+    larger than the structure-change threshold after the second
+    iteration is flagged as a change of localization pattern; the run
+    still converges to the new structure, which is a solution in its own
+    right.
 
     Returns (state, energy, report).  Raises NoConvergence or
     SingularJacobian with the best iterate attached.
@@ -446,10 +500,13 @@ def newton_solve(
         state = normalize(LatticeState(new_values, state.boundary))
         return state, _estimate(state, params)
 
+    def tolerance(state, energy):
+        return max(config.tol_residual, _rounding_floor(state, params, energy))
+
     state = normalize(initial)
     return _newton_loop(state, _estimate(state, params),
                         lambda state, energy: residual(state, params, energy),
-                        frozen_energy_step, config.tol_residual, config.max_iter,
+                        frozen_energy_step, tolerance, config.max_iter,
                         partial(_finalize, seed=seed))
 
 

@@ -10,6 +10,7 @@ from dnse_lab.errors import (
     SumTooSmall,
     ZeroState,
 )
+from dnse_lab.newton import _rounding_floor
 
 from conftest import random_state
 
@@ -229,6 +230,39 @@ class TestNewtonSolve:
                 dl.NewtonConfig(tol_residual=tol)
         with pytest.raises(ValueError):
             dl.NewtonConfig(max_iter=0)
+
+
+class TestRoundingFloor:
+    """At c = 4 10^4 a ring collapsed onto two sites of amplitude 1/sqrt(2)
+    computes its residual there in steps of 2**-39 = 1.8e-12, above the
+    default tolerance; it converges once the residual is within the
+    rounding floor."""
+
+    def test_two_site_floor(self):
+        psi = np.zeros(10_000)
+        psi[:2] = 1 / np.sqrt(2)
+        floor = _rounding_floor(dl.LatticeState(psi), dl.ModelParams(4e4), -2e4)
+        # above the stalls seen, 1 and 3 steps of 2**-39
+        assert 3 * 2.0**-39 < floor < 8 * 2.0**-39
+
+    @pytest.mark.parametrize("n, seed, spots", [(10_000, 73, 2), (10_000, 77, 2),
+                                                (10_000, 86, 2), (10_000, 99, 2),
+                                                (1000, 9, 1)])
+    def test_collapsed_rings_converge(self, n, seed, spots):
+        # each stalled at 1.8e-12 or 5.5e-12 until max_iter under one of
+        # the two linear kernels, or both
+        params = dl.ModelParams(4.0 * n)
+        state, energy, report = dl.newton_solve(
+            dl.build_asymptotic_state(dl.random_pattern(n, seed)), params)
+        assert report.iterations <= 12
+        assert report.residual_history[-1] <= _rounding_floor(state, params, energy)
+        assert report.final_counts.n == spots
+
+    def test_floor_below_tolerance(self, chain100_solution):
+        # at the paper's couplings the floor is far below the tolerance
+        _, state, energy, report = chain100_solution
+        assert _rounding_floor(state, dl.ModelParams(24.0), energy) < 1e-13
+        assert report.residual_history[-1] <= 1e-12
 
 
 def _oracle_small_jacobian(state, params, energy):

@@ -3,7 +3,9 @@
 solve_linear takes the partitioned path from PARTITION_MIN_SITES sites on
 and the scalar kernel below.  Here the partitioned path is also called
 directly on the small systems of the corpus, so that both paths meet on
-every system; they must agree to 1e-13 relative.
+every system; they must agree to 1e-13 relative.  Systems that are not
+diagonally dominant are ill-conditioned, and there the two are compared
+by backward error.
 """
 
 from array import array
@@ -21,6 +23,13 @@ from conftest import kernel_corpus
 def _scalar(diag, rhs, periodic):
     [x] = _tridiag_solve(array("d", diag.tobytes()), [array("d", rhs.tobytes())], periodic)
     return np.frombuffer(x)
+
+
+def _backward_error(diag, periodic, x, rhs):
+    """max|J x - rhs| over max|J| max|x| + max|rhs|, in machine epsilons."""
+    r = dl.JacobianMatrix(diag, periodic).matvec(x) - rhs
+    scale = (np.max(np.abs(diag)) + 2) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    return np.max(np.abs(r)) / scale / np.finfo(float).eps
 
 
 def _assert_agrees(x, ref, name):
@@ -71,6 +80,25 @@ class TestAgainstScalarKernel:
         assert np.array_equal(x, _partitioned_solve(jac.diag, rhs, False))
         _assert_agrees(x, _scalar(jac.diag, rhs, False), "open")
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_weak_diagonal(self, periodic):
+        # |d| < 2 everywhere, as at weak coupling: no diagonal dominance,
+        # and |x| reaches 10^3-10^5 for |b| ~ 1, so two stable solvers
+        # differ by up to the condition number times eps (7.7e-12 relative
+        # on seed 7).  Both must solve to a small backward error; the
+        # scalar kernel reaches up to 59 eps on such systems.
+        n = 10_000
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            diag = rng.uniform(-1.9, 1.9, n)
+            rhs = rng.standard_normal(n)
+            x = dl.solve_linear(dl.JacobianMatrix(diag, periodic), rhs)
+            # the partitioned path was taken, not the fallback
+            assert np.array_equal(x, _partitioned_solve(diag, rhs, periodic)), seed
+            assert _backward_error(diag, periodic, x, rhs) <= 64, seed
+            ref = _scalar(diag, rhs, periodic)
+            assert _backward_error(diag, periodic, ref, rhs) <= 64, seed
+
     def test_every_small_size(self):
         # every layout from one block on, random signs in the diagonal
         rng = np.random.default_rng(11)
@@ -93,6 +121,27 @@ class TestSingularity:
         assert _partitioned_solve(diag, rhs, True) is None
         x = dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), rhs)
         assert np.array_equal(x, _scalar(diag, rhs, True))
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-6])
+    def test_small_chain_pivot_falls_back(self, gap):
+        # the first chain's pivots are 1 and gap, above the pivot test; the
+        # chain's inverse then holds entries of about 1/gap that cancel in
+        # the last sweep, and only the backward-error test catches it
+        n = 10_000
+        diag = np.full(n, 4.0)
+        diag[1:3] = 1.0, 1.0 + gap
+        rhs = np.random.default_rng(4).standard_normal(n)
+        assert _partitioned_solve(diag, rhs, True) is None
+        x = dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), rhs)
+        assert np.array_equal(x, _scalar(diag, rhs, True))
+
+    def test_nan_pivot_is_singular(self):
+        diag = array("d", [4.0, float("nan"), 4.0])
+        for periodic in (False, True):
+            with pytest.raises(SingularJacobian):
+                _tridiag_solve(diag, [array("d", [1.0, 1.0, 1.0])], periodic)
+        with pytest.raises(SingularJacobian):
+            dl.solve_linear(dl.JacobianMatrix(np.frombuffer(diag), periodic=True), np.ones(3))
 
     def test_singular_ring_raises(self):
         # the all-2 ring is the ring Laplacian, exactly singular
