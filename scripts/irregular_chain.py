@@ -23,7 +23,6 @@ def main():
     parser.add_argument("--c", type=float, default=40.0)
     args = parser.parse_args()
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     spec = dl.spot_pattern(130, [10 * k for k in range(13)], 2, SIGNS)
     counts = dl.count_pattern(spec)
@@ -45,13 +44,13 @@ def main():
     print(f"classification: {cls.label.value}, {cls.distinct_points} distinct points")
     lab_io.write_json(outdir / "classification.json", cls.as_dict(1e-6))
 
-    rows = ["c,E,E_limit,gap"]
+    rows = []
     for c in (args.c, 2 * args.c, 10 * args.c, 100 * args.c):
         s, e, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
         lim = dl.strong_coupling_energy(counts, c)
-        rows.append(",".join(lab_io.fmt(v) for v in (c, e, lim, e - lim)))
+        rows.append((c, e, lim, e - lim))
         print(f"  c={c:7.0f}  E={e:+.6f}  limit={lim:+.6f}  gap={e - lim:+.6f}")
-    (outdir / "limit_gap.csv").write_text("\n".join(rows) + "\n")
+    lab_io.write_csv(outdir / "limit_gap.csv", ["c", "E", "E_limit", "gap"], rows)
     print(f"artifacts in {outdir}")
 
 

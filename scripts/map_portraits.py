@@ -25,24 +25,23 @@ def main():
     parser.add_argument("--seeds", type=int, default=12)
     args = parser.parse_args()
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     kept = []
-    rows = ["psi0,z0,escaped,label,distinct"]
+    rows = []
     for psi0 in np.linspace(0.05, 0.6, args.seeds):
         orbit = dl.iterate_map(dl.MapState(float(psi0), 0.0), args.E, args.c, args.steps)
         if orbit.escaped:
-            rows.append(f"{lab_io.fmt(psi0)},0,1,,")
+            rows.append((psi0, 0, 1, None, None))
             print(f"  psi0={psi0:.3f}: escaped at step {orbit.escape_index}")
             continue
         portrait = dl.portrait_from_orbit(orbit)
         cls = dl.classify_portrait(portrait)
         kept.append(portrait.points)
-        rows.append(f"{lab_io.fmt(psi0)},0,0,{cls.label.value},{cls.distinct_points}")
+        rows.append((psi0, 0, 0, cls.label.value, cls.distinct_points))
         print(f"  psi0={psi0:.3f}: bounded, {cls.label.value}, "
               f"{cls.distinct_points} distinct points")
 
-    (outdir / "orbits.csv").write_text("\n".join(rows) + "\n")
+    lab_io.write_csv(outdir / "orbits.csv", ["psi0", "z0", "escaped", "label", "distinct"], rows)
     if kept:
         combined = dl.PhasePortrait(np.vstack(kept))
         lab_io.write_portrait(outdir / "portrait.csv", combined)

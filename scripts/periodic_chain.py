@@ -22,7 +22,6 @@ def main():
     parser.add_argument("--c-to", type=float, default=30.0)
     args = parser.parse_args()
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     spec = dl.spot_pattern(100, [10 * k for k in range(10)], 1,
                            [(-1) ** k for k in range(10)])
@@ -43,18 +42,17 @@ def main():
           f"{cls.distinct_points} distinct points")
     lab_io.write_json(outdir / "classification.json", cls.as_dict(1e-6))
 
-    rows = ["c,E,max_amp,mu_measured,mu_predicted"]
+    rows = []
     current = state
     for c in np.arange(args.c, args.c_to + 0.5, 1.0):
         current, e, _ = dl.newton_solve(current, dl.ModelParams(float(c)))
         fit = dl.fit_tail(current, 0, (1, 4), energy=e)
-        rows.append(",".join(lab_io.fmt(v) for v in (
-            c, e, np.max(np.abs(current.values)),
-            fit.decay_factor_measured, fit.decay_factor_predicted,
-        )))
+        rows.append((c, e, np.max(np.abs(current.values)),
+                     fit.decay_factor_measured, fit.decay_factor_predicted))
         print(f"  c={c:5.1f}  E={e:+.6f}  max|psi|={np.max(np.abs(current.values)):.4f}  "
               f"mu={fit.decay_factor_measured:.4f} (pred {fit.decay_factor_predicted:.4f})")
-    (outdir / "sweep.csv").write_text("\n".join(rows) + "\n")
+    lab_io.write_csv(outdir / "sweep.csv",
+                     ["c", "E", "max_amp", "mu_measured", "mu_predicted"], rows)
     print(f"artifacts in {outdir}")
 
 

@@ -9,8 +9,6 @@ quantized pattern counts and the portrait classification.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 from dnse_lab.errors import NoConvergence, SingularJacobian
@@ -47,7 +45,6 @@ def main():
                         help="N:c pairs")
     args = parser.parse_args()
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     for case in args.cases:
         n_str, c_str = case.split(":")

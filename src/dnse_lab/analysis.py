@@ -38,7 +38,7 @@ from .errors import (
     WindowTouchesPeak,
     ZeroAmplitudeInWindow,
 )
-from .lattice import Boundary, LatticeState
+from .lattice import Boundary, LatticeState, _neighbors
 from .mapdyn import MapOrbit
 
 
@@ -47,7 +47,6 @@ class PhasePortrait:
     """Point set in the (psi, dpsi) plane plus the source amplitude track."""
 
     points: np.ndarray  # shape (k, 2)
-    source: str = "lattice"  # "lattice" | "orbit"
     psi_sequence: Optional[np.ndarray] = None
     cyclic: bool = False
 
@@ -121,14 +120,10 @@ def phase_portrait(state: LatticeState) -> PhasePortrait:
     if state.n_sites < 2:
         raise ValueError("portrait needs at least two sites")
     psi = state.values
-    if state.boundary is Boundary.PERIODIC:
-        nxt = np.roll(psi, -1)
-        pts = np.column_stack([psi, nxt - psi])
-        cyclic = True
-    else:
-        pts = np.column_stack([psi[:-1], psi[1:] - psi[:-1]])
-        cyclic = False
-    return PhasePortrait(pts, source="lattice", psi_sequence=psi, cyclic=cyclic)
+    _, nxt = _neighbors(psi, state.boundary)
+    pts = np.column_stack([psi, nxt - psi])
+    cyclic = state.boundary is Boundary.PERIODIC
+    return PhasePortrait(pts if cyclic else pts[:-1], psi_sequence=psi, cyclic=cyclic)
 
 
 def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
@@ -136,7 +131,7 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
     if orbit.points.shape[0] < 2:
         raise ValueError("orbit portrait needs at least two points")
     pts = np.column_stack([orbit.psi[:-1], orbit.Z[1:]])
-    return PhasePortrait(pts, source="orbit", psi_sequence=orbit.psi, cyclic=False)
+    return PhasePortrait(pts, psi_sequence=orbit.psi, cyclic=False)
 
 
 def distinct_points(portrait: PhasePortrait, tol: float) -> int:
@@ -238,7 +233,7 @@ def _largest_sites(psi: np.ndarray) -> np.ndarray:
 def classify_portrait(portrait: PhasePortrait, config: ClassifyConfig = ClassifyConfig()) -> PortraitClass:
     """Label a portrait, always returning a class plus diagnostics."""
     n_distinct = distinct_points(portrait, config.distinct_tol)
-    diagnostics: dict = {"n_distinct": n_distinct}
+    diagnostics: dict = {}
 
     if portrait.psi_sequence is not None and portrait.psi_sequence.size >= 2:
         period = _detect_period(portrait.psi_sequence, portrait.cyclic, config.shift_tol)
@@ -467,11 +462,7 @@ def fit_tail(
     # peak sites are local maxima of |psi| carrying a substantial amplitude;
     # tail sites are monotone stretches and never local maxima
     mag = np.abs(psi)
-    if state.boundary is Boundary.PERIODIC:
-        left, right = np.roll(mag, 1), np.roll(mag, -1)
-    else:
-        left = np.concatenate(([0.0], mag[:-1]))
-        right = np.concatenate((mag[1:], [0.0]))
+    left, right = _neighbors(mag, state.boundary)
     is_peak = (mag >= left) & (mag >= right) & (mag > 0.5 * peak_amp)
     if np.any(is_peak[sites]):
         raise WindowTouchesPeak(f"window sites {sites.tolist()} include a peak")

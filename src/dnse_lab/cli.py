@@ -3,7 +3,9 @@
 Subcommands: pattern, solve, sweep, map, portrait, random.  Every run
 writes a `run.json` into its output directory echoing the fully resolved
 options, so any result can be reproduced exactly.  Exit codes: 0 success,
-2 input error, 3 no convergence, 4 singular Jacobian.
+2 input error, 3 no convergence, 4 singular Jacobian.  A run that exits 2
+writes nothing: the writers create the output directory, and each
+command checks its input before its first write.
 
 The only environment variable consulted is DNSE_LAB_OUTDIR (default
 output directory); everything else is flags.
@@ -18,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as lab_io
 from .analysis import (
     ClassifyConfig,
@@ -28,7 +28,7 @@ from .analysis import (
     portrait_from_orbit,
 )
 from .errors import DnseError, NoConvergence, SingularJacobian
-from .lattice import Boundary, LatticeState, ModelParams, normalize
+from .lattice import Boundary, ModelParams, normalize
 from .mapdyn import MapState, iterate_map
 from .newton import NewtonConfig, newton_solve, sweep_c
 from .patterns import (
@@ -49,22 +49,27 @@ def _default_outdir() -> str:
     return os.environ.get("DNSE_LAB_OUTDIR", ".")
 
 
-def _ensure_outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_run_json(outdir: Path, command: str, args):
+def _write_run_json(args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    lab_io.write_json(outdir / "run.json", {"command": command, "options": resolved})
+    lab_io.write_json(Path(args.out) / "run.json",
+                      {"command": args.command, "options": resolved})
 
 
 def _newton_config(args) -> NewtonConfig:
     return NewtonConfig(tol_residual=args.tol, max_iter=args.max_iter)
 
 
+def _write_classified(portrait_path, class_path, portrait, classify: ClassifyConfig):
+    """Write a portrait and its classification; return the classification payload."""
+    lab_io.write_portrait(portrait_path, portrait)
+    payload = classify_portrait(portrait, classify).as_dict(classify.distinct_tol)
+    lab_io.write_json(class_path, payload)
+    return payload
+
+
 def cmd_pattern(args) -> int:
+    if not all(map(math.isfinite, args.c)):
+        raise DnseError("--c must be finite")
     spec = parse_pattern(args.text, Boundary(args.bc))
     counts = count_pattern(spec)
     payload = counts.as_dict()
@@ -72,9 +77,7 @@ def cmd_pattern(args) -> int:
     if len(args.c) == 1:
         payload["E_infinity"] = payload["E_table"][0][1]
     print(json.dumps(payload, sort_keys=True))
-    outdir = _ensure_outdir(args)
-    lab_io.write_json(outdir / "pattern.json", payload)
-    _write_run_json(outdir, "pattern", args)
+    lab_io.write_json(Path(args.out) / "pattern.json", payload)
     return EXIT_OK
 
 
@@ -95,25 +98,19 @@ def _build_initial(args):
 def cmd_solve(args) -> int:
     classify = ClassifyConfig(distinct_tol=args.tol_distinct)
     config = _newton_config(args)
-    outdir = _ensure_outdir(args)
     initial, seed = _build_initial(args)
     params = ModelParams(args.c, initial.boundary)
-    prefix = args.out_prefix
+    stem = Path(args.out) / args.out_prefix
 
     def _write(state, energy, report, failed: str | None):
-        lab_io.write_state(outdir / f"{prefix}.state.csv", state, args.c, energy)
+        lab_io.write_state(f"{stem}.state.csv", state, args.c, energy)
         payload = report.as_dict()
         if failed:
             payload["failed"] = failed
-        lab_io.write_json(outdir / f"{prefix}.report.json", payload)
+        lab_io.write_json(f"{stem}.report.json", payload)
         if state.n_sites >= 2:
-            portrait = phase_portrait(state)
-            lab_io.write_portrait(outdir / f"{prefix}.portrait.csv", portrait)
-            cls = classify_portrait(portrait, classify)
-            lab_io.write_json(
-                outdir / f"{prefix}.class.json", cls.as_dict(args.tol_distinct)
-            )
-        _write_run_json(outdir, "solve", args)
+            _write_classified(f"{stem}.portrait.csv", f"{stem}.class.json",
+                              phase_portrait(state), classify)
 
     try:
         state, energy, report = newton_solve(initial, params, config, seed=seed)
@@ -134,11 +131,10 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _newton_config(args)
-    outdir = _ensure_outdir(args)
     spec = parse_pattern(args.pattern, Boundary(args.bc))
     initial = build_asymptotic_state(spec)
     params = ModelParams(args.c_from, initial.boundary)
-    if args.c_step <= 0:
+    if not args.c_step > 0:
         raise DnseError("--c-step must be positive")
     if not math.isfinite(args.c_to):
         raise DnseError("--c-to must be finite")
@@ -147,37 +143,26 @@ def cmd_sweep(args) -> int:
     n_steps = math.floor((args.c_to + slack - args.c_from) / args.c_step)
     c_values = [args.c_from + k * args.c_step for k in range(n_steps + 1)]
     records = sweep_c(initial, params, c_values, config)
-    lines = ["c,E,converged,n,m,l,max_amp"]
+    rows = []
     for rec in records:
-        counts = rec.counts
-        lines.append(",".join([
-            lab_io.fmt(rec.c),
-            lab_io.fmt(rec.energy) if rec.energy is not None else "",
-            "1" if rec.converged else "0",
-            str(counts.n) if counts else "",
-            str(counts.m) if counts else "",
-            str(counts.l) if counts else "",
-            lab_io.fmt(rec.max_amplitude) if rec.max_amplitude is not None else "",
-        ]))
-    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    _write_run_json(outdir, "sweep", args)
+        counts = (rec.counts.n, rec.counts.m, rec.counts.l) if rec.counts else (None,) * 3
+        rows.append([rec.c, rec.energy, int(rec.converged), *counts, rec.max_amplitude])
+    lab_io.write_csv(Path(args.out) / "sweep.csv",
+                     ["c", "E", "converged", "n", "m", "l", "max_amp"], rows)
     print(f"{sum(r.converged for r in records)}/{len(records)} points converged")
     return EXIT_OK
 
 
 def cmd_map(args) -> int:
     classify = ClassifyConfig(distinct_tol=args.tol_distinct)
-    outdir = _ensure_outdir(args)
     orbit = iterate_map(
         MapState(args.psi0, args.z0), args.E, args.c, args.steps,
         escape_bound=args.escape,
     )
+    outdir = Path(args.out)
     lab_io.write_orbit(outdir / "orbit.csv", orbit)
-    portrait = portrait_from_orbit(orbit)
-    lab_io.write_portrait(outdir / "portrait.csv", portrait)
-    cls = classify_portrait(portrait, classify)
-    lab_io.write_json(outdir / "classification.json", cls.as_dict(args.tol_distinct))
-    _write_run_json(outdir, "map", args)
+    _write_classified(outdir / "portrait.csv", outdir / "classification.json",
+                      portrait_from_orbit(orbit), classify)
     print(json.dumps({"steps_recorded": int(orbit.points.shape[0]),
                       "escaped": orbit.escaped,
                       "escape_index": orbit.escape_index}, sort_keys=True))
@@ -186,24 +171,18 @@ def cmd_map(args) -> int:
 
 def cmd_portrait(args) -> int:
     classify = ClassifyConfig(distinct_tol=args.tol_distinct)
-    outdir = _ensure_outdir(args)
     state, _meta = lab_io.read_state(args.state_file)
-    portrait = phase_portrait(state)
-    lab_io.write_portrait(outdir / "portrait.csv", portrait)
-    cls = classify_portrait(portrait, classify)
-    lab_io.write_json(outdir / "classification.json", cls.as_dict(args.tol_distinct))
-    _write_run_json(outdir, "portrait", args)
-    print(json.dumps(cls.as_dict(args.tol_distinct), sort_keys=True))
+    outdir = Path(args.out)
+    payload = _write_classified(outdir / "portrait.csv", outdir / "classification.json",
+                                phase_portrait(state), classify)
+    print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_random(args) -> int:
-    outdir = _ensure_outdir(args)
     spec = random_pattern(args.n_sites, args.seed)
-    text = spec.text()
-    print(text)
-    (outdir / "pattern.txt").write_text(text + "\n")
-    _write_run_json(outdir, "random", args)
+    print(spec.text())
+    lab_io.write_pattern(Path(args.out) / "pattern.txt", spec)
     return EXIT_OK
 
 
@@ -290,10 +269,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _write_run_json(args)
     except (DnseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

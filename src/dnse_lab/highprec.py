@@ -18,7 +18,9 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
-from .newton import NewtonReport, _newton_loop, _tridiag_solve, rayleigh_energy
+from .mapdyn import MapState, map_step
+from .newton import (NewtonReport, _jacobian_diagonal, _newton_loop, _tridiag_solve,
+                     rayleigh_energy)
 
 
 def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
@@ -48,7 +50,7 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
         tol = mpf(10) ** (10 - dps)
 
         def bordered_step(psi, energy, res):
-            diag = 2 - energy - 3 * c * psi**2
+            diag = _jacobian_diagonal(psi, c, energy)
             a, b = (np.array(x, dtype=object) for x in
                     _tridiag_solve(diag.tolist(), [res.tolist(), psi.tolist()], True))
             g = (np.dot(psi, psi) - 1) / 2
@@ -80,13 +82,12 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
         n = len(psi)
         energy = mpf(energy) if not hasattr(energy, "_mpf_") else energy
         c = mpf(c) if not hasattr(c, "_mpf_") else c
-        p, z = psi[1], psi[1] - psi[0]
+        s = MapState(psi[1], psi[1] - psi[0])
         max_dev = mpf(0)
         closure = mpf(0)
         for i in range(2, n + 2):
-            z = z - energy * p - c * p**3
-            p = p + z
-            dev = abs(p - psi[i % n])
+            s = map_step(s, energy, c)
+            dev = abs(s.psi - psi[i % n])
             if i < n:
                 max_dev = max(max_dev, dev)
             else:

@@ -13,15 +13,12 @@ and the amplitude/coupling similarity rescaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import OddPeriodicLattice, ZeroState
-
-NORM_TOL = 1e-12
-
 
 class Boundary(str, Enum):
     PERIODIC = "periodic"
@@ -58,9 +55,6 @@ class LatticeState:
 
     def norm_squared(self) -> float:
         return float(np.dot(self.values, self.values))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_squared() - 1.0) <= tol
 
     def rotated(self, shift: int) -> "LatticeState":
         """Cyclic shift of the amplitudes (meaningful under PBC)."""
@@ -101,6 +95,7 @@ def normalize(state: LatticeState) -> LatticeState:
 
 
 def _neighbors(psi: np.ndarray, boundary: Boundary):
+    """(left, right) neighbour of every site; past an open end reads 0."""
     if boundary is Boundary.PERIODIC:
         return np.roll(psi, 1), np.roll(psi, -1)
     left = np.concatenate(([0.0], psi[:-1]))

@@ -12,6 +12,7 @@ escape is recorded as data, not raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -78,14 +79,19 @@ def iterate_map(
     float range; the offending point (inf or nan in the latter case) is
     kept and the orbit is flagged escaped.  stride > 1 thins the
     recording for very long runs (every stride-th point is kept).
+    E, c and the seed must be finite, and escape_bound positive (inf
+    included).
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if stride < 1:
         raise ValueError("stride must be positive")
+    if not all(map(math.isfinite, (energy, c, initial.psi, initial.Z))):
+        raise ValueError("E, c and the seed must be finite")
+    if not escape_bound > 0:
+        raise ValueError("escape bound must be positive")
     s = MapState(float(initial.psi), float(initial.Z))
     recorded = [s]
-    escaped = False
     escape_index = None
     for k in range(1, steps + 1):
         try:
@@ -95,13 +101,15 @@ def iterate_map(
             # the overflowed point as inf or nan, and the orbit escapes below
             with np.errstate(over="ignore", invalid="ignore"):
                 s = map_step(MapState(np.float64(s.psi), np.float64(s.Z)), energy, c)
-        if k % stride == 0 or not np.isfinite(s.psi) or abs(s.psi) > escape_bound or abs(s.Z) > escape_bound:
+        # NaN fails every comparison; a non-finite Z makes psi = psi + Z non-finite
+        escaped = not (math.isfinite(s.psi) and abs(s.psi) <= escape_bound
+                       and abs(s.Z) <= escape_bound)
+        if escaped or k % stride == 0:
             recorded.append(s)
-        if not (np.isfinite(s.psi) and np.isfinite(s.Z)) or abs(s.psi) > escape_bound or abs(s.Z) > escape_bound:
-            escaped = True
+        if escaped:
             escape_index = k
             break
-    return MapOrbit(np.array(recorded, dtype=float), escaped, escape_index)
+    return MapOrbit(np.array(recorded, dtype=float), escape_index is not None, escape_index)
 
 
 def seed_from_lattice(state: LatticeState) -> MapState:

@@ -90,24 +90,23 @@ class JacobianMatrix:
         return self.diag.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[1:] += OFF_DIAGONAL * x[:-1]
-        y[:-1] += OFF_DIAGONAL * x[1:]
-        if self.periodic:
-            y[0] += OFF_DIAGONAL * x[-1]
-            y[-1] += OFF_DIAGONAL * x[0]
-        return y
+        return _matvec(self.diag, x, self.periodic)
 
     def dense(self) -> np.ndarray:
-        """Materialize the full matrix (tests and tiny systems only)."""
-        a = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        a[idx, idx + 1] = OFF_DIAGONAL
-        a[idx + 1, idx] = OFF_DIAGONAL
-        if self.periodic:
-            a[0, -1] += OFF_DIAGONAL
-            a[-1, 0] += OFF_DIAGONAL
-        return a
+        """Materialize the full matrix (for tests and checks)."""
+        return _matvec(self.diag[:, None], np.eye(self.n), self.periodic)
+
+
+def _matvec(diag, x, periodic: bool) -> np.ndarray:
+    """J x for the J with diagonal diag and hops -1; a column diag[:, None]
+    applies J to each column of a matrix x."""
+    y = diag * x
+    y[1:] -= x[:-1]
+    y[:-1] -= x[1:]
+    if periodic:
+        y[0] -= x[-1]
+        y[-1] -= x[0]
+    return y
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,13 @@ def rayleigh_energy(state: LatticeState, params: ModelParams) -> float:
 
 def assemble_jacobian(state: LatticeState, params: ModelParams, energy: float) -> JacobianMatrix:
     """Build the (cyclic) tridiagonal Newton matrix at a state, any N."""
-    diag = 2.0 - energy - 3.0 * params.c * state.values**2
-    return JacobianMatrix(diag=diag, periodic=state.boundary is Boundary.PERIODIC)
+    return JacobianMatrix(diag=_jacobian_diagonal(state.values, params.c, energy),
+                          periodic=state.boundary is Boundary.PERIODIC)
+
+
+def _jacobian_diagonal(psi, c, energy):
+    """2 - E - 3 c psi**2, on float64 or on an object array of mpf."""
+    return 2.0 - energy - 3.0 * c * psi**2
 
 
 def _sweep(inv, rhs, off=None):
@@ -344,13 +348,8 @@ def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     xs[-1] += sep[1:blocks + 1] * ws[-1]  # the right separators, on the last row
     for j in range(m - 3, -1, -1):
         xs[j] += ws[j] * xs[j + 1]
-    r = np.multiply(diag, x)  # r = J x - rhs, the hops being -1
+    r = _matvec(diag, x, periodic)
     r -= rhs
-    r[1:] -= x[:-1]
-    r[:-1] -= x[1:]
-    if periodic:
-        r[0] -= x[-1]
-        r[-1] -= x[0]
     scale = (diag_max + 2) * max(x.max(), -x.min()) + max(rhs.max(), -rhs.min())
     if not max(r.max(), -r.min()) <= BACKWARD_REL_THRESHOLD * scale:
         return None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadCharacter, EmptyPattern
-from .lattice import Boundary, LatticeState
+from .lattice import Boundary, LatticeState, _neighbors
 
 _CHAR_TO_TRIT = {"+": 1, "0": 0, "-": -1}
 _TRIT_TO_CHAR = {1: "+", 0: "0", -1: "-"}
@@ -96,24 +96,13 @@ def count_pattern(spec: PatternSpec) -> PatternCounts:
     included under PBC).
     """
     trits = np.array(spec.trits)
-    periodic = spec.boundary is Boundary.PERIODIC
+    left, right = _neighbors(trits, spec.boundary)
     occ = trits != 0
     n = int(np.count_nonzero(occ))
-
-    if periodic:
-        if occ.all():
-            m = 0
-        else:
-            # spot count = number of empty->occupied transitions around the ring
-            prev = np.roll(occ, 1)
-            m = int(np.count_nonzero(occ & ~prev))
-        pair_a, pair_b = trits, np.roll(trits, -1)
-    else:
-        prev = np.concatenate(([False], occ[:-1]))
-        m = int(np.count_nonzero(occ & ~prev))
-        pair_a, pair_b = trits[:-1], trits[1:]
-
-    l = int(np.count_nonzero((pair_a * pair_b) == -1))
+    # a spot starts at each occupied site after an empty one (an open end
+    # reads as empty), so a full ring has none
+    m = int(np.count_nonzero(occ & (left == 0)))
+    l = int(np.count_nonzero(trits * right == -1))
     return PatternCounts(n=n, m=m, l=l)
 
 

@@ -236,6 +236,56 @@ class TestBadSolverTolerance:
         assert not out.exists()
 
 
+MAP = ["map", "--E", "1", "--c", "1", "--psi0", "0.1", "--z0", "0", "--steps", "10"]
+
+
+def _with(argv, flag, value):
+    """argv with the value of flag replaced, or the flag appended."""
+    if flag in argv:
+        at = argv.index(flag) + 1
+        return argv[:at] + [value] + argv[at + 1:]
+    return argv + [flag, value]
+
+
+class TestBadInput:
+    """Input rejected with exit 2 leaves no output directory behind."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["solve", "--pattern", "+0000-0000", "--c", "nan"], id="solve-c-nan"),
+        pytest.param(["solve", "--pattern", "+x0", "--c", "30"], id="solve-bad-pattern"),
+        pytest.param(["solve", "--state-file", "MISSING", "--c", "30"], id="solve-missing-file"),
+        pytest.param(["solve", "--pattern", "+", "--random", "4", "--c", "10"],
+                     id="solve-two-sources"),
+        pytest.param(["solve", "--random", "0", "--c", "10"], id="solve-random-0"),
+        pytest.param(["sweep", "--pattern", "+x0", "--c-from", "1", "--c-to", "2"],
+                     id="sweep-bad-pattern"),
+        pytest.param(["sweep", "--pattern", "+", "--c-from", "1", "--c-to", "2",
+                      "--c-step", "0"], id="sweep-step-0"),
+        pytest.param(["sweep", "--pattern", "+", "--c-from", "1", "--c-to", "inf"],
+                     id="sweep-to-inf"),
+        pytest.param(["sweep", "--pattern", "+", "--c-from", "nan", "--c-to", "2"],
+                     id="sweep-from-nan"),
+        pytest.param(_with(MAP, "--steps", "0"), id="map-steps-0"),
+        pytest.param(_with(MAP, "--E", "nan"), id="map-E-nan"),
+        pytest.param(_with(MAP, "--E", "inf"), id="map-E-inf"),
+        pytest.param(_with(MAP, "--c", "nan"), id="map-c-nan"),
+        pytest.param(_with(MAP, "--psi0", "nan"), id="map-psi0-nan"),
+        pytest.param(_with(MAP, "--z0", "inf"), id="map-z0-inf"),
+        pytest.param(_with(MAP, "--escape", "nan"), id="map-escape-nan"),
+        pytest.param(_with(MAP, "--escape", "0"), id="map-escape-0"),
+        pytest.param(_with(MAP, "--escape", "-1"), id="map-escape-negative"),
+        pytest.param(["portrait", "--state-file", "MISSING"], id="portrait-missing-file"),
+        pytest.param(["pattern", "+-0", "--c", "nan"], id="pattern-c-nan"),
+        pytest.param(["pattern", "+-0", "--c", "30", "inf"], id="pattern-c-inf"),
+        pytest.param(["random", "0"], id="random-0"),
+    ])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [str(tmp_path / "nope.csv") if a == "MISSING" else a for a in argv]
+        assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
+
 class TestRandomCommand:
     def test_deterministic_pattern(self, tmp_path, capsys):
         assert main(["random", "30", "--seed", "9", "--out", str(tmp_path)]) == EXIT_OK

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,3 +99,29 @@ class TestOtherWriters:
         text = path.read_text()
         assert json.loads(text) == payload
         assert text.index('"a"') < text.index('"b"')
+
+    def test_csv_cells(self, tmp_path):
+        path = lab_io.write_csv(tmp_path / "t.csv", ["c", "E", "label"],
+                                [[0.1, None, "x"], [2, np.float64(1.5), ""]])
+        assert path.read_text() == "c,E,label\n0.10000000000000001,,x\n2,1.5,\n"
+
+    def test_writers_create_their_directory(self, tmp_path):
+        state = dl.LatticeState([1.0, 0.5])
+        path = lab_io.write_state(tmp_path / "a" / "b" / "s.csv", state, 1.0, 0.0)
+        assert path.is_file() and path.with_suffix(".json").is_file()
+        assert lab_io.write_json(tmp_path / "c" / "r.json", {}).is_file()
+        pattern = lab_io.write_pattern(tmp_path / "d" / "p.txt", dl.parse_pattern("+0-"))
+        assert pattern.read_text() == "+0-\n"
+
+    def test_portrait_memory_bounded(self, tmp_path):
+        rng = np.random.default_rng(3)
+        portrait = dl.phase_portrait(dl.LatticeState(rng.standard_normal(20_000)))
+        path = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            lab_io.write_portrait(path, portrait)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        assert len(path.read_text().splitlines()) == 20_001

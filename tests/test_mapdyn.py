@@ -101,6 +101,25 @@ class TestIterateMap:
         with pytest.raises(ValueError):
             dl.iterate_map(dl.MapState(0.0, 0.0), 0.0, 0.0, 10, stride=0)
 
+    @pytest.mark.parametrize("seed,energy,c", [
+        ((np.nan, 0.0), 1.0, 1.0), ((0.1, np.inf), 1.0, 1.0),
+        ((0.1, 0.0), np.nan, 1.0), ((0.1, 0.0), -np.inf, 1.0), ((0.1, 0.0), 1.0, np.nan),
+    ])
+    def test_non_finite_input_rejected(self, seed, energy, c):
+        with pytest.raises(ValueError):
+            dl.iterate_map(dl.MapState(*seed), energy, c, 10)
+
+    @pytest.mark.parametrize("bound", [np.nan, 0.0, -1.0])
+    def test_escape_bound_must_be_positive(self, bound):
+        with pytest.raises(ValueError):
+            dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 1.0, 10, escape_bound=bound)
+
+    def test_infinite_escape_bound_escapes_on_overflow(self):
+        orbit = dl.iterate_map(dl.MapState(1e200, 0.0), 1.0, 1.0, 10, escape_bound=np.inf)
+        assert orbit.escaped and orbit.escape_index == 1
+        bounded = dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 0.0, 100, escape_bound=np.inf)
+        assert not bounded.escaped and bounded.points.shape[0] == 101
+
 
 class TestLatticeMapEquivalence:
     def test_seed_from_lattice(self):

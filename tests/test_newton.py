@@ -78,6 +78,21 @@ class TestJacobianAssembly:
             x = rng.standard_normal(12)
             assert np.allclose(jac.dense() @ x, jac.matvec(x))
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_dense_entries(self, periodic):
+        # entry by entry: on rings of one and two sites the corners land on
+        # the diagonal and on the hops
+        rng = np.random.default_rng(7)
+        for n in range(1, 30):
+            diag = rng.uniform(-3, 3, n)
+            ref = np.diag(diag)
+            idx = np.arange(n - 1)
+            ref[idx, idx + 1] = ref[idx + 1, idx] = -1.0
+            if periodic:
+                ref[0, -1] -= 1.0
+                ref[-1, 0] -= 1.0
+            assert np.array_equal(dl.JacobianMatrix(diag, periodic).dense(), ref), n
+
 
 class TestLinearSolve:
     def test_against_dense_oracle(self):
