@@ -198,29 +198,23 @@ _PERIOD_ANCHORS = 8
 def _detect_period(psi: np.ndarray, cyclic: bool, tol: float) -> Optional[int]:
     """Smallest shift that maps the amplitude track onto itself within tol.
 
-    A shift is tested in full only if it carries each of the
-    _PERIOD_ANCHORS largest-magnitude sites (for an open track, those in
-    the part every shift overlaps) to within tol of itself.  That is a
-    necessary condition, so the result is the one a full test of every
-    shift gives; large sites make it selective, since a shift must map
-    peaks onto peaks of the same height.
+    A shift p pairs psi[p:] with psi[:-p] and, on a ring, psi[:p] with
+    psi[n-p:]; an open track is tried only for shifts whose overlap covers
+    at least half the data.  A shift is tested in full only if it carries
+    each of the _PERIOD_ANCHORS largest-magnitude sites a (for an open
+    track, those in the part every shift overlaps) to a site a + p within
+    tol of it.  That is a necessary condition, so the result is the one a
+    full test of every shift gives; large sites make it selective, since a
+    shift must map peaks onto peaks of the same height.
     """
     n = psi.size
-    if cyclic:
-        shifts = np.arange(1, n)
-        for a in _largest_sites(psi):
-            # np.roll(psi, p)[a] == psi[(a - p) % n]
-            shifts = shifts[np.abs(psi[a] - psi[(a - shifts) % n]) <= tol]
-        for p in shifts.tolist():
-            if np.max(np.abs(psi - np.roll(psi, p))) <= tol:
-                return p
-        return None
-    # non-cyclic track: require the overlap to cover at least half the data
-    shifts = np.arange(1, n // 2 + 1)
-    for a in _largest_sites(psi[: n - n // 2]):
-        shifts = shifts[np.abs(psi[a + shifts] - psi[a]) <= tol]
+    shifts = np.arange(1, n if cyclic else n // 2 + 1)
+    for a in _largest_sites(psi if cyclic else psi[: n - n // 2]):
+        shifts = shifts[np.abs(psi[(a + shifts) % n] - psi[a]) <= tol]
     for p in shifts.tolist():
-        if np.max(np.abs(psi[p:] - psi[:-p])) <= tol:
+        # a NaN difference fails <=, as a pair that does not match
+        if (np.max(np.abs(psi[p:] - psi[:-p])) <= tol
+                and (not cyclic or np.max(np.abs(psi[:p] - psi[n - p:])) <= tol)):
             return p
     return None
 

@@ -4,7 +4,8 @@ Subcommands: pattern, solve, sweep, map, portrait, random.  Every run
 writes a `run.json` into its output directory echoing the fully resolved
 options, so any result can be reproduced exactly.  Exit codes: 0 success,
 2 input error, 3 no convergence, 4 singular Jacobian.  A run that exits 2
-writes nothing: the writers create the output directory, and each
+writes nothing: an --out that cannot be a directory is rejected before
+the command runs, the writers create the output directory, and each
 command checks its input before its first write.
 
 The only environment variable consulted is DNSE_LAB_OUTDIR (default
@@ -29,7 +30,7 @@ from .analysis import (
 )
 from .errors import DnseError, NoConvergence, SingularJacobian
 from .lattice import Boundary, ModelParams, normalize
-from .mapdyn import MapState, iterate_map
+from .mapdyn import DEFAULT_ESCAPE_BOUND, MapState, iterate_map
 from .newton import NewtonConfig, newton_solve, sweep_c
 from .patterns import (
     build_asymptotic_state,
@@ -53,6 +54,19 @@ def _write_run_json(args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     lab_io.write_json(Path(args.out) / "run.json",
                       {"command": args.command, "options": resolved})
+
+
+def _check_out(out):
+    """Reject an --out that cannot become a directory, before any work.
+
+    The writers make the directory, and so any missing parents, at the
+    first write; the first existing path above it must be a directory.
+    """
+    path = Path(out)
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise DnseError(f"--out {out}: {path} is not a directory")
 
 
 def _newton_config(args) -> NewtonConfig:
@@ -119,8 +133,7 @@ def cmd_solve(args) -> int:
         print("no convergence", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except SingularJacobian as exc:
-        if exc.report is not None:
-            _write(exc.state, exc.energy, exc.report, failed="singular_jacobian")
+        _write(exc.state, exc.energy, exc.report, failed="singular_jacobian")
         print(f"singular Jacobian: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     _write(state, energy, report, failed=None)
@@ -143,10 +156,8 @@ def cmd_sweep(args) -> int:
     n_steps = math.floor((args.c_to + slack - args.c_from) / args.c_step)
     c_values = [args.c_from + k * args.c_step for k in range(n_steps + 1)]
     records = sweep_c(initial, params, c_values, config)
-    rows = []
-    for rec in records:
-        counts = (rec.counts.n, rec.counts.m, rec.counts.l) if rec.counts else (None,) * 3
-        rows.append([rec.c, rec.energy, int(rec.converged), *counts, rec.max_amplitude])
+    rows = [[rec.c, rec.energy, int(rec.converged), rec.counts.n, rec.counts.m, rec.counts.l,
+             rec.max_amplitude] for rec in records]
     lab_io.write_csv(Path(args.out) / "sweep.csv",
                      ["c", "E", "converged", "n", "m", "l", "max_amp"], rows)
     print(f"{sum(r.converged for r in records)}/{len(records)} points converged")
@@ -192,13 +203,13 @@ def _add_out(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--tol", type=float, default=1e-12,
+    p.add_argument("--tol", type=float, default=NewtonConfig.tol_residual,
                    help="residual max-norm tolerance (or the rounding floor, where larger)")
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=int, default=NewtonConfig.max_iter)
 
 
 def _add_classify_flags(p):
-    p.add_argument("--tol-distinct", type=float, default=1e-6,
+    p.add_argument("--tol-distinct", type=float, default=ClassifyConfig.distinct_tol,
                    help="clustering tolerance for distinct portrait points")
 
 
@@ -245,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi0", type=float, required=True)
     p.add_argument("--z0", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--escape", type=float, default=1e8)
+    p.add_argument("--escape", type=float, default=DEFAULT_ESCAPE_BOUND)
     _add_classify_flags(p)
     _add_out(p)
     p.set_defaults(func=cmd_map)
@@ -269,6 +280,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         code = args.func(args)
         _write_run_json(args)
     except (DnseError, ValueError, OSError) as exc:

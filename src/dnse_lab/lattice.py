@@ -97,10 +97,10 @@ def normalize(state: LatticeState) -> LatticeState:
 def _neighbors(psi: np.ndarray, boundary: Boundary):
     """(left, right) neighbour of every site; past an open end reads 0."""
     if boundary is Boundary.PERIODIC:
-        return np.roll(psi, 1), np.roll(psi, -1)
-    left = np.concatenate(([0.0], psi[:-1]))
-    right = np.concatenate((psi[1:], [0.0]))
-    return left, right
+        first, last = psi[-1:], psi[:1]  # the sites across the wrap
+    else:
+        first = last = [0.0]
+    return np.concatenate((first, psi[:-1])), np.concatenate((psi[1:], last))
 
 
 def residual(state: LatticeState, params: ModelParams, energy: float) -> np.ndarray:
@@ -128,10 +128,10 @@ def hamiltonian(state: LatticeState, params: ModelParams, energy: float) -> floa
     """
     _check_boundary(state, params)
     psi = state.values
-    if state.boundary is Boundary.PERIODIC:
-        kinetic = float(np.sum((psi - np.roll(psi, -1)) ** 2))
-    else:
-        kinetic = float(np.sum((psi[:-1] - psi[1:]) ** 2))
+    bonds = psi - _neighbors(psi, state.boundary)[1]
+    if state.boundary is Boundary.OPEN:
+        bonds = bonds[:-1]  # the last site's right neighbour is the zero pad
+    kinetic = float(np.sum(bonds**2))
     return kinetic - 0.5 * params.c * float(np.sum(psi**4)) - energy * state.norm_squared()
 
 

@@ -71,21 +71,16 @@ def iterate_map(
     c: float,
     steps: int,
     escape_bound: float = DEFAULT_ESCAPE_BOUND,
-    stride: int = 1,
 ) -> MapOrbit:
     """Iterate the map, recording visited points (including the seed).
 
     Stops early once |psi| or |Z| exceeds escape_bound or leaves the
     float range; the offending point (inf or nan in the latter case) is
-    kept and the orbit is flagged escaped.  stride > 1 thins the
-    recording for very long runs (every stride-th point is kept).
-    E, c and the seed must be finite, and escape_bound positive (inf
-    included).
+    kept and the orbit is flagged escaped.  E, c and the seed must be
+    finite, and escape_bound positive (inf included).
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    if stride < 1:
-        raise ValueError("stride must be positive")
     if not all(map(math.isfinite, (energy, c, initial.psi, initial.Z))):
         raise ValueError("E, c and the seed must be finite")
     if not escape_bound > 0:
@@ -104,8 +99,7 @@ def iterate_map(
         # NaN fails every comparison; a non-finite Z makes psi = psi + Z non-finite
         escaped = not (math.isfinite(s.psi) and abs(s.psi) <= escape_bound
                        and abs(s.Z) <= escape_bound)
-        if escaped or k % stride == 0:
-            recorded.append(s)
+        recorded.append(s)
         if escaped:
             escape_index = k
             break

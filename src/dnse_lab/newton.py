@@ -38,13 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AllZero,
-    NoConvergence,
-    SingularJacobian,
-    SumTooSmall,
-    ZeroState,
-)
+from .errors import NoConvergence, SingularJacobian, SumTooSmall, ZeroState
 from .lattice import Boundary, LatticeState, ModelParams, normalize, residual
 from .patterns import PatternCounts, count_pattern, quantize_state
 
@@ -385,7 +379,7 @@ def _estimate(state: LatticeState, params: ModelParams) -> float:
         try:
             return energy_estimate(state, params)
         except SumTooSmall:
-            return rayleigh_energy(state, params)
+            pass
     return rayleigh_energy(state, params)
 
 
@@ -395,10 +389,6 @@ def _finalize(state, iterations, e_hist, r_hist, converged, seed):
         if abs(e_hist[j] - e_hist[j - 1]) > STRUCTURE_CHANGE_THRESHOLD:
             changed_at = j
             break
-    try:
-        counts = count_pattern(quantize_state(state))
-    except AllZero:
-        counts = None
     return NewtonReport(
         iterations=iterations,
         energy_history=tuple(e_hist),
@@ -406,7 +396,7 @@ def _finalize(state, iterations, e_hist, r_hist, converged, seed):
         converged=converged,
         structure_changed=changed_at is not None,
         structure_change_iteration=changed_at,
-        final_counts=counts,
+        final_counts=count_pattern(quantize_state(state)),
         final_norm=state.norm_squared(),
         seed=seed,
     )
@@ -514,9 +504,9 @@ class SweepRecord:
     """One continuation point of a coupling sweep."""
 
     c: float
-    energy: Optional[float]
+    energy: float
     converged: bool
-    counts: Optional[PatternCounts]
+    counts: PatternCounts
     max_amplitude: Optional[float]
     structure_changed: bool = False
     error: Optional[str] = None
@@ -541,32 +531,19 @@ def sweep_c(
     records = []
     current = normalize(initial)
     for c in c_values:
-        point_params = replace(params, c=float(c))
         try:
-            solved, energy, report = newton_solve(current, point_params, config)
+            solved, energy, report = newton_solve(current, replace(params, c=float(c)), config)
         except (NoConvergence, SingularJacobian) as exc:
-            report = getattr(exc, "report", None)
-            records.append(
-                SweepRecord(
-                    c=float(c),
-                    energy=getattr(exc, "energy", None),
-                    converged=False,
-                    counts=report.final_counts if report else None,
-                    max_amplitude=None,
-                    structure_changed=report.structure_changed if report else False,
-                    error=type(exc).__name__,
-                )
-            )
-            continue
-        current = solved
-        records.append(
-            SweepRecord(
-                c=float(c),
-                energy=energy,
-                converged=True,
-                counts=report.final_counts,
-                max_amplitude=float(np.max(np.abs(solved.values))),
-                structure_changed=report.structure_changed,
-            )
-        )
+            solved, energy, report, error = None, exc.energy, exc.report, type(exc).__name__
+        else:
+            current, error = solved, None
+        records.append(SweepRecord(
+            c=float(c),
+            energy=energy,
+            converged=solved is not None,
+            counts=report.final_counts,
+            max_amplitude=None if solved is None else float(np.max(np.abs(solved.values))),
+            structure_changed=report.structure_changed,
+            error=error,
+        ))
     return records

@@ -25,6 +25,8 @@ from .lattice import Boundary, LatticeState, _neighbors
 
 _CHAR_TO_TRIT = {"+": 1, "0": 0, "-": -1}
 _TRIT_TO_CHAR = {1: "+", 0: "0", -1: "-"}
+# quantize_state counts a site as occupied above this fraction of max|psi|
+OCCUPIED_REL_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,18 +120,18 @@ def build_asymptotic_state(spec: PatternSpec) -> LatticeState:
     return LatticeState(values, spec.boundary)
 
 
-def quantize_state(state: LatticeState, rel_threshold: float = 0.5) -> PatternSpec:
+def quantize_state(state: LatticeState) -> PatternSpec:
     """Extract the pattern of a numeric state.
 
-    A site counts as occupied iff |psi| exceeds rel_threshold * max|psi|;
-    finite-c tails decay exponentially, so the relative cut separates
-    peaks from tails.
+    A site counts as occupied iff |psi| exceeds OCCUPIED_REL_THRESHOLD *
+    max|psi|; finite-c tails decay exponentially, so the relative cut
+    separates peaks from tails.
     """
     psi = state.values
     peak = np.max(np.abs(psi))
     if peak == 0.0:
         raise AllZero("zero state has no pattern")
-    occ = np.abs(psi) > rel_threshold * peak
+    occ = np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak
     trits = np.where(occ, np.sign(psi).astype(int), 0)
     return PatternSpec(tuple(int(t) for t in trits), state.boundary)
 
@@ -141,14 +143,12 @@ def limit_points(spec: PatternSpec) -> set:
     (t/sqrt(n), (t'-t)/sqrt(n)) in the (psi_i, psi_{i+1}-psi_i) plane.
     At most nine distinct points are possible.
     """
-    counts = count_pattern(spec)
-    root = np.sqrt(counts.n)
-    trits = spec.trits
-    if spec.boundary is Boundary.PERIODIC:
-        pairs = zip(trits, trits[1:] + trits[:1])
-    else:
-        pairs = zip(trits[:-1], trits[1:])
-    return {(t / root, (t2 - t) / root) for t, t2 in pairs}
+    root = np.sqrt(count_pattern(spec).n)
+    trits = np.array(spec.trits)
+    _, right = _neighbors(trits, spec.boundary)
+    if spec.boundary is Boundary.OPEN:
+        trits = trits[:-1]  # the last site's right neighbour is the zero pad
+    return {(t / root, (t2 - t) / root) for t, t2 in zip(trits.tolist(), right.tolist())}
 
 
 def random_pattern(n_sites: int, seed: int) -> PatternSpec:

@@ -390,6 +390,25 @@ class TestAgainstOracle:
                     assert analysis._detect_period(psi, cyclic, tol) == \
                         _oracle_period(psi, cyclic, tol), (name, tol, cyclic)
 
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+        st.integers(1, 8),
+        st.integers(0, 5),
+        st.lists(st.tuples(st.integers(0, 60), st.sampled_from([-1.001, -0.999, 0.999, 1.001])),
+                 max_size=4),
+        st.sampled_from([1e-6, 0.1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_periods_of_perturbed_tilings(self, block, repeats, extra, kicks, tol):
+        # a tiled block of a few levels, so that shifts and anchor sites
+        # tie, with sites moved by just under or just over tol
+        psi = np.resize(0.25 * np.array(block, dtype=float), len(block) * repeats + extra)
+        for site, factor in kicks:
+            psi[site % psi.size] += factor * tol
+        for cyclic in (True, False):
+            assert analysis._detect_period(psi, cyclic, tol) == \
+                _oracle_period(psi, cyclic, tol), (psi.tolist(), cyclic)
+
     def test_thickness_and_labels(self, portrait_corpus):
         config = dl.ClassifyConfig()
         for name, portrait in portrait_corpus:

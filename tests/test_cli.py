@@ -7,10 +7,12 @@ import pytest
 
 import dnse_lab as dl
 from dnse_lab import io as lab_io
+from dnse_lab import cli
 from dnse_lab.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    EXIT_SINGULAR,
     main,
 )
 
@@ -81,6 +83,15 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "solve.report.json").read_text())
         assert report["failed"] == "no_convergence"
         assert not report["converged"]
+        assert (tmp_path / "solve.state.csv").exists()
+
+    def test_singular_exit_and_partials(self, tmp_path, capsys):
+        # at c = 0 the Jacobian at +0+0 is the singular ring Laplacian
+        code = main(["solve", "--pattern", "+0+0", "--c", "0", "--out", str(tmp_path)])
+        assert code == EXIT_SINGULAR
+        report = json.loads((tmp_path / "solve.report.json").read_text())
+        assert report["failed"] == "singular_jacobian"
+        assert report["iterations"] == 0 and not report["converged"]
         assert (tmp_path / "solve.state.csv").exists()
 
     def test_exactly_one_source_required(self, tmp_path, capsys):
@@ -234,6 +245,25 @@ class TestBadSolverTolerance:
         out = tmp_path / "out"
         assert main(command + ["--tol", tol, "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
+
+
+class TestOutNotADirectory:
+    """An --out under an existing file exits 2 before any work."""
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "file-sub"])
+    def test_exits_2_before_solving(self, tmp_path, capsys, monkeypatch, below):
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved although --out cannot be a directory")
+
+        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        argv = ["solve", "--pattern", "+0000-0000", "--c", "30",
+                "--out", str(taken.joinpath(*below))]
+        assert main(argv) == EXIT_INPUT
+        assert "not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "kept"
 
 
 MAP = ["map", "--E", "1", "--c", "1", "--psi0", "0.1", "--z0", "0", "--steps", "10"]

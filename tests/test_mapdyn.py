@@ -91,15 +91,9 @@ class TestIterateMap:
         assert abs(back.psi - s.psi) <= 1e-9
         assert abs(back.Z - s.Z) <= 1e-9
 
-    def test_stride_thins_recording(self):
-        orbit = dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 0.0, 1000, stride=10)
-        assert orbit.points.shape[0] == 101
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             dl.iterate_map(dl.MapState(0.0, 0.0), 0.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            dl.iterate_map(dl.MapState(0.0, 0.0), 0.0, 0.0, 10, stride=0)
 
     @pytest.mark.parametrize("seed,energy,c", [
         ((np.nan, 0.0), 1.0, 1.0), ((0.1, np.inf), 1.0, 1.0),

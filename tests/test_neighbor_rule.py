@@ -1,10 +1,13 @@
 """count_pattern and phase_portrait read neighbours through lattice._neighbors.
 
 Each is compared on every pattern of up to 8 sites, under both boundaries,
-with the code it replaced, which handled each boundary on its own.
+with the code it replaced, which handled each boundary on its own.  No
+other package code shifts a whole track with np.roll.
 """
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,3 +60,22 @@ def test_phase_portrait_matches_oracle(boundary):
         assert np.array_equal(portrait.points, points), trits
         assert portrait.cyclic is cyclic
         assert np.array_equal(portrait.psi_sequence, state.values)
+
+
+def _roll_uses(path):
+    """'file:enclosing.scope' of every name `roll` the module refers to."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "roll"
+                    or isinstance(child, ast.Name) and child.id == "roll"
+                    or isinstance(child, ast.alias) and child.name.split(".")[-1] == "roll"):
+                yield f"{path.name}:{'.'.join(scope)}"
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from visit(child, scope + (child.name,) if named else scope)
+    return list(visit(ast.parse(path.read_text(), filename=str(path)), ()))
+
+
+def test_np_roll_only_rotates_states():
+    package = Path(dl.__file__).parent
+    found = [use for path in sorted(package.rglob("*.py")) for use in _roll_uses(path)]
+    assert found == ["lattice.py:LatticeState.rotated"]

@@ -222,6 +222,27 @@ class TestNewtonSolve:
         assert not exc.value.report.converged
         assert isinstance(exc.value.state, dl.LatticeState)
 
+    def test_singular_jacobian_carries_iterate(self):
+        # at c = 0 the Jacobian at +0+0 is the singular ring Laplacian
+        start = dl.normalize(dl.build_asymptotic_state(dl.parse_pattern("+0+0")))
+        with pytest.raises(SingularJacobian) as exc:
+            dl.newton_solve(start, dl.ModelParams(0.0))
+        assert np.array_equal(exc.value.state.values, start.values)
+        assert exc.value.energy == 0.0
+        report = exc.value.report
+        assert report.iterations == 0 and not report.converged
+        assert report.energy_history == (exc.value.energy,)
+        assert report.final_counts == dl.PatternCounts(2, 2, 0)
+
+    def test_open_chain_takes_rayleigh_energy(self):
+        # the cubic estimator is defined for rings only
+        spec = dl.parse_pattern("+0000-0000", dl.Boundary.OPEN)
+        params = dl.ModelParams(30.0, dl.Boundary.OPEN)
+        state, energy, report = dl.newton_solve(dl.build_asymptotic_state(spec), params)
+        assert report.converged and report.iterations > 0
+        assert energy == dl.rayleigh_energy(state, params)
+        assert np.max(np.abs(dl.residual(state, params, energy))) <= 1e-12
+
     def test_structure_change_flagged(self):
         # a random delocalized pattern at strong coupling collapses to a
         # localized ground state; the energy history jump must be flagged

@@ -150,12 +150,14 @@ class TestLimitPoints:
     def test_matches_portrait_of_limit_state(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            spec = dl.random_pattern(int(rng.integers(2, 50)), int(rng.integers(0, 10**5)))
-            portrait = dl.phase_portrait(dl.build_asymptotic_state(spec))
-            expected = dl.limit_points(spec)
-            got = {(round(x, 12), round(y, 12)) for x, y in portrait.points}
-            want = {(round(x, 12), round(y, 12)) for x, y in expected}
-            assert got == want
+            trits = dl.random_pattern(int(rng.integers(2, 50)), int(rng.integers(0, 10**5))).trits
+            for boundary in dl.Boundary:
+                spec = dl.PatternSpec(trits, boundary)
+                portrait = dl.phase_portrait(dl.build_asymptotic_state(spec))
+                expected = dl.limit_points(spec)
+                got = {(round(x, 12), round(y, 12)) for x, y in portrait.points}
+                want = {(round(x, 12), round(y, 12)) for x, y in expected}
+                assert got == want, (spec.text(), boundary)
 
 
 class TestRandomPattern:
