@@ -25,7 +25,7 @@ def run_case(n_sites, c, seed, outdir):
         print(f"  seed {seed}: {type(exc).__name__} "
               f"(structure change: {exc.report.structure_changed})")
         return None
-    counts = dl.count_pattern(dl.quantize_state(state))
+    counts = report.final_counts
     limit = dl.strong_coupling_energy(counts, c)
     cls = dl.classify_portrait(dl.phase_portrait(state))
     flag = " [structure changed]" if report.structure_changed else ""

@@ -116,7 +116,16 @@ def _stencil_residual(psi: np.ndarray, c, energy, boundary: Boundary) -> np.ndar
     """The residual of bare amplitudes: a float array, or an object array
     of mpf with mpf c and energy for the high-precision polish."""
     left, right = _neighbors(psi, boundary)
-    return -left + 2.0 * psi - right - c * psi**3 - energy * psi
+    res = 2.0 * psi - left - right
+    # psi*psi*psi, not psi**3: numpy's pow costs about 50 times as much.
+    # The cube goes into left, a new array no longer needed, so the
+    # residual takes no more memory than with pow.
+    cube = np.multiply(psi, psi, out=left)
+    cube *= psi
+    cube *= c
+    res -= cube
+    res -= energy * psi
+    return res
 
 
 def hamiltonian(state: LatticeState, params: ModelParams, energy: float) -> float:
@@ -132,7 +141,9 @@ def hamiltonian(state: LatticeState, params: ModelParams, energy: float) -> floa
     if state.boundary is Boundary.OPEN:
         bonds = bonds[:-1]  # the last site's right neighbour is the zero pad
     kinetic = float(np.sum(bonds**2))
-    return kinetic - 0.5 * params.c * float(np.sum(psi**4)) - energy * state.norm_squared()
+    square = psi * psi
+    quartic = float(np.sum(square * square))
+    return kinetic - 0.5 * params.c * quartic - energy * state.norm_squared()
 
 
 def gradient(state: LatticeState, params: ModelParams, energy: float) -> np.ndarray:

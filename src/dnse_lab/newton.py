@@ -156,7 +156,9 @@ def energy_estimate(state: LatticeState, params: ModelParams) -> float:
     cutoff = SUM_REL_THRESHOLD * np.sqrt(psi.size)
     if abs(total) < cutoff:
         raise SumTooSmall(f"|sum psi| = {abs(total):.3e} below {cutoff:.3e}")
-    return -params.c * float(np.sum(psi**3)) / total
+    cube = psi * psi
+    cube *= psi
+    return -params.c * float(np.sum(cube)) / total
 
 
 def rayleigh_energy(state: LatticeState, params: ModelParams) -> float:

@@ -37,13 +37,13 @@ class PatternSpec:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        object.__setattr__(self, "trits", tuple(int(t) for t in self.trits))
+        object.__setattr__(self, "trits", tuple(map(int, self.trits)))
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         if len(self.trits) == 0:
             raise EmptyPattern("pattern needs at least one site")
-        if any(t not in (-1, 0, 1) for t in self.trits):
+        if not {-1, 0, 1}.issuperset(self.trits):
             raise ValueError("trits must be -1, 0 or +1")
-        if all(t == 0 for t in self.trits):
+        if not any(self.trits):
             raise AllZero("pattern needs at least one occupied site")
 
     @property
@@ -97,7 +97,7 @@ def count_pattern(spec: PatternSpec) -> PatternCounts:
     Kinks are adjacent occupied pairs with opposite sign (wrap pair
     included under PBC).
     """
-    trits = np.array(spec.trits)
+    trits = np.array(spec.trits, dtype=np.int8)  # every Newton report counts a pattern
     left, right = _neighbors(trits, spec.boundary)
     occ = trits != 0
     n = int(np.count_nonzero(occ))
@@ -131,9 +131,8 @@ def quantize_state(state: LatticeState) -> PatternSpec:
     peak = np.max(np.abs(psi))
     if peak == 0.0:
         raise AllZero("zero state has no pattern")
-    occ = np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak
-    trits = np.where(occ, np.sign(psi).astype(int), 0)
-    return PatternSpec(tuple(int(t) for t in trits), state.boundary)
+    trits = np.sign(psi).astype(np.int8) * (np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak)
+    return PatternSpec(tuple(trits.tolist()), state.boundary)
 
 
 def limit_points(spec: PatternSpec) -> set:

@@ -37,6 +37,29 @@ class TestParse:
         assert dl.parse_pattern(spec.text()).trits == spec.trits
 
 
+class TestPatternSpecInput:
+    @pytest.mark.parametrize("trits,error", [
+        ((1, 2), ValueError),
+        ((0, 2), ValueError),
+        ((0, 0), AllZero),
+        ((), EmptyPattern),
+    ])
+    def test_rejected(self, trits, error):
+        with pytest.raises(error) as exc:
+            dl.PatternSpec(trits)
+        assert type(exc.value) is error
+
+    @pytest.mark.parametrize("trits", [
+        tuple(np.array([1, 0, -1], dtype=np.int64)),
+        (1.0, 0.0, -1.0),
+        [1, 0, -1],
+    ])
+    def test_numbers_become_ints(self, trits):
+        spec = dl.PatternSpec(trits)
+        assert spec.trits == (1, 0, -1)
+        assert all(type(t) is int for t in spec.trits)
+
+
 class TestCounts:
     @pytest.mark.parametrize(
         "text,bc,n,m,l",
