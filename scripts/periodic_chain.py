@@ -37,11 +37,10 @@ def main():
 
     portrait = dl.phase_portrait(state)
     lab_io.write_portrait(outdir / "portrait.csv", portrait)
-    config = dl.ClassifyConfig()
-    cls = dl.classify_portrait(portrait, config)
+    cls = dl.classify_portrait(portrait)
     print(f"classification: {cls.label.value}, period={cls.period}, "
           f"{cls.distinct_points} distinct points")
-    lab_io.write_json(outdir / "classification.json", cls.as_dict(config.distinct_tol))
+    lab_io.write_json(outdir / "classification.json", cls.as_dict())
 
     rows = []
     current = state

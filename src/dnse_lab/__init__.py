@@ -5,7 +5,6 @@ classification."""
 
 from .analysis import (
     BoxCountResult,
-    ClassifyConfig,
     PhasePortrait,
     PortraitClass,
     PortraitLabel,

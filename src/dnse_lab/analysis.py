@@ -6,8 +6,10 @@ regular periodic (the amplitude sequence repeats under a cyclic shift),
 irregular commensurate (portrait points trace a thin closed curve) and
 irregular incommensurate (the curve is smeared out).  The paper-level
 criteria are qualitative, so the commensurate/incommensurate split is an
-explicit heuristic with configurable thresholds; the regular test is
-exact up to a shift tolerance.
+explicit heuristic with fixed thresholds, the named constants BAND_FRAC
+and NEIGHBORS; the regular test is exact up to the shift tolerance
+SHIFT_TOL.  The one setting is the distinct-point tolerance, tol of
+classify_portrait (default DISTINCT_TOL).
 
 Classification runs in near-linear time in the number of points: the
 distinct-point count buckets cluster representatives on a grid of cell
@@ -27,7 +29,7 @@ only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -72,33 +74,26 @@ class PortraitLabel(str, Enum):
     IRREGULAR_INCOMMENSURATE = "irregular_incommensurate"
 
 
-@dataclass(frozen=True)
-class ClassifyConfig:
-    """Thresholds for trajectory classification."""
-
-    shift_tol: float = 1e-6
-    distinct_tol: float = 1e-6
-    band_frac: float = 0.05  # local curve thickness / diameter cutoff
-    neighbors: int = 6
-
-    def __post_init__(self):
-        if not self.distinct_tol > 0:
-            raise ValueError("distinct_tol must be positive")
+SHIFT_TOL = 1e-6  # a shift is a period when it moves no site by more
+DISTINCT_TOL = 1e-6  # default clustering tolerance for distinct points
+BAND_FRAC = 0.05  # a curve is thin up to this thickness / diameter
+NEIGHBORS = 6  # nearest neighbours in each local spread
 
 
 @dataclass(frozen=True)
 class PortraitClass:
     label: PortraitLabel
     distinct_points: int
+    tol: float  # the distinct-point tolerance
     period: Optional[int] = None
-    diagnostics: dict = field(default_factory=dict)
+    curve_thickness: Optional[float] = None  # None if periodic or non-finite
 
-    def as_dict(self, tol: float) -> dict:
+    def as_dict(self) -> dict:
         return {
             "label": self.label.value,
             "period": self.period,
             "distinct_points": self.distinct_points,
-            "tol": tol,
+            "tol": self.tol,
         }
 
 
@@ -134,6 +129,11 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
     return PhasePortrait(pts, psi_sequence=orbit.psi, cyclic=False)
 
 
+# cell indices floor(p / tol) are exact integers well below 2**53; points
+# farther out are compared against every representative instead
+_GRID_LIMIT = 2.0**49
+
+
 def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     """Greedy first-fit cluster count in max-norm, deterministic in order.
 
@@ -141,20 +141,6 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     representative lies within tol of it in both coordinates.  For a
     finite tol a point with a NaN or infinite coordinate matches nothing,
     so each one counts as a cluster of its own.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    reps = _cluster_representatives(portrait.points, tol)
-    return len(reps)
-
-
-# cell indices floor(p / tol) are exact integers well below 2**53; points
-# farther out are compared against every representative instead
-_GRID_LIMIT = 2.0**49
-
-
-def _cluster_representatives(points: np.ndarray, tol: float) -> np.ndarray:
-    """Representatives of the greedy first-fit clustering, in point order.
 
     Representatives are bucketed by the cell floor(p / tol), and a point
     is compared only with the cells its tol-box can reach.  Those cells
@@ -164,6 +150,8 @@ def _cluster_representatives(points: np.ndarray, tol: float) -> np.ndarray:
     rounded p / tol followed by floor is monotone in p.  The span is
     three cells, or four when p + reach or p - reach lands on a cell edge.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     limit = _GRID_LIMIT * tol
     if not math.isfinite(limit):
         limit = 0.0  # tol too large for exact cells: compare with every representative
@@ -171,7 +159,7 @@ def _cluster_representatives(points: np.ndarray, tol: float) -> np.ndarray:
     reps = []
     loose = []  # finite representatives off the grid
     buckets: dict = {}
-    for x, y in zip(points[:, 0].tolist(), points[:, 1].tolist()):
+    for x, y in zip(portrait.points[:, 0].tolist(), portrait.points[:, 1].tolist()):
         gridded = abs(x) < limit and abs(y) < limit
         finite = gridded or (math.isfinite(x) and math.isfinite(y))
         if gridded:
@@ -189,7 +177,7 @@ def _cluster_representatives(points: np.ndarray, tol: float) -> np.ndarray:
             buckets.setdefault((math.floor(x / tol), math.floor(y / tol)), []).append((x, y))
         elif finite:
             loose.append((x, y))
-    return np.array(reps)
+    return len(reps)
 
 
 _PERIOD_ANCHORS = 8
@@ -224,34 +212,30 @@ def _largest_sites(psi: np.ndarray) -> np.ndarray:
     return np.argpartition(-np.abs(psi), count - 1)[:count]
 
 
-def classify_portrait(portrait: PhasePortrait, config: ClassifyConfig = ClassifyConfig()) -> PortraitClass:
-    """Label a portrait, always returning a class plus diagnostics."""
-    n_distinct = distinct_points(portrait, config.distinct_tol)
-    diagnostics: dict = {}
-
+def classify_portrait(portrait: PhasePortrait, tol: float = DISTINCT_TOL) -> PortraitClass:
+    """Label a portrait, counting its distinct points at tolerance tol."""
+    n_distinct = distinct_points(portrait, tol)
     if portrait.psi_sequence is not None and portrait.psi_sequence.size >= 2:
-        period = _detect_period(portrait.psi_sequence, portrait.cyclic, config.shift_tol)
+        period = _detect_period(portrait.psi_sequence, portrait.cyclic, SHIFT_TOL)
         if period is not None:
-            return PortraitClass(
-                PortraitLabel.REGULAR_PERIODIC, n_distinct, period, diagnostics
-            )
+            return PortraitClass(PortraitLabel.REGULAR_PERIODIC, n_distinct, tol, period)
 
-    thickness = _curve_thickness(portrait.points, config)
-    diagnostics["curve_thickness"] = thickness
-    if thickness is not None and thickness <= config.band_frac:
+    thickness = _curve_thickness(portrait.points)
+    if thickness is not None and thickness <= BAND_FRAC:
         label = PortraitLabel.IRREGULAR_COMMENSURATE
     else:
         label = PortraitLabel.IRREGULAR_INCOMMENSURATE
-    return PortraitClass(label, n_distinct, None, diagnostics)
+    return PortraitClass(label, n_distinct, tol, curve_thickness=thickness)
 
 
-def _curve_thickness(points: np.ndarray, config: ClassifyConfig) -> Optional[float]:
+def _curve_thickness(points: np.ndarray) -> Optional[float]:
     """Median local perpendicular spread relative to the portrait diameter.
 
     Points on a thin closed curve have locally collinear neighborhoods;
     a smeared cloud does not.  The neighborhood of a distinct point is
-    its k + 1 nearest distinct points, itself included, by squared
-    distance with ties going to the lower index in lexicographic order;
+    its k + 1 nearest distinct points, itself included, with k = NEIGHBORS
+    where there are that many others, by squared distance with ties
+    going to the lower index in lexicographic order;
     the spread is the square root of the smaller eigenvalue of their
     covariance.  A portrait with a non-finite point has no thickness.
     """
@@ -265,7 +249,7 @@ def _curve_thickness(points: np.ndarray, config: ClassifyConfig) -> Optional[flo
     diameter = float(np.linalg.norm(hi - lo))
     if diameter == 0.0:
         return 0.0
-    k = min(config.neighbors, pts.shape[0] - 1)
+    k = min(NEIGHBORS, pts.shape[0] - 1)
     spreads = []
     for hood in _nearest_neighbors(pts, k + 1):
         local = hood - hood.mean(axis=1, keepdims=True)
@@ -435,16 +419,19 @@ def fit_tail(
 ) -> TailFit:
     """Least-squares exponential fit of the tail following a peak.
 
-    window = (start, end) offsets from the peak, inclusive; the sites must
-    lie strictly between peaks.  The fit is flagged when any window
-    amplitude exceeds 0.1 * max|psi|, where the cubic term is no longer
-    negligible and the pure exponential stops being a good model.
+    peak_index is a site, 0 <= peak_index < N.  window = (start, end)
+    offsets from the peak, inclusive; the sites must lie strictly between
+    peaks.  The fit is flagged when any window amplitude exceeds
+    0.1 * max|psi|, where the cubic term is no longer negligible and the
+    pure exponential stops being a good model.
     """
     start, end = window
     if not (1 <= start <= end):
         raise ValueError("window offsets must satisfy 1 <= start <= end")
     psi = state.values
     n = psi.size
+    if not 0 <= peak_index < n:
+        raise ValueError(f"peak_index {peak_index} outside the {n} lattice sites")
     peak_amp = np.max(np.abs(psi))
     offsets = np.arange(start, end + 1)
     if state.boundary is Boundary.PERIODIC:
@@ -519,18 +506,15 @@ def zoom_report(
     portrait: PhasePortrait,
     region: tuple,
     levels: int,
-    shrink: float = 2.0,
 ):
     """Nested magnifications of a portrait region about its center.
 
-    Level 0 is the given rectangle; each further level shrinks the
-    rectangle by the shrink factor.  Empty levels are reported with a
-    flag, not raised.
+    Level 0 is the given rectangle; each further level halves the
+    rectangle's sides.  Empty levels are reported with a flag, not
+    raised.
     """
     if levels < 1:
         raise ValueError("need at least one level")
-    if shrink <= 1.0:
-        raise ValueError("shrink factor must exceed 1")
     xmin, xmax, ymin, ymax = (float(v) for v in region)
     if xmin >= xmax or ymin >= ymax:
         raise ValueError("degenerate region")
@@ -539,7 +523,7 @@ def zoom_report(
     pts = portrait.points
     out = []
     for level in range(levels):
-        fx, fy = hx / shrink**level, hy / shrink**level
+        fx, fy = hx / 2.0**level, hy / 2.0**level
         box = (cx - fx, cx + fx, cy - fy, cy + fy)
         inside = pts[
             (pts[:, 0] >= box[0]) & (pts[:, 0] <= box[1])

@@ -19,15 +19,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as lab_io
-from .analysis import (
-    ClassifyConfig,
-    classify_portrait,
-    phase_portrait,
-    portrait_from_orbit,
-)
+from .analysis import DISTINCT_TOL, classify_portrait, phase_portrait, portrait_from_orbit
 from .errors import DnseError, NoConvergence, SingularJacobian
 from .lattice import Boundary, ModelParams, normalize
 from .mapdyn import DEFAULT_ESCAPE_BOUND, MapState, iterate_map
@@ -73,10 +69,10 @@ def _newton_config(args) -> NewtonConfig:
     return NewtonConfig(tol_residual=args.tol, max_iter=args.max_iter)
 
 
-def _write_classified(portrait_path, class_path, portrait, classify: ClassifyConfig):
+def _write_classified(portrait_path, class_path, portrait, tol: float):
     """Write a portrait and its classification; return the classification payload."""
     lab_io.write_portrait(portrait_path, portrait)
-    payload = classify_portrait(portrait, classify).as_dict(classify.distinct_tol)
+    payload = classify_portrait(portrait, tol).as_dict()
     lab_io.write_json(class_path, payload)
     return payload
 
@@ -105,12 +101,11 @@ def _build_initial(args):
     if args.state_file is not None:
         state, _meta = lab_io.read_state(args.state_file)
         return normalize(state), None
-    spec = random_pattern(args.random, args.seed)
+    spec = replace(random_pattern(args.random, args.seed), boundary=Boundary(args.bc))
     return build_asymptotic_state(spec), args.seed
 
 
 def cmd_solve(args) -> int:
-    classify = ClassifyConfig(distinct_tol=args.tol_distinct)
     config = _newton_config(args)
     initial, seed = _build_initial(args)
     params = ModelParams(args.c, initial.boundary)
@@ -124,7 +119,7 @@ def cmd_solve(args) -> int:
         lab_io.write_json(f"{stem}.report.json", payload)
         if state.n_sites >= 2:
             _write_classified(f"{stem}.portrait.csv", f"{stem}.class.json",
-                              phase_portrait(state), classify)
+                              phase_portrait(state), args.tol_distinct)
 
     try:
         state, energy, report = newton_solve(initial, params, config, seed=seed)
@@ -151,10 +146,12 @@ def cmd_sweep(args) -> int:
         raise DnseError("--c-step must be positive")
     if not math.isfinite(args.c_to):
         raise DnseError("--c-to must be finite")
-    # c_from + k*step, not a running sum, so rounding does not accumulate
-    slack = 1e-12 * max(1.0, abs(args.c_to))
-    n_steps = math.floor((args.c_to + slack - args.c_from) / args.c_step)
-    c_values = [args.c_from + k * args.c_step for k in range(n_steps + 1)]
+    # c_from + k*step, not a running sum, so rounding does not accumulate;
+    # the step points from c_from toward c_to
+    step = math.copysign(args.c_step, args.c_to - args.c_from)
+    slack = math.copysign(1e-12 * max(1.0, abs(args.c_to)), step)
+    n_steps = math.floor((args.c_to + slack - args.c_from) / step)
+    c_values = [args.c_from + k * step for k in range(n_steps + 1)]
     records = sweep_c(initial, params, c_values, config)
     rows = [[rec.c, rec.energy, int(rec.converged), rec.counts.n, rec.counts.m, rec.counts.l,
              rec.max_amplitude] for rec in records]
@@ -165,7 +162,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_map(args) -> int:
-    classify = ClassifyConfig(distinct_tol=args.tol_distinct)
     orbit = iterate_map(
         MapState(args.psi0, args.z0), args.E, args.c, args.steps,
         escape_bound=args.escape,
@@ -173,7 +169,7 @@ def cmd_map(args) -> int:
     outdir = Path(args.out)
     lab_io.write_orbit(outdir / "orbit.csv", orbit)
     _write_classified(outdir / "portrait.csv", outdir / "classification.json",
-                      portrait_from_orbit(orbit), classify)
+                      portrait_from_orbit(orbit), args.tol_distinct)
     print(json.dumps({"steps_recorded": int(orbit.points.shape[0]),
                       "escaped": orbit.escaped,
                       "escape_index": orbit.escape_index}, sort_keys=True))
@@ -181,11 +177,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    classify = ClassifyConfig(distinct_tol=args.tol_distinct)
     state, _meta = lab_io.read_state(args.state_file)
     outdir = Path(args.out)
     payload = _write_classified(outdir / "portrait.csv", outdir / "classification.json",
-                                phase_portrait(state), classify)
+                                phase_portrait(state), args.tol_distinct)
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -209,7 +204,7 @@ def _add_solver_flags(p):
 
 
 def _add_classify_flags(p):
-    p.add_argument("--tol-distinct", type=float, default=ClassifyConfig.distinct_tol,
+    p.add_argument("--tol-distinct", type=float, default=DISTINCT_TOL,
                    help="clustering tolerance for distinct portrait points")
 
 
@@ -232,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-file")
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bc", choices=["periodic", "open"], default="periodic")
+    p.add_argument("--bc", choices=["periodic", "open"], default="periodic",
+                   help="boundary of a --pattern or --random start; a --state-file "
+                        "start keeps the boundary its sidecar records")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--out-prefix", default="solve")
     _add_solver_flags(p)
@@ -245,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", choices=["periodic", "open"], default="periodic")
     p.add_argument("--c-from", type=float, required=True)
     p.add_argument("--c-to", type=float, required=True)
-    p.add_argument("--c-step", type=float, default=1.0)
+    p.add_argument("--c-step", type=float, default=1.0,
+                   help="step size (> 0), taken from --c-from toward --c-to")
     _add_solver_flags(p)
     _add_out(p)
     p.set_defaults(func=cmd_sweep)
@@ -281,6 +279,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
+        # the commands that classify check their tolerance before any work
+        if not vars(args).get("tol_distinct", DISTINCT_TOL) > 0:
+            raise DnseError("--tol-distinct must be positive")
         code = args.func(args)
         _write_run_json(args)
     except (DnseError, ValueError, OSError) as exc:

@@ -103,7 +103,7 @@ def write_orbit(path, orbit: MapOrbit):
 
 
 def write_box_counts(path, result: BoxCountResult):
-    return _write(path, "scale,occupied", (f"{fmt(s)},{occ}\n" for s, occ in result.counts))
+    return write_csv(path, ["scale", "occupied"], result.counts)
 
 
 def write_pattern(path, spec: PatternSpec):

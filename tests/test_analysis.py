@@ -61,7 +61,7 @@ class TestDistinctPoints:
             with pytest.raises(ValueError):
                 dl.distinct_points(dl.PhasePortrait(np.zeros((2, 2))), tol)
             with pytest.raises(ValueError):
-                dl.ClassifyConfig(distinct_tol=tol)
+                dl.classify_portrait(dl.PhasePortrait(np.zeros((2, 2))), tol)
 
     @given(
         st.lists(
@@ -106,11 +106,12 @@ class TestClassification:
         assert cls.label is not dl.PortraitLabel.REGULAR_PERIODIC
         assert cls.distinct_points > 26
 
-    def test_smeared_cloud_incommensurate(self):
+    def test_smeared_cloud_incommensurate(self, monkeypatch):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, (300, 2))
         # dense clouds need a tighter band cutoff than sparse solution sets
-        cls = dl.classify_portrait(dl.PhasePortrait(pts), dl.ClassifyConfig(band_frac=0.01))
+        monkeypatch.setattr(analysis, "BAND_FRAC", 0.01)
+        cls = dl.classify_portrait(dl.PhasePortrait(pts))
         assert cls.label is dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
 
     def test_thin_curve_commensurate(self):
@@ -127,18 +128,29 @@ class TestClassification:
         pts[7] = [-np.inf, np.inf]
         portrait = dl.PhasePortrait(pts, psi_sequence=pts[:, 0] + theta * 1e-3)
         cls = dl.classify_portrait(portrait)
-        assert cls.diagnostics["curve_thickness"] is None
+        assert cls.curve_thickness is None
         assert cls.label is dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
 
     def test_as_dict_payload(self):
         cls = dl.classify_portrait(dl.phase_portrait(dl.LatticeState(np.full(4, 0.5))))
-        payload = cls.as_dict(1e-6)
+        assert cls.curve_thickness is None  # a periodic portrait is not measured
+        payload = cls.as_dict()
         assert payload == {
             "label": "regular_periodic",
             "period": 1,
             "distinct_points": 1,
             "tol": 1e-6,
         }
+
+    def test_records_its_tolerance_and_thickness(self):
+        theta = np.linspace(0, 2 * np.pi, 400, endpoint=False)
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        portrait = dl.PhasePortrait(pts, psi_sequence=np.cos(theta) + theta * 1e-3)
+        cls = dl.classify_portrait(portrait, 0.5)
+        assert cls.tol == 0.5
+        assert cls.as_dict()["tol"] == 0.5
+        assert cls.as_dict()["distinct_points"] == dl.distinct_points(portrait, 0.5)
+        assert cls.curve_thickness == analysis._curve_thickness(pts)
 
 
 class TestTailDecay:
@@ -212,6 +224,17 @@ class TestFitTail:
         with pytest.raises(ValueError):
             dl.fit_tail(state, 0, (0, 2))
 
+    def test_peak_index_outside_lattice_rejected(self):
+        values = 0.5 ** np.arange(7)
+        for boundary in (dl.Boundary.OPEN, dl.Boundary.PERIODIC):
+            state = dl.LatticeState(values, boundary)
+            for index in (-1, -3, 7, 12):
+                with pytest.raises(ValueError, match="peak_index"):
+                    dl.fit_tail(state, index, (1, 2))
+        # the last site of a ring is a valid peak; its window wraps
+        ring = dl.LatticeState(0.5 ** ((np.arange(7) + 1) % 7), dl.Boundary.PERIODIC)
+        assert abs(dl.fit_tail(ring, 6, (1, 3)).decay_factor_measured - 0.5) <= 1e-12
+
     def test_cubic_flag(self):
         state = dl.LatticeState([1.0, 0.5, 0.25, 0.0001, 0.00005, 0.000025], dl.Boundary.OPEN)
         near = dl.fit_tail(state, 0, (1, 2))
@@ -272,8 +295,6 @@ class TestZoom:
             dl.zoom_report(portrait, (0, 1, 0, 1), 0)
         with pytest.raises(ValueError):
             dl.zoom_report(portrait, (1, 0, 0, 1), 2)
-        with pytest.raises(ValueError):
-            dl.zoom_report(portrait, (0, 1, 0, 1), 2, shrink=1.0)
 
 
 # --- differential test: the quadratic kernels the near-linear ones replaced
@@ -309,7 +330,7 @@ def _oracle_period(psi, cyclic, tol):
     return None
 
 
-def _oracle_thickness(points, config):
+def _oracle_thickness(points, neighbors=analysis.NEIGHBORS):
     """A full argsort of the distances for every point."""
     pts = np.unique(points, axis=0)
     if pts.shape[0] < 4:
@@ -319,7 +340,7 @@ def _oracle_thickness(points, config):
     diameter = float(np.linalg.norm(hi - lo))
     if diameter == 0.0:
         return 0.0
-    k = min(config.neighbors, pts.shape[0] - 1)
+    k = min(neighbors, pts.shape[0] - 1)
     spreads = []
     for p in pts:
         d2 = np.sum((pts - p) ** 2, axis=1)
@@ -410,27 +431,26 @@ class TestAgainstOracle:
                 _oracle_period(psi, cyclic, tol), (psi.tolist(), cyclic)
 
     def test_thickness_and_labels(self, portrait_corpus):
-        config = dl.ClassifyConfig()
         for name, portrait in portrait_corpus:
-            new = analysis._curve_thickness(portrait.points, config)
-            old = _oracle_thickness(portrait.points, config)
+            new = analysis._curve_thickness(portrait.points)
+            old = _oracle_thickness(portrait.points)
             assert _thickness_agrees(new, old), (name, new, old)
-            if _oracle_period(portrait.psi_sequence, portrait.cyclic, config.shift_tol) is not None:
+            if _oracle_period(portrait.psi_sequence, portrait.cyclic, analysis.SHIFT_TOL) is not None:
                 expected = dl.PortraitLabel.REGULAR_PERIODIC
-            elif old <= config.band_frac:
+            elif old <= analysis.BAND_FRAC:
                 expected = dl.PortraitLabel.IRREGULAR_COMMENSURATE
             else:
                 expected = dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
-            assert dl.classify_portrait(portrait, config).label is expected, name
+            assert dl.classify_portrait(portrait).label is expected, name
 
-    def test_thickness_more_neighbors_than_a_leaf(self, portrait_corpus):
+    def test_thickness_more_neighbors_than_a_leaf(self, portrait_corpus, monkeypatch):
         # k + 1 = 21 exceeds the 16-point leaves, so the bound comes from
         # a node above the query's leaf
-        config = dl.ClassifyConfig(neighbors=20)
+        monkeypatch.setattr(analysis, "NEIGHBORS", 20)
         picked = dict(portrait_corpus)
         for name in ("chain130", "ring1000/0", "ring208/3", "map/0", "map/7"):
-            new = analysis._curve_thickness(picked[name].points, config)
-            old = _oracle_thickness(picked[name].points, config)
+            new = analysis._curve_thickness(picked[name].points)
+            old = _oracle_thickness(picked[name].points, 20)
             assert _thickness_agrees(new, old), (name, new, old)
 
 
@@ -464,8 +484,7 @@ class TestNearestNeighbors:
         points = dl.phase_portrait(state).points
         for count in (7, 21):
             self._check(points, count)
-        assert analysis._curve_thickness(points, dl.ClassifyConfig()) == \
-            _oracle_thickness(points, dl.ClassifyConfig())
+        assert analysis._curve_thickness(points) == _oracle_thickness(points)
 
     def test_budget_below_one_query(self, monkeypatch):
         # one query per batch, and many ranked alone over the budget

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -99,6 +100,14 @@ class TestSolveCommand:
         assert main(["solve", "--pattern", "+", "--random", "4", "--c", "10",
                      "--out", str(tmp_path)]) == EXIT_INPUT
 
+    def test_random_start_on_open_chain(self, tmp_path, capsys):
+        assert main(["solve", "--random", "40", "--seed", "5", "--bc", "open", "--c", "80",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        meta = json.loads((tmp_path / "solve.state.json").read_text())
+        assert meta["boundary"] == "open"
+        # an open chain of N sites has N - 1 portrait points
+        assert len((tmp_path / "solve.portrait.csv").read_text().splitlines()) == 1 + 39
+
     def test_state_file_round_trip(self, tmp_path, capsys):
         first = tmp_path / "first"
         assert main(["solve", "--pattern", "+0000-0000", "--c", "30",
@@ -134,12 +143,35 @@ class TestSweepCommand:
         assert len(rows) == 61
         assert float(rows[-1].split(",")[0]) == 30.0
 
-    def test_empty_range(self, tmp_path, capsys):
-        code = main(["sweep", "--pattern", "+", "--c-from", "30",
-                     "--c-to", "24", "--out", str(tmp_path)])
+    def test_downward_range(self, tmp_path, capsys):
+        code = main(["sweep", "--pattern", "+00+0", "--c-from", "10",
+                     "--c-to", "5", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-        assert len(lines) == 1
+        assert capsys.readouterr().out.strip() == "6/6 points converged"
+        rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [10.0, 9.0, 8.0, 7.0, 6.0, 5.0]
+
+    @staticmethod
+    def _swept(tmp_path, c_from, c_to, c_step):
+        out = tmp_path / f"{c_from}_{c_to}_{c_step}"
+        assert main(["sweep", "--pattern", "+", "--c-from", repr(c_from), "--c-to", repr(c_to),
+                     "--c-step", repr(c_step), "--out", str(out)]) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        return [float(r.split(",")[0]) for r in rows]
+
+    @pytest.mark.parametrize("c_from, c_to, c_step", [
+        (24.0, 30.0, 0.1), (40.0, 46.0, 0.1), (0.0, 1.0, 0.1), (1.0, 2.0, 1.0 / 3.0),
+        (-3.0, 7.5, 0.7), (5.0, 5.0, 1.0), (1e6, 1e6 + 1.0, 0.25),
+    ])
+    def test_grid_in_either_direction(self, tmp_path, capsys, c_from, c_to, c_step):
+        # upward: c_from + k*c_step for k up to the bound upward sweeps have
+        # always used, bit for bit; downward: as many steps from c_to down
+        slack = 1e-12 * max(1.0, abs(c_to))
+        n_steps = math.floor((c_to + slack - c_from) / c_step)
+        upward = [c_from + k * c_step for k in range(n_steps + 1)]
+        assert self._swept(tmp_path, c_from, c_to, c_step) == upward
+        downward = [c_to - k * c_step for k in range(n_steps + 1)]
+        assert self._swept(tmp_path, c_to, c_from, c_step) == downward
 
     def test_no_distinct_tolerance(self, tmp_path, capsys):
         # sweep never classifies, so it takes no --tol-distinct

@@ -93,6 +93,16 @@ class TestOtherWriters:
         assert lines[0] == "scale,occupied"
         assert len(lines) == 3
 
+    def test_box_counts_bytes(self, tmp_path):
+        # the table writer gives the bytes of a per-row "scale,occupied" line
+        pts = np.random.default_rng(4).standard_normal((500, 2))
+        scales = [1.0 / 3.0, 0.1, 2.0**-20, 7.0, 1e-3 * np.pi]
+        result = dl.box_count(dl.PhasePortrait(pts), scales)
+        path = lab_io.write_box_counts(tmp_path / "b.csv", result)
+        expected = "scale,occupied\n" + "".join(
+            f"{lab_io.fmt(s)},{occ}\n" for s, occ in result.counts)
+        assert path.read_bytes() == expected.encode()
+
     def test_json_sorted_and_stable(self, tmp_path):
         payload = {"b": 1, "a": [1.5, None]}
         path = lab_io.write_json(tmp_path / "r.json", payload)

@@ -10,6 +10,7 @@ from dnse_lab.errors import (
     SumTooSmall,
     ZeroState,
 )
+from dnse_lab import newton
 from dnse_lab.newton import _rounding_floor
 
 from conftest import random_state
@@ -233,6 +234,22 @@ class TestNewtonSolve:
         assert report.iterations == 0 and not report.converged
         assert report.energy_history == (exc.value.energy,)
         assert report.final_counts == dl.PatternCounts(2, 2, 0)
+
+    @pytest.mark.parametrize("step", ["zero_state", "nan"])
+    def test_degenerate_step_raises_with_iterate(self, monkeypatch, step):
+        # a linear solve that returns psi itself steps to the all-zero state
+        start = dl.normalize(dl.build_asymptotic_state(dl.parse_pattern("+0000+0000")))
+        params = dl.ModelParams(30.0)
+        fake = (lambda jac, res: start.values.copy()) if step == "zero_state" \
+            else (lambda jac, res: np.full(jac.n, np.nan))
+        monkeypatch.setattr(newton, "solve_linear", fake)
+        with pytest.raises(SingularJacobian, match="degenerate state") as exc:
+            dl.newton_solve(start, params)
+        assert np.array_equal(exc.value.state.values, start.values)
+        assert exc.value.energy == dl.energy_estimate(start, params)
+        report = exc.value.report
+        assert report.iterations == 0 and not report.converged
+        assert report.energy_history == (exc.value.energy,)
 
     def test_open_chain_takes_rayleigh_energy(self):
         # the cubic estimator is defined for rings only
