@@ -154,9 +154,9 @@ def cmd_sweep(args) -> int:
     c_values = [args.c_from + k * step for k in range(n_steps + 1)]
     records = sweep_c(initial, params, c_values, config)
     rows = [[rec.c, rec.energy, int(rec.converged), rec.counts.n, rec.counts.m, rec.counts.l,
-             rec.max_amplitude] for rec in records]
+             rec.max_amplitude, rec.iterations] for rec in records]
     lab_io.write_csv(Path(args.out) / "sweep.csv",
-                     ["c", "E", "converged", "n", "m", "l", "max_amp"], rows)
+                     ["c", "E", "converged", "n", "m", "l", "max_amp", "iterations"], rows)
     print(f"{sum(r.converged for r in records)}/{len(records)} points converged")
     return EXIT_OK
 

@@ -8,8 +8,8 @@ exact, and becomes visible numerically once the solution is polished and
 the map iterated at sufficient precision.  This module does both with
 mpmath working at a configurable number of decimal digits.  The polish
 takes bordered Newton steps on (psi, E), built from the float64 code run
-on mpf values: the Newton loop and the tridiagonal kernel of newton, and
-the lattice residual.
+on mpf values: the Newton loop, the bordered step and the tridiagonal
+kernel of newton, and the lattice residual.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from mpmath import mp, mpf
 
 from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
 from .mapdyn import MapState, map_step
-from .newton import (NewtonReport, _jacobian_diagonal, _newton_loop, _tridiag_solve,
-                     rayleigh_energy)
+from .newton import (NewtonReport, _bordered_step, _jacobian_diagonal, _newton_loop,
+                     _tridiag_solve, rayleigh_energy)
 
 
 def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
@@ -28,13 +28,9 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
     """Re-converge a double-precision solution with bordered mpmath Newton steps.
 
     The unknowns are (psi, E); the border is the norm condition
-    g = (psi.psi - 1)/2 = 0 (Keller 1977).  Each step solves J a = F and
-    J b = psi in one kernel call, with F the residual and J its Jacobian
-    in psi at fixed E, then sets
-
-        dE = (psi.a - g) / (psi.b),    dpsi = -a + b dE,
-
-    which converges quadratically from the float64 state and its Rayleigh
+    g = (psi.psi - 1)/2 = 0 (Keller 1977).  Each step is newton's
+    _bordered_step, solving J a = F and J b = psi in one kernel call, which
+    converges quadratically from the float64 state and its Rayleigh
     energy.  Returns (psi list, E) as mpf once the residual max-norm is at
     most 10**-(dps-10).  PBC only.
 
@@ -49,24 +45,23 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
         c = mpf(params.c)
         tol = mpf(10) ** (10 - dps)
 
-        def bordered_step(psi, energy, res):
-            diag = _jacobian_diagonal(psi, c, energy)
-            a, b = (np.array(x, dtype=object) for x in
-                    _tridiag_solve(diag.tolist(), [res.tolist(), psi.tolist()], True))
-            g = (np.dot(psi, psi) - 1) / 2
-            d_energy = (np.dot(psi, a) - g) / np.dot(psi, b)
-            return psi - a + b * d_energy, energy + d_energy
+        def step(psi, energy, res, _res_norm):
+            diag = _jacobian_diagonal(psi, c, energy).tolist()
+            return _bordered_step(psi, energy, res, lambda rhss: [
+                np.array(x, dtype=object)
+                for x in _tridiag_solve(diag, [r.tolist() for r in rhss], True)])
 
         def report(psi, iterations, e_hist, r_hist, converged):
             return NewtonReport(iterations=iterations, energy_history=tuple(e_hist),
                                 residual_history=tuple(r_hist), converged=converged,
-                                final_norm=float(np.dot(psi, psi)))
+                                final_norm=float(np.dot(psi, psi)),
+                                bordered_from=0 if iterations else None)
 
         psi, energy, _ = _newton_loop(
             np.array([mpf(v) for v in state.values.tolist()], dtype=object),
             mpf(rayleigh_energy(state, params)),
             lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
-            bordered_step, lambda *_: tol, max_iter, report)
+            step, lambda *_: tol, max_iter, report)
         return psi.tolist(), energy
 
 

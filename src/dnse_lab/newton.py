@@ -3,7 +3,8 @@
 The Hessian of the energy functional is (up to a factor 2 shared with the
 gradient) a symmetric tridiagonal matrix with diagonal 2 - E - 3 c psi**2,
 off-diagonal -1 and, under PBC, -1 in the two corners.  solve_linear
-solves it in O(N).  Below PARTITION_MIN_SITES it calls the scalar kernel,
+solves it in O(N), for one right-hand side or a stack of them through one
+factorization.  Below PARTITION_MIN_SITES it calls the scalar kernel,
 _tridiag_solve, which also serves mpmath in the high-precision polish: it
 factors the matrix once by Thomas elimination, restores the corners by a
 rank-1 Sherman-Morrison correction, and sweeps every right-hand side
@@ -16,15 +17,23 @@ solves; a solution whose backward error is not small is solved again by
 the scalar kernel.  One private loop, _newton_loop, iterates both
 solvers; each supplies only its step.  newton_solve stops at its
 tolerance or, where that is larger, at the residual that rounding alone
-can leave.  The float64 step freezes E at the estimate
+can leave.
+
+newton_solve runs in two phases, chosen at each step from the residual
+max-norm the loop has just evaluated.  Above BORDERED_RESIDUAL the step
+freezes E at the estimate
 
     E(k) = -c sum psi**3 / sum psi        (PBC)
 
 falling back to the Rayleigh quotient when the amplitude sum is too small
 (exactly antisymmetric states make the formula 0/0; both estimators agree
-at any true solution).  After each step the state is renormalized to unit
-norm, which pins the iteration to the normalized solution branch instead
-of drifting along the amplitude-rescaling family.
+at any true solution), and renormalizes the state to unit norm, which pins
+the iteration to the normalized solution branch instead of drifting along
+the amplitude-rescaling family.  This phase converges linearly, and it is
+the one that picks the state a cold start ends on.  At or below
+BORDERED_RESIDUAL the step is _bordered_step, the Newton step on (psi, E)
+with the norm as the border that the mpmath polish takes too; it converges
+quadratically to the state the first phase has settled near.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, SumTooSmall, ZeroState
 from .lattice import Boundary, LatticeState, ModelParams, normalize, residual
-from .patterns import PatternCounts, count_pattern, quantize_state
+from .patterns import PatternCounts, _count, _trits
 
 # The cubic energy estimator is abandoned when |sum psi| falls below
 # SUM_REL_THRESHOLD * sqrt(N); the sqrt(N) scaling handles random
@@ -58,6 +67,11 @@ BACKWARD_REL_THRESHOLD = 1e-13
 # An energy jump larger than this between iterations, after the second,
 # flags a change of localization pattern.
 STRUCTURE_CHANGE_THRESHOLD = 1.0
+# newton_solve takes the bordered (psi, E) step once the residual max-norm
+# is at most this, and the frozen-E step above it.  The frozen-E phase
+# chooses the state; 1e-2 and 1e-4 ended on the same states as 1e-3 on the
+# random rings of 10^4 sites, pattern seeds 0-199, at c = 4N.
+BORDERED_RESIDUAL = 1e-3
 # The nearest-neighbour hop: the off-diagonal and ring-corner entry of J.
 OFF_DIAGONAL = -1.0
 # solve_linear takes the partitioned path from this many sites on.  The
@@ -120,7 +134,11 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class NewtonReport:
-    """Per-run diagnostics; histories have length iterations + 1."""
+    """Per-run diagnostics; histories have length iterations + 1.
+
+    bordered_from is the first iteration that took a bordered (psi, E)
+    step, or None when none did.
+    """
 
     iterations: int
     energy_history: tuple
@@ -131,10 +149,12 @@ class NewtonReport:
     final_counts: Optional[PatternCounts] = None
     final_norm: float = 0.0
     seed: Optional[int] = None
+    bordered_from: Optional[int] = None
 
     def as_dict(self) -> dict:
         return {
             "iterations": self.iterations,
+            "bordered_from": self.bordered_from,
             "converged": self.converged,
             "E": self.energy_history[-1],
             "E_history": list(self.energy_history),
@@ -263,6 +283,10 @@ def _tridiag_solve(diag, rhss, periodic: bool, off=None, pivot_rel=PIVOT_REL_THR
 def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     """Solve J x = rhs by the partition method, or return None.
 
+    rhs is one right-hand side of shape (N,) or a stack (K, N); the pivot
+    recurrences run once, and the recurrences of b broadcast over the
+    stack.
+
     The first P m sites form P blocks of m = isqrt(N) // 2 sites (fastest
     at N = 10^4 and 10^5): one separator row, then a chain of L = m - 1
     interior rows.  The last r sites, 1 <= r <= m, stay whole.  Each
@@ -282,78 +306,85 @@ def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     Returns None, so that the caller falls back to the scalar sweep and
     its singularity test, when a chain pivot (either direction) is below
     the threshold of that test, when the reduced system fails it with the
-    threshold widened m-fold, or when the solution's backward error is
-    above BACKWARD_REL_THRESHOLD (NaN included).  The reduced diagonal is
-    d_s - A^-1_11 - A^-1_LL, which cancels to rounding times m when J is
-    near singular: on the all-2 ring of 10^4 sites its Sherman-Morrison
-    denominator is 3.8e-14, where the scalar sweep's is 1.1e-15.  No
-    pivoting is done, so a chain pivot just above the threshold leaves
-    huge entries in A^-1 that later cancel: before the backward-error
-    test, a chain pivot of 1e-8 in an all-4 ring, which the scalar sweep
-    does not meet, gave x a relative error of 5e-10.
+    threshold widened m-fold, or when the backward error of any solution
+    of the stack is above BACKWARD_REL_THRESHOLD (NaN included).  The
+    reduced diagonal is d_s - A^-1_11 - A^-1_LL, which cancels to rounding
+    times m when J is near singular: on the all-2 ring of 10^4 sites its
+    Sherman-Morrison denominator is 3.8e-14, where the scalar sweep's is
+    1.1e-15.  No pivoting is done, so a chain pivot just above the
+    threshold leaves huge entries in A^-1 that later cancel: before the
+    backward-error test, a chain pivot of 1e-8 in an all-4 ring, which
+    the scalar sweep does not meet, gave x a relative error of 5e-10.
     """
     n = diag.size
     m = max(2, math.isqrt(n) // 2)
     blocks = (n - 1) // m
     edge = blocks * m
 
-    def interiors(a):  # the chains of a site array, as an (L, P) view
-        return a[:edge].reshape(blocks, m)[:, 1:].T
+    def interiors(a):  # the chains of a site array (..., N), as an (L, ..., P) view
+        return np.moveaxis(a[..., :edge].reshape(*a.shape[:-1], blocks, m)[..., 1:], -1, 0)
 
     d, b = list(interiors(diag)), list(interiors(rhs))
     diag_max = max(diag.max(), -diag.min())
     limit = 1 / (PIVOT_REL_THRESHOLD * max(diag_max, 1.0))
     inv = np.empty((m - 1, blocks))  # reciprocal forward pivots
-    x = np.empty(n)
-    chains = interiors(x)
-    xs, ws = list(chains), list(inv)
+    x = np.empty(rhs.shape)
+    backward = interiors(x.reshape(-1, n)[0])
+    xs, ws = list(interiors(x)), list(inv)
     with np.errstate(all="ignore"):  # a zero pivot is caught below
         w = z = 0.0
         for dj, bj, wj in zip(d, b, ws):
             w = np.divide(1.0, dj - w, out=wj)
             z = (bj + z) * w
         w0 = z0 = 0.0
-        # until the last sweep, the interiors of x hold the backward pivots
-        for dj, bj, xj in zip(d[::-1], b[::-1], xs[::-1]):
-            w0 = np.divide(1.0, dj - w0, out=xj)
+        # until the last sweep, the interiors of the first solution hold
+        # the backward pivots
+        for dj, bj, vj in zip(d[::-1], b[::-1], list(backward)[::-1]):
+            w0 = np.divide(1.0, dj - w0, out=vj)
             z0 = (bj + z0) * w0
-        if not all(-limit <= a.min() and a.max() <= limit for a in (inv, chains)):
+        if not all(-limit <= a.min() and a.max() <= limit for a in (inv, backward)):
             return None
         hop = -inv.prod(axis=0)
     reduced_diag = np.concatenate((diag[:edge:m], diag[edge:]))
     reduced_diag[:blocks] -= w0
     reduced_diag[1:blocks + 1] -= w
-    reduced_rhs = np.concatenate((rhs[:edge:m], rhs[edge:]))
-    reduced_rhs[:blocks] += z0
-    reduced_rhs[1:blocks + 1] += z
+    reduced_rhs = np.concatenate((rhs[..., :edge:m], rhs[..., edge:]), axis=-1)
+    reduced_rhs[..., :blocks] += z0
+    reduced_rhs[..., 1:blocks + 1] += z
     off = np.full(reduced_diag.size - 1, OFF_DIAGONAL)
     off[:blocks] = hop
     try:
-        [sep] = _tridiag_solve(array("d", reduced_diag.tobytes()),
-                               [array("d", reduced_rhs.tobytes())], periodic,
-                               array("d", off.tobytes()), PIVOT_REL_THRESHOLD * m)
+        seps = _tridiag_solve(array("d", reduced_diag.tobytes()),
+                              [array("d", r.tobytes())
+                               for r in reduced_rhs.reshape(-1, reduced_diag.size)],
+                              periodic, array("d", off.tobytes()), PIVOT_REL_THRESHOLD * m)
     except SingularJacobian:
         return None
-    sep = np.frombuffer(sep)
-    x[:edge:m] = sep[:blocks]
-    x[edge:] = sep[blocks:]
-    z = sep[:blocks]  # the left separators enter as the row before each chain
+    sep = np.stack([np.frombuffer(s) for s in seps]).reshape(reduced_rhs.shape)
+    x[..., :edge:m] = sep[..., :blocks]
+    x[..., edge:] = sep[..., blocks:]
+    z = sep[..., :blocks]  # the left separators enter as the row before each chain
     for bj, wj, xj in zip(b, ws, xs):
         np.add(bj, z, out=xj)
         z = np.multiply(xj, wj, out=xj)
-    xs[-1] += sep[1:blocks + 1] * ws[-1]  # the right separators, on the last row
+    xs[-1] += sep[..., 1:blocks + 1] * ws[-1]  # the right separators, on the last row
     for j in range(m - 3, -1, -1):
         xs[j] += ws[j] * xs[j + 1]
-    r = _matvec(diag, x, periodic)
-    r -= rhs
-    scale = (diag_max + 2) * max(x.max(), -x.min()) + max(rhs.max(), -rhs.min())
-    if not max(r.max(), -r.min()) <= BACKWARD_REL_THRESHOLD * scale:
-        return None
+    # one residual at a time: holding both of a bordered step's raised the
+    # traced peak of a solve at N = 10^5 from 8.2 to 9.0 MB
+    for xk, bk in zip(x.reshape(-1, n), rhs.reshape(-1, n)):
+        r = _matvec(diag, xk, periodic)
+        r -= bk
+        scale = (diag_max + 2) * max(xk.max(), -xk.min()) + max(bk.max(), -bk.min())
+        if not max(r.max(), -r.min()) <= BACKWARD_REL_THRESHOLD * scale:
+            return None
+        del r
     return x
 
 
 def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs in O(N).
+    """Solve J x = rhs in O(N), for rhs of shape (N,) or a stack (K, N)
+    whose K solutions share one factorization of J.
 
     From PARTITION_MIN_SITES sites on by the partition method, with a
     numpy operation across all chains at each row; below that, and when
@@ -364,16 +395,17 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     PIVOT_REL_THRESHOLD times the matrix scale raises SingularJacobian.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (jac.n,):
+    if rhs.ndim not in (1, 2) or rhs.shape[-1] != jac.n:
         raise ValueError("rhs length does not match the matrix")
     if jac.n >= PARTITION_MIN_SITES:
         x = _partitioned_solve(jac.diag, rhs, jac.periodic)
         if x is not None:
             return x
     # array('d') holds a site in 8 bytes, where a list of floats takes 32
-    [x] = _tridiag_solve(array("d", jac.diag.tobytes()), [array("d", rhs.tobytes())],
-                         jac.periodic)
-    return np.frombuffer(x)
+    xs = [np.frombuffer(x) for x in
+          _tridiag_solve(array("d", jac.diag.tobytes()),
+                         [array("d", b.tobytes()) for b in rhs.reshape(-1, jac.n)], jac.periodic)]
+    return xs[0] if rhs.ndim == 1 else np.stack(xs)
 
 
 def _estimate(state: LatticeState, params: ModelParams) -> float:
@@ -385,12 +417,39 @@ def _estimate(state: LatticeState, params: ModelParams) -> float:
     return rayleigh_energy(state, params)
 
 
+def _bordered_step(psi, energy, res, solve):
+    """One Newton step on (psi, E), bordered by the norm condition
+    g = (psi.psi - 1)/2 = 0 (Keller 1977).
+
+    solve(rhss) returns J^-1 r for each r of rhss, with J the Jacobian in
+    psi at fixed E.  With F the residual, a = J^-1 F and b = J^-1 psi, the
+    step is
+
+        dE = (psi.a - g) / (psi.b),    dpsi = -a + b dE,
+
+    which converges quadratically near a solution.  Serves float64 arrays
+    and object arrays of mpf alike; returns (psi + dpsi, E + dE), built in
+    the arrays solve returned.  Raises SingularJacobian when psi.b = 0.
+    """
+    a, b = solve((res, psi))
+    den = np.dot(psi, b)
+    if not den:
+        raise SingularJacobian("bordered step: psi.b = 0")
+    d_energy = (np.dot(psi, a) - (np.dot(psi, psi) - 1) / 2) / den
+    new_psi = np.subtract(psi, a, out=a)
+    b *= d_energy
+    new_psi += b
+    return new_psi, energy + d_energy
+
+
 def _finalize(state, iterations, e_hist, r_hist, converged, seed):
     changed_at = None
     for j in range(3, len(e_hist)):
         if abs(e_hist[j] - e_hist[j - 1]) > STRUCTURE_CHANGE_THRESHOLD:
             changed_at = j
             break
+    # newton_solve chose each step from the residual recorded before it
+    bordered_from = next((j for j in range(iterations) if r_hist[j] <= BORDERED_RESIDUAL), None)
     return NewtonReport(
         iterations=iterations,
         energy_history=tuple(e_hist),
@@ -398,9 +457,10 @@ def _finalize(state, iterations, e_hist, r_hist, converged, seed):
         converged=converged,
         structure_changed=changed_at is not None,
         structure_change_iteration=changed_at,
-        final_counts=count_pattern(quantize_state(state)),
+        final_counts=_count(_trits(state.values), state.boundary),
         final_norm=state.norm_squared(),
         seed=seed,
+        bordered_from=bordered_from,
     )
 
 
@@ -432,7 +492,7 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter, report):
     records E and the residual max-norm.  It stops when the norm is not
     above tol_of(state, energy) (tested before stepping; NaN stops
     unconverged) or after max_iter steps; otherwise step(state, energy,
-    res) gives the next (state, energy).  Returns (state, energy,
+    res, norm) gives the next (state, energy).  Returns (state, energy,
     report(state, iterations, e_hist, r_hist, converged)).  Raises
     NoConvergence, or SingularJacobian when a step does, with the last
     iterate, its E and the report attached.
@@ -447,7 +507,7 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter, report):
         if not res_norm > tol or iterations == max_iter:
             break
         try:
-            state, energy = step(state, energy, res)
+            state, energy = step(state, energy, res, res_norm)
         except SingularJacobian as exc:
             failed = report(state, iterations, e_hist, r_hist, False)
             raise SingularJacobian(str(exc), state=state, energy=energy, report=failed) from exc
@@ -469,26 +529,40 @@ def newton_solve(
 ):
     """Iterate Newton steps from a (normalized) starting state.
 
-    Each step freezes E at its estimate, solves J step = F at (psi, E)
-    for the residual F the loop has just evaluated, renormalizes and
-    re-estimates E.  Stops when the residual max-norm is not above the
-    tolerance or, where that is larger, the residual that rounding alone
-    can leave (_rounding_floor); this is checked before stepping, so an
-    exact start converges at iteration 0.  A jump in the energy history
-    larger than the structure-change threshold after the second
-    iteration is flagged as a change of localization pattern; the run
-    still converges to the new structure, which is a solution in its own
-    right.
+    Each step is chosen by the max-norm of the residual F the loop has
+    just evaluated.  Above BORDERED_RESIDUAL (1e-3) the step freezes E at
+    its estimate, solves J step = F at (psi, E), renormalizes and
+    re-estimates E; this phase converges linearly and settles which state
+    the run ends on.  At or below it the step is the bordered (psi, E)
+    step of the mpmath polish, which solves J a = F and J b = psi through
+    one factorization and converges quadratically; its E is the previous
+    E plus the bordered correction, not a fresh estimate.  The report's
+    bordered_from is the first iteration that took a bordered step.
+
+    Stops when the residual max-norm is not above the tolerance or, where
+    that is larger, the residual that rounding alone can leave
+    (_rounding_floor); this is checked before stepping, so an exact start
+    converges at iteration 0.  A jump in the energy history larger than
+    the structure-change threshold after the second iteration is flagged
+    as a change of localization pattern; the run still converges to the
+    new structure, which is a solution in its own right.
 
     Returns (state, energy, report).  Raises NoConvergence or
     SingularJacobian with the best iterate attached.
     """
 
-    def frozen_energy_step(state, energy, res):
-        new_values = state.values - solve_linear(assemble_jacobian(state, params, energy), res)
-        if not np.all(np.isfinite(new_values)) or not np.any(new_values):
+    def checked(values, boundary):
+        if not np.all(np.isfinite(values)) or not np.any(values):
             raise SingularJacobian("Newton step produced a degenerate state")
-        state = normalize(LatticeState(new_values, state.boundary))
+        return LatticeState(values, boundary)
+
+    def step(state, energy, res, res_norm):
+        jac = assemble_jacobian(state, params, energy)
+        if res_norm <= BORDERED_RESIDUAL:
+            values, energy = _bordered_step(state.values, energy, res,
+                                            lambda rhss: solve_linear(jac, np.stack(rhss)))
+            return checked(values, state.boundary), float(energy)
+        state = normalize(checked(state.values - solve_linear(jac, res), state.boundary))
         return state, _estimate(state, params)
 
     def tolerance(state, energy):
@@ -497,7 +571,7 @@ def newton_solve(
     state = normalize(initial)
     return _newton_loop(state, _estimate(state, params),
                         lambda state, energy: residual(state, params, energy),
-                        frozen_energy_step, tolerance, config.max_iter,
+                        step, tolerance, config.max_iter,
                         partial(_finalize, seed=seed))
 
 
@@ -510,6 +584,7 @@ class SweepRecord:
     converged: bool
     counts: PatternCounts
     max_amplitude: Optional[float]
+    iterations: int
     structure_changed: bool = False
     error: Optional[str] = None
 
@@ -545,6 +620,7 @@ def sweep_c(
             converged=solved is not None,
             counts=report.final_counts,
             max_amplitude=None if solved is None else float(np.max(np.abs(solved.values))),
+            iterations=report.iterations,
             structure_changed=report.structure_changed,
             error=error,
         ))

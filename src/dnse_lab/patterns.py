@@ -97,8 +97,12 @@ def count_pattern(spec: PatternSpec) -> PatternCounts:
     Kinks are adjacent occupied pairs with opposite sign (wrap pair
     included under PBC).
     """
-    trits = np.array(spec.trits, dtype=np.int8)  # every Newton report counts a pattern
-    left, right = _neighbors(trits, spec.boundary)
+    return _count(np.array(spec.trits, dtype=np.int8), spec.boundary)
+
+
+def _count(trits: np.ndarray, boundary: Boundary) -> PatternCounts:
+    """count_pattern on an int8 trit array; every Newton report counts one."""
+    left, right = _neighbors(trits, boundary)
     occ = trits != 0
     n = int(np.count_nonzero(occ))
     # a spot starts at each occupied site after an empty one (an open end
@@ -127,12 +131,15 @@ def quantize_state(state: LatticeState) -> PatternSpec:
     max|psi|; finite-c tails decay exponentially, so the relative cut
     separates peaks from tails.
     """
-    psi = state.values
+    return PatternSpec(tuple(_trits(state.values).tolist()), state.boundary)
+
+
+def _trits(psi: np.ndarray) -> np.ndarray:
+    """The trits of quantize_state as an int8 array."""
     peak = np.max(np.abs(psi))
     if peak == 0.0:
         raise AllZero("zero state has no pattern")
-    trits = np.sign(psi).astype(np.int8) * (np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak)
-    return PatternSpec(tuple(trits.tolist()), state.boundary)
+    return np.sign(psi).astype(np.int8) * (np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak)
 
 
 def limit_points(spec: PatternSpec) -> set:

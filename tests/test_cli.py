@@ -59,6 +59,15 @@ class TestSolveCommand:
         res = dl.residual(state, dl.ModelParams(30.0), meta["E"])
         assert np.max(np.abs(res)) <= 1e-12
 
+    def test_report_records_bordered_phase(self, tmp_path, capsys):
+        assert main(["solve", "--pattern", "+0000-0000", "--c", "30",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "solve.report.json").read_text())
+        k = report["bordered_from"]
+        assert 0 <= k < report["iterations"]
+        assert report["residual_history"][k] <= 1e-3 < min(report["residual_history"][:k],
+                                                            default=1.0)
+
     def test_strong_coupling_energy(self, tmp_path, capsys):
         pattern = "0" * 10 + "+" + "0" * 10
         code = main(["solve", "--pattern", pattern, "--c", "1e6", "--out", str(tmp_path)])
@@ -129,10 +138,11 @@ class TestSweepCommand:
                      "--c-to", "24", "--c-step", "2", "--out", str(tmp_path)])
         assert code == EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-        assert lines[0] == "c,E,converged,n,m,l,max_amp"
+        assert lines[0] == "c,E,converged,n,m,l,max_amp,iterations"
         assert len(lines) == 4
         for line in lines[1:]:
             assert line.split(",")[2] == "1"
+            assert int(line.split(",")[7]) >= 0
 
     def test_grid_has_no_rounding_drift(self, tmp_path, capsys):
         # 24 -> 30 at step 0.1: a running sum ends at 30.000000000000085

@@ -99,6 +99,26 @@ class TestAgainstScalarKernel:
             ref = _scalar(diag, rhs, periodic)
             assert _backward_error(diag, periodic, ref, rhs) <= 64, seed
 
+    @pytest.mark.parametrize("n, periodic", [(150, True), (10_000, True), (10_007, False),
+                                             (100_000, True)])
+    def test_stack_solves_each_row_alone(self, n, periodic):
+        # the bordered step's pair J a = F, J b = psi through one
+        # factorization: each row as if it were solved alone
+        boundary = dl.Boundary.PERIODIC if periodic else dl.Boundary.OPEN
+        jac, res = _newton_system(n, 4, boundary)
+        psi = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, 4))).values
+        x = dl.solve_linear(jac, np.stack((res, psi)))
+        assert x.shape == (2, n)
+        for row, rhs in zip(x, (res, psi)):
+            assert np.array_equal(row, dl.solve_linear(jac, rhs)), n
+            _assert_agrees(row, _scalar(jac.diag, rhs, periodic), n)
+
+    def test_stack_shape_checked(self):
+        jac = dl.JacobianMatrix([4.0, 4.0, 4.0], periodic=True)
+        for shape in ((2, 4), (2, 2, 3), ()):
+            with pytest.raises(ValueError):
+                dl.solve_linear(jac, np.ones(shape))
+
     def test_every_small_size(self):
         # every layout from one block on, random signs in the diagonal
         rng = np.random.default_rng(11)
@@ -108,6 +128,16 @@ class TestAgainstScalarKernel:
                 rhs = rng.standard_normal(n)
                 _assert_agrees(_partitioned_solve(diag, rhs, periodic),
                                _scalar(diag, rhs, periodic), (n, periodic))
+
+    def test_every_small_size_stacked(self):
+        rng = np.random.default_rng(12)
+        for n in range(3, 200):
+            for periodic in (True, False):
+                diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+                stack = rng.standard_normal((2, n))
+                x = _partitioned_solve(diag, stack, periodic)
+                for row, rhs in zip(x, stack):
+                    _assert_agrees(row, _scalar(diag, rhs, periodic), (n, periodic))
 
 
 class TestSingularity:
