@@ -9,8 +9,6 @@ the coupling grows.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 
@@ -34,7 +32,8 @@ def main():
         dl.build_asymptotic_state(spec), dl.ModelParams(args.c)
     )
     print(f"solved c={args.c}: E={energy:.12g} "
-          f"(gap to limit {energy - limit:+.4f} ~ sqrt(n)/c = {np.sqrt(counts.n)/args.c:.4f})")
+          f"(gap to limit {energy - limit:+.4f}; a series in eps = n/c = "
+          f"{counts.n / args.c:.4f} that starts at -eps^2)")
     lab_io.write_state(outdir / "solution.state.csv", state, args.c, energy)
     lab_io.write_json(outdir / "solution.report.json", report.as_dict())
 

@@ -393,21 +393,26 @@ def _sq_dist(a: np.ndarray, b) -> np.ndarray:
     return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
 
 
+def _check_tail_energy(energy):
+    if energy >= 0:
+        raise NotLocalized("exponential tails require E < 0")
+    if not math.isfinite(energy):  # NaN or -inf
+        raise ValueError("energy must be finite")
+
+
 def tail_decay_predicted(energy: float) -> float:
     """Discrete per-site decay factor from the linearized lattice equation.
 
     mu solves mu + 1/mu = 2 - E and lies in (0, 1) for E < 0.
     """
-    if energy >= 0:
-        raise NotLocalized("exponential tails require E < 0")
+    _check_tail_energy(energy)
     s = 2.0 - energy
     return (s - np.sqrt(s * s - 4.0)) / 2.0
 
 
 def tail_decay_continuum(energy: float) -> float:
     """Continuum-limit factor exp(-sqrt(-E)), the small-|E| approximation."""
-    if energy >= 0:
-        raise NotLocalized("exponential tails require E < 0")
+    _check_tail_energy(energy)
     return float(np.exp(-np.sqrt(-energy)))
 
 
@@ -481,8 +486,8 @@ def box_count(portrait: PhasePortrait, scales) -> BoxCountResult:
     scales = [float(s) for s in scales]
     if len(scales) < 2:
         raise ValueError("need at least two scales")
-    if any(s <= 0 for s in scales):
-        raise ValueError("scales must be positive")
+    if not all(0 < s < math.inf for s in scales):  # NaN fails too
+        raise ValueError("scales must be positive and finite")
     pts = portrait.points
     lo = pts.min(axis=0)
     counts = []
@@ -516,6 +521,8 @@ def zoom_report(
     if levels < 1:
         raise ValueError("need at least one level")
     xmin, xmax, ymin, ymax = (float(v) for v in region)
+    if not all(map(math.isfinite, (xmin, xmax, ymin, ymax))):
+        raise ValueError("region must be finite")
     if xmin >= xmax or ymin >= ymax:
         raise ValueError("degenerate region")
     cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0

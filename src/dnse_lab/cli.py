@@ -150,7 +150,10 @@ def cmd_sweep(args) -> int:
     # the step points from c_from toward c_to
     step = math.copysign(args.c_step, args.c_to - args.c_from)
     slack = math.copysign(1e-12 * max(1.0, abs(args.c_to)), step)
-    n_steps = math.floor((args.c_to + slack - args.c_from) / step)
+    span = (args.c_to + slack - args.c_from) / step
+    if not math.isfinite(span):
+        raise DnseError("the number of coupling steps is not finite")
+    n_steps = math.floor(span)
     c_values = [args.c_from + k * step for k in range(n_steps + 1)]
     records = sweep_c(initial, params, c_values, config)
     rows = [[rec.c, rec.energy, int(rec.converged), rec.counts.n, rec.counts.m, rec.counts.l,

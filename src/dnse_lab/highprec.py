@@ -41,6 +41,8 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
     """
     if state.boundary is not Boundary.PERIODIC:
         raise ValueError("high-precision polish supports PBC only")
+    if max_iter <= 0:
+        raise ValueError("max_iter must be positive")
     with mp.workdps(dps):
         c = mpf(params.c)
         tol = mpf(10) ** (10 - dps)
@@ -73,10 +75,11 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     the polish so the hyperbolic amplification acts on the polished
     residual, not on double-precision round-off.
     """
+    n = len(psi)
+    if n < 2:
+        raise ValueError("the map needs at least 2 sites")
     with mp.workdps(dps):
-        n = len(psi)
-        energy = mpf(energy) if not hasattr(energy, "_mpf_") else energy
-        c = mpf(c) if not hasattr(c, "_mpf_") else c
+        energy, c = mpf(energy), mpf(c)
         s = MapState(psi[1], psi[1] - psi[0])
         max_dev = mpf(0)
         closure = mpf(0)

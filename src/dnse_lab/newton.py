@@ -4,20 +4,19 @@ The Hessian of the energy functional is (up to a factor 2 shared with the
 gradient) a symmetric tridiagonal matrix with diagonal 2 - E - 3 c psi**2,
 off-diagonal -1 and, under PBC, -1 in the two corners.  solve_linear
 solves it in O(N), for one right-hand side or a stack of them through one
-factorization.  Below PARTITION_MIN_SITES it calls the scalar kernel,
+factorization.  Below REDUCTION_MIN_SITES it calls the scalar kernel,
 _tridiag_solve, which also serves mpmath in the high-precision polish: it
 factors the matrix once by Thomas elimination, restores the corners by a
 rank-1 Sherman-Morrison correction, and sweeps every right-hand side
 through the one factorization, one site at a time in Python.  From
-PARTITION_MIN_SITES float64 sites on it takes the partition method
-(Wang 1981; SPIKE, Polizzi & Sameh 2006): short chains are eliminated all
-at once by numpy operations across the chains, and the sites between them
-satisfy a small tridiagonal Schur complement that the scalar kernel
-solves; a solution whose backward error is not small is solved again by
-the scalar kernel.  One private loop, _newton_loop, iterates both
-solvers; each supplies only its step.  newton_solve stops at its
-tolerance or, where that is larger, at the residual that rounding alone
-can leave.
+REDUCTION_MIN_SITES float64 sites on it takes odd-even cyclic reduction
+(Hockney 1965; Buzbee, Golub & Nielson 1970): each level eliminates the
+odd sites of the ring by numpy operations across the level, halving it
+down to one site, and back substitution recovers them in reverse; a
+solution whose backward error is not small is solved again by the scalar
+kernel.  One private loop, _newton_loop, iterates both solvers; each
+supplies only its step.  newton_solve stops at its tolerance or, where
+that is larger, at the residual that rounding alone can leave.
 
 newton_solve runs in two phases, chosen at each step from the residual
 max-norm the loop has just evaluated.  Above BORDERED_RESIDUAL the step
@@ -58,11 +57,11 @@ SUM_REL_THRESHOLD = 1e-8
 # A pivot below PIVOT_REL_THRESHOLD * max(max|diag|, 1), or a
 # Sherman-Morrison denominator below PIVOT_REL_THRESHOLD, is singular.
 PIVOT_REL_THRESHOLD = 1e-14
-# The partitioned solve is kept when |J x - b| is at most this times
+# A cyclic-reduction solution is kept when |J x - b| is at most this times
 # max|diag| + 2 times max|x|, plus max|b| (about 450 machine epsilons).
-# Seen: up to 6.5 eps on Newton steps and 35 eps on random diagonals in
-# (-1.9, 1.9), where the scalar sweep itself reaches 59 eps; a chain pivot
-# of 1e-6 that passes the pivot test gives 6800 eps.
+# Seen: up to 1.8 eps on Newton steps and 8.1 eps on random diagonals in
+# (-1.9, 1.9), where the scalar sweep itself reaches 59 eps; a pivot of
+# 1e-6 that passes the pivot test gives 13500 eps.
 BACKWARD_REL_THRESHOLD = 1e-13
 # An energy jump larger than this between iterations, after the second,
 # flags a change of localization pattern.
@@ -72,13 +71,11 @@ STRUCTURE_CHANGE_THRESHOLD = 1.0
 # chooses the state; 1e-2 and 1e-4 ended on the same states as 1e-3 on the
 # random rings of 10^4 sites, pattern seeds 0-199, at c = 4N.
 BORDERED_RESIDUAL = 1e-3
-# The nearest-neighbour hop: the off-diagonal and ring-corner entry of J.
-OFF_DIAGONAL = -1.0
-# solve_linear takes the partitioned path from this many sites on.  The
-# scalar sweep costs about 1.2 us a site and the partitioned path wins from
-# a few hundred sites; the threshold keeps the paper's chains and the rings
-# of up to 10^3 sites on the scalar path.
-PARTITION_MIN_SITES = 2000
+# solve_linear takes cyclic reduction from this many sites on.  The scalar
+# sweep costs about 1.2 us a site and the reduction wins from a few hundred
+# sites; the threshold keeps the paper's chains and the rings of up to 10^3
+# sites on the scalar path.
+REDUCTION_MIN_SITES = 2000
 
 
 @dataclass(frozen=True)
@@ -202,77 +199,64 @@ def _jacobian_diagonal(psi, c, energy):
     return 2.0 - energy - 3.0 * c * psi**2
 
 
-def _sweep(inv, rhs, off=None):
-    """Forward and back substitution through the reciprocal pivots inv.
-
-    off as in _tridiag_solve.  Without it the hops are -1 and the loops
-    skip their multiplications, and mpmath its conversions of the float
-    hops.  With the general loops alone the chain_continuation benchmark
-    read wall_s 1.16x its parent, higher in 6 of 6 pairs; with these
-    loops 1.04x, higher in 7 of 10 and inside the parent's spread.
-    """
+def _sweep(inv, rhs):
+    """Forward and back substitution through the reciprocal pivots inv of
+    the chain whose hops are -1."""
     x = inv[:]  # sized up front: growing it by append raised peak RSS
     prev = 0
-    if off is None:
-        for i, (b, w) in enumerate(zip(rhs, inv)):
-            prev = x[i] = (b + prev) * w
-        for i in range(len(x) - 2, -1, -1):
-            prev = x[i] = x[i] + inv[i] * prev
-        return x
-    for i, (b, w, e) in enumerate(zip(rhs, inv, chain((0,), off))):
-        prev = x[i] = (b - e * prev) * w
+    for i, (b, w) in enumerate(zip(rhs, inv)):
+        prev = x[i] = (b + prev) * w
     for i in range(len(x) - 2, -1, -1):
-        prev = x[i] = x[i] - off[i] * inv[i] * prev
+        prev = x[i] = x[i] + inv[i] * prev
     return x
 
 
-def _tridiag_solve(diag, rhss, periodic: bool, off=None, pivot_rel=PIVOT_REL_THRESHOLD):
-    """Solve T x = b for every b in rhss, factoring T once.
+def _tridiag_solve(diag, rhss, periodic: bool):
+    """Solve J x = b for every b in rhss, factoring J once.
 
-    T is symmetric with the diagonal diag and, when periodic, -1 in the
-    two corners.  Its off-diagonals are -1, or off[i] between rows i and
-    i + 1 when off is given.  The loops run on the elements as plain
-    Python numbers, so one code serves float (diag an array('d')) and
-    mpmath (diag a list of mpf); each solution comes back in the container
-    type of diag.  A ring is solved as in Numerical Recipes 2.7: the
-    corners are peeled off as a rank-1 update u v^T of an open chain, and
-    Sherman-Morrison restores them with one more sweep, of u.  On a
+    J is symmetric with the diagonal diag, off-diagonals -1 and, when
+    periodic, -1 in the two corners.  The loops run on the elements as
+    plain Python numbers, so one code serves float (diag an array('d'))
+    and mpmath (diag a list of mpf); each solution comes back in the
+    container type of diag.  A ring is solved as in Numerical Recipes 2.7:
+    the corners are peeled off as a rank-1 update u v^T of an open chain,
+    and Sherman-Morrison restores them with one more sweep, of u.  On a
     two-site ring the corners land on the off-diagonals; a one-site ring
     is the 1x1 system d - 2.
 
-    Raises SingularJacobian on a pivot below pivot_rel times
-    max(max|diag|, 1), or a Sherman-Morrison denominator below pivot_rel,
-    before dividing by it; a NaN pivot or denominator counts as below.
+    Raises SingularJacobian on a pivot below PIVOT_REL_THRESHOLD times
+    max(max|diag|, 1), or a Sherman-Morrison denominator below
+    PIVOT_REL_THRESHOLD, before dividing by it; a NaN pivot or denominator
+    counts as below.
     """
     n = len(diag)
     if periodic and n == 1:
         diag = diag[:]
         diag[0] -= 2  # both hops land on the site itself
         periodic = False
-    pivot_tol = pivot_rel * max(max(map(abs, diag)), 1)
+    pivot_tol = PIVOT_REL_THRESHOLD * max(max(map(abs, diag)), 1)
     inv = diag[:]  # the modified diagonal, then the reciprocal pivots
     if periodic:
         gamma = -(abs(diag[0]) + 1)
         inv[0] -= gamma
         inv[-1] -= 1 / gamma  # corners are -1, -1: product/gamma
-    squares = None if off is None else [0, *(e * e for e in off)]
     w = 0
     for i, d in enumerate(inv):
-        den = d - w if squares is None else d - squares[i] * w
+        den = d - w
         if not abs(den) >= pivot_tol:  # a NaN pivot is singular too
             raise SingularJacobian(f"pivot {float(den):.3e} at row {i}")
         w = inv[i] = 1 / den
     if not periodic:
-        return [_sweep(inv, b, off) for b in rhss]
+        return [_sweep(inv, b) for b in rhss]
 
     # u = (gamma, 0, ..., 0, -1), v = (1, 0, ..., 0, -1/gamma)
-    q = _sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)), off)
+    q = _sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)))
     den = 1 + q[0] - q[-1] / gamma
-    if not abs(den) >= pivot_rel:
+    if not abs(den) >= PIVOT_REL_THRESHOLD:
         raise SingularJacobian(f"rank-1 correction denominator {float(den):.3e}")
     solutions = []
     for b in rhss:
-        y = _sweep(inv, b, off)
+        y = _sweep(inv, b)
         factor = (y[0] - y[-1] / gamma) / den
         for i, qi in enumerate(q):
             y[i] -= qi * factor
@@ -280,99 +264,86 @@ def _tridiag_solve(diag, rhss, periodic: bool, off=None, pivot_rel=PIVOT_REL_THR
     return solutions
 
 
-def _partitioned_solve(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
-    """Solve J x = rhs by the partition method, or return None.
+def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
+    """Solve J x = rhs by odd-even cyclic reduction, or return None.
 
-    rhs is one right-hand side of shape (N,) or a stack (K, N); the pivot
-    recurrences run once, and the recurrences of b broadcast over the
-    stack.
+    rhs is one right-hand side of shape (N,) or a stack (K, N); the pivots
+    are computed once for the stack.  Each level is a ring (or a chain) of
+    m sites with diagonal d, a hop e[j] between sites j and j + 1 and a hop
+    wrap between sites m - 1 and 0 (0 on a chain).  Numpy operations across
+    the level eliminate its odd sites into its even ones: with w = 1/d on
+    an odd site j, its neighbours i get d[i] -= e**2 w and b[i] -= e w b[j]
+    through the hop e that joins them, and the two even neighbours of j
+    are joined by the new hop -e[j-1] e[j] w.  The even sites form the next
+    level, half the size.  Parity settles the wrap: on an even ring the
+    last odd site has site 0 as its right neighbour, and on an odd ring
+    sites m - 1 and 0 stay joined by wrap; on a two-site ring both hops
+    join the same pair and add; a one-site ring is the 1x1 system
+    d + 2 wrap.  Back substitution then gives each odd site from its
+    solved neighbours, deepest level first, so no rank-1 correction and no
+    reduced system are needed (Hockney 1965; Buzbee, Golub & Nielson 1970).
 
-    The first P m sites form P blocks of m = isqrt(N) // 2 sites (fastest
-    at N = 10^4 and 10^5): one separator row, then a chain of L = m - 1
-    interior rows.  The last r sites, 1 <= r <= m, stay whole.  Each
-    Python loop below runs over the L rows of a chain, and each of its
-    steps is one numpy operation across all P chains.  With A a chain's
-    matrix and g = A^-1 b, the separators and the last r sites satisfy a
-    symmetric tridiagonal system of size P + r: A^-1_11 and A^-1_LL come
-    off the separators' diagonal, -A^-1_1L (the product of the chain's
-    reciprocal pivots, negated) is the hop across the chain, and g[0] and
-    g[-1] join the right-hand side.  Only these end entries are needed: a
-    forward elimination gives A^-1_LL, A^-1_1L and g[-1], a backward one
-    A^-1_11 and g[0].  _tridiag_solve solves the reduced system; since
-    site N - 1 is in it, a ring's corner stays -1.  A last sweep through
-    the stored forward pivots then gives each chain's interior from its
-    own b and its two separators.
+    The first level's hops are the unit hops of J, held as a broadcast -1
+    that takes no memory.  x is built in the rows of the result: on each
+    level's odd sites it holds w b until back substitution.  Each level's
+    diagonal, and on its odd sites w, lives in one copy of diag, so only
+    the hops of the deeper levels are kept for the way back.
 
     Returns None, so that the caller falls back to the scalar sweep and
-    its singularity test, when a chain pivot (either direction) is below
-    the threshold of that test, when the reduced system fails it with the
-    threshold widened m-fold, or when the backward error of any solution
-    of the stack is above BACKWARD_REL_THRESHOLD (NaN included).  The
-    reduced diagonal is d_s - A^-1_11 - A^-1_LL, which cancels to rounding
-    times m when J is near singular: on the all-2 ring of 10^4 sites its
-    Sherman-Morrison denominator is 3.8e-14, where the scalar sweep's is
-    1.1e-15.  No pivoting is done, so a chain pivot just above the
-    threshold leaves huge entries in A^-1 that later cancel: before the
-    backward-error test, a chain pivot of 1e-8 in an all-4 ring, which
-    the scalar sweep does not meet, gave x a relative error of 5e-10.
+    its singularity test, when a pivot at any level is below the threshold
+    of that test (NaN included), or when the backward error of any
+    solution of the stack is above BACKWARD_REL_THRESHOLD.  No pivoting is
+    done, so a pivot just above the threshold leaves large weights whose
+    contributions cancel; the backward-error test catches what results.
     """
     n = diag.size
-    m = max(2, math.isqrt(n) // 2)
-    blocks = (n - 1) // m
-    edge = blocks * m
-
-    def interiors(a):  # the chains of a site array (..., N), as an (L, ..., P) view
-        return np.moveaxis(a[..., :edge].reshape(*a.shape[:-1], blocks, m)[..., 1:], -1, 0)
-
-    d, b = list(interiors(diag)), list(interiors(rhs))
+    x = np.array(rhs, dtype=float)
+    rows = x.reshape(-1, n)  # rows are updated one at a time to bound temporaries
     diag_max = max(diag.max(), -diag.min())
     limit = 1 / (PIVOT_REL_THRESHOLD * max(diag_max, 1.0))
-    inv = np.empty((m - 1, blocks))  # reciprocal forward pivots
-    x = np.empty(rhs.shape)
-    backward = interiors(x.reshape(-1, n)[0])
-    xs, ws = list(interiors(x)), list(inv)
+    pivots = diag.copy()
+    e, wrap = np.broadcast_to(-1.0, n - 1), -1.0 if periodic else 0.0
+    levels = []  # (hops left and right of the odd sites, wrap) of each level
+    s = 1  # sites of a level are every s-th site of the ring
     with np.errstate(all="ignore"):  # a zero pivot is caught below
-        w = z = 0.0
-        for dj, bj, wj in zip(d, b, ws):
-            w = np.divide(1.0, dj - w, out=wj)
-            z = (bj + z) * w
-        w0 = z0 = 0.0
-        # until the last sweep, the interiors of the first solution hold
-        # the backward pivots
-        for dj, bj, vj in zip(d[::-1], b[::-1], list(backward)[::-1]):
-            w0 = np.divide(1.0, dj - w0, out=vj)
-            z0 = (bj + z0) * w0
-        if not all(-limit <= a.min() and a.max() <= limit for a in (inv, backward)):
+        while (m := (d := pivots[::s]).size) > 1:
+            h, k = m // 2, (m - 1) // 2  # odd sites, those with a right neighbour before the wrap
+            w = np.divide(1.0, d[1::2], out=d[1::2])
+            left, right = e[0:2 * h:2], e[1::2]
+            levels.append((left, right, wrap))
+            d[::2][:h] -= left * left * w
+            d[2::2] -= right * right * w[:k]
+            for row in rows:
+                b = row[::s]
+                y = b[1::2]
+                y *= w  # w b on the odd sites, until back substitution
+                b[::2][:h] -= left * y
+                b[2::2] -= right * y[:k]
+            if k < h:  # the last odd site's right neighbour is site 0
+                d[0] -= wrap * wrap * w[-1]
+                rows[:, 0] -= wrap * rows[:, s * (m - 1)]
+                wrap *= -left[-1] * w[-1]
+            e = -left[:k] * right * w[:k]
+            s *= 2
+        pivots[0] = 1 / (pivots[0] + 2 * wrap)
+        # every level's w, and the last 1/pivot, are now in pivots
+        if not (-limit <= pivots.min() and pivots.max() <= limit):
             return None
-        hop = -inv.prod(axis=0)
-    reduced_diag = np.concatenate((diag[:edge:m], diag[edge:]))
-    reduced_diag[:blocks] -= w0
-    reduced_diag[1:blocks + 1] -= w
-    reduced_rhs = np.concatenate((rhs[..., :edge:m], rhs[..., edge:]), axis=-1)
-    reduced_rhs[..., :blocks] += z0
-    reduced_rhs[..., 1:blocks + 1] += z
-    off = np.full(reduced_diag.size - 1, OFF_DIAGONAL)
-    off[:blocks] = hop
-    try:
-        seps = _tridiag_solve(array("d", reduced_diag.tobytes()),
-                              [array("d", r.tobytes())
-                               for r in reduced_rhs.reshape(-1, reduced_diag.size)],
-                              periodic, array("d", off.tobytes()), PIVOT_REL_THRESHOLD * m)
-    except SingularJacobian:
-        return None
-    sep = np.stack([np.frombuffer(s) for s in seps]).reshape(reduced_rhs.shape)
-    x[..., :edge:m] = sep[..., :blocks]
-    x[..., edge:] = sep[..., blocks:]
-    z = sep[..., :blocks]  # the left separators enter as the row before each chain
-    for bj, wj, xj in zip(b, ws, xs):
-        np.add(bj, z, out=xj)
-        z = np.multiply(xj, wj, out=xj)
-    xs[-1] += sep[..., 1:blocks + 1] * ws[-1]  # the right separators, on the last row
-    for j in range(m - 3, -1, -1):
-        xs[j] += ws[j] * xs[j + 1]
+        rows[:, 0] *= pivots[0]
+        while levels:
+            left, right, wrap = levels.pop()
+            s //= 2
+            w = pivots[s::2 * s]
+            h, k = w.size, right.size
+            for row in rows:
+                xe, xo = row[::2 * s], row[s::2 * s]
+                xo -= w * left * xe[:h]
+                xo[:k] -= w[:k] * right * xe[1:]
+                if k < h:
+                    xo[-1] -= w[-1] * wrap * xe[0]
     # one residual at a time: holding both of a bordered step's raised the
     # traced peak of a solve at N = 10^5 from 8.2 to 9.0 MB
-    for xk, bk in zip(x.reshape(-1, n), rhs.reshape(-1, n)):
+    for xk, bk in zip(rows, rhs.reshape(-1, n)):
         r = _matvec(diag, xk, periodic)
         r -= bk
         scale = (diag_max + 2) * max(xk.max(), -xk.min()) + max(bk.max(), -bk.min())
@@ -386,9 +357,9 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve J x = rhs in O(N), for rhs of shape (N,) or a stack (K, N)
     whose K solutions share one factorization of J.
 
-    From PARTITION_MIN_SITES sites on by the partition method, with a
-    numpy operation across all chains at each row; below that, and when
-    the partitioned path finds a small pivot or a backward error above
+    From REDUCTION_MIN_SITES sites on by cyclic reduction, one numpy
+    operation across a level at a time; below that, and when the
+    reduction finds a small pivot or a backward error above
     BACKWARD_REL_THRESHOLD, by the scalar kernel (Thomas elimination, and
     for PBC a Sherman-Morrison restore of the corners).
     Only the scalar kernel decides that J is singular: a pivot below
@@ -397,8 +368,8 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[-1] != jac.n:
         raise ValueError("rhs length does not match the matrix")
-    if jac.n >= PARTITION_MIN_SITES:
-        x = _partitioned_solve(jac.diag, rhs, jac.periodic)
+    if jac.n >= REDUCTION_MIN_SITES:
+        x = _cyclic_reduction(jac.diag, rhs, jac.periodic)
         if x is not None:
             return x
     # array('d') holds a site in 8 bytes, where a list of floats takes 32

@@ -100,16 +100,17 @@ def test_criterion_04_irregular_chain_energy():
     ok = report.converged and energy_ok \
         and cls.label is not dl.PortraitLabel.REGULAR_PERIODIC and elapsed < 10.0
     _report(4, ok, f"E={energy:.4f} vs limit {target:.4f} (|dE|={abs(energy - target):.4f}, "
-                   f"tol 0.05), {cls.label.value}, {elapsed:.2f}s; at c=40 the leading "
-                   f"finite-c correction ~sqrt(n)/c = {np.sqrt(26) / 40:.3f} already exceeds "
-                   f"the tolerance, so the limit formula cannot be this sharp")
+                   f"tol 0.05), {cls.label.value}, {elapsed:.2f}s; at c=40 the finite-c "
+                   f"gap is a series in eps = n/c = {26 / 40:.2f} that starts at -eps^2 "
+                   f"and sums to more than the tolerance, so the limit formula cannot be "
+                   f"this sharp")
     assert report.converged
     assert cls.label is not dl.PortraitLabel.REGULAR_PERIODIC
     assert elapsed < 10.0
     # genuinely unattainable at c = 40: the converged energy sits a finite-c
-    # correction of order sqrt(n)/c ~ 0.13 below the strong-coupling value,
-    # for every choice of spot signs (the deviation scales as 1/c, reaching
-    # 0.05 only around c ~ 100)
+    # correction below the strong-coupling value, a series in eps = n/c that
+    # starts at -eps^2.  At eps = 0.65 it sums to -0.127; measured, it is
+    # -0.045, -0.016 and -0.005 at c = 80, 160 and 320, not a 1/c decay
     assert energy_ok
 
 

@@ -173,6 +173,12 @@ class TestTailDecay:
         with pytest.raises(NotLocalized):
             dl.tail_decay_continuum(0.5)
 
+    @pytest.mark.parametrize("energy", [np.nan, -np.inf])
+    def test_non_finite_energy(self, energy):
+        for tail_decay in (dl.tail_decay_predicted, dl.tail_decay_continuum):
+            with pytest.raises(ValueError):
+                tail_decay(energy)
+
     @given(st.floats(-50.0, -1e-6))
     @settings(max_examples=200)
     def test_characteristic_identity(self, energy):
@@ -270,6 +276,12 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             dl.box_count(portrait, [0.5, -0.1])
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale(self, scale):
+        portrait = dl.PhasePortrait(np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            dl.box_count(portrait, [0.5, scale])
+
 
 class TestZoom:
     def test_nested_levels(self):
@@ -295,6 +307,13 @@ class TestZoom:
             dl.zoom_report(portrait, (0, 1, 0, 1), 0)
         with pytest.raises(ValueError):
             dl.zoom_report(portrait, (1, 0, 0, 1), 2)
+
+    @pytest.mark.parametrize("region", [(0, np.inf, 0, 1), (-np.inf, 1, 0, 1),
+                                        (0, 1, np.nan, 1), (0, 1, 0, np.nan)])
+    def test_non_finite_region(self, region):
+        portrait = dl.PhasePortrait(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            dl.zoom_report(portrait, region, 2)
 
 
 # --- differential test: the quadratic kernels the near-linear ones replaced

@@ -337,6 +337,8 @@ class TestBadInput:
                      id="sweep-to-inf"),
         pytest.param(["sweep", "--pattern", "+", "--c-from", "nan", "--c-to", "2"],
                      id="sweep-from-nan"),
+        pytest.param(["sweep", "--pattern", "+", "--c-from=-1e308", "--c-to=1e308",
+                      "--c-step", "1"], id="sweep-steps-overflow"),
         pytest.param(_with(MAP, "--steps", "0"), id="map-steps-0"),
         pytest.param(_with(MAP, "--E", "nan"), id="map-E-nan"),
         pytest.param(_with(MAP, "--E", "inf"), id="map-E-inf"),

@@ -159,6 +159,20 @@ class TestPolish:
         with pytest.raises(ValueError):
             polish_solution(state, dl.ModelParams(10.0, dl.Boundary.OPEN))
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_budget_must_be_positive(self, max_iter, chain130_solution):
+        # the loop stops at iterations == max_iter, which a negative budget never meets
+        _, state, _, _ = chain130_solution
+        with pytest.raises(ValueError):
+            polish_solution(state, dl.ModelParams(40.0), dps=80, max_iter=max_iter)
+
+
+class TestMapReproduction:
+    @pytest.mark.parametrize("psi", [[], [mpf(1)]], ids=["0-sites", "1-site"])
+    def test_needs_two_sites(self, psi):
+        with pytest.raises(ValueError):
+            map_reproduction_error(psi, -1.0, 10.0)
+
 
 def _float_newton(spec, solved, k):
     return dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(40.0),

@@ -1,21 +1,23 @@
-"""The partitioned float64 solve against the scalar kernel as its oracle.
+"""The cyclic-reduction float64 solve against the scalar kernel as its oracle.
 
-solve_linear takes the partitioned path from PARTITION_MIN_SITES sites on
-and the scalar kernel below.  Here the partitioned path is also called
-directly on the small systems of the corpus, so that both paths meet on
-every system; they must agree to 1e-13 relative.  Systems that are not
-diagonally dominant are ill-conditioned, and there the two are compared
-by backward error.
+solve_linear takes cyclic reduction from REDUCTION_MIN_SITES sites on and
+the scalar kernel below.  Here the reduction is also called directly on
+the small systems of the corpus, so that both paths meet on every system;
+they must agree to 1e-13 relative.  Systems that are not diagonally
+dominant are ill-conditioned, and there the two are compared by backward
+error.
 """
 
+import tracemalloc
 from array import array
 
 import numpy as np
 import pytest
 
 import dnse_lab as dl
+from dnse_lab import newton
 from dnse_lab.errors import SingularJacobian
-from dnse_lab.newton import PARTITION_MIN_SITES, _partitioned_solve, _tridiag_solve
+from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _tridiag_solve
 
 from conftest import kernel_corpus
 
@@ -58,18 +60,18 @@ class TestAgainstScalarKernel:
                 ref = _scalar(jac.diag, rhs, jac.periodic)
                 # below the threshold solve_linear is the scalar kernel itself
                 assert np.array_equal(dl.solve_linear(jac, rhs), ref), name
-                _assert_agrees(_partitioned_solve(jac.diag, rhs, jac.periodic), ref, name)
+                _assert_agrees(_cyclic_reduction(jac.diag, rhs, jac.periodic), ref, name)
 
     @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
     def test_large_rings(self, n):
         jac, rhs = _newton_system(n, 1)
         x = dl.solve_linear(jac, rhs)
-        assert np.array_equal(x, _partitioned_solve(jac.diag, rhs, True))
+        assert np.array_equal(x, _cyclic_reduction(jac.diag, rhs, True))
         _assert_agrees(x, _scalar(jac.diag, rhs, True), n)
 
     @pytest.mark.parametrize("boundary", [dl.Boundary.PERIODIC, dl.Boundary.OPEN])
     def test_prime_size(self, boundary):
-        # 10007 sites: the blocks do not divide the ring
+        # 10007 sites: levels of odd size, on a ring and on a chain
         jac, rhs = _newton_system(10_007, 2, boundary)
         _assert_agrees(dl.solve_linear(jac, rhs), _scalar(jac.diag, rhs, jac.periodic), 10_007)
 
@@ -77,7 +79,7 @@ class TestAgainstScalarKernel:
         jac, rhs = _newton_system(20_000, 3, dl.Boundary.OPEN)
         assert not jac.periodic
         x = dl.solve_linear(jac, rhs)
-        assert np.array_equal(x, _partitioned_solve(jac.diag, rhs, False))
+        assert np.array_equal(x, _cyclic_reduction(jac.diag, rhs, False))
         _assert_agrees(x, _scalar(jac.diag, rhs, False), "open")
 
     @pytest.mark.parametrize("periodic", [True, False])
@@ -93,8 +95,8 @@ class TestAgainstScalarKernel:
             diag = rng.uniform(-1.9, 1.9, n)
             rhs = rng.standard_normal(n)
             x = dl.solve_linear(dl.JacobianMatrix(diag, periodic), rhs)
-            # the partitioned path was taken, not the fallback
-            assert np.array_equal(x, _partitioned_solve(diag, rhs, periodic)), seed
+            # the reduction was taken, not the fallback
+            assert np.array_equal(x, _cyclic_reduction(diag, rhs, periodic)), seed
             assert _backward_error(diag, periodic, x, rhs) <= 64, seed
             ref = _scalar(diag, rhs, periodic)
             assert _backward_error(diag, periodic, ref, rhs) <= 64, seed
@@ -120,48 +122,66 @@ class TestAgainstScalarKernel:
                 dl.solve_linear(jac, np.ones(shape))
 
     def test_every_small_size(self):
-        # every layout from one block on, random signs in the diagonal
+        # every parity of the levels, random signs in the diagonal
         rng = np.random.default_rng(11)
-        for n in range(3, 200):
+        for n in range(1, 200):
             for periodic in (True, False):
                 diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
                 rhs = rng.standard_normal(n)
-                _assert_agrees(_partitioned_solve(diag, rhs, periodic),
+                _assert_agrees(_cyclic_reduction(diag, rhs, periodic),
                                _scalar(diag, rhs, periodic), (n, periodic))
 
     def test_every_small_size_stacked(self):
         rng = np.random.default_rng(12)
-        for n in range(3, 200):
+        for n in range(1, 200):
             for periodic in (True, False):
                 diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
                 stack = rng.standard_normal((2, n))
-                x = _partitioned_solve(diag, stack, periodic)
+                x = _cyclic_reduction(diag, stack, periodic)
                 for row, rhs in zip(x, stack):
                     _assert_agrees(row, _scalar(diag, rhs, periodic), (n, periodic))
 
 
+class TestRingParity:
+    """The wrap at each level against a dense solve: an even ring closes on
+    site 0, an odd one keeps its wrap hop, a two-site ring adds its hops
+    and a one-site ring folds to d + 2 wrap."""
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_against_dense_solve(self, periodic):
+        rng = np.random.default_rng(8)
+        for n in (*range(1, 18), 31, 32, 33, 63, 64, 65):
+            diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+            rhs = rng.standard_normal(n)
+            ref = np.linalg.solve(dl.JacobianMatrix(diag, periodic).dense(), rhs)
+            _assert_agrees(_cyclic_reduction(diag, rhs, periodic), ref, (n, periodic))
+
+
 class TestSingularity:
-    def test_zero_chain_pivot_falls_back(self):
-        # sites 1 and 2 open the first chain: its pivots are 1 and 1 - 1 = 0,
-        # while the ring's own pivots there are about 0.89 and -0.13
+    @pytest.mark.parametrize("site, value", [(1, 0.0), (2, 0.5)], ids=["level0", "level1"])
+    def test_zero_pivot_falls_back(self, site, value):
+        # with the rest of the ring at 4, d = 0 on site 1 is a zero pivot on
+        # the first level, and d = 0.5 on site 2 becomes 0.5 - 1/4 - 1/4 = 0
+        # on the second; the ring's own Thomas pivots there are not small
         n = 10_000
         diag = np.full(n, 4.0)
-        diag[1:3] = 1.0
+        diag[site] = value
         rhs = np.random.default_rng(4).standard_normal(n)
-        assert _partitioned_solve(diag, rhs, True) is None
+        assert _cyclic_reduction(diag, rhs, True) is None
         x = dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), rhs)
         assert np.array_equal(x, _scalar(diag, rhs, True))
+        assert _backward_error(diag, True, x, rhs) <= 64
 
     @pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-6])
-    def test_small_chain_pivot_falls_back(self, gap):
-        # the first chain's pivots are 1 and gap, above the pivot test; the
-        # chain's inverse then holds entries of about 1/gap that cancel in
-        # the last sweep, and only the backward-error test catches it
+    def test_small_pivot_falls_back(self, gap):
+        # a first-level pivot of gap passes the pivot test; its weight 1/gap
+        # enters both neighbours and cancels only to about eps/gap, so the
+        # backward-error test sends the system to the scalar sweep
         n = 10_000
         diag = np.full(n, 4.0)
-        diag[1:3] = 1.0, 1.0 + gap
+        diag[1] = gap
         rhs = np.random.default_rng(4).standard_normal(n)
-        assert _partitioned_solve(diag, rhs, True) is None
+        assert _cyclic_reduction(diag, rhs, True) is None
         x = dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), rhs)
         assert np.array_equal(x, _scalar(diag, rhs, True))
 
@@ -177,37 +197,38 @@ class TestSingularity:
         # the all-2 ring is the ring Laplacian, exactly singular
         n = 10_000
         diag = np.full(n, 2.0)
-        assert n >= PARTITION_MIN_SITES
-        assert _partitioned_solve(diag, np.ones(n), True) is None
+        assert n >= REDUCTION_MIN_SITES
+        assert _cyclic_reduction(diag, np.ones(n), True) is None
         with pytest.raises(SingularJacobian):
             dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), np.ones(n))
 
 
-class TestGeneralOffDiagonal:
-    """The scalar kernel with the hops of a reduced system."""
+def test_stacked_solve_memory():
+    # the bordered step's (2, N) solve at N = 10^5: the solutions, one copy
+    # of the diagonal and the deeper levels' hops, well within 8 N doubles
+    n = 100_000
+    jac, res = _newton_system(n, 1)
+    rhs = np.stack((res, np.ones(n)))
+    tracemalloc.start()
+    try:
+        dl.solve_linear(jac, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * 8
 
-    def test_against_dense_solve(self):
-        rng = np.random.default_rng(8)
-        for n in (3, 4, 7, 30):
-            for periodic in (False, True):
-                diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
-                off = rng.uniform(-1.0, 1.0, n - 1)
-                off[n // 2] = 0.0  # a hop that underflowed
-                rhs = rng.standard_normal(n)
-                [x] = _tridiag_solve(array("d", diag.tobytes()), [array("d", rhs.tobytes())],
-                                     periodic, array("d", off.tobytes()))
-                dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-                if periodic:
-                    dense[0, -1] += dl.newton.OFF_DIAGONAL
-                    dense[-1, 0] += dl.newton.OFF_DIAGONAL
-                ref = np.linalg.solve(dense, rhs)
-                _assert_agrees(np.frombuffer(x), ref, (n, periodic))
 
-    def test_unit_hops_are_the_default(self):
-        rng = np.random.default_rng(9)
-        n = 50
-        diag = array("d", rng.uniform(3.0, 8.0, n).tobytes())
-        rhs = array("d", rng.standard_normal(n).tobytes())
-        for periodic in (False, True):
-            assert (_tridiag_solve(diag, [rhs], periodic, array("d", [-1.0] * (n - 1)))
-                    == _tridiag_solve(diag, [rhs], periodic))
+def test_newton_solve_against_scalar_kernel(monkeypatch):
+    # whole solves with the reduction and with the scalar sweep forced, on
+    # rings of 10^4 sites at c = 4N: same state, energy and iteration count
+    n = 10_000
+    runs = {}
+    for threshold in (REDUCTION_MIN_SITES, n + 1):
+        monkeypatch.setattr(newton, "REDUCTION_MIN_SITES", threshold)
+        runs[threshold] = [dl.newton_solve(dl.build_asymptotic_state(dl.random_pattern(n, seed)),
+                                           dl.ModelParams(4.0 * n)) for seed in range(20)]
+    for seed, (fast, scalar) in enumerate(zip(runs[REDUCTION_MIN_SITES], runs[n + 1])):
+        assert (dl.count_pattern(dl.quantize_state(fast[0]))
+                == dl.count_pattern(dl.quantize_state(scalar[0]))), seed
+        assert abs(fast[1] - scalar[1]) <= 1e-9, seed
+        assert fast[2].iterations == scalar[2].iterations, seed
