@@ -40,7 +40,7 @@ from .errors import (
     WindowTouchesPeak,
     ZeroAmplitudeInWindow,
 )
-from .lattice import Boundary, LatticeState, _neighbors
+from .lattice import Boundary, LatticeState, _as_points, _as_readonly, _neighbors
 from .mapdyn import MapOrbit
 
 
@@ -53,15 +53,9 @@ class PhasePortrait:
     cyclic: bool = False
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError("portrait needs a nonempty (k, 2) array")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _as_points(self.points, "portrait"))
         if self.psi_sequence is not None:
-            seq = np.array(self.psi_sequence, dtype=float, copy=True)
-            seq.flags.writeable = False
-            object.__setattr__(self, "psi_sequence", seq)
+            object.__setattr__(self, "psi_sequence", _as_readonly(self.psi_sequence))
 
     @property
     def size(self) -> int:

@@ -52,7 +52,7 @@ def _write_run_json(args):
                       {"command": args.command, "options": resolved})
 
 
-def _check_out(out):
+def _check_out(out, flag="--out"):
     """Reject an --out that cannot become a directory, before any work.
 
     The writers make the directory, and so any missing parents, at the
@@ -62,7 +62,7 @@ def _check_out(out):
     while not path.exists():
         path = path.parent
     if not path.is_dir():
-        raise DnseError(f"--out {out}: {path} is not a directory")
+        raise DnseError(f"{flag} {out}: {path} is not a directory")
 
 
 def _newton_config(args) -> NewtonConfig:
@@ -106,10 +106,14 @@ def _build_initial(args):
 
 
 def cmd_solve(args) -> int:
+    prefix = Path(args.out_prefix)
+    if not prefix.parts or prefix.is_absolute() or ".." in prefix.parts:
+        raise DnseError(f"--out-prefix {args.out_prefix!r}: not a file name inside --out")
+    stem = Path(args.out) / prefix
+    _check_out(stem.parent, "--out-prefix")
     config = _newton_config(args)
     initial, seed = _build_initial(args)
     params = ModelParams(args.c, initial.boundary)
-    stem = Path(args.out) / args.out_prefix
 
     def _write(state, energy, report, failed: str | None):
         lab_io.write_state(f"{stem}.state.csv", state, args.c, energy)
@@ -234,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boundary of a --pattern or --random start; a --state-file "
                         "start keeps the boundary its sidecar records")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--out-prefix", default="solve")
+    p.add_argument("--out-prefix", default="solve",
+                   help="stem of the artifact names, relative to --out; it may name a "
+                        "subdirectory, but not climb out of --out")
     _add_solver_flags(p)
     _add_classify_flags(p)
     _add_out(p)

@@ -22,9 +22,21 @@ from .mapdyn import MapState, map_step
 from .newton import (NewtonReport, _bordered_step, _jacobian_diagonal, _newton_loop,
                      _tridiag_solve, rayleigh_energy)
 
+# The polish stops once the residual max-norm is at most 10**-(dps - 10),
+# or raises NoConvergence after POLISH_MAX_ITER steps.  From a float64
+# solution its quadratic steps need a few: two for chain100 at 60 digits,
+# three for chain130 at 80.
+POLISH_MAX_ITER = 60
 
-def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
-                    max_iter: int = 60):
+
+def _check_dps(dps):
+    """Reject a precision below float64's: mpmath's 15 digits are its 53
+    bits, and fewer would round the float64 input."""
+    if not dps >= 15:
+        raise ValueError(f"dps {dps} is below the 15 digits of float64")
+
+
+def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     """Re-converge a double-precision solution with bordered mpmath Newton steps.
 
     The unknowns are (psi, E); the border is the norm condition
@@ -32,17 +44,16 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
     _bordered_step, solving J a = F and J b = psi in one kernel call, which
     converges quadratically from the float64 state and its Rayleigh
     energy.  Returns (psi list, E) as mpf once the residual max-norm is at
-    most 10**-(dps-10).  PBC only.
+    most 10**-(dps-10).  PBC only; dps is at least 15.
 
-    Raises NoConvergence when max_iter steps do not reach that tolerance;
-    it carries the last iterate (an object array of mpf), its E and a
-    NewtonReport with the iteration count and the E and residual
+    Raises NoConvergence when POLISH_MAX_ITER steps do not reach that
+    tolerance; it carries the last iterate (an object array of mpf), its E
+    and a NewtonReport with the iteration count and the E and residual
     histories.  A singular Jacobian raises SingularJacobian carrying the same.
     """
     if state.boundary is not Boundary.PERIODIC:
         raise ValueError("high-precision polish supports PBC only")
-    if max_iter <= 0:
-        raise ValueError("max_iter must be positive")
+    _check_dps(dps)
     with mp.workdps(dps):
         c = mpf(params.c)
         tol = mpf(10) ** (10 - dps)
@@ -63,7 +74,7 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60,
             np.array([mpf(v) for v in state.values.tolist()], dtype=object),
             mpf(rayleigh_energy(state, params)),
             lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
-            step, lambda *_: tol, max_iter, report)
+            step, lambda *_: tol, POLISH_MAX_ITER, report)
         return psi.tolist(), energy
 
 
@@ -73,11 +84,12 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     Returns (max deviation over psi[2..N-1], closure error over the wrap)
     as floats.  Pass mpf values from polish_solution and a dps matching
     the polish so the hyperbolic amplification acts on the polished
-    residual, not on double-precision round-off.
+    residual, not on double-precision round-off.  dps is at least 15.
     """
     n = len(psi)
     if n < 2:
         raise ValueError("the map needs at least 2 sites")
+    _check_dps(dps)
     with mp.workdps(dps):
         energy, c = mpf(energy), mpf(c)
         s = MapState(psi[1], psi[1] - psi[0])

@@ -87,7 +87,16 @@ def read_state(csv_path):
         if int(idx_s) != row:
             raise ValueError(f"{csv_path}: non-contiguous index at row {row}")
         values[row] = float(psi_s)
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
+    sidecar = csv_path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object")
+    if type(meta.get("N")) is not int:
+        raise ValueError(f"{sidecar}: key 'N' missing or not an integer")
+    boundaries = [b.value for b in Boundary]
+    if meta.get("boundary") not in boundaries:
+        raise ValueError(f"{sidecar}: key 'boundary' missing or not one of "
+                         f"{', '.join(boundaries)}")
     state = LatticeState(values, Boundary(meta["boundary"]))
     if state.n_sites != meta["N"]:
         raise ValueError(f"{csv_path}: sidecar N={meta['N']} != {state.n_sites} rows")

@@ -26,9 +26,20 @@ class Boundary(str, Enum):
 
 
 def _as_readonly(values) -> np.ndarray:
+    """A float64 copy of values, marked read-only: the arrays that the
+    frozen value types hold."""
     arr = np.array(values, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _as_points(points, owner: str) -> np.ndarray:
+    """A read-only float64 copy of a nonempty (k, 2) point array; owner
+    names the value type in the error."""
+    pts = _as_readonly(points)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        raise ValueError(f"{owner} needs a nonempty (k, 2) point array")
+    return pts
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import EscapedOrbit
-from .lattice import Boundary, LatticeState
+from .lattice import Boundary, LatticeState, _as_points
 
 DEFAULT_ESCAPE_BOUND = 1e8
 
@@ -38,11 +38,7 @@ class MapOrbit:
     escape_index: Optional[int] = None
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError("orbit needs a nonempty (k, 2) point array")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _as_points(self.points, "orbit"))
 
     @property
     def psi(self) -> np.ndarray:

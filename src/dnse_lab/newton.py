@@ -9,7 +9,8 @@ _tridiag_solve, which also serves mpmath in the high-precision polish: it
 factors the matrix once by Thomas elimination, restores the corners by a
 rank-1 Sherman-Morrison correction, and sweeps every right-hand side
 through the one factorization, one site at a time in Python.  From
-REDUCTION_MIN_SITES float64 sites on it takes odd-even cyclic reduction
+REDUCTION_MIN_SITES float64 sites on (320, the measured crossover; its
+timing table is at the constant) it takes odd-even cyclic reduction
 (Hockney 1965; Buzbee, Golub & Nielson 1970): each level eliminates the
 odd sites of the ring by numpy operations across the level, halving it
 down to one site, and back substitution recovers them in reverse; a
@@ -47,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, SumTooSmall, ZeroState
-from .lattice import Boundary, LatticeState, ModelParams, normalize, residual
+from .lattice import Boundary, LatticeState, ModelParams, _as_readonly, normalize, residual
 from .patterns import PatternCounts, _count, _trits
 
 # The cubic energy estimator is abandoned when |sum psi| falls below
@@ -71,11 +72,21 @@ STRUCTURE_CHANGE_THRESHOLD = 1.0
 # chooses the state; 1e-2 and 1e-4 ended on the same states as 1e-3 on the
 # random rings of 10^4 sites, pattern seeds 0-199, at c = 4N.
 BORDERED_RESIDUAL = 1e-3
-# solve_linear takes cyclic reduction from this many sites on.  The scalar
-# sweep costs about 1.2 us a site and the reduction wins from a few hundred
-# sites; the threshold keeps the paper's chains and the rings of up to 10^3
-# sites on the scalar path.
-REDUCTION_MIN_SITES = 2000
+# solve_linear takes cyclic reduction from this many sites on: the smallest
+# size of the table below at which the reduction is faster both for one
+# right-hand side and for two.  Microseconds per call on converged Newton
+# Jacobians of random rings (pattern seed 1, c = 4N); median of five runs,
+# each the best of 7 x 300 calls with the four cases timed in turn
+# (2-vCPU Xeon, Python 3.11, numpy 2.4):
+#
+#     N                    128  160  200  256  288  320  400  512  1000
+#     scalar sweep, 1 rhs  145  183  222  299  331  385  456  622  1225
+#     reduction, 1 rhs     274  318  309  270  320  336  354  370   322
+#     scalar sweep, 2 rhs  215  283  335  415  479  510  651  967  1775
+#     reduction, 2 rhs     399  438  411  450  504  482  538  501   576
+#
+# The paper's chains (100 and 130 sites) stay on the scalar sweep.
+REDUCTION_MIN_SITES = 320
 
 
 @dataclass(frozen=True)
@@ -86,9 +97,7 @@ class JacobianMatrix:
     periodic: bool
 
     def __post_init__(self):
-        d = np.array(self.diag, dtype=float, copy=True)
-        d.flags.writeable = False
-        object.__setattr__(self, "diag", d)
+        object.__setattr__(self, "diag", _as_readonly(self.diag))
 
     @property
     def n(self) -> int:

@@ -289,15 +289,17 @@ class TestBadSolverTolerance:
         assert not out.exists()
 
 
+def _no_solve(*args, **kwargs):
+    pytest.fail("solved although the output cannot be written")
+
+
 class TestOutNotADirectory:
-    """An --out under an existing file exits 2 before any work."""
+    """An --out, or an --out-prefix directory, under an existing file
+    exits 2 before any work."""
 
     @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "file-sub"])
     def test_exits_2_before_solving(self, tmp_path, capsys, monkeypatch, below):
-        def no_solve(*args, **kwargs):
-            pytest.fail("solved although --out cannot be a directory")
-
-        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        monkeypatch.setattr(cli, "newton_solve", _no_solve)
         taken = tmp_path / "taken"
         taken.write_text("kept")
         argv = ["solve", "--pattern", "+0000-0000", "--c", "30",
@@ -306,6 +308,42 @@ class TestOutNotADirectory:
         assert "not a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [taken]
         assert taken.read_text() == "kept"
+
+    def test_prefix_under_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "newton_solve", _no_solve)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "taken").write_text("kept")
+        argv = ["solve", "--pattern", "+0000-0000", "--c", "30",
+                "--out-prefix", "taken/x", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert "not a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["taken"]
+
+
+class TestOutPrefix:
+    """--out-prefix names files inside --out: an absolute prefix, or one
+    that climbs out, exits 2 before any work and writes nothing."""
+
+    @pytest.mark.parametrize("prefix", ["ABSOLUTE", "../a_file/x", "sub/../../x", "..", ""],
+                             ids=["absolute", "parent", "climbs-out", "dotdot", "empty"])
+    def test_outside_out_rejected(self, tmp_path, capsys, monkeypatch, prefix):
+        monkeypatch.setattr(cli, "newton_solve", _no_solve)
+        (tmp_path / "a_file").write_text("kept")
+        prefix = str(tmp_path / "abs" / "x") if prefix == "ABSOLUTE" else prefix
+        argv = ["solve", "--pattern", "+0000-0000", "--c", "30",
+                "--out-prefix", prefix, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INPUT
+        assert "--out-prefix" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+
+    def test_subdirectory_prefix(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--pattern", "+0000-0000", "--c", "30",
+                     "--out-prefix", "sub/x", "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in (out / "sub").iterdir()) == [
+            "x.class.json", "x.portrait.csv", "x.report.json", "x.state.csv", "x.state.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["run.json", "sub"]
 
 
 MAP = ["map", "--E", "1", "--c", "1", "--psi0", "0.1", "--z0", "0", "--steps", "10"]
@@ -357,6 +395,26 @@ class TestBadInput:
         out = tmp_path / "out"
         argv = [str(tmp_path / "nope.csv") if a == "MISSING" else a for a in argv]
         assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sidecar, key", [
+        ('{"N": 2}', "'boundary'"),
+        ("[1, 2]", "JSON object"),
+        ('{"boundary": "periodic"}', "'N'"),
+        ('{"N": "2", "boundary": "periodic"}', "'N'"),
+        ('{"N": 2, "boundary": ["open"]}', "'boundary'"),
+    ], ids=["no-boundary", "not-an-object", "no-N", "N-a-string", "boundary-a-list"])
+    @pytest.mark.parametrize("command", [["portrait"], ["solve", "--c", "30"]],
+                             ids=["portrait", "solve"])
+    def test_malformed_sidecar(self, tmp_path, capsys, command, sidecar, key):
+        state_file = tmp_path / "in.state.csv"
+        state_file.write_text("index,psi\n0,1.0\n1,0.5\n")
+        state_file.with_suffix(".json").write_text(sidecar)
+        out = tmp_path / "out"
+        argv = command + ["--state-file", str(state_file), "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(state_file.with_suffix(".json")) in err and key in err
         assert not out.exists()
 
 

@@ -4,6 +4,7 @@ from mpmath import mp, mpf
 
 import dnse_lab as dl
 from dnse_lab.errors import NoConvergence, SingularJacobian
+from dnse_lab import highprec
 from dnse_lab.highprec import map_reproduction_error, polish_solution
 from dnse_lab.newton import _tridiag_solve
 
@@ -143,10 +144,11 @@ class TestPolish:
         max_dev, closure = map_reproduction_error(psi, energy, c, dps=dps)
         assert max_dev <= 1e-40 and closure <= 1e-40
 
-    def test_budget_exhausted_raises(self, chain130_solution):
+    def test_budget_exhausted_raises(self, chain130_solution, monkeypatch):
         _, state, _, _ = chain130_solution
+        monkeypatch.setattr(highprec, "POLISH_MAX_ITER", 1)
         with pytest.raises(NoConvergence) as exc:
-            polish_solution(state, dl.ModelParams(40.0), dps=80, max_iter=1)
+            polish_solution(state, dl.ModelParams(40.0), dps=80)
         report = exc.value.report
         assert report.iterations == 1 and not report.converged
         assert len(report.residual_history) == 2
@@ -159,12 +161,16 @@ class TestPolish:
         with pytest.raises(ValueError):
             polish_solution(state, dl.ModelParams(10.0, dl.Boundary.OPEN))
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_budget_must_be_positive(self, max_iter, chain130_solution):
-        # the loop stops at iterations == max_iter, which a negative budget never meets
-        _, state, _, _ = chain130_solution
+    @pytest.mark.parametrize("dps", [14, 0, -3])
+    def test_precision_below_float64_rejected(self, dps, chain100_solution):
+        # mp.workdps(0) would round the float64 input and return E = -0.4375
+        _, state, _, _ = chain100_solution
         with pytest.raises(ValueError):
-            polish_solution(state, dl.ModelParams(40.0), dps=80, max_iter=max_iter)
+            polish_solution(state, dl.ModelParams(24.0), dps=dps)
+
+    def test_float64_precision_accepted(self, chain100_solution):
+        _, state, energy, _ = chain100_solution
+        assert abs(polish_solution(state, dl.ModelParams(24.0), dps=15)[1] - energy) <= 1e-9
 
 
 class TestMapReproduction:
@@ -173,6 +179,11 @@ class TestMapReproduction:
         with pytest.raises(ValueError):
             map_reproduction_error(psi, -1.0, 10.0)
 
+    @pytest.mark.parametrize("dps", [14, 0, -3])
+    def test_precision_below_float64_rejected(self, dps):
+        with pytest.raises(ValueError):
+            map_reproduction_error([mpf(0), mpf(1), mpf(0)], -1.0, 10.0, dps=dps)
+
 
 def _float_newton(spec, solved, k):
     return dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(40.0),
@@ -180,7 +191,9 @@ def _float_newton(spec, solved, k):
 
 
 def _mp_polish(spec, solved, k):
-    return polish_solution(solved, dl.ModelParams(40.0), dps=80, max_iter=k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(highprec, "POLISH_MAX_ITER", k)
+        return polish_solution(solved, dl.ModelParams(40.0), dps=80)
 
 
 class TestSharedStoppingRule:

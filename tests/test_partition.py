@@ -1,8 +1,8 @@
 """The cyclic-reduction float64 solve against the scalar kernel as its oracle.
 
 solve_linear takes cyclic reduction from REDUCTION_MIN_SITES sites on and
-the scalar kernel below.  Here the reduction is also called directly on
-the small systems of the corpus, so that both paths meet on every system;
+the scalar kernel below.  Here both kernels are also called directly on
+every system of the corpus, so that both paths meet on each of them;
 they must agree to 1e-13 relative.  Systems that are not diagonally
 dominant are ill-conditioned, and there the two are compared by backward
 error.
@@ -19,7 +19,7 @@ from dnse_lab import newton
 from dnse_lab.errors import SingularJacobian
 from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _tridiag_solve
 
-from conftest import kernel_corpus
+from conftest import alternating_spot_pattern, irregular_pair_pattern, kernel_corpus
 
 
 def _scalar(diag, rhs, periodic):
@@ -58,9 +58,11 @@ class TestAgainstScalarKernel:
             jac = dl.assemble_jacobian(state, params, energy)
             for rhs in (dl.residual(state, params, energy), state.values):
                 ref = _scalar(jac.diag, rhs, jac.periodic)
-                # below the threshold solve_linear is the scalar kernel itself
-                assert np.array_equal(dl.solve_linear(jac, rhs), ref), name
-                _assert_agrees(_cyclic_reduction(jac.diag, rhs, jac.periodic), ref, name)
+                reduced = _cyclic_reduction(jac.diag, rhs, jac.periodic)
+                # solve_linear is the kernel the threshold selects, bit for bit
+                chosen = reduced if jac.n >= REDUCTION_MIN_SITES else ref
+                assert np.array_equal(dl.solve_linear(jac, rhs), chosen), name
+                _assert_agrees(reduced, ref, name)
 
     @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
     def test_large_rings(self, n):
@@ -140,6 +142,27 @@ class TestAgainstScalarKernel:
                 x = _cyclic_reduction(diag, stack, periodic)
                 for row, rhs in zip(x, stack):
                     _assert_agrees(row, _scalar(diag, rhs, periodic), (n, periodic))
+
+
+class TestThreshold:
+    """The fork in solve_linear: the scalar kernel below REDUCTION_MIN_SITES
+    sites, cyclic reduction from it on."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-rhs", "two-rhs"])
+    def test_kernel_on_either_side(self, stacked):
+        for n in (REDUCTION_MIN_SITES - 1, REDUCTION_MIN_SITES):
+            jac, res = _newton_system(n, 5)
+            rhs = np.stack((res, np.ones(n))) if stacked else res
+            if n < REDUCTION_MIN_SITES:
+                ref = np.reshape([_scalar(jac.diag, b, True) for b in rhs.reshape(-1, n)],
+                                 rhs.shape)
+            else:
+                ref = _cyclic_reduction(jac.diag, rhs, True)
+            assert np.array_equal(dl.solve_linear(jac, rhs), ref), n
+
+    def test_paper_chains_take_the_scalar_kernel(self):
+        for spec in (alternating_spot_pattern(), irregular_pair_pattern()):
+            assert len(spec.trits) < REDUCTION_MIN_SITES
 
 
 class TestRingParity:
