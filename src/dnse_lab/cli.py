@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", help="warm-started continuation over the coupling")
+    p = sub.add_parser("sweep", help="predictor-corrector continuation over the coupling")
     p.add_argument("--pattern", required=True)
     p.add_argument("--bc", choices=["periodic", "open"], default="periodic")
     p.add_argument("--c-from", type=float, required=True)

@@ -83,12 +83,18 @@ def read_state(csv_path):
         raise ValueError(f"{csv_path}: expected header 'index,psi'")
     values = np.empty(len(lines) - 1)
     for row, line in enumerate(lines[1:]):
-        idx_s, psi_s = line.split(",")
-        if int(idx_s) != row:
+        try:
+            idx_s, psi_s = line.split(",")
+            index, values[row] = int(idx_s), float(psi_s)
+        except ValueError:
+            raise ValueError(f"{csv_path}: row {row} is not 'index,psi': {line!r}") from None
+        if index != row:
             raise ValueError(f"{csv_path}: non-contiguous index at row {row}")
-        values[row] = float(psi_s)
     sidecar = csv_path.with_suffix(".json")
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar}: not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar}: expected a JSON object")
     if type(meta.get("N")) is not int:
@@ -97,7 +103,10 @@ def read_state(csv_path):
     if meta.get("boundary") not in boundaries:
         raise ValueError(f"{sidecar}: key 'boundary' missing or not one of "
                          f"{', '.join(boundaries)}")
-    state = LatticeState(values, Boundary(meta["boundary"]))
+    try:
+        state = LatticeState(values, Boundary(meta["boundary"]))
+    except ValueError as exc:  # no rows, or an amplitude that is not finite
+        raise ValueError(f"{csv_path}: {exc}") from None
     if state.n_sites != meta["N"]:
         raise ValueError(f"{csv_path}: sidecar N={meta['N']} != {state.n_sites} rows")
     return state, meta

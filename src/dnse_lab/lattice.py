@@ -135,7 +135,9 @@ def _stencil_residual(psi: np.ndarray, c, energy, boundary: Boundary) -> np.ndar
     cube *= psi
     cube *= c
     res -= cube
-    res -= energy * psi
+    # psi on the left: with an mpf energy on the left, mpmath's operator
+    # formats the whole array into an error message before numpy takes over
+    res -= psi * energy
     return res
 
 

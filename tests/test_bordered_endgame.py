@@ -110,16 +110,23 @@ def test_same_states_as_frozen_energy_iteration(solved):
                            _frozen_energy_solve(start, params))
 
 
-def test_sweeps_find_the_same_states():
+def test_sweeps_find_the_same_states(monkeypatch):
+    starts = []
+
+    def recording(start, *args):
+        starts.append(start)
+        return dl.newton_solve(start, *args)
+
+    monkeypatch.setattr(newton, "newton_solve", recording)
     for name, initial, c0, c_values in _sweeps():
+        starts.clear()
         records = dl.sweep_c(initial, dl.ModelParams(c0), c_values)
-        # re-solve each point from the state sweep_c started it from
-        current = dl.normalize(initial)
-        for rec, ref in zip(records, _oracle_sweep(initial, c0, c_values)):
-            state, energy, report = dl.newton_solve(current, dl.ModelParams(rec.c))
+        # re-solve each point from the state sweep_c predicted for it
+        for rec, start, ref in zip(records, starts, _oracle_sweep(initial, c0, c_values),
+                                   strict=True):
+            state, energy, report = dl.newton_solve(start, dl.ModelParams(rec.c))
             assert rec.energy == energy and rec.iterations == report.iterations
             _assert_same_state(f"{name}@{rec.c}", state, energy, rec.converged, ref)
-            current = state
 
 
 def test_warm_started_sweep_points_converge_quadratically():

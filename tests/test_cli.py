@@ -403,7 +403,9 @@ class TestBadInput:
         ('{"boundary": "periodic"}', "'N'"),
         ('{"N": "2", "boundary": "periodic"}', "'N'"),
         ('{"N": 2, "boundary": ["open"]}', "'boundary'"),
-    ], ids=["no-boundary", "not-an-object", "no-N", "N-a-string", "boundary-a-list"])
+        ("{N:2", "not valid JSON"),
+    ], ids=["no-boundary", "not-an-object", "no-N", "N-a-string", "boundary-a-list",
+            "not-json"])
     @pytest.mark.parametrize("command", [["portrait"], ["solve", "--c", "30"]],
                              ids=["portrait", "solve"])
     def test_malformed_sidecar(self, tmp_path, capsys, command, sidecar, key):
@@ -415,6 +417,27 @@ class TestBadInput:
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(state_file.with_suffix(".json")) in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, key", [
+        ("1,x", "'1,x'"),
+        ("1,2,3", "'1,2,3'"),
+        ("1.5,2", "'1.5,2'"),
+        ("1", "'1'"),
+        ("1,inf", "finite"),
+    ], ids=["psi-not-a-number", "three-columns", "index-not-an-int", "one-column",
+            "psi-infinite"])
+    @pytest.mark.parametrize("command", [["portrait"], ["solve", "--c", "30"]],
+                             ids=["portrait", "solve"])
+    def test_malformed_row(self, tmp_path, capsys, command, row, key):
+        state_file = tmp_path / "in.state.csv"
+        state_file.write_text(f"index,psi\n0,1.0\n{row}\n")
+        state_file.with_suffix(".json").write_text('{"N": 2, "boundary": "periodic"}')
+        out = tmp_path / "out"
+        argv = command + ["--state-file", str(state_file), "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(state_file) in err and key in err
         assert not out.exists()
 
 

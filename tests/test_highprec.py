@@ -6,7 +6,8 @@ import dnse_lab as dl
 from dnse_lab.errors import NoConvergence, SingularJacobian
 from dnse_lab import highprec
 from dnse_lab.highprec import map_reproduction_error, polish_solution
-from dnse_lab.newton import _tridiag_solve
+from dnse_lab.lattice import _neighbors, _stencil_residual
+from dnse_lab.newton import _jacobian_diagonal, _tridiag_solve
 
 from conftest import alternating_spot_pattern, irregular_pair_pattern, kernel_corpus
 
@@ -211,3 +212,38 @@ class TestSharedStoppingRule:
         assert len(report.energy_history) == k + 1
         assert len(report.residual_history) == k + 1
         assert report.energy_history[-1] == float(exc.value.energy)
+
+
+class TestArrayOperandOrder:
+    """An mpf on the left of an object array makes mpmath's operator call
+    npconvert on the array, which formats the whole array at full
+    precision into a TypeError before numpy takes over.  The polish keeps
+    the array on the left; the float64 results are the same bits as with
+    the mpf-first expressions."""
+
+    def test_polish_never_converts_an_array(self, monkeypatch, chain100_solution,
+                                            chain130_solution):
+        seen = []
+        convert = type(mp).npconvert
+
+        def recording(ctx, x):
+            seen.append(type(x))
+            return convert(ctx, x)
+
+        monkeypatch.setattr(type(mp), "npconvert", recording)
+        for (_, state, _, _), c, dps in [(chain100_solution, 24.0, 60),
+                                         (chain130_solution, 40.0, 80)]:
+            psi, energy = polish_solution(state, dl.ModelParams(c), dps=dps)
+            map_reproduction_error(psi, energy, c, dps=dps)
+        assert np.ndarray not in seen
+
+    def test_float64_kernels_bitwise_as_mpf_first(self):
+        for name, state, c in kernel_corpus():
+            psi = state.values
+            energy = dl.rayleigh_energy(state, dl.ModelParams(c))
+            left, right = _neighbors(psi, state.boundary)
+            mpf_first = 2.0 * psi - left - right - c * (psi * psi * psi) - energy * psi
+            assert _stencil_residual(psi, c, energy, state.boundary).tobytes() \
+                == mpf_first.tobytes(), name
+            assert _jacobian_diagonal(psi, c, energy).tobytes() \
+                == (2.0 - energy - 3.0 * c * psi**2).tobytes(), name

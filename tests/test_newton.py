@@ -13,7 +13,7 @@ from dnse_lab.errors import (
 from dnse_lab import newton
 from dnse_lab.newton import _rounding_floor
 
-from conftest import random_state
+from conftest import alternating_spot_pattern, random_state
 
 
 class TestEnergyEstimate:
@@ -412,6 +412,21 @@ class TestSweep:
         assert rec.converged
         assert abs(rec.energy - (2.0 - 1e6)) <= 1e-3
         assert abs(rec.max_amplitude - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("spec, c_values", [
+        (alternating_spot_pattern(), [24.0, 24.0, 24.1, 24.1, 24.1, 24.2, 24.3, 24.4, 24.4]),
+        # the CLI's c_from + k step with a step below the float spacing
+        # at c_from (16384 at 1e20): 1e20 three times, then the next float
+        (dl.spot_pattern(21, [10], 1, [1]), [1e20 + k * 4096.0 for k in range(6)]),
+    ], ids=["chain100", "1e20"])
+    def test_repeated_couplings(self, spec, c_values):
+        records = dl.sweep_c(dl.build_asymptotic_state(spec), dl.ModelParams(c_values[0]),
+                             c_values)
+        assert all(r.converged for r in records)
+        assert len({r.c for r in records}) < len(records)
+        for a, b in zip(records, records[1:]):
+            if a.c == b.c:
+                assert abs(b.energy - a.energy) <= 1e-12 * abs(a.energy)
 
     def test_failure_recorded_not_raised(self):
         spec = dl.spot_pattern(30, [0, 7, 15, 22], 1, [1, -1, 1, -1])
