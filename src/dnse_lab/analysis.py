@@ -15,9 +15,9 @@ Classification runs in near-linear time in the number of points: the
 distinct-point count buckets cluster representatives on a grid of cell
 size tol, the period search tests in full only the shifts that carry
 each of the 8 largest sites to within tol of itself, and the curve
-thickness finds exact nearest neighbors with a k-d tree, breaking
-distance ties by the lower index.  Each gives the result the all-pairs
-search would.
+thickness finds exact nearest neighbors with a k-d tree searched one
+leaf's queries at a time, breaking distance ties by the lower index.
+Each gives the result the all-pairs search would.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -252,134 +252,61 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     return float(np.median(np.concatenate(spreads))) / diameter
 
 
-_LEAF_MAX = 16  # a k-d node with more points is split, so leaves hold 8-16
-_PAIR_BUDGET = 1 << 12  # (query, point or node) pairs the kNN search works on at once
-
-
-def _kd_tree(pts: np.ndarray):
-    """Balanced 2-d tree over pts, built level by level.
-
-    Node i covers positions start[i]:end[i] of `order` and has the
-    bounding box lo[i], hi[i].  A node with more than _LEAF_MAX points is
-    split at its middle along the wider side of its box; its children
-    are left[i] and left[i] + 1, and left[i] is -1 at a leaf.
-    """
-    m = pts.shape[0]
-    order = np.arange(m)
-    parts = []
-    s, e = np.array([0]), np.array([m])
-    next_id = 0
-    while s.size:
-        xy = np.vstack([pts[order], np.zeros((1, 2))])  # reduceat may index m
-        cut = np.column_stack([s, e]).ravel()
-        lo = np.minimum.reduceat(xy, cut)[::2]
-        hi = np.maximum.reduceat(xy, cut)[::2]
-        split = e - s > _LEAF_MAX
-        next_id += s.size  # the children of this level are numbered from here
-        left = np.full(s.size, -1)
-        left[split] = next_id + 2 * np.arange(np.count_nonzero(split))
-        parts.append((s, e, lo, hi, left))
-        axis = np.argmax(hi - lo, axis=1)[split]
-        s, e = s[split], e[split]
-        pos, seg = _ragged(s, e - s)
-        order[pos] = order[pos[np.lexsort((pts[order[pos], axis[seg]], seg))]]
-        mid = s + (e - s) // 2
-        s, e = np.column_stack([s, mid]).ravel(), np.column_stack([mid, e]).ravel()
-    start, end, lo, hi, left = (np.concatenate(col) for col in zip(*parts))
-    return order, start, end, lo, hi, left
-
-
-def _ragged(starts: np.ndarray, lengths: np.ndarray):
-    """Positions starts[g] + j for j < lengths[g], with their group g."""
-    group = np.repeat(np.arange(lengths.size), lengths)
-    offset = np.arange(group.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return starts[group] + offset, group
+_LEAF = 32  # a k-d node with fewer than max(_LEAF, 2 * count) points is a leaf
+_CELLS = 1 << 16  # distances the kNN search ranks at once
 
 
 def _nearest_neighbors(pts: np.ndarray, count: int):
-    """Yield, batch by batch, the `count` nearest points of every point.
+    """Yield, leaf by leaf, the `count` nearest points of every point.
 
     Exact: squared distances are dx*dx + dy*dy with dx = neighbor - query,
-    and ties go to the lower index into pts.  Each query bounds its
-    count-th distance by the points of the deepest tree node around it
-    that holds at least `count` of them, then descends the tree keeping
-    the nodes whose box lies within that bound; box distances round the
-    same way, so no point is nearer than its box.  Working memory stays
-    within a few _PAIR_BUDGET cells whatever the number of points (a
-    single query may exceed it): a batch of queries holds at most
-    _PAIR_BUDGET candidates for its bounds, a batch whose descent
-    frontier outgrows _PAIR_BUDGET (query, node) pairs is retried with
-    half the queries, and candidates are ranked in groups whose row
-    count times largest candidate count stays within _PAIR_BUDGET.
+    and ties go to the lower index into pts.  A 2-d tree (Friedman,
+    Bentley & Finkel 1977) splits a node at its middle along the wider
+    side of its box until it holds fewer than max(_LEAF, 2 * count)
+    points, so every leaf holds at least `count`.  Each query of a leaf
+    bounds its count-th distance by the leaf's own points, and the search
+    keeps the nodes whose box lies within the largest of those bounds of
+    the leaf's box; box gaps round the same way as point distances, so no
+    point is nearer than its box.  The candidates are ranked in row
+    blocks of at most _CELLS distances, which bounds the working memory.
     Yields arrays of shape (queries, count, 2).
     """
-    order, start, end, lo, hi, left = _kd_tree(pts)
-    xy = pts[order]
-    size = end - start
-    m = pts.shape[0]
-    most = max(1, _PAIR_BUDGET // max(2 * count, _LEAF_MAX))
-    b0, batch = 0, most
-    while b0 < m:
-        qpos = np.arange(b0, min(b0 + batch, m))
-        # deepest node on each query's path that still holds `count` points
-        node = np.zeros(qpos.size, dtype=np.int64)
-        while True:
-            child = np.where(qpos < end[np.maximum(left[node], 0)], left[node], left[node] + 1)
-            deeper = (left[node] >= 0) & (size[child] >= count)
-            if not deeper.any():
-                break
-            node = np.where(deeper, child, node)
-        cols = np.arange(size[node].max())
-        slot = np.minimum(start[node][:, None] + cols, m - 1)
-        d2 = np.where(cols < size[node][:, None], _sq_dist(xy[slot], xy[qpos][:, None]), np.inf)
-        bound = np.partition(d2, count - 1, axis=1)[:, count - 1]
+    leaf_size = max(_LEAF, 2 * count)
+    order = np.arange(pts.shape[0])
+    leaves = []
 
-        q = np.arange(qpos.size)
-        nd = np.zeros(qpos.size, dtype=np.int64)
-        leaf_q, leaf_n = [], []
-        while q.size and (q.size <= _PAIR_BUDGET or qpos.size == 1):
-            qxy = xy[qpos[q]]
-            gap = np.maximum(np.maximum(lo[nd] - qxy, qxy - hi[nd]), 0.0)
-            keep = _sq_dist(gap, 0.0) <= bound[q]
-            q, nd = q[keep], nd[keep]
-            at_leaf = left[nd] < 0
-            leaf_q.append(q[at_leaf])
-            leaf_n.append(nd[at_leaf])
-            q = np.repeat(q[~at_leaf], 2)
-            nd = (left[nd[~at_leaf]][:, None] + np.array([0, 1])).ravel()
-        if q.size:
-            # frontier over budget (a bound that underflowed to 0 keeps every
-            # box around the origin): retry with half the queries
-            batch = max(1, qpos.size // 2)
-            continue
-        b0 += qpos.size
-        batch = min(most, 2 * batch)
-        leaf_q, leaf_n = np.concatenate(leaf_q), np.concatenate(leaf_n)
-        by_query = np.argsort(leaf_q, kind="stable")
-        leaf_q, leaf_n = leaf_q[by_query], leaf_n[by_query]
-        n_cand = np.bincount(leaf_q, weights=size[leaf_n], minlength=qpos.size)
+    def build(s, e):
+        xy = pts[order[s:e]]
+        box = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
+        if e - s < leaf_size:
+            leaves.append((box, slice(s, e)))
+            return leaves[-1]
+        axis = int(box[3] - box[1] > box[2] - box[0])  # the wider side, x on a tie
+        order[s:e] = order[s:e][np.argsort(xy[:, axis], kind="stable")]
+        return box, build(s, (s + e) // 2), build((s + e) // 2, e)
 
-        g0 = 0
-        while g0 < qpos.size:
-            widest = np.maximum.accumulate(n_cand[g0 : g0 + _PAIR_BUDGET // count])
-            g1 = g0 + max(1, np.count_nonzero(widest * np.arange(1, widest.size + 1) <= _PAIR_BUDGET))
-            a, b = np.searchsorted(leaf_q, [g0, g1])
-            pos, grp = _ragged(start[leaf_n[a:b]], size[leaf_n[a:b]])
-            row = leaf_q[a:b][grp]
-            d2 = _sq_dist(xy[pos], xy[qpos[row]])
-            keep = d2 <= bound[row]
-            pos, row, d2 = pos[keep], row[keep] - g0, d2[keep]
-            kept = np.bincount(row, minlength=g1 - g0)
-            col = np.arange(row.size) - np.repeat(np.cumsum(kept) - kept, kept)
-            dist = np.full((g1 - g0, kept.max()), np.inf)
-            dist[row, col] = d2
-            index = np.zeros(dist.shape, dtype=np.int64)
-            index[row, col] = order[pos]
-            at = np.zeros(dist.shape, dtype=np.int64)
-            at[row, col] = pos
-            best = np.lexsort((index, dist), axis=1)[:, :count]
-            yield xy[np.take_along_axis(at, best, axis=1)]
-            g0 = g1
+    root = build(0, pts.shape[0])
+    for (lx, ly, hx, hy), at in leaves:
+        q = order[at]
+        bound = np.partition(_sq_dist(pts[q], pts[q][:, None]), count - 1, axis=1)[:, count - 1]
+        reach = float(bound.max())
+        cand, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            nlx, nly, nhx, nhy = node[0]
+            gx, gy = max(nlx - hx, lx - nhx, 0.0), max(nly - hy, ly - nhy, 0.0)
+            if gx * gx + gy * gy <= reach:
+                if len(node) == 2:
+                    cand.append(order[node[1]])
+                else:
+                    stack += node[1:]
+        cand = np.sort(np.concatenate(cand))
+        rows = max(1, _CELLS // cand.size)
+        for r0 in range(0, q.size, rows):
+            d2 = _sq_dist(pts[cand], pts[q[r0 : r0 + rows]][:, None])
+            near = (d2 <= bound[r0 : r0 + rows, None]).any(axis=0)
+            best = np.argsort(d2[:, near], axis=1, kind="stable")[:, :count]
+            yield pts[cand[near][best]]
 
 
 def _sq_dist(a: np.ndarray, b) -> np.ndarray:
@@ -483,6 +410,8 @@ def box_count(portrait: PhasePortrait, scales) -> BoxCountResult:
     if not all(0 < s < math.inf for s in scales):  # NaN fails too
         raise ValueError("scales must be positive and finite")
     pts = portrait.points
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("box counting needs finite points")
     lo = pts.min(axis=0)
     counts = []
     for s in scales:

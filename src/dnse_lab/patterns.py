@@ -37,11 +37,13 @@ class PatternSpec:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        object.__setattr__(self, "trits", tuple(map(int, self.trits)))
+        given = tuple(self.trits)
+        object.__setattr__(self, "trits", tuple(map(int, given)))
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         if len(self.trits) == 0:
             raise EmptyPattern("pattern needs at least one site")
-        if not {-1, 0, 1}.issuperset(self.trits):
+        # int() truncates, so 0.7 would pass as 0
+        if self.trits != given or not {-1, 0, 1}.issuperset(self.trits):
             raise ValueError("trits must be -1, 0 or +1")
         if not any(self.trits):
             raise AllZero("pattern needs at least one occupied site")
@@ -178,10 +180,12 @@ def spot_pattern(n_sites: int, spot_starts, spot_len: int, signs) -> PatternSpec
     Every site of spot k carries signs[k].  Convenience for the regularly
     spaced configurations used in experiments.
     """
+    if len(spot_starts) != len(signs):
+        raise ValueError("need one sign per spot")
     trits = [0] * n_sites
     for start, sign in zip(spot_starts, signs):
         for off in range(spot_len):
-            trits[(start + off) % n_sites] = int(sign)
+            trits[(start + off) % n_sites] = sign
     return PatternSpec(tuple(trits), Boundary.PERIODIC)
 
 

@@ -46,6 +46,14 @@ class TestPhasePortrait:
         assert np.allclose(portrait.points[:, 0], orbit.psi[:-1])
         assert np.allclose(portrait.points[:, 1], orbit.Z[1:])
 
+    def test_one_site_rejected(self):
+        with pytest.raises(ValueError):
+            dl.phase_portrait(dl.LatticeState([0.5]))
+
+    def test_one_point_orbit_rejected(self):
+        with pytest.raises(ValueError):
+            dl.portrait_from_orbit(dl.MapOrbit([[0.1, 0.0]]))
+
 
 class TestDistinctPoints:
     def test_identical_collapse(self):
@@ -130,6 +138,12 @@ class TestClassification:
         cls = dl.classify_portrait(portrait)
         assert cls.curve_thickness is None
         assert cls.label is dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
+
+    def test_subnormal_extent_has_zero_thickness(self):
+        # four distinct points whose squared extent underflows to 0
+        pts = np.array([[0.0, 0.0], [5e-324, 0.0], [1e-323, 0.0], [1.5e-323, 0.0]])
+        assert np.unique(pts, axis=0).shape[0] == 4
+        assert analysis._curve_thickness(pts) == 0.0
 
     def test_as_dict_payload(self):
         cls = dl.classify_portrait(dl.phase_portrait(dl.LatticeState(np.full(4, 0.5))))
@@ -281,6 +295,13 @@ class TestBoxCount:
         portrait = dl.PhasePortrait(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             dl.box_count(portrait, [0.5, scale])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point(self, bad):
+        # floor(inf) has no int64 cell
+        portrait = dl.PhasePortrait([[0.0, 0.0], [1.0, bad], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            dl.box_count(portrait, [0.1, 0.5])
 
 
 class TestZoom:
@@ -463,8 +484,8 @@ class TestAgainstOracle:
             assert dl.classify_portrait(portrait).label is expected, name
 
     def test_thickness_more_neighbors_than_a_leaf(self, portrait_corpus, monkeypatch):
-        # k + 1 = 21 exceeds the 16-point leaves, so the bound comes from
-        # a node above the query's leaf
+        # k + 1 = 21 points per neighbourhood: leaves grow to hold at
+        # least that many
         monkeypatch.setattr(analysis, "NEIGHBORS", 20)
         picked = dict(portrait_corpus)
         for name in ("chain130", "ring1000/0", "ring208/3", "map/0", "map/7"):
@@ -506,14 +527,23 @@ class TestNearestNeighbors:
         assert analysis._curve_thickness(points) == _oracle_thickness(points)
 
     def test_budget_below_one_query(self, monkeypatch):
-        # one query per batch, and many ranked alone over the budget
-        monkeypatch.setattr(analysis, "_PAIR_BUDGET", 24)
+        # leaves ranked in blocks of a few queries, and many one query at
+        # a time over the budget
+        monkeypatch.setattr(analysis, "_CELLS", 160)
         g = np.arange(-6, 7, dtype=float)
         xx, yy = np.meshgrid(g, g)
         cloud = np.random.default_rng(10).uniform(-1, 1, (300, 2))
         for pts in (np.column_stack([xx.ravel(), yy.ravel()]), cloud):
             for count in (7, 21):
                 self._check(pts, count)
+
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=150),
+           st.sampled_from([2, 7, 21]))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_clouds(self, cells, count):
+        # a coarse integer grid, so that many distances tie
+        pts = np.array(cells, dtype=float)
+        self._check(pts, min(count, np.unique(pts, axis=0).shape[0]))
 
     def test_tiny_sets(self):
         rng = np.random.default_rng(9)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnse_lab as dl
+from dnse_lab import lattice
 from dnse_lab.errors import OddPeriodicLattice, ZeroState
 
 from conftest import random_state
@@ -216,6 +217,17 @@ class TestStateInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             dl.LatticeState([1.0, np.nan])
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_not_one_dimensional_rejected(self, values):
+        with pytest.raises(ValueError):
+            dl.LatticeState(values)
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros((3, 3)), np.zeros(4),
+                                        np.zeros((2, 2, 2))])
+    def test_point_array_shape_rejected(self, points):
+        with pytest.raises(ValueError):
+            lattice._as_points(points, "portrait")
 
     def test_large_lattice_linear_memory(self):
         # O(N) pipeline smoke test on a big lattice

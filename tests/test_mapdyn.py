@@ -121,6 +121,10 @@ class TestLatticeMapEquivalence:
         seed = dl.seed_from_lattice(state)
         assert seed == dl.MapState(0.5, 0.2)
 
+    def test_seed_needs_two_sites(self):
+        with pytest.raises(ValueError):
+            dl.seed_from_lattice(dl.LatticeState([0.3]))
+
     def test_orbit_lattice_interior_residual(self):
         # any map orbit read back as an open chain satisfies the interior
         # stencil exactly: the recursion IS the map

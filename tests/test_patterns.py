@@ -43,6 +43,8 @@ class TestPatternSpecInput:
         ((0, 2), ValueError),
         ((0, 0), AllZero),
         ((), EmptyPattern),
+        ((0.7, 1), ValueError),  # int() would make it 0
+        ((-1.2, 1), ValueError),  # int() would make it -1
     ])
     def test_rejected(self, trits, error):
         with pytest.raises(error) as exc:
@@ -98,6 +100,12 @@ class TestCounts:
         assert 1 <= counts.n <= len(trits)
         assert 0 <= counts.m <= counts.n
         assert 0 <= counts.l <= counts.n
+
+    @pytest.mark.parametrize("n,m,l", [(0, 0, 0), (-1, 0, 0), (2, 3, 0), (2, -1, 0),
+                                       (2, 1, 3), (2, 1, -1)])
+    def test_counts_out_of_range_rejected(self, n, m, l):
+        with pytest.raises(ValueError):
+            dl.PatternCounts(n, m, l)
 
 
 class TestSpectrum:
@@ -213,6 +221,12 @@ class TestSpotPattern:
         spec = dl.spot_pattern(6, [5], 2, [1])
         assert spec.text() == "+0000+"
         assert dl.count_pattern(spec).m == 1  # wraps into one spot
+
+    @pytest.mark.parametrize("starts,signs", [([0, 10, 20], [1, -1]), ([0], [1, -1]),
+                                              ([0, 10], [0.7, 1])])
+    def test_one_valid_sign_per_spot(self, starts, signs):
+        with pytest.raises(ValueError):
+            dl.spot_pattern(30, starts, 1, signs)
 
 
 class TestCountsReport:
