@@ -17,7 +17,11 @@ size tol, the period search tests in full only the shifts that carry
 each of the 8 largest sites to within tol of itself, and the curve
 thickness finds exact nearest neighbors with a k-d tree searched one
 leaf's queries at a time, breaking distance ties by the lower index.
-Each gives the result the all-pairs search would.
+Each gives the result the all-pairs search would.  numpy does the
+arithmetic, in blocks of _BLOCK: the count computes every point's cell
+before its greedy loop, which then only looks up buckets, and the
+thickness ranks distances on x and y columns and takes the spreads of
+many neighbourhoods at once.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -126,6 +130,12 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
 # cell indices floor(p / tol) are exact integers well below 2**53; points
 # farther out are compared against every representative instead
 _GRID_LIMIT = 2.0**49
+# points whose cells, or neighbourhoods whose spreads, one numpy pass
+# computes: it bounds the temporaries, as io._CHUNK_LINES does the writers'
+_BLOCK = 256
+# cell (cx, cy) has the key cx * _ROW + cy, one int: gridded cells have
+# |cy| < 2**50, so no two share a key
+_ROW = 2**51
 
 
 def distinct_points(portrait: PhasePortrait, tol: float) -> int:
@@ -143,6 +153,9 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     exactly, so fl(p - reach) <= r <= fl(p + reach), and a correctly
     rounded p / tol followed by floor is monotone in p.  The span is
     three cells, or four when p + reach or p - reach lands on a cell edge.
+    numpy computes these cells for _BLOCK points at a time.  The loop then
+    looks in the point's own cell, and after that only in the columns of
+    cells that hold representatives, and stops at the first match.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -152,26 +165,59 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     reach = math.nextafter(tol, math.inf)
     reps = []
     loose = []  # finite representatives off the grid
-    buckets: dict = {}
-    for x, y in zip(portrait.points[:, 0].tolist(), portrait.points[:, 1].tolist()):
-        gridded = abs(x) < limit and abs(y) < limit
-        finite = gridded or (math.isfinite(x) and math.isfinite(y))
-        if gridded:
-            near = [r for cx in range(math.floor((x - reach) / tol), math.floor((x + reach) / tol) + 1)
-                    for cy in range(math.floor((y - reach) / tol), math.floor((y + reach) / tol) + 1)
-                    for r in buckets.get((cx, cy), ())]
-            near += loose
-        else:
-            # a non-finite point matches nothing unless tol itself is inf
-            near = reps if finite or tol == math.inf else ()
-        if any(abs(x - rx) <= tol and abs(y - ry) <= tol for rx, ry in near):
-            continue
-        reps.append((x, y))
-        if gridded:
-            buckets.setdefault((math.floor(x / tol), math.floor(y / tol)), []).append((x, y))
-        elif finite:
-            loose.append((x, y))
+    buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
+    columns = set()  # the cx of every bucket
+    for start in range(0, portrait.size, _BLOCK):
+        xs, ys = portrait.points[start:start + _BLOCK].T
+        gridded = (np.abs(xs) < limit) & (np.abs(ys) < limit)
+        finite = gridded | (np.isfinite(xs) & np.isfinite(ys))
+        gx, gy = np.where(gridded, xs, 0.0), np.where(gridded, ys, 0.0)
+        with np.errstate(invalid="ignore"):  # tol = inf, and then no point is gridded
+            cells = np.floor(np.array([gx, gy]) / tol).astype(np.int64)
+            # the reach range relative to the own cell, in small ints that
+            # Python does not allocate one by one
+            low = np.floor(np.array([gx - reach, gy - reach]) / tol).astype(np.int64) - cells
+            high = np.floor(np.array([gx + reach, gy + reach]) / tol).astype(np.int64) - cells
+        for x, y, grid, fin, cx, cy, lx, ly, hx, hy in zip(
+                xs.tolist(), ys.tolist(), gridded.tolist(), finite.tolist(),
+                *cells.tolist(), *low.tolist(), *high.tolist()):
+            if grid:
+                key = cx * _ROW + cy
+                own = buckets.get(key)
+                if ((own is not None and _matches(x, y, own, tol))
+                        or (loose and _matches(x, y, loose, tol))
+                        or _reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol)):
+                    continue
+                if own is None:
+                    buckets[key] = own = []
+                    columns.add(cx)
+                own.append((x, y))
+            elif (fin or tol == math.inf) and _matches(x, y, reps, tol):
+                continue  # a non-finite point matches nothing unless tol itself is inf
+            elif fin:
+                loose.append((x, y))
+            reps.append((x, y))
     return len(reps)
+
+
+def _matches(x: float, y: float, reps, tol: float) -> bool:
+    """Whether one of reps lies within tol of (x, y) in both coordinates."""
+    for rx, ry in reps:
+        if abs(x - rx) <= tol and abs(y - ry) <= tol:
+            return True
+    return False
+
+
+def _reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol) -> bool:
+    """Whether a representative in the cells from (cx + lx, cy + ly) to
+    (cx + hx, cy + hy) matches (x, y)."""
+    for ax in range(cx + lx, cx + hx + 1):
+        if ax in columns:
+            for key in range(ax * _ROW + cy + ly, ax * _ROW + cy + hy + 1):
+                near = buckets.get(key)
+                if near is not None and _matches(x, y, near, tol):
+                    return True
+    return False
 
 
 _PERIOD_ANCHORS = 8
@@ -245,73 +291,108 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
         return 0.0
     k = min(NEIGHBORS, pts.shape[0] - 1)
     spreads = []
-    for hood in _nearest_neighbors(pts, k + 1):
+    for hoods in _nearest_neighbors(pts, k + 1):
+        hood = pts[hoods]
         local = hood - hood.mean(axis=1, keepdims=True)
         cov = local.transpose(0, 2, 1) @ local / (k + 1)
         spreads.append(np.sqrt(np.maximum(np.linalg.eigvalsh(cov)[:, 0], 0.0)))
     return float(np.median(np.concatenate(spreads))) / diameter
 
 
-_LEAF = 32  # a k-d node with fewer than max(_LEAF, 2 * count) points is a leaf
+_LEAF = 64  # a k-d node with fewer than max(_LEAF, 2 * count) points is a leaf
 _CELLS = 1 << 16  # distances the kNN search ranks at once
 
 
 def _nearest_neighbors(pts: np.ndarray, count: int):
-    """Yield, leaf by leaf, the `count` nearest points of every point.
+    """Yield the indices into pts of the `count` nearest points of every
+    point, as arrays of shape (queries, count), _BLOCK queries or more at
+    a time.
 
     Exact: squared distances are dx*dx + dy*dy with dx = neighbor - query,
     and ties go to the lower index into pts.  A 2-d tree (Friedman,
     Bentley & Finkel 1977) splits a node at its middle along the wider
     side of its box until it holds fewer than max(_LEAF, 2 * count)
     points, so every leaf holds at least `count`.  Each query of a leaf
-    bounds its count-th distance by the leaf's own points, and the search
-    keeps the nodes whose box lies within the largest of those bounds of
-    the leaf's box; box gaps round the same way as point distances, so no
-    point is nearer than its box.  The candidates are ranked in row
-    blocks of at most _CELLS distances, which bounds the working memory.
-    Yields arrays of shape (queries, count, 2).
+    bounds its count-th distance by the leaf's own points.  The search
+    keeps the leaves whose box lies within the largest of those bounds of
+    the leaf's box, and each query then only the leaves within its own
+    bound of it; box gaps round the same way as point distances, so no
+    point is nearer than its box.  The queries are ranked in order of
+    their bounds, against the leaves the queries so far keep, in blocks
+    of at most _CELLS distances (one query at least), which bounds the
+    working memory.
     """
+    x, y = pts.T
     leaf_size = max(_LEAF, 2 * count)
     order = np.arange(pts.shape[0])
-    leaves = []
+    boxes, slices = [], []  # of the leaves
 
     def build(s, e):
-        xy = pts[order[s:e]]
-        box = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
+        ids = order[s:e]
+        bx, by = x[ids], y[ids]
+        box = (float(bx.min()), float(by.min()), float(bx.max()), float(by.max()))
         if e - s < leaf_size:
-            leaves.append((box, slice(s, e)))
-            return leaves[-1]
-        axis = int(box[3] - box[1] > box[2] - box[0])  # the wider side, x on a tie
-        order[s:e] = order[s:e][np.argsort(xy[:, axis], kind="stable")]
+            boxes.append(box)
+            slices.append(slice(s, e))
+            return box, len(slices) - 1
+        wider = bx if box[2] - box[0] >= box[3] - box[1] else by  # x on a tie
+        order[s:e] = ids[np.argsort(wider, kind="stable")]
+        del bx, by, wider  # before the subtrees gather theirs
         return box, build(s, (s + e) // 2), build((s + e) // 2, e)
 
     root = build(0, pts.shape[0])
-    for (lx, ly, hx, hy), at in leaves:
+    lo_x, lo_y, hi_x, hi_y = np.array(boxes).T
+    sizes = np.array([at.stop - at.start for at in slices])
+    held, found = 0, []
+    for (lx, ly, hx, hy), at in zip(boxes, slices):
         q = order[at]
-        bound = np.partition(_sq_dist(pts[q], pts[q][:, None]), count - 1, axis=1)[:, count - 1]
+        qx, qy = x[q], y[q]
+        bound = np.partition(_sq_dist(qx, qy, qx[:, None], qy[:, None]), count - 1, axis=1)[:, count - 1]
         reach = float(bound.max())
-        cand, stack = [], [root]
+        near, stack = [], [root]
         while stack:
             node = stack.pop()
             nlx, nly, nhx, nhy = node[0]
             gx, gy = max(nlx - hx, lx - nhx, 0.0), max(nly - hy, ly - nhy, 0.0)
             if gx * gx + gy * gy <= reach:
                 if len(node) == 2:
-                    cand.append(order[node[1]])
+                    near.append(node[1])
                 else:
                     stack += node[1:]
-        cand = np.sort(np.concatenate(cand))
-        rows = max(1, _CELLS // cand.size)
-        for r0 in range(0, q.size, rows):
-            d2 = _sq_dist(pts[cand], pts[q[r0 : r0 + rows]][:, None])
-            near = (d2 <= bound[r0 : r0 + rows, None]).any(axis=0)
-            best = np.argsort(d2[:, near], axis=1, kind="stable")[:, :count]
-            yield pts[cand[near][best]]
+        near = np.array(near)
+        # the leaves within each query's own bound of it, queries by bound
+        rank = np.argsort(bound, kind="stable")
+        qx, qy, bound = qx[rank, None], qy[rank, None], bound[rank]
+        gx = np.maximum(np.maximum(lo_x[near] - qx, qx - hi_x[near]), 0.0)
+        gy = np.maximum(np.maximum(lo_y[near] - qy, qy - hi_y[near]), 0.0)
+        kept = np.logical_or.accumulate(gx * gx + gy * gy <= bound[:, None], axis=0)
+        width = kept @ sizes[near]  # candidates of the queries so far
+        r0 = 0
+        while r0 < bound.size:  # as many queries as fit in _CELLS distances
+            r1 = r0 + max(1, np.count_nonzero(np.arange(1, bound.size - r0 + 1) * width[r0:] <= _CELLS))
+            leaves = near[kept[r1 - 1]]
+            cand = np.sort(np.concatenate([order[slices[leaf]] for leaf in leaves.tolist()]))
+            d2 = _sq_dist(x[cand], y[cand], qx[r0:r1], qy[r0:r1])
+            close = (d2 <= bound[r0:r1, None]).any(axis=0)
+            found.append(cand[close][np.argsort(d2[:, close], axis=1, kind="stable")[:, :count]])
+            held += r1 - r0
+            r0 = r1
+        if held >= _BLOCK:
+            yield np.concatenate(found)
+            held, found = 0, []
+    if found:
+        yield np.concatenate(found)
 
 
-def _sq_dist(a: np.ndarray, b) -> np.ndarray:
-    d = a - b
-    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+def _sq_dist(x: np.ndarray, y: np.ndarray, qx, qy) -> np.ndarray:
+    """Squared distances dx*dx + dy*dy from the queries (qx, qy) to the
+    points (x, y), formed in two temporaries."""
+    d2 = x - qx
+    d2 *= d2
+    dy = y - qy
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 def _check_tail_energy(energy):

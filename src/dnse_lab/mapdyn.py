@@ -51,8 +51,13 @@ class MapOrbit:
 
 def map_step(s: MapState, energy: float, c: float) -> MapState:
     """One forward application of the map."""
-    z_next = s.Z - energy * s.psi - c * s.psi**3
-    return MapState(s.psi + z_next, z_next)
+    return MapState(*_step(s.psi, s.Z, energy, c))
+
+
+def _step(psi, z, energy, c) -> tuple:
+    """map_step on plain numbers: (psi', Z')."""
+    z_next = z - energy * psi - c * psi**3
+    return psi + z_next, z_next
 
 
 def map_step_inverse(s: MapState, energy: float, c: float) -> MapState:
@@ -81,22 +86,20 @@ def iterate_map(
         raise ValueError("E, c and the seed must be finite")
     if not escape_bound > 0:
         raise ValueError("escape bound must be positive")
-    s = MapState(float(initial.psi), float(initial.Z))
-    recorded = [s]
+    psi, z = float(initial.psi), float(initial.Z)
+    recorded = [(psi, z)]
     escape_index = None
     for k in range(1, steps + 1):
         try:
-            s = map_step(s, energy, c)
+            psi, z = _step(psi, z, energy, c)
         except OverflowError:
             # psi**3 left the float range; the same step on float64 records
             # the overflowed point as inf or nan, and the orbit escapes below
             with np.errstate(over="ignore", invalid="ignore"):
-                s = map_step(MapState(np.float64(s.psi), np.float64(s.Z)), energy, c)
+                psi, z = _step(np.float64(psi), np.float64(z), energy, c)
+        recorded.append((psi, z))
         # NaN fails every comparison; a non-finite Z makes psi = psi + Z non-finite
-        escaped = not (math.isfinite(s.psi) and abs(s.psi) <= escape_bound
-                       and abs(s.Z) <= escape_bound)
-        recorded.append(s)
-        if escaped:
+        if not (math.isfinite(psi) and abs(psi) <= escape_bound and abs(z) <= escape_bound):
             escape_index = k
             break
     return MapOrbit(np.array(recorded, dtype=float), escape_index is not None, escape_index)

@@ -31,22 +31,29 @@ OCCUPIED_REL_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Trit encoding of a localization pattern."""
+    """Trit encoding of a localization pattern.
+
+    trits is a tuple of ints; the same trits as a read-only int8 array are
+    kept for the counts and states built from the pattern."""
 
     trits: tuple
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        given = tuple(self.trits)
-        object.__setattr__(self, "trits", tuple(map(int, given)))
+        values = np.asarray(self.trits if isinstance(self.trits, np.ndarray) else tuple(self.trits))
         object.__setattr__(self, "boundary", Boundary(self.boundary))
-        if len(self.trits) == 0:
+        if values.size == 0:
             raise EmptyPattern("pattern needs at least one site")
-        # int() truncates, so 0.7 would pass as 0
-        if self.trits != given or not {-1, 0, 1}.issuperset(self.trits):
+        # compared as numbers, so 0.7 is not taken for 0
+        if (values.ndim != 1 or values.dtype.kind not in "biuf"
+                or not np.all((values == -1) | (values == 0) | (values == 1))):
             raise ValueError("trits must be -1, 0 or +1")
-        if not any(self.trits):
+        trits = values.astype(np.int8)
+        if not trits.any():
             raise AllZero("pattern needs at least one occupied site")
+        trits.flags.writeable = False
+        object.__setattr__(self, "_int8", trits)
+        object.__setattr__(self, "trits", tuple(trits.tolist()))
 
     @property
     def n_sites(self) -> int:
@@ -99,7 +106,7 @@ def count_pattern(spec: PatternSpec) -> PatternCounts:
     Kinks are adjacent occupied pairs with opposite sign (wrap pair
     included under PBC).
     """
-    return _count(np.array(spec.trits, dtype=np.int8), spec.boundary)
+    return _count(spec._int8, spec.boundary)
 
 
 def _count(trits: np.ndarray, boundary: Boundary) -> PatternCounts:
@@ -122,7 +129,7 @@ def strong_coupling_energy(counts: PatternCounts, c: float) -> float:
 def build_asymptotic_state(spec: PatternSpec) -> LatticeState:
     """Limiting state of a pattern: trit/sqrt(n) on every site."""
     counts = count_pattern(spec)
-    values = np.array(spec.trits, dtype=float) / np.sqrt(counts.n)
+    values = spec._int8.astype(float) / np.sqrt(counts.n)
     return LatticeState(values, spec.boundary)
 
 
@@ -133,7 +140,7 @@ def quantize_state(state: LatticeState) -> PatternSpec:
     max|psi|; finite-c tails decay exponentially, so the relative cut
     separates peaks from tails.
     """
-    return PatternSpec(tuple(_trits(state.values).tolist()), state.boundary)
+    return PatternSpec(_trits(state.values), state.boundary)
 
 
 def _trits(psi: np.ndarray) -> np.ndarray:
@@ -152,7 +159,7 @@ def limit_points(spec: PatternSpec) -> set:
     At most nine distinct points are possible.
     """
     root = np.sqrt(count_pattern(spec).n)
-    trits = np.array(spec.trits)
+    trits = spec._int8
     _, right = _neighbors(trits, spec.boundary)
     if spec.boundary is Boundary.OPEN:
         trits = trits[:-1]  # the last site's right neighbour is the zero pad
@@ -171,7 +178,7 @@ def random_pattern(n_sites: int, seed: int) -> PatternSpec:
     while True:
         trits = rng.integers(-1, 2, size=n_sites)
         if np.any(trits != 0):
-            return PatternSpec(tuple(int(t) for t in trits), Boundary.PERIODIC)
+            return PatternSpec(trits, Boundary.PERIODIC)
 
 
 def spot_pattern(n_sites: int, spot_starts, spot_len: int, signs) -> PatternSpec:

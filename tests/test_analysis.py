@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -484,13 +486,14 @@ class TestAgainstOracle:
             assert dl.classify_portrait(portrait).label is expected, name
 
     def test_thickness_more_neighbors_than_a_leaf(self, portrait_corpus, monkeypatch):
-        # k + 1 = 21 points per neighbourhood: leaves grow to hold at
-        # least that many
-        monkeypatch.setattr(analysis, "NEIGHBORS", 20)
+        # k + 1 = 41 points per neighbourhood, more than the _LEAF / 2 a
+        # leaf may hold: leaves grow to hold at least that many
+        monkeypatch.setattr(analysis, "NEIGHBORS", 40)
+        assert analysis.NEIGHBORS + 1 > analysis._LEAF // 2
         picked = dict(portrait_corpus)
         for name in ("chain130", "ring1000/0", "ring208/3", "map/0", "map/7"):
             new = analysis._curve_thickness(picked[name].points)
-            old = _oracle_thickness(picked[name].points, 20)
+            old = _oracle_thickness(picked[name].points, 40)
             assert _thickness_agrees(new, old), (name, new, old)
 
 
@@ -499,7 +502,7 @@ class TestNearestNeighbors:
 
     def _check(self, points, count):
         pts = np.unique(points, axis=0)
-        found = np.concatenate(list(analysis._nearest_neighbors(pts, count)))
+        found = pts[np.concatenate(list(analysis._nearest_neighbors(pts, count)))]
         assert _row_multiset(found) == _row_multiset(_brute_neighbors(pts, count))
 
     def test_random_cloud(self):
@@ -613,3 +616,33 @@ class TestDistinctEdgeCases:
         self._check(pts, tol)
         self._check(pts[::-1], tol)
         self._check(pts, 1e-300)
+
+
+def test_classification_memory_bounded(monkeypatch):
+    # a solved 10^5-site ring (pattern seed 1, c = 4N): 24143 distinct
+    # points on a commensurate curve.  The count and the thickness peak at
+    # about 8.7 and 6.9 MB, and the bounds sit about 10% above, so a
+    # block that grows is caught; the code the blocked passes replaced
+    # peaked at 15.51 and 9.94 MB.
+    initial = dl.build_asymptotic_state(dl.random_pattern(100_000, 1))
+    state, _, _ = dl.newton_solve(initial, dl.ModelParams(4e5))
+    portrait = dl.phase_portrait(state)
+    peaks = {}
+    thickness = analysis._curve_thickness
+
+    def traced_thickness(points):
+        peaks["distinct points"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return thickness(points)
+
+    monkeypatch.setattr(analysis, "_curve_thickness", traced_thickness)
+    tracemalloc.start()
+    try:
+        result = dl.classify_portrait(portrait)
+        peaks["thickness"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.distinct_points == 24143
+    assert result.label is dl.PortraitLabel.IRREGULAR_COMMENSURATE
+    assert peaks["distinct points"] < 9.5e6
+    assert peaks["thickness"] < 7.6e6
