@@ -14,6 +14,8 @@ kernel of newton, and the lattice residual.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from mpmath import mp, mpf
 
@@ -30,10 +32,10 @@ POLISH_MAX_ITER = 60
 
 
 def _check_dps(dps):
-    """Reject a precision below float64's: mpmath's 15 digits are its 53
-    bits, and fewer would round the float64 input."""
-    if not dps >= 15:
-        raise ValueError(f"dps {dps} is below the 15 digits of float64")
+    """Reject a precision that is not a whole number of digits, at least
+    float64's 15 (its 53 bits): fewer would round the float64 input."""
+    if not (isinstance(dps, numbers.Integral) and dps >= 15):
+        raise ValueError(f"dps {dps} is not an integer of at least the 15 digits of float64")
 
 
 def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
@@ -44,7 +46,7 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     _bordered_step, solving J a = F and J b = psi in one kernel call, which
     converges quadratically from the float64 state and its Rayleigh
     energy.  Returns (psi list, E) as mpf once the residual max-norm is at
-    most 10**-(dps-10).  PBC only; dps is at least 15.
+    most 10**-(dps-10).  PBC only; dps is an integer >= 15.
 
     Raises NoConvergence when POLISH_MAX_ITER steps do not reach that
     tolerance; it carries the last iterate (an object array of mpf), its E
@@ -60,9 +62,8 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
-            return _bordered_step(psi, energy, res, lambda rhss: [
-                np.array(x, dtype=object)
-                for x in _tridiag_solve(diag, [r.tolist() for r in rhss], True)])
+            return _bordered_step(psi, energy, res, lambda rhss: np.array(
+                _tridiag_solve(diag, np.stack(rhss).tolist(), True), dtype=object))
 
         def report(psi, iterations, e_hist, r_hist, converged):
             return NewtonReport(iterations=iterations, energy_history=tuple(e_hist),
@@ -84,7 +85,7 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     Returns (max deviation over psi[2..N-1], closure error over the wrap)
     as floats.  Pass mpf values from polish_solution and a dps matching
     the polish so the hyperbolic amplification acts on the polished
-    residual, not on double-precision round-off.  dps is at least 15.
+    residual, not on double-precision round-off.  dps is an integer >= 15.
     """
     n = len(psi)
     if n < 2:

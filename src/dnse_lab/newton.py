@@ -8,9 +8,9 @@ factorization.  Below REDUCTION_MIN_SITES it calls the scalar kernel,
 _tridiag_solve, which also serves mpmath in the high-precision polish: it
 factors the matrix once by Thomas elimination, restores the corners by a
 rank-1 Sherman-Morrison correction, and sweeps every right-hand side
-through the one factorization, one site at a time in Python.  From
-REDUCTION_MIN_SITES float64 sites on (320, the measured crossover; its
-timing table is at the constant) it takes odd-even cyclic reduction
+through the one factorization, site by site on lists of floats or mpf.
+From REDUCTION_MIN_SITES float64 sites on (640, the measured crossover;
+its timing table is at the constant) it takes odd-even cyclic reduction
 (Hockney 1965; Buzbee, Golub & Nielson 1970): each level eliminates the
 odd sites of the ring by numpy operations across the level, halving it
 down to one site, and back substitution recovers them in reverse; a
@@ -45,10 +45,10 @@ inside the bordered phase, and a warm-started point takes one step.
 from __future__ import annotations
 
 import math
-from array import array
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -81,18 +81,19 @@ BORDERED_RESIDUAL = 1e-3
 # solve_linear takes cyclic reduction from this many sites on: the smallest
 # size of the table below at which the reduction is faster both for one
 # right-hand side and for two.  Microseconds per call on converged Newton
-# Jacobians of random rings (pattern seed 1, c = 4N); median of five runs,
-# each the best of 7 x 300 calls with the four cases timed in turn
-# (2-vCPU Xeon, Python 3.11, numpy 2.4):
+# Jacobians of random rings (pattern seed 1, c = 4N); median of nine runs
+# (five let the crossover wander from 512 to 1000 between passes), each
+# the best of 7 x 300 calls with the four cases timed in turn (2-vCPU
+# Xeon, Python 3.11, numpy 2.4):
 #
-#     N                    128  160  200  256  288  320  400  512  1000
-#     scalar sweep, 1 rhs  145  183  222  299  331  385  456  622  1225
-#     reduction, 1 rhs     274  318  309  270  320  336  354  370   322
-#     scalar sweep, 2 rhs  215  283  335  415  479  510  651  967  1775
-#     reduction, 2 rhs     399  438  411  450  504  482  538  501   576
+#     N                    256  320  400  448  512  576  640  768  1000
+#     scalar sweep, 1 rhs  238  267  341  373  420  459  567  605   953
+#     reduction, 1 rhs     422  417  431  431  452  531  486  515   572
+#     scalar sweep, 2 rhs  326  359  486  544  566  702  810  905  1361
+#     reduction, 2 rhs     587  538  467  597  636  661  739  672   724
 #
 # The paper's chains (100 and 130 sites) stay on the scalar sweep.
-REDUCTION_MIN_SITES = 320
+REDUCTION_MIN_SITES = 640
 # sweep_c starts each point from the extrapolation through this many
 # converged states.  Newton iterations of the two 61-point sweeps of the
 # benchmark (chain100 over c = 24..30 and chain130 over c = 40..46, step
@@ -139,8 +140,8 @@ def _matvec(diag, x, periodic: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Residual max-norm tolerance and iteration budget.  newton_solve
-    accepts a residual up to the rounding floor where that is larger."""
+    """Residual max-norm tolerance and iteration budget (an integer >= 1).
+    newton_solve accepts a residual up to the rounding floor where larger."""
 
     tol_residual: float = 1e-12
     max_iter: int = 200
@@ -148,8 +149,8 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.tol_residual < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError("max_iter must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -226,10 +227,8 @@ def _jacobian_diagonal(psi, c, energy):
 def _sweep(inv, rhs):
     """Forward and back substitution through the reciprocal pivots inv of
     the chain whose hops are -1."""
-    x = inv[:]  # sized up front: growing it by append raised peak RSS
     prev = 0
-    for i, (b, w) in enumerate(zip(rhs, inv)):
-        prev = x[i] = (b + prev) * w
+    x = [prev := (b + prev) * w for b, w in zip(rhs, inv)]  # prev carries x[i - 1]
     for i in range(len(x) - 2, -1, -1):
         prev = x[i] = x[i] + inv[i] * prev
     return x
@@ -239,14 +238,14 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     """Solve J x = b for every b in rhss, factoring J once.
 
     J is symmetric with the diagonal diag, off-diagonals -1 and, when
-    periodic, -1 in the two corners.  The loops run on the elements as
-    plain Python numbers, so one code serves float (diag an array('d'))
-    and mpmath (diag a list of mpf); each solution comes back in the
-    container type of diag.  A ring is solved as in Numerical Recipes 2.7:
-    the corners are peeled off as a rank-1 update u v^T of an open chain,
-    and Sherman-Morrison restores them with one more sweep, of u.  On a
-    two-site ring the corners land on the off-diagonals; a one-site ring
-    is the 1x1 system d - 2.
+    periodic, -1 in the two corners.  diag and each b are lists, of floats
+    or of mpf, and each solution comes back as a list: the loops run on
+    plain Python numbers, so one code serves float64 and mpmath alike.  A
+    ring is solved as in Numerical Recipes 2.7: the corners are peeled off
+    as a rank-1 update u v^T of an open chain, and Sherman-Morrison
+    restores them with one more sweep, of u.  On a two-site ring the
+    corners land on the off-diagonals; a one-site ring is the 1x1 system
+    d - 2.
 
     Raises SingularJacobian on a pivot below PIVOT_REL_THRESHOLD times
     max(max|diag|, 1), or a Sherman-Morrison denominator below
@@ -274,7 +273,7 @@ def _tridiag_solve(diag, rhss, periodic: bool):
         return [_sweep(inv, b) for b in rhss]
 
     # u = (gamma, 0, ..., 0, -1), v = (1, 0, ..., 0, -1/gamma)
-    q = _sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)))
+    q = _sweep(inv, [gamma] + [0] * (n - 2) + [-1])
     den = 1 + q[0] - q[-1] / gamma
     if not abs(den) >= PIVOT_REL_THRESHOLD:
         raise SingularJacobian(f"rank-1 correction denominator {float(den):.3e}")
@@ -396,11 +395,8 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
         x = _cyclic_reduction(jac.diag, rhs, jac.periodic)
         if x is not None:
             return x
-    # array('d') holds a site in 8 bytes, where a list of floats takes 32
-    xs = [np.frombuffer(x) for x in
-          _tridiag_solve(array("d", jac.diag.tobytes()),
-                         [array("d", b.tobytes()) for b in rhs.reshape(-1, jac.n)], jac.periodic)]
-    return xs[0] if rhs.ndim == 1 else np.stack(xs)
+    xs = np.array(_tridiag_solve(jac.diag.tolist(), rhs.reshape(-1, jac.n).tolist(), jac.periodic))
+    return xs.reshape(rhs.shape)
 
 
 def _estimate(state: LatticeState, params: ModelParams) -> float:

@@ -1,7 +1,11 @@
+from itertools import chain, repeat
+
 import numpy as np
 import pytest
 
 import dnse_lab as dl
+from dnse_lab.errors import SingularJacobian
+from dnse_lab.newton import PIVOT_REL_THRESHOLD
 
 
 def alternating_spot_pattern():
@@ -52,3 +56,51 @@ def kernel_corpus():
         for seed in range(10):
             state = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
             yield f"ring{n}/{seed}", state, 4.0 * n
+
+
+def reference_tridiag_solve(diag, rhss, periodic):
+    """The scalar kernel as it ran while float64 passed it array('d'):
+    each solution fills a copy of diag's container in place, and the
+    Sherman-Morrison vector is streamed.  The oracle of the list kernel,
+    for float64 and mpf alike."""
+
+    def sweep(inv, rhs):
+        x = inv[:]
+        prev = 0
+        for i, (b, w) in enumerate(zip(rhs, inv)):
+            prev = x[i] = (b + prev) * w
+        for i in range(len(x) - 2, -1, -1):
+            prev = x[i] = x[i] + inv[i] * prev
+        return x
+
+    n = len(diag)
+    if periodic and n == 1:
+        diag = diag[:]
+        diag[0] -= 2
+        periodic = False
+    pivot_tol = PIVOT_REL_THRESHOLD * max(max(map(abs, diag)), 1)
+    inv = diag[:]
+    if periodic:
+        gamma = -(abs(diag[0]) + 1)
+        inv[0] -= gamma
+        inv[-1] -= 1 / gamma
+    w = 0
+    for i, d in enumerate(inv):
+        den = d - w
+        if not abs(den) >= pivot_tol:
+            raise SingularJacobian(f"pivot {float(den):.3e} at row {i}")
+        w = inv[i] = 1 / den
+    if not periodic:
+        return [sweep(inv, b) for b in rhss]
+    q = sweep(inv, chain((gamma,), repeat(0, n - 2), (-1,)))
+    den = 1 + q[0] - q[-1] / gamma
+    if not abs(den) >= PIVOT_REL_THRESHOLD:
+        raise SingularJacobian(f"rank-1 correction denominator {float(den):.3e}")
+    solutions = []
+    for b in rhss:
+        y = sweep(inv, b)
+        factor = (y[0] - y[-1] / gamma) / den
+        for i, qi in enumerate(q):
+            y[i] -= qi * factor
+        solutions.append(y)
+    return solutions

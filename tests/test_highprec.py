@@ -7,9 +7,10 @@ from dnse_lab.errors import NoConvergence, SingularJacobian
 from dnse_lab import highprec
 from dnse_lab.highprec import map_reproduction_error, polish_solution
 from dnse_lab.lattice import _neighbors, _stencil_residual
-from dnse_lab.newton import _jacobian_diagonal, _tridiag_solve
+from dnse_lab.newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern, kernel_corpus
+from conftest import (alternating_spot_pattern, irregular_pair_pattern, kernel_corpus,
+                      reference_tridiag_solve)
 
 
 def _oracle_thomas(diag, rhs, pivot_tol):
@@ -126,7 +127,37 @@ RENORMALIZING_POLISH_E = {
 }
 
 
+def _list_of_arrays_polish(state, params, dps):
+    """polish_solution with the step glue and kernel it had while the
+    kernel's solutions came back as one object array each: the oracle of
+    the stacked glue."""
+    with mp.workdps(dps):
+        c = mpf(params.c)
+
+        def step(psi, energy, res, _res_norm):
+            diag = _jacobian_diagonal(psi, c, energy).tolist()
+            return _bordered_step(psi, energy, res, lambda rhss: [
+                np.array(x, dtype=object)
+                for x in reference_tridiag_solve(diag, [r.tolist() for r in rhss], True)])
+
+        psi, energy, _ = _newton_loop(
+            np.array([mpf(v) for v in state.values.tolist()], dtype=object),
+            mpf(dl.rayleigh_energy(state, params)),
+            lambda psi, energy: _stencil_residual(psi, c, energy, dl.Boundary.PERIODIC),
+            step, lambda *_: mpf(10) ** (10 - dps), highprec.POLISH_MAX_ITER,
+            lambda *_: None)
+        return psi.tolist(), energy
+
+
 class TestPolish:
+    def test_same_bits_as_list_of_arrays_glue(self, chain100_solution, chain130_solution):
+        for (_, state, _, _), c, dps in [(chain100_solution, 24.0, 60),
+                                         (chain130_solution, 40.0, 80)]:
+            psi, energy = polish_solution(state, dl.ModelParams(c), dps=dps)
+            ref_psi, ref_energy = _list_of_arrays_polish(state, dl.ModelParams(c), dps)
+            assert energy._mpf_ == ref_energy._mpf_, dps
+            assert [p._mpf_ for p in psi] == [p._mpf_ for p in ref_psi], dps
+
     @pytest.mark.parametrize("name, spec, c, dps", [
         ("chain100", alternating_spot_pattern(), 24.0, 60),
         ("chain130", irregular_pair_pattern(), 40.0, 80),
@@ -169,6 +200,14 @@ class TestPolish:
         with pytest.raises(ValueError):
             polish_solution(state, dl.ModelParams(24.0), dps=dps)
 
+    @pytest.mark.parametrize("dps", [15.5, 60.0, float("inf"), float("nan")])
+    def test_non_integer_precision_rejected(self, dps, chain100_solution):
+        # mp.workdps(15.5) would work to 15 digits against a 10**-5.5
+        # tolerance, and inf would escape as mpmath's OverflowError
+        _, state, _, _ = chain100_solution
+        with pytest.raises(ValueError):
+            polish_solution(state, dl.ModelParams(24.0), dps=dps)
+
     def test_float64_precision_accepted(self, chain100_solution):
         _, state, energy, _ = chain100_solution
         assert abs(polish_solution(state, dl.ModelParams(24.0), dps=15)[1] - energy) <= 1e-9
@@ -184,6 +223,16 @@ class TestMapReproduction:
     def test_precision_below_float64_rejected(self, dps):
         with pytest.raises(ValueError):
             map_reproduction_error([mpf(0), mpf(1), mpf(0)], -1.0, 10.0, dps=dps)
+
+    @pytest.mark.parametrize("dps", [15.5, 60.0, float("inf"), float("nan")])
+    def test_non_integer_precision_rejected(self, dps):
+        with pytest.raises(ValueError):
+            map_reproduction_error([mpf(0), mpf(1), mpf(0)], -1.0, 10.0, dps=dps)
+
+    def test_numpy_integer_precision_accepted(self):
+        psi = [mpf(0), mpf(1), mpf(0)]
+        assert (map_reproduction_error(psi, -1.0, 10.0, dps=np.int64(30))
+                == map_reproduction_error(psi, -1.0, 10.0, dps=30))
 
 
 def _float_newton(spec, solved, k):

@@ -285,8 +285,11 @@ class TestNewtonSolve:
         for tol in (-1.0, 0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 dl.NewtonConfig(tol_residual=tol)
-        with pytest.raises(ValueError):
-            dl.NewtonConfig(max_iter=0)
+        # at least one whole step: the loop's count never equals 2.5 or inf
+        for max_iter in (0, -1, 2.5, 2.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                dl.NewtonConfig(max_iter=max_iter)
+        assert dl.NewtonConfig(max_iter=np.int64(2)).max_iter == 2
 
 
 class TestRoundingFloor:

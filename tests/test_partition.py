@@ -19,12 +19,19 @@ from dnse_lab import newton
 from dnse_lab.errors import SingularJacobian
 from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _tridiag_solve
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern, kernel_corpus
+from conftest import (alternating_spot_pattern, irregular_pair_pattern, kernel_corpus,
+                      reference_tridiag_solve)
 
 
 def _scalar(diag, rhs, periodic):
-    [x] = _tridiag_solve(array("d", diag.tobytes()), [array("d", rhs.tobytes())], periodic)
-    return np.frombuffer(x)
+    """The scalar kernel on array('d') copies of diag and of each row of
+    rhs, (N,) or (K, N): solve_linear's float64 glue and kernel before the
+    kernel ran on lists, kept as the oracle of its scalar branch."""
+    xs = [np.frombuffer(x) for x in
+          reference_tridiag_solve(array("d", diag.tobytes()),
+                                  [array("d", b.tobytes()) for b in rhs.reshape(-1, diag.size)],
+                                  periodic)]
+    return xs[0] if rhs.ndim == 1 else np.stack(xs)
 
 
 def _backward_error(diag, periodic, x, rhs):
@@ -144,6 +151,43 @@ class TestAgainstScalarKernel:
                     _assert_agrees(row, _scalar(diag, rhs, periodic), (n, periodic))
 
 
+class TestScalarBranchAgainstArrayGlue:
+    """solve_linear's scalar branch runs the kernel on lists; its old
+    array('d') glue must give the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def scalar_branch(self, monkeypatch):
+        monkeypatch.setattr(newton, "REDUCTION_MIN_SITES", 10**9)
+
+    @staticmethod
+    def _check(diag, rhs, periodic, name):
+        x = dl.solve_linear(dl.JacobianMatrix(diag, periodic), rhs)
+        assert x.shape == rhs.shape and x.dtype == np.float64, name
+        assert x.tobytes() == _scalar(np.asarray(diag, dtype=float), rhs, periodic).tobytes(), name
+
+    def test_corpus_systems(self):
+        # the acceptance chains at their couplings and the random rings at
+        # their c = 4N starts; open and periodic, one rhs and two
+        for name, state, c in kernel_corpus():
+            params = dl.ModelParams(c)
+            energy = dl.rayleigh_energy(state, params)
+            diag = dl.assemble_jacobian(state, params, energy).diag
+            res = dl.residual(state, params, energy)
+            for periodic in (True, False):
+                for rhs in (res, state.values, np.stack((res, state.values))):
+                    self._check(diag, rhs, periodic, (name, periodic, rhs.shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_rings(self, n):
+        # a one-site ring folds its hops into the diagonal; on two sites
+        # the corners land on the off-diagonals
+        rng = np.random.default_rng(n)
+        for periodic in (True, False):
+            diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+            for rhs in (rng.standard_normal(n), rng.standard_normal((2, n))):
+                self._check(diag, rhs, periodic, (n, periodic, rhs.shape))
+
+
 class TestThreshold:
     """The fork in solve_linear: the scalar kernel below REDUCTION_MIN_SITES
     sites, cyclic reduction from it on."""
@@ -154,8 +198,7 @@ class TestThreshold:
             jac, res = _newton_system(n, 5)
             rhs = np.stack((res, np.ones(n))) if stacked else res
             if n < REDUCTION_MIN_SITES:
-                ref = np.reshape([_scalar(jac.diag, b, True) for b in rhs.reshape(-1, n)],
-                                 rhs.shape)
+                ref = _scalar(jac.diag, rhs, True)
             else:
                 ref = _cyclic_reduction(jac.diag, rhs, True)
             assert np.array_equal(dl.solve_linear(jac, rhs), ref), n
@@ -209,12 +252,12 @@ class TestSingularity:
         assert np.array_equal(x, _scalar(diag, rhs, True))
 
     def test_nan_pivot_is_singular(self):
-        diag = array("d", [4.0, float("nan"), 4.0])
+        diag = [4.0, float("nan"), 4.0]
         for periodic in (False, True):
             with pytest.raises(SingularJacobian):
-                _tridiag_solve(diag, [array("d", [1.0, 1.0, 1.0])], periodic)
+                _tridiag_solve(diag, [[1.0, 1.0, 1.0]], periodic)
         with pytest.raises(SingularJacobian):
-            dl.solve_linear(dl.JacobianMatrix(np.frombuffer(diag), periodic=True), np.ones(3))
+            dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), np.ones(3))
 
     def test_singular_ring_raises(self):
         # the all-2 ring is the ring Laplacian, exactly singular
@@ -239,6 +282,26 @@ def test_stacked_solve_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * 8
+
+
+def test_scalar_fallback_memory():
+    # a ring the reduction refuses (a pivot of 1e-8 on site 1) falls back to
+    # the scalar kernel on lists of floats, 32 bytes a site where the
+    # array('d') glue took 8: traced peak 22.4 MB with two rhs at 10^5
+    # sites, against 5.8 MB for that glue
+    n = 100_000
+    diag = np.full(n, 4.0)
+    diag[1] = 1e-8
+    rhs = np.random.default_rng(4).standard_normal((2, n))
+    assert _cyclic_reduction(diag, rhs, True) is None
+    jac = dl.JacobianMatrix(diag, periodic=True)
+    tracemalloc.start()
+    try:
+        dl.solve_linear(jac, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 def test_newton_solve_against_scalar_kernel(monkeypatch):
