@@ -15,6 +15,7 @@ output directory); everything else is flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -200,7 +201,8 @@ def cmd_random(args) -> int:
 
 
 def _add_out(p):
-    p.add_argument("--out", default=_default_outdir(),
+    # None until main resolves it, so the environment is read at each call
+    p.add_argument("--out", default=None,
                    help="output directory (default: $DNSE_LAB_OUTDIR or .)")
 
 
@@ -225,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pattern", help="counts and strong-coupling energies of a pattern")
     p.add_argument("text")
     p.add_argument("--bc", choices=["periodic", "open"], default="periodic")
-    p.add_argument("--c", type=float, nargs="+", default=[0.0])
+    # a tuple: the one parser hands this default to every parse
+    p.add_argument("--c", type=float, nargs="+", default=(0.0,))
     _add_out(p)
     p.set_defaults(func=cmd_pattern)
 
@@ -283,9 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building one costs ten to twenty parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.out is None:
+        args.out = _default_outdir()
     try:
         _check_out(args.out)
         # the commands that classify check their tolerance before any work

@@ -5,20 +5,25 @@ map: the linearized per-period multiplier is large, so iterating the map
 from a double-precision solution amplifies the residual floor (~1e-15)
 far above any useful tolerance after ~100 sites.  The identity itself is
 exact, and becomes visible numerically once the solution is polished and
-the map iterated at sufficient precision.  This module does both with
-mpmath working at a configurable number of decimal digits.  The polish
-takes bordered Newton steps on (psi, E), built from the float64 code run
-on mpf values: the Newton loop, the bordered step and the tridiagonal
-kernel of newton, and the lattice residual.
+the map iterated at sufficient precision.  This module does both at a
+configurable number of decimal digits.  The polish takes bordered Newton
+steps on (psi, E), built from the float64 code run on the standard
+library's decimal numbers (libmpdec, correctly rounded; several times
+faster than mpmath without gmpy2): the Newton loop, the bordered step and
+the tridiagonal kernel of newton, and the lattice residual.  Its results
+come back as mpf, and the map check runs on mpmath.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 from mpmath import mp, mpf
 
+from .errors import NoConvergence, SingularJacobian
 from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
 from .mapdyn import MapState, map_step
 from .newton import (NewtonReport, _bordered_step, _jacobian_diagonal, _newton_loop,
@@ -38,27 +43,37 @@ def _check_dps(dps):
         raise ValueError(f"dps {dps} is not an integer of at least the 15 digits of float64")
 
 
+def _as_mpf(psi, energy, dps):
+    """The polish's Decimal psi and E as an object array of mpf and an mpf,
+    each rounded once, to nearest, at dps digits."""
+    with mp.workdps(dps):
+        return np.array([mpf(str(v)) for v in psi], dtype=object), mpf(str(energy))
+
+
 def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
-    """Re-converge a double-precision solution with bordered mpmath Newton steps.
+    """Re-converge a double-precision solution with bordered Newton steps
+    on Decimal numbers of dps significant digits.
 
     The unknowns are (psi, E); the border is the norm condition
     g = (psi.psi - 1)/2 = 0 (Keller 1977).  Each step is newton's
     _bordered_step, solving J a = F and J b = psi in one kernel call, which
     converges quadratically from the float64 state and its Rayleigh
-    energy.  Returns (psi list, E) as mpf once the residual max-norm is at
-    most 10**-(dps-10).  PBC only; dps is an integer >= 15.
+    energy, both taken exactly.  Returns (psi list, E) as mpf at dps once
+    the residual max-norm is at most 10**-(dps-10).  PBC only; dps is an
+    integer >= 15.
 
     Raises NoConvergence when POLISH_MAX_ITER steps do not reach that
     tolerance; it carries the last iterate (an object array of mpf), its E
-    and a NewtonReport with the iteration count and the E and residual
-    histories.  A singular Jacobian raises SingularJacobian carrying the same.
+    (an mpf) and a NewtonReport with the iteration count and the E and
+    residual histories.  A singular Jacobian raises SingularJacobian
+    carrying the same.
     """
     if state.boundary is not Boundary.PERIODIC:
         raise ValueError("high-precision polish supports PBC only")
     _check_dps(dps)
-    with mp.workdps(dps):
-        c = mpf(params.c)
-        tol = mpf(10) ** (10 - dps)
+    with localcontext(Context(prec=operator.index(dps))):
+        c = Decimal(params.c)
+        tol = Decimal(10) ** (10 - dps)
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
@@ -71,12 +86,17 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
                                 final_norm=float(np.dot(psi, psi)),
                                 bordered_from=0 if iterations else None)
 
-        psi, energy, _ = _newton_loop(
-            np.array([mpf(v) for v in state.values.tolist()], dtype=object),
-            mpf(rayleigh_energy(state, params)),
-            lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
-            step, lambda *_: tol, POLISH_MAX_ITER, report)
-        return psi.tolist(), energy
+        try:
+            psi, energy, _ = _newton_loop(
+                np.array([Decimal(v) for v in state.values.tolist()], dtype=object),
+                Decimal(rayleigh_energy(state, params)),
+                lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
+                step, lambda *_: tol, POLISH_MAX_ITER, report)
+        except (NoConvergence, SingularJacobian) as exc:
+            exc.state, exc.energy = _as_mpf(exc.state, exc.energy, dps)
+            raise
+    psi, energy = _as_mpf(psi, energy, dps)
+    return psi.tolist(), energy
 
 
 def map_reproduction_error(psi, energy, c, dps: int = 60):

@@ -5,10 +5,10 @@ gradient) a symmetric tridiagonal matrix with diagonal 2 - E - 3 c psi**2,
 off-diagonal -1 and, under PBC, -1 in the two corners.  solve_linear
 solves it in O(N), for one right-hand side or a stack of them through one
 factorization.  Below REDUCTION_MIN_SITES it calls the scalar kernel,
-_tridiag_solve, which also serves mpmath in the high-precision polish: it
+_tridiag_solve, which also serves the high-precision polish's Decimal: it
 factors the matrix once by Thomas elimination, restores the corners by a
 rank-1 Sherman-Morrison correction, and sweeps every right-hand side
-through the one factorization, site by site on lists of floats or mpf.
+through the one factorization, site by site on lists of floats or Decimal.
 From REDUCTION_MIN_SITES float64 sites on (640, the measured crossover;
 its timing table is at the constant) it takes odd-even cyclic reduction
 (Hockney 1965; Buzbee, Golub & Nielson 1970): each level eliminates the
@@ -32,8 +32,8 @@ the iteration to the normalized solution branch instead of drifting along
 the amplitude-rescaling family.  This phase converges linearly, and it is
 the one that picks the state a cold start ends on.  At or below
 BORDERED_RESIDUAL the step is _bordered_step, the Newton step on (psi, E)
-with the norm as the border that the mpmath polish takes too; it converges
-quadratically to the state the first phase has settled near.
+with the norm as the border that the high-precision polish takes too; it
+converges quadratically to the state the first phase has settled near.
 
 sweep_c continues a state over a monotone sequence of couplings.  It
 predicts each start by the Lagrange extrapolation in c through the last
@@ -219,9 +219,10 @@ def assemble_jacobian(state: LatticeState, params: ModelParams, energy: float) -
 
 
 def _jacobian_diagonal(psi, c, energy):
-    """2 - E - 3 c psi**2, on float64 or on an object array of mpf; the
-    array stays on the left of every operator, as in _stencil_residual."""
-    return np.subtract(2.0 - energy, psi**2 * (3.0 * c))
+    """2 - E - 3 c psi**2, on float64 or on an object array of Decimal;
+    as in _stencil_residual, no float literal enters it and the array
+    stays on the left of every operator."""
+    return np.subtract(2 - energy, psi**2 * (3 * c))
 
 
 def _sweep(inv, rhs):
@@ -239,8 +240,10 @@ def _tridiag_solve(diag, rhss, periodic: bool):
 
     J is symmetric with the diagonal diag, off-diagonals -1 and, when
     periodic, -1 in the two corners.  diag and each b are lists, of floats
-    or of mpf, and each solution comes back as a list: the loops run on
-    plain Python numbers, so one code serves float64 and mpmath alike.  A
+    or of Decimal, and each solution comes back as a list: the loops run on
+    plain Python numbers, so one code serves float64 and the high-precision
+    polish alike.  The pivot threshold is a float, which Decimal compares
+    with exactly; no float enters the arithmetic.  A
     ring is solved as in Numerical Recipes 2.7: the corners are peeled off
     as a rank-1 update u v^T of an open chain, and Sherman-Morrison
     restores them with one more sweep, of u.  On a two-site ring the
@@ -257,7 +260,7 @@ def _tridiag_solve(diag, rhss, periodic: bool):
         diag = diag[:]
         diag[0] -= 2  # both hops land on the site itself
         periodic = False
-    pivot_tol = PIVOT_REL_THRESHOLD * max(max(map(abs, diag)), 1)
+    pivot_tol = PIVOT_REL_THRESHOLD * float(max(max(map(abs, diag)), 1))
     inv = diag[:]  # the modified diagonal, then the reciprocal pivots
     if periodic:
         gamma = -(abs(diag[0]) + 1)
@@ -419,8 +422,8 @@ def _bordered_step(psi, energy, res, solve):
         dE = (psi.a - g) / (psi.b),    dpsi = -a + b dE,
 
     which converges quadratically near a solution.  Serves float64 arrays
-    and object arrays of mpf alike; returns (psi + dpsi, E + dE), built in
-    the arrays solve returned.  Raises SingularJacobian when psi.b = 0.
+    and object arrays of Decimal alike; returns (psi + dpsi, E + dE), built
+    in the arrays solve returned.  Raises SingularJacobian when psi.b = 0.
     """
     a, b = solve((res, psi))
     den = np.dot(psi, b)
@@ -477,7 +480,7 @@ def _rounding_floor(state: LatticeState, params: ModelParams, energy: float) -> 
 
 
 def _newton_loop(state, energy, residual_of, step, tol_of, max_iter, report):
-    """The Newton iteration of newton_solve and the mpmath polish.
+    """The Newton iteration of newton_solve and the high-precision polish.
 
     Each iteration evaluates res = residual_of(state, energy) once and
     records E and the residual max-norm.  It stops when the norm is not
@@ -525,10 +528,11 @@ def newton_solve(
     its estimate, solves J step = F at (psi, E), renormalizes and
     re-estimates E; this phase converges linearly and settles which state
     the run ends on.  At or below it the step is the bordered (psi, E)
-    step of the mpmath polish, which solves J a = F and J b = psi through
-    one factorization and converges quadratically; its E is the previous
-    E plus the bordered correction, not a fresh estimate.  The report's
-    bordered_from is the first iteration that took a bordered step.
+    step of the high-precision polish, which solves J a = F and J b = psi
+    through one factorization and converges quadratically; its E is the
+    previous E plus the bordered correction, not a fresh estimate.  The
+    report's bordered_from is the first iteration that took a bordered
+    step.
 
     Stops when the residual max-norm is not above the tolerance or, where
     that is larger, the residual that rounding alone can leave

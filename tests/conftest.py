@@ -62,7 +62,7 @@ def reference_tridiag_solve(diag, rhss, periodic):
     """The scalar kernel as it ran while float64 passed it array('d'):
     each solution fills a copy of diag's container in place, and the
     Sherman-Morrison vector is streamed.  The oracle of the list kernel,
-    for float64 and mpf alike."""
+    for float64, mpf and Decimal alike."""
 
     def sweep(inv, rhs):
         x = inv[:]
@@ -78,7 +78,7 @@ def reference_tridiag_solve(diag, rhss, periodic):
         diag = diag[:]
         diag[0] -= 2
         periodic = False
-    pivot_tol = PIVOT_REL_THRESHOLD * max(max(map(abs, diag)), 1)
+    pivot_tol = PIVOT_REL_THRESHOLD * float(max(max(map(abs, diag)), 1))
     inv = diag[:]
     if periodic:
         gamma = -(abs(diag[0]) + 1)

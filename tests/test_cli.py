@@ -453,8 +453,9 @@ class TestRandomCommand:
 
 class TestEnvironment:
     def test_outdir_env_var(self, tmp_path, monkeypatch, capsys):
+        assert main(["random", "10", "--out", str(tmp_path / "first")]) == EXIT_OK
         monkeypatch.setenv("DNSE_LAB_OUTDIR", str(tmp_path / "envout"))
-        # the default is read at parser build time, so invoke fresh
+        # read when main parses, after the parser was built
         assert main(["random", "10"]) == EXIT_OK
         assert (tmp_path / "envout" / "pattern.txt").exists()
 

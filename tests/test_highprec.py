@@ -1,3 +1,5 @@
+from decimal import Context, Decimal, localcontext
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -127,18 +129,16 @@ RENORMALIZING_POLISH_E = {
 }
 
 
-def _list_of_arrays_polish(state, params, dps):
-    """polish_solution with the step glue and kernel it had while the
-    kernel's solutions came back as one object array each: the oracle of
-    the stacked glue."""
+def _mpf_polish(state, params, dps):
+    """polish_solution as it ran on mpf before it ran on Decimal: the same
+    loop, step and kernel at dps decimal digits of mpmath."""
     with mp.workdps(dps):
         c = mpf(params.c)
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
-            return _bordered_step(psi, energy, res, lambda rhss: [
-                np.array(x, dtype=object)
-                for x in reference_tridiag_solve(diag, [r.tolist() for r in rhss], True)])
+            return _bordered_step(psi, energy, res, lambda rhss: np.array(
+                _tridiag_solve(diag, np.stack(rhss).tolist(), True), dtype=object))
 
         psi, energy, _ = _newton_loop(
             np.array([mpf(v) for v in state.values.tolist()], dtype=object),
@@ -147,6 +147,44 @@ def _list_of_arrays_polish(state, params, dps):
             step, lambda *_: mpf(10) ** (10 - dps), highprec.POLISH_MAX_ITER,
             lambda *_: None)
         return psi.tolist(), energy
+
+
+def _list_of_arrays_polish(state, params, dps):
+    """polish_solution with the step glue and kernel it had while the
+    kernel's solutions came back as one object array each: the oracle of
+    the stacked glue, on the polish's Decimal numbers."""
+    with localcontext(Context(prec=dps)):
+        c = Decimal(params.c)
+
+        def step(psi, energy, res, _res_norm):
+            diag = _jacobian_diagonal(psi, c, energy).tolist()
+            return _bordered_step(psi, energy, res, lambda rhss: [
+                np.array(x, dtype=object)
+                for x in reference_tridiag_solve(diag, [r.tolist() for r in rhss], True)])
+
+        psi, energy, _ = _newton_loop(
+            np.array([Decimal(v) for v in state.values.tolist()], dtype=object),
+            Decimal(dl.rayleigh_energy(state, params)),
+            lambda psi, energy: _stencil_residual(psi, c, energy, dl.Boundary.PERIODIC),
+            step, lambda *_: Decimal(10) ** (10 - dps), highprec.POLISH_MAX_ITER,
+            lambda *_: None)
+    psi, energy = highprec._as_mpf(psi, energy, dps)
+    return psi.tolist(), energy
+
+
+def _worst_residual(psi, energy, c, dps):
+    with mp.workdps(dps):
+        n = len(psi)
+        return max(abs(-psi[i - 1] + 2 * psi[i] - psi[(i + 1) % n]
+                       - c * psi[i] ** 3 - energy * psi[i]) for i in range(n))
+
+
+def _assert_mpf_iterate(exc, dps):
+    """The iterate a polish failure carries is mpf, rounded at dps digits."""
+    assert exc.state.dtype == object and all(isinstance(p, mpf) for p in exc.state)
+    assert isinstance(exc.energy, mpf)
+    with mp.workdps(dps):
+        assert mpf(exc.energy) == exc.energy and all(mpf(p) == p for p in exc.state)
 
 
 class TestPolish:
@@ -158,6 +196,19 @@ class TestPolish:
             assert energy._mpf_ == ref_energy._mpf_, dps
             assert [p._mpf_ for p in psi] == [p._mpf_ for p in ref_psi], dps
 
+    def test_agrees_with_mpf_polish(self, chain100_solution, chain130_solution):
+        # measured: E agrees to 8.3e-60 and 1.2e-79, psi to 6e-60 and 2.5e-80
+        for (_, state, _, _), c, dps in [(chain100_solution, 24.0, 60),
+                                         (chain130_solution, 40.0, 80)]:
+            psi, energy = polish_solution(state, dl.ModelParams(c), dps=dps)
+            ref_psi, ref_energy = _mpf_polish(state, dl.ModelParams(c), dps)
+            with mp.workdps(dps):
+                tol = mpf(10) ** (10 - dps)
+                assert _worst_residual(psi, energy, c, dps) <= tol, dps
+                assert _worst_residual(ref_psi, ref_energy, c, dps) <= tol, dps
+                assert abs(energy - ref_energy) <= tol, dps
+                assert max(abs(p - q) for p, q in zip(psi, ref_psi)) <= tol, dps
+
     @pytest.mark.parametrize("name, spec, c, dps", [
         ("chain100", alternating_spot_pattern(), 24.0, 60),
         ("chain130", irregular_pair_pattern(), 40.0, 80),
@@ -165,11 +216,9 @@ class TestPolish:
     def test_reaches_tolerance(self, name, spec, c, dps):
         state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
         psi, energy = polish_solution(state, dl.ModelParams(c), dps=dps)
+        assert isinstance(energy, mpf) and all(isinstance(p, mpf) for p in psi)
         with mp.workdps(dps):
-            n = len(psi)
-            worst = max(abs(-psi[i - 1] + 2 * psi[i] - psi[(i + 1) % n]
-                            - c * psi[i] ** 3 - energy * psi[i]) for i in range(n))
-            assert worst <= mpf(10) ** (10 - dps)
+            assert _worst_residual(psi, energy, c, dps) <= mpf(10) ** (10 - dps)
             assert abs(mp.fsum(p * p for p in psi) - 1) <= mpf(10) ** (10 - dps)
             assert abs(energy - mpf(RENORMALIZING_POLISH_E[name])) <= mpf(10) ** -30
         assert max(abs(float(p) - v) for p, v in zip(psi, state.values)) <= 1e-10
@@ -187,6 +236,18 @@ class TestPolish:
         assert report.residual_history[1] < report.residual_history[0]
         assert report.residual_history[1] > 1e-70
         assert len(exc.value.state) == 130
+        _assert_mpf_iterate(exc.value, 80)
+
+    def test_singular_jacobian_carries_mpf(self, chain130_solution, monkeypatch):
+        def singular(*_):
+            raise SingularJacobian("forced")
+
+        _, state, _, _ = chain130_solution
+        monkeypatch.setattr(highprec, "_tridiag_solve", singular)
+        with pytest.raises(SingularJacobian) as exc:
+            polish_solution(state, dl.ModelParams(40.0), dps=80)
+        assert exc.value.report.iterations == 0 and len(exc.value.state) == 130
+        _assert_mpf_iterate(exc.value, 80)
 
     def test_open_boundary_rejected(self):
         state = dl.LatticeState([0.0, 1.0, 0.0], dl.Boundary.OPEN)
@@ -211,6 +272,14 @@ class TestPolish:
     def test_float64_precision_accepted(self, chain100_solution):
         _, state, energy, _ = chain100_solution
         assert abs(polish_solution(state, dl.ModelParams(24.0), dps=15)[1] - energy) <= 1e-9
+
+    def test_numpy_integer_precision_accepted(self, chain100_solution):
+        # a numpy integer is not an int to decimal's context
+        _, state, _, _ = chain100_solution
+        psi, energy = polish_solution(state, dl.ModelParams(24.0), dps=np.int64(60))
+        ref_psi, ref_energy = polish_solution(state, dl.ModelParams(24.0), dps=60)
+        assert energy._mpf_ == ref_energy._mpf_
+        assert [p._mpf_ for p in psi] == [p._mpf_ for p in ref_psi]
 
 
 class TestMapReproduction:
@@ -266,9 +335,10 @@ class TestSharedStoppingRule:
 class TestArrayOperandOrder:
     """An mpf on the left of an object array makes mpmath's operator call
     npconvert on the array, which formats the whole array at full
-    precision into a TypeError before numpy takes over.  The polish keeps
-    the array on the left; the float64 results are the same bits as with
-    the mpf-first expressions."""
+    precision into a TypeError before numpy takes over.  The polish runs
+    on Decimal and the map check on mpf scalars, and the shared kernels
+    keep the array on the left; their float64 results are the same bits
+    as with the scalar-first expressions."""
 
     def test_polish_never_converts_an_array(self, monkeypatch, chain100_solution,
                                             chain130_solution):
