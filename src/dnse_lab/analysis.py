@@ -13,15 +13,16 @@ classify_portrait (default DISTINCT_TOL).
 
 Classification runs in near-linear time in the number of points: the
 distinct-point count buckets cluster representatives on a grid of cell
-size tol, the period search tests in full only the shifts that carry
-each of the 8 largest sites to within tol of itself, and the curve
-thickness finds exact nearest neighbors with a k-d tree searched one
-leaf's queries at a time, breaking distance ties by the lower index.
-Each gives the result the all-pairs search would.  numpy does the
-arithmetic, in blocks of _BLOCK: the count computes every point's cell
-before its greedy loop, which then only looks up buckets, and the
-thickness ranks distances on x and y columns and takes the spreads of
-many neighbourhoods at once.
+size tol, whose edge cells take every point beyond +-_GRID_LIMIT cells
+(the count turns quadratic only when most points lie there), the period
+search tests in full only the shifts that carry each of the 8 largest
+sites to within tol of itself, and the curve thickness finds exact
+nearest neighbors with a k-d tree searched one leaf's queries at a time,
+breaking distance ties by the lower index.  Each gives the result the
+all-pairs search would.  numpy does the arithmetic, in blocks of _BLOCK:
+the count computes every point's cell before its greedy loop, which then
+only looks up buckets, and the thickness ranks distances on x and y
+columns and takes the spreads of many neighbourhoods at once.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -127,14 +128,14 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
     return PhasePortrait(pts, psi_sequence=orbit.psi, cyclic=False)
 
 
-# cell indices floor(p / tol) are exact integers well below 2**53; points
-# farther out are compared against every representative instead
+# cells floor(p / tol) are clamped to +-_GRID_LIMIT, where they are still
+# exact integers well below 2**53; the points beyond share the edge cells
 _GRID_LIMIT = 2.0**49
 # points whose cells, or neighbourhoods whose spreads, one numpy pass
 # computes: it bounds the temporaries, as io._CHUNK_LINES does the writers'
 _BLOCK = 256
-# cell (cx, cy) has the key cx * _ROW + cy, one int: gridded cells have
-# |cy| < 2**50, so no two share a key
+# cell (cx, cy) has the key cx * _ROW + cy, one int: |cy| <= _GRID_LIMIT,
+# so no two cells share a key
 _ROW = 2**51
 
 
@@ -146,58 +147,53 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     finite tol a point with a NaN or infinite coordinate matches nothing,
     so each one counts as a cluster of its own.
 
-    Representatives are bucketed by the cell floor(p / tol), and a point
-    is compared only with the cells its tol-box can reach.  Those cells
-    run from the cell of p - reach to the cell of p + reach, with reach
-    the float just above tol: a match r has |p - r| <= tol + ulp(tol)/2
-    exactly, so fl(p - reach) <= r <= fl(p + reach), and a correctly
-    rounded p / tol followed by floor is monotone in p.  The span is
-    three cells, or four when p + reach or p - reach lands on a cell edge.
-    numpy computes these cells for _BLOCK points at a time.  The loop then
-    looks in the point's own cell, and after that only in the columns of
-    cells that hold representatives, and stops at the first match.
+    Representatives are bucketed by the cell floor(p / tol), clamped to
+    +-_GRID_LIMIT, and a point is compared only with the cells its tol-box
+    can reach.  Those cells run from the cell of p - reach to the cell of
+    p + reach, with reach the float just above tol: a match r has
+    |p - r| <= tol + ulp(tol)/2 exactly, so fl(p - reach) <= r <=
+    fl(p + reach), and a correctly rounded p / tol (an overflow included)
+    followed by floor and the clamp is monotone in p.  The span is three
+    cells, or four when p + reach or p - reach lands on a cell edge; the
+    clamp shrinks it, down to the edge cell alone, whose points are
+    compared exactly.  A NaN quotient, from a non-finite point or from
+    tol = inf, gives cell 0, so with tol = inf every point meets every
+    representative.  numpy computes these cells for _BLOCK points at a
+    time.  The loop then looks in the point's own cell, and after that
+    only in the columns of cells that hold representatives, and stops at
+    the first match.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    limit = _GRID_LIMIT * tol
-    if not math.isfinite(limit):
-        limit = 0.0  # tol too large for exact cells: compare with every representative
     reach = math.nextafter(tol, math.inf)
-    reps = []
-    loose = []  # finite representatives off the grid
+    count = 0
     buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
     columns = set()  # the cx of every bucket
     for start in range(0, portrait.size, _BLOCK):
         xs, ys = portrait.points[start:start + _BLOCK].T
-        gridded = (np.abs(xs) < limit) & (np.abs(ys) < limit)
-        finite = gridded | (np.isfinite(xs) & np.isfinite(ys))
-        gx, gy = np.where(gridded, xs, 0.0), np.where(gridded, ys, 0.0)
-        with np.errstate(invalid="ignore"):  # tol = inf, and then no point is gridded
-            cells = np.floor(np.array([gx, gy]) / tol).astype(np.int64)
-            # the reach range relative to the own cell, in small ints that
-            # Python does not allocate one by one
-            low = np.floor(np.array([gx - reach, gy - reach]) / tol).astype(np.int64) - cells
-            high = np.floor(np.array([gx + reach, gy + reach]) / tol).astype(np.int64) - cells
-        for x, y, grid, fin, cx, cy, lx, ly, hx, hy in zip(
-                xs.tolist(), ys.tolist(), gridded.tolist(), finite.tolist(),
-                *cells.tolist(), *low.tolist(), *high.tolist()):
-            if grid:
+        # a non-finite point matches nothing unless tol itself is inf
+        apart = ~(np.isfinite(xs) & np.isfinite(ys)) & (tol < math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.floor(np.array([xs, ys, xs - reach, ys - reach, xs + reach, ys + reach]) / tol)
+            cells = np.nan_to_num(cells.clip(-_GRID_LIMIT, _GRID_LIMIT), nan=0.0).astype(np.int64)
+        # the reach range relative to the own cell, in small ints that
+        # Python does not allocate one by one
+        cells[2:4] -= cells[:2]
+        cells[4:] -= cells[:2]
+        for x, y, alone, cx, cy, lx, ly, hx, hy in zip(
+                xs.tolist(), ys.tolist(), apart.tolist(), *cells.tolist()):
+            if not alone:
                 key = cx * _ROW + cy
                 own = buckets.get(key)
                 if ((own is not None and _matches(x, y, own, tol))
-                        or (loose and _matches(x, y, loose, tol))
                         or _reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol)):
                     continue
                 if own is None:
                     buckets[key] = own = []
                     columns.add(cx)
                 own.append((x, y))
-            elif (fin or tol == math.inf) and _matches(x, y, reps, tol):
-                continue  # a non-finite point matches nothing unless tol itself is inf
-            elif fin:
-                loose.append((x, y))
-            reps.append((x, y))
-    return len(reps)
+            count += 1
+    return count
 
 
 def _matches(x: float, y: float, reps, tol: float) -> bool:
@@ -483,7 +479,8 @@ def box_count(portrait: PhasePortrait, scales) -> BoxCountResult:
     """Occupied-box counts on the portrait bounding square.
 
     The log-log slope is reported as an exploratory statistic only; no
-    rigorous fractal-dimension claim is attached to it.
+    rigorous fractal-dimension claim is attached to it.  A scale is
+    refused when the portrait's extent spans _GRID_LIMIT boxes of it.
     """
     scales = [float(s) for s in scales]
     if len(scales) < 2:
@@ -494,8 +491,11 @@ def box_count(portrait: PhasePortrait, scales) -> BoxCountResult:
     if not np.all(np.isfinite(pts)):
         raise ValueError("box counting needs finite points")
     lo = pts.min(axis=0)
+    extent = float(np.max(pts.max(axis=0) - lo))
     counts = []
     for s in scales:
+        if extent >= _GRID_LIMIT * s:  # box indices past it are not exact
+            raise ValueError(f"scale {s!r} is too fine for exact boxes on this portrait")
         cells = np.floor((pts - lo) / s).astype(np.int64)
         counts.append((s, int(np.unique(cells, axis=0).shape[0])))
     xs = np.log([1.0 / s for s, _ in counts])

@@ -298,6 +298,14 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             dl.box_count(portrait, [0.5, scale])
 
+    @pytest.mark.parametrize("scale", [1e-19, 1e-300, 5e-324])
+    def test_scale_too_fine(self, scale):
+        # 2 / scale boxes a side: the int64 box indices used to wrap
+        # (730 boxes at 1e-19, 3 at 1e-300) or the slope fit failed (5e-324)
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 2))
+        with pytest.raises(ValueError, match=f"scale {scale!r}"):
+            dl.box_count(dl.PhasePortrait(pts), [0.5, scale])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_point(self, bad):
         # floor(inf) has no int64 cell
@@ -607,8 +615,8 @@ class TestDistinctEdgeCases:
         assert dl.distinct_points(dl.PhasePortrait(pts), 1e-6) == 7
 
     def test_beyond_the_grid(self):
-        # |p| >= 2**49 tol leaves the grid; such points still merge with
-        # grid neighbors within tol
+        # |p| >= 2**49 tol lands in an edge cell; such points still merge
+        # with neighbors within tol in the cells next to it
         tol = 1e-6
         edge = 2.0**49 * tol
         pts = [[edge - 0.5 * tol, 0.0], [edge, 0.0], [edge + 0.7 * tol, 0.0],

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnse_lab as dl
+from dnse_lab import analysis
 from dnse_lab import io as lab_io
 from dnse_lab.analysis import _GRID_LIMIT
 from dnse_lab.errors import NoConvergence
@@ -82,7 +83,9 @@ def _iterate_map_oracle(initial, energy, c, steps, escape_bound):
 
 # ---------------------------------------------------------- distinct points
 
-DISTINCT_TOLS = (1e-6, 0.1, math.inf)
+# 1e-17, 1e-300 and 5e-324 put most points of a cloud or a ring past the
+# clamp, in the edge cells, beside gridded ones
+DISTINCT_TOLS = (1e-6, 0.1, math.inf, 1e-17, 1e-300, 5e-324)
 
 
 def _cloud_point(kind, kx, ky, ulps, tol):
@@ -133,6 +136,28 @@ def test_distinct_past_a_block():
     for tol in (1e-3, 0.02):
         portrait = dl.PhasePortrait(points)
         assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+
+
+def test_far_points_stay_in_their_cells(monkeypatch):
+    # 300 points near 1e300 and then a 20 001-point map orbit: the far
+    # points share the edge cells, which no orbit point reaches.  When
+    # they went on an off-grid list that every later point scanned, the
+    # count scanned 6 044 850 representatives here.
+    far = 1e300 * np.random.default_rng(7).uniform(1.0, 2.0, (300, 2))
+    orbit = dl.portrait_from_orbit(dl.iterate_map(dl.MapState(0.3, 0.0), 1.0, 1.0, 20_000))
+    portrait = dl.PhasePortrait(np.vstack([far, orbit.points]))
+    expected = _distinct_oracle(portrait, 1e-6)
+    scanned = 0
+    matches = analysis._matches
+
+    def counting_matches(x, y, reps, tol):
+        nonlocal scanned
+        scanned += len(reps)
+        return matches(x, y, reps, tol)
+
+    monkeypatch.setattr(analysis, "_matches", counting_matches)
+    assert dl.distinct_points(portrait, 1e-6) == expected
+    assert scanned < 10 * portrait.size
 
 
 # ---------------------------------------------------------------- read_state
