@@ -34,6 +34,7 @@ only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -150,22 +151,25 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     Representatives are bucketed by the cell floor(p / tol), clamped to
     +-_GRID_LIMIT, and a point is compared only with the cells its tol-box
     can reach.  Those cells run from the cell of p - reach to the cell of
-    p + reach, with reach the float just above tol: a match r has
-    |p - r| <= tol + ulp(tol)/2 exactly, so fl(p - reach) <= r <=
-    fl(p + reach), and a correctly rounded p / tol (an overflow included)
-    followed by floor and the clamp is monotone in p.  The span is three
-    cells, or four when p + reach or p - reach lands on a cell edge; the
-    clamp shrinks it, down to the edge cell alone, whose points are
-    compared exactly.  A NaN quotient, from a non-finite point or from
-    tol = inf, gives cell 0, so with tol = inf every point meets every
-    representative.  numpy computes these cells for _BLOCK points at a
-    time.  The loop then looks in the point's own cell, and after that
-    only in the columns of cells that hold representatives, and stops at
-    the first match.
+    p + reach, with reach the float just above tol and both ends clipped
+    to +-the largest float: a match r has |p - r| <= tol + ulp(tol)/2
+    exactly, so fl(p - reach) <= r <= fl(p + reach) with r finite, and a
+    correctly rounded p / tol (an overflow included) followed by floor
+    and the clamp is monotone in p.  The span is three cells, or four when
+    p + reach or p - reach lands on a cell edge (five at tol 5e-324, whose
+    reach is 2 tol); the clip keeps an overflowing p + reach from widening
+    it, and the clamp shrinks it, down to the edge cell alone, whose
+    points are compared exactly.  A NaN quotient, from a non-finite point
+    or from tol = inf, gives cell 0, so with tol = inf every point meets
+    every representative.  numpy computes these cells for _BLOCK points
+    at a time.  The loop then looks in the point's own cell, and after
+    that only in the columns of cells that hold representatives, and
+    stops at the first match.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     reach = math.nextafter(tol, math.inf)
+    big = sys.float_info.max
     count = 0
     buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
     columns = set()  # the cx of every bucket
@@ -174,7 +178,8 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
         # a non-finite point matches nothing unless tol itself is inf
         apart = ~(np.isfinite(xs) & np.isfinite(ys)) & (tol < math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.floor(np.array([xs, ys, xs - reach, ys - reach, xs + reach, ys + reach]) / tol)
+            edges = np.clip([xs - reach, ys - reach, xs + reach, ys + reach], -big, big)
+            cells = np.floor(np.vstack([xs, ys, edges]) / tol)
             cells = np.nan_to_num(cells.clip(-_GRID_LIMIT, _GRID_LIMIT), nan=0.0).astype(np.int64)
         # the reach range relative to the own cell, in small ints that
         # Python does not allocate one by one
@@ -491,7 +496,10 @@ def box_count(portrait: PhasePortrait, scales) -> BoxCountResult:
     if not np.all(np.isfinite(pts)):
         raise ValueError("box counting needs finite points")
     lo = pts.min(axis=0)
-    extent = float(np.max(pts.max(axis=0) - lo))
+    with np.errstate(over="ignore"):
+        extent = float(np.max(pts.max(axis=0) - lo))
+    if extent == math.inf:
+        raise ValueError("portrait extent overflows float64")
     counts = []
     for s in scales:
         if extent >= _GRID_LIMIT * s:  # box indices past it are not exact

@@ -306,6 +306,12 @@ class TestBoxCount:
         with pytest.raises(ValueError, match=f"scale {scale!r}"):
             dl.box_count(dl.PhasePortrait(pts), [0.5, scale])
 
+    def test_extent_overflows(self):
+        # finite points more than the largest float apart
+        portrait = dl.PhasePortrait([[-1e308, 0.0], [1e308, 1.0]])
+        with pytest.raises(ValueError, match="extent overflows"):
+            dl.box_count(portrait, [1e300, 1e306])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_point(self, bad):
         # floor(inf) has no int64 cell

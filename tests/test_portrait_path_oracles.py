@@ -114,7 +114,9 @@ def test_distinct_clouds(cloud, tol):
     assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
 
 
-@pytest.mark.parametrize("tol", DISTINCT_TOLS + (1e-3, 1e300))
+# 1e-17 mixes gridded and clamped points of the rings; the tols that put
+# every point past the clamp are left to the clouds, whose points are few
+@pytest.mark.parametrize("tol", (1e-6, 0.1, math.inf, 1e-17, 1e-3, 1e300, 1e308))
 def test_distinct_on_solved_rings_and_orbits(tol):
     for seed in range(3):
         state = dl.build_asymptotic_state(dl.random_pattern(3000, seed))
@@ -124,7 +126,10 @@ def test_distinct_on_solved_rings_and_orbits(tol):
             solved = exc.state
         portrait = dl.phase_portrait(solved)
         assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol), seed
-    orbit = dl.iterate_map(dl.MapState(0.3, 0.0), 1.0, 1.0, 9000)
+    # most orbit points lie past the clamp at 1e-17, where both counts
+    # scan the edge cells' representatives for every point
+    steps = 9000 if _GRID_LIMIT * tol >= 1.0 else 1000
+    orbit = dl.iterate_map(dl.MapState(0.3, 0.0), 1.0, 1.0, steps)
     portrait = dl.portrait_from_orbit(orbit)
     assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
 
@@ -136,6 +141,28 @@ def test_distinct_past_a_block():
     for tol in (1e-3, 0.02):
         portrait = dl.PhasePortrait(points)
         assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+
+
+@pytest.mark.parametrize("tol", (1e292, 1e300, 1e308, 1.5e308))
+def test_distinct_near_float_max(monkeypatch, tol):
+    # p + tol overflows to inf for points within tol of the largest float;
+    # its cell must not stretch the span of five or fewer cells a side out
+    # to the clamp, where _reaches would walk 2**49 columns
+    reaches = analysis._reaches
+
+    def checked_reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol):
+        assert hx - lx <= 4 and hy - ly <= 4, (x, y, lx, hx, ly, hy)
+        return reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol)
+
+    monkeypatch.setattr(analysis, "_reaches", checked_reaches)
+    big = np.finfo(np.float64).max
+    rng = np.random.default_rng(11)
+    points = np.vstack([big * rng.uniform(0.9, 1.0, (60, 2)) * rng.choice([-1.0, 1.0], (60, 2)),
+                        rng.uniform(-1.0, 1.0, (20, 2)) * min(3 * tol, big),
+                        [[big, 0.0], [-big, big], [1e308, 0.0]]])
+    portrait = dl.PhasePortrait(rng.permutation(points))
+    assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+    assert dl.distinct_points(dl.PhasePortrait([[1e308, 0.0]]), tol) == 1
 
 
 def test_far_points_stay_in_their_cells(monkeypatch):
