@@ -18,9 +18,7 @@ def run_case(n_sites, c, seed, outdir):
     spec = dl.random_pattern(n_sites, seed)
     params = dl.ModelParams(c)
     try:
-        state, energy, report = dl.newton_solve(
-            dl.build_asymptotic_state(spec), params, seed=seed
-        )
+        state, energy, report = dl.newton_solve(dl.build_asymptotic_state(spec), params)
     except (NoConvergence, SingularJacobian) as exc:
         print(f"  seed {seed}: {type(exc).__name__} "
               f"(structure change: {exc.report.structure_changed})")
@@ -33,7 +31,7 @@ def run_case(n_sites, c, seed, outdir):
           f"n={counts.n} m={counts.m} l={counts.l}, {cls.label.value}{flag}")
     prefix = outdir / f"n{n_sites}_seed{seed}"
     lab_io.write_state(prefix.with_suffix(".state.csv"), state, c, energy)
-    lab_io.write_json(prefix.with_suffix(".report.json"), report.as_dict())
+    lab_io.write_json(prefix.with_suffix(".report.json"), {**report.as_dict(), "seed": seed})
     return energy
 
 

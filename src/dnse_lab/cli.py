@@ -118,7 +118,7 @@ def cmd_solve(args) -> int:
 
     def _write(state, energy, report, failed: str | None):
         lab_io.write_state(f"{stem}.state.csv", state, args.c, energy)
-        payload = report.as_dict()
+        payload = {**report.as_dict(), "seed": seed}
         if failed:
             payload["failed"] = failed
         lab_io.write_json(f"{stem}.report.json", payload)
@@ -127,7 +127,7 @@ def cmd_solve(args) -> int:
                               phase_portrait(state), args.tol_distinct)
 
     try:
-        state, energy, report = newton_solve(initial, params, config, seed=seed)
+        state, energy, report = newton_solve(initial, params, config)
     except NoConvergence as exc:
         _write(exc.state, exc.energy, exc.report, failed="no_convergence")
         print("no convergence", file=sys.stderr)

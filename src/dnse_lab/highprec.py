@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -26,8 +27,7 @@ from mpmath import mp, mpf
 from .errors import NoConvergence, SingularJacobian
 from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
 from .mapdyn import MapState, map_step
-from .newton import (NewtonReport, _bordered_step, _jacobian_diagonal, _newton_loop,
-                     _tridiag_solve, rayleigh_energy)
+from .newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve, rayleigh_energy
 
 # The polish stops once the residual max-norm is at most 10**-(dps - 10),
 # or raises NoConvergence after POLISH_MAX_ITER steps.  From a float64
@@ -64,9 +64,9 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
 
     Raises NoConvergence when POLISH_MAX_ITER steps do not reach that
     tolerance; it carries the last iterate (an object array of mpf), its E
-    (an mpf) and a NewtonReport with the iteration count and the E and
-    residual histories.  A singular Jacobian raises SingularJacobian
-    carrying the same.
+    (an mpf) and the Newton loop's report, with the iterate's norm as
+    final_norm.  A singular Jacobian raises SingularJacobian carrying the
+    same.
     """
     if state.boundary is not Boundary.PERIODIC:
         raise ValueError("high-precision polish supports PBC only")
@@ -77,22 +77,17 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
-            return _bordered_step(psi, energy, res, lambda rhss: np.array(
-                _tridiag_solve(diag, np.stack(rhss).tolist(), True), dtype=object))
-
-        def report(psi, iterations, e_hist, r_hist, converged):
-            return NewtonReport(iterations=iterations, energy_history=tuple(e_hist),
-                                residual_history=tuple(r_hist), converged=converged,
-                                final_norm=float(np.dot(psi, psi)),
-                                bordered_from=0 if iterations else None)
+            return *_bordered_step(psi, energy, res, lambda rhss: np.array(
+                _tridiag_solve(diag, np.stack(rhss).tolist(), True), dtype=object)), True
 
         try:
             psi, energy, _ = _newton_loop(
                 np.array([Decimal(v) for v in state.values.tolist()], dtype=object),
                 Decimal(rayleigh_energy(state, params)),
                 lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
-                step, lambda *_: tol, POLISH_MAX_ITER, report)
+                step, lambda *_: tol, POLISH_MAX_ITER)
         except (NoConvergence, SingularJacobian) as exc:
+            exc.report = replace(exc.report, final_norm=float(np.dot(exc.state, exc.state)))
             exc.state, exc.energy = _as_mpf(exc.state, exc.energy, dps)
             raise
     psi, energy = _as_mpf(psi, energy, dps)

@@ -15,9 +15,11 @@ its timing table is at the constant) it takes odd-even cyclic reduction
 odd sites of the ring by numpy operations across the level, halving it
 down to one site, and back substitution recovers them in reverse; a
 solution whose backward error is not small is solved again by the scalar
-kernel.  One private loop, _newton_loop, iterates both solvers; each
-supplies only its step.  newton_solve stops at its tolerance or, where
-that is larger, at the residual that rounding alone can leave.
+kernel.  One private loop, _newton_loop, iterates both solvers and
+builds both runs' NewtonReport from what it recorded; each solver
+supplies only its step, and adds to the report only what depends on its
+state.  newton_solve stops at its tolerance or, where that is larger, at
+the residual that rounding alone can leave.
 
 newton_solve runs in two phases, chosen at each step from the residual
 max-norm the loop has just evaluated.  Above BORDERED_RESIDUAL the step
@@ -47,7 +49,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import count
 from typing import Optional
 
@@ -157,20 +158,26 @@ class NewtonConfig:
 class NewtonReport:
     """Per-run diagnostics; histories have length iterations + 1.
 
-    bordered_from is the first iteration that took a bordered (psi, E)
-    step, or None when none did.
+    bordered_from is the first iteration j whose step, taken from iterate
+    j, was a bordered (psi, E) step, or None when none was.
+    structure_change_iteration is the first j >= 3 whose E jumped by more
+    than STRUCTURE_CHANGE_THRESHOLD from iterate j - 1, or None.
+    final_counts and final_norm describe the last iterate; the polish
+    leaves final_counts None.
     """
 
     iterations: int
     energy_history: tuple
     residual_history: tuple
     converged: bool
-    structure_changed: bool = False
     structure_change_iteration: Optional[int] = None
     final_counts: Optional[PatternCounts] = None
     final_norm: float = 0.0
-    seed: Optional[int] = None
     bordered_from: Optional[int] = None
+
+    @property
+    def structure_changed(self) -> bool:
+        return self.structure_change_iteration is not None
 
     def as_dict(self) -> dict:
         return {
@@ -184,7 +191,6 @@ class NewtonReport:
             "structure_change_iteration": self.structure_change_iteration,
             "counts": self.final_counts.as_dict() if self.final_counts else None,
             "final_norm": self.final_norm,
-            "seed": self.seed,
         }
 
 
@@ -436,28 +442,6 @@ def _bordered_step(psi, energy, res, solve):
     return new_psi, energy + d_energy
 
 
-def _finalize(state, iterations, e_hist, r_hist, converged, seed):
-    changed_at = None
-    for j in range(3, len(e_hist)):
-        if abs(e_hist[j] - e_hist[j - 1]) > STRUCTURE_CHANGE_THRESHOLD:
-            changed_at = j
-            break
-    # newton_solve chose each step from the residual recorded before it
-    bordered_from = next((j for j in range(iterations) if r_hist[j] <= BORDERED_RESIDUAL), None)
-    return NewtonReport(
-        iterations=iterations,
-        energy_history=tuple(e_hist),
-        residual_history=tuple(r_hist),
-        converged=converged,
-        structure_changed=changed_at is not None,
-        structure_change_iteration=changed_at,
-        final_counts=_count(_trits(state.values), state.boundary),
-        final_norm=state.norm_squared(),
-        seed=seed,
-        bordered_from=bordered_from,
-    )
-
-
 def _rounding_floor(state: LatticeState, params: ModelParams, energy: float) -> float:
     """A bound on the residual max-norm that rounding alone can leave.
 
@@ -479,19 +463,22 @@ def _rounding_floor(state: LatticeState, params: ModelParams, energy: float) -> 
                  * (6.0 + 2.0 * abs(energy) + 2.5 * abs(params.c) * m * m))
 
 
-def _newton_loop(state, energy, residual_of, step, tol_of, max_iter, report):
+def _newton_loop(state, energy, residual_of, step, tol_of, max_iter):
     """The Newton iteration of newton_solve and the high-precision polish.
 
     Each iteration evaluates res = residual_of(state, energy) once and
     records E and the residual max-norm.  It stops when the norm is not
     above tol_of(state, energy) (tested before stepping; NaN stops
     unconverged) or after max_iter steps; otherwise step(state, energy,
-    res, norm) gives the next (state, energy).  Returns (state, energy,
-    report(state, iterations, e_hist, r_hist, converged)).  Raises
+    res, norm) gives the next (state, energy, bordered), bordered telling
+    whether that step was a bordered (psi, E) step.  The loop builds the
+    run's NewtonReport from what it recorded: the histories, convergence,
+    bordered_from and the first energy jump; the callers add what depends
+    on their state.  Returns (state, energy, report).  Raises
     NoConvergence, or SingularJacobian when a step does, with the last
     iterate, its E and the report attached.
     """
-    e_hist, r_hist = [], []
+    e_hist, r_hist, bordered_from, failure = [], [], None, None
     for iterations in count():
         res = residual_of(state, energy)
         res_norm = np.max(np.abs(res))
@@ -501,25 +488,32 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter, report):
         if not res_norm > tol or iterations == max_iter:
             break
         try:
-            state, energy = step(state, energy, res, res_norm)
+            state, energy, bordered = step(state, energy, res, res_norm)
         except SingularJacobian as exc:
-            failed = report(state, iterations, e_hist, r_hist, False)
-            raise SingularJacobian(str(exc), state=state, energy=energy, report=failed) from exc
+            failure = exc
+            break
+        if bordered and bordered_from is None:
+            bordered_from = iterations
         # drop it before the next residual is built: holding both raised
         # peak memory by about 3 MB at N = 10^5
         del res
-    converged = bool(res_norm <= tol)
-    final = report(state, iterations, e_hist, r_hist, converged)
-    if not converged:
-        raise NoConvergence(state, energy, final)
-    return state, energy, final
+    changed_at = next((j for j in range(3, len(e_hist))
+                       if abs(e_hist[j] - e_hist[j - 1]) > STRUCTURE_CHANGE_THRESHOLD), None)
+    # a step is taken only above tol, so a failed step leaves the run unconverged
+    report = NewtonReport(iterations, tuple(e_hist), tuple(r_hist),
+                          converged=bool(res_norm <= tol),
+                          structure_change_iteration=changed_at, bordered_from=bordered_from)
+    if failure is not None:
+        raise SingularJacobian(str(failure), state=state, energy=energy, report=report) from failure
+    if not report.converged:
+        raise NoConvergence(state, energy, report)
+    return state, energy, report
 
 
 def newton_solve(
     initial: LatticeState,
     params: ModelParams,
     config: NewtonConfig = NewtonConfig(),
-    seed: Optional[int] = None,
 ):
     """Iterate Newton steps from a (normalized) starting state.
 
@@ -542,8 +536,10 @@ def newton_solve(
     as a change of localization pattern; the run still converges to the
     new structure, which is a solution in its own right.
 
-    Returns (state, energy, report).  Raises NoConvergence or
-    SingularJacobian with the best iterate attached.
+    Returns (state, energy, report), the report completed with the
+    quantized counts and the norm of the last iterate.  Raises
+    NoConvergence or SingularJacobian with the best iterate and its
+    report, completed the same way, attached.
     """
 
     def checked(values, boundary):
@@ -556,18 +552,26 @@ def newton_solve(
         if res_norm <= BORDERED_RESIDUAL:
             values, energy = _bordered_step(state.values, energy, res,
                                             lambda rhss: solve_linear(jac, np.stack(rhss)))
-            return checked(values, state.boundary), float(energy)
+            return checked(values, state.boundary), float(energy), True
         state = normalize(checked(state.values - solve_linear(jac, res), state.boundary))
-        return state, _estimate(state, params)
+        return state, _estimate(state, params), False
 
     def tolerance(state, energy):
         return max(config.tol_residual, _rounding_floor(state, params, energy))
 
-    state = normalize(initial)
-    return _newton_loop(state, _estimate(state, params),
-                        lambda state, energy: residual(state, params, energy),
-                        step, tolerance, config.max_iter,
-                        partial(_finalize, seed=seed))
+    def described(report, state):
+        return replace(report, final_counts=_count(_trits(state.values), state.boundary),
+                       final_norm=state.norm_squared())
+
+    energy = _estimate(state := normalize(initial), params)
+    try:
+        state, energy, report = _newton_loop(
+            state, energy, lambda state, energy: residual(state, params, energy),
+            step, tolerance, config.max_iter)
+    except (NoConvergence, SingularJacobian) as exc:
+        exc.report = described(exc.report, exc.state)
+        raise
+    return state, energy, described(report, state)
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,4 @@ def spot_pattern(n_sites: int, spot_starts, spot_len: int, signs) -> PatternSpec
 def counts_report(spec: PatternSpec, c: float) -> dict:
     """JSON-ready summary {"n", "m", "l", "E_infinity"}."""
     counts = count_pattern(spec)
-    return {
-        "n": counts.n,
-        "m": counts.m,
-        "l": counts.l,
-        "E_infinity": strong_coupling_energy(counts, c),
-    }
+    return {**counts.as_dict(), "E_infinity": strong_coupling_energy(counts, c)}

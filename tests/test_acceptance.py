@@ -227,7 +227,7 @@ def test_criterion_09_random_configuration_properties():
             params = dl.ModelParams(c)
             try:
                 state, energy, report = dl.newton_solve(
-                    dl.build_asymptotic_state(spec), params, config, seed=seed
+                    dl.build_asymptotic_state(spec), params, config
                 )
             except (dl.errors.NoConvergence, dl.errors.SingularJacobian) as exc:
                 if not (exc.report is not None and exc.report.structure_changed):

@@ -61,6 +61,15 @@ class TestSolveCommand:
         res = dl.residual(state, dl.ModelParams(30.0), meta["E"])
         assert np.max(np.abs(res)) <= 1e-12
 
+    def test_seed_recorded(self, tmp_path, capsys):
+        assert main(["solve", "--random", "12", "--seed", "77", "--c", "120",
+                     "--out", str(tmp_path / "random")]) == EXIT_OK
+        assert main(["solve", "--pattern", "+0000-0000", "--c", "30",
+                     "--out", str(tmp_path / "pattern")]) == EXIT_OK
+        for start, seed in [("random", 77), ("pattern", None)]:
+            report = json.loads((tmp_path / start / "solve.report.json").read_text())
+            assert report["seed"] == seed
+
     def test_report_records_bordered_phase(self, tmp_path, capsys):
         assert main(["solve", "--pattern", "+0000-0000", "--c", "30",
                      "--out", str(tmp_path)]) == EXIT_OK

@@ -137,15 +137,14 @@ def _mpf_polish(state, params, dps):
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
-            return _bordered_step(psi, energy, res, lambda rhss: np.array(
-                _tridiag_solve(diag, np.stack(rhss).tolist(), True), dtype=object))
+            return *_bordered_step(psi, energy, res, lambda rhss: np.array(
+                _tridiag_solve(diag, np.stack(rhss).tolist(), True), dtype=object)), True
 
         psi, energy, _ = _newton_loop(
             np.array([mpf(v) for v in state.values.tolist()], dtype=object),
             mpf(dl.rayleigh_energy(state, params)),
             lambda psi, energy: _stencil_residual(psi, c, energy, dl.Boundary.PERIODIC),
-            step, lambda *_: mpf(10) ** (10 - dps), highprec.POLISH_MAX_ITER,
-            lambda *_: None)
+            step, lambda *_: mpf(10) ** (10 - dps), highprec.POLISH_MAX_ITER)
         return psi.tolist(), energy
 
 
@@ -158,16 +157,15 @@ def _list_of_arrays_polish(state, params, dps):
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
-            return _bordered_step(psi, energy, res, lambda rhss: [
+            return *_bordered_step(psi, energy, res, lambda rhss: [
                 np.array(x, dtype=object)
-                for x in reference_tridiag_solve(diag, [r.tolist() for r in rhss], True)])
+                for x in reference_tridiag_solve(diag, [r.tolist() for r in rhss], True)]), True
 
         psi, energy, _ = _newton_loop(
             np.array([Decimal(v) for v in state.values.tolist()], dtype=object),
             Decimal(dl.rayleigh_energy(state, params)),
             lambda psi, energy: _stencil_residual(psi, c, energy, dl.Boundary.PERIODIC),
-            step, lambda *_: Decimal(10) ** (10 - dps), highprec.POLISH_MAX_ITER,
-            lambda *_: None)
+            step, lambda *_: Decimal(10) ** (10 - dps), highprec.POLISH_MAX_ITER)
     psi, energy = highprec._as_mpf(psi, energy, dps)
     return psi.tolist(), energy
 
@@ -330,6 +328,26 @@ class TestSharedStoppingRule:
         assert len(report.energy_history) == k + 1
         assert len(report.residual_history) == k + 1
         assert report.energy_history[-1] == float(exc.value.energy)
+
+    def test_exhausted_polish_report(self, chain130_solution, monkeypatch):
+        _, solved, _, _ = chain130_solution
+        iterates, as_mpf = [], highprec._as_mpf
+
+        def recording(psi, energy, dps):
+            iterates.append(psi)
+            return as_mpf(psi, energy, dps)
+
+        monkeypatch.setattr(highprec, "_as_mpf", recording)
+        monkeypatch.setattr(highprec, "POLISH_MAX_ITER", 1)
+        with pytest.raises(NoConvergence) as exc:
+            polish_solution(solved, dl.ModelParams(40.0), dps=80)
+        report = exc.value.report
+        assert report.bordered_from == 0
+        assert report.structure_change_iteration is None and not report.structure_changed
+        assert report.final_counts is None
+        (psi,) = iterates  # the Decimal iterate the failure carried before mpf
+        with localcontext(Context(prec=80)):
+            assert report.final_norm == float(np.dot(psi, psi))
 
 
 class TestArrayOperandOrder:

@@ -13,7 +13,7 @@ from dnse_lab.errors import (
 from dnse_lab import newton
 from dnse_lab.newton import _rounding_floor
 
-from conftest import alternating_spot_pattern, random_state
+from conftest import alternating_spot_pattern, irregular_pair_pattern, random_state
 
 
 class TestEnergyEstimate:
@@ -276,10 +276,14 @@ class TestNewtonSolve:
         assert report.structure_change_iteration is not None
         assert report.structure_change_iteration >= 3
 
-    def test_seed_recorded(self):
-        state = dl.build_asymptotic_state(dl.random_pattern(12, 77))
-        _, _, report = dl.newton_solve(state, dl.ModelParams(120.0), seed=77)
-        assert report.seed == 77
+    def test_failure_report_describes_its_iterate(self):
+        state = dl.build_asymptotic_state(irregular_pair_pattern())
+        with pytest.raises(NoConvergence) as exc:
+            dl.newton_solve(state, dl.ModelParams(40.0), dl.NewtonConfig(max_iter=2))
+        report, last = exc.value.report, exc.value.state
+        assert report.iterations == 2
+        assert report.final_counts == dl.count_pattern(dl.quantize_state(last))
+        assert report.final_norm == last.norm_squared()
 
     def test_bad_config_rejected(self):
         for tol in (-1.0, 0.0, float("inf"), float("nan")):
