@@ -11,15 +11,18 @@ rank-1 Sherman-Morrison correction, and sweeps every right-hand side
 through the one factorization, site by site on lists of floats or Decimal.
 From REDUCTION_MIN_SITES float64 sites on (640, the measured crossover;
 its timing table is at the constant) it takes odd-even cyclic reduction
-(Hockney 1965; Buzbee, Golub & Nielson 1970): each level eliminates the
-odd sites of the ring by numpy operations across the level, halving it
-down to one site, and back substitution recovers them in reverse; a
-solution whose backward error is not small is solved again by the scalar
-kernel.  One private loop, _newton_loop, iterates both solvers and
-builds both runs' NewtonReport from what it recorded; each solver
-supplies only its step, and adds to the report only what depends on its
-state.  newton_solve stops at its tolerance or, where that is larger, at
-the residual that rounding alone can leave.
+(Hockney 1965; Buzbee, Golub & Nielson 1970), one recursion over the
+levels: _reduce eliminates the odd sites of a ring by numpy operations
+across it, solves the ring of its even sites, half the size, by calling
+itself down to one site, and back-substitutes the odd sites.  The copy of
+the diagonal it works in ends holding every reciprocal pivot, and those
+are tested once; a small pivot, or a solution whose backward error is not
+small, sends the system to the scalar kernel.  One private loop,
+_newton_loop, iterates both solvers and builds both runs' NewtonReport
+from what it recorded; each solver supplies only its step, and adds to
+the report only what depends on its state.  newton_solve stops at its
+tolerance or, where that is larger, at the residual that rounding alone
+can leave.
 
 newton_solve runs in two phases, chosen at each step from the residual
 max-norm the loop has just evaluated.  Above BORDERED_RESIDUAL the step
@@ -296,83 +299,90 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     return solutions
 
 
+def _reduce(d, e, wrap, b):
+    """Solve one level of odd-even cyclic reduction, and every level below
+    it, in place.
+
+    The level is a ring (or a chain) of m sites with diagonal d, a hop e[j]
+    between sites j and j + 1 and a hop wrap between sites m - 1 and 0 (0
+    on a chain); b holds the right-hand sides, one per row.  With w = 1/d
+    on an odd site j, its neighbours i get d[i] -= e**2 w and b[i] -= e w
+    b[j] through the hop e that joins them, and the two even neighbours of
+    j are joined by the new hop -e[j-1] e[j] w.  Parity settles the wrap:
+    on an even ring the last odd site has site 0 as its right neighbour
+    and the new wrap passes through it, and on an odd ring sites m - 1 and
+    0 stay joined by wrap; on a two-site ring both hops join the same pair
+    and add.  The even sites form the next level, half the size, solved by
+    the recursion; a one-site level is the 1x1 system d + 2 wrap.  Back
+    substitution then gives each odd site from its two solved neighbours.
+
+    d ends holding every reciprocal pivot of the level and of those below
+    it (w on each level's odd sites, and 1/(d + 2 wrap) of the one-site
+    level on site 0), and b the solutions.  b is a 2-D view and may have
+    no rows; its rows are updated one at a time to bound the temporaries.
+    Nothing is checked here.
+    """
+    m = d.size
+    if m == 1:
+        d[0] = 1 / (d[0] + 2 * wrap)
+        b[:, 0] *= d[0]
+        return
+    h, k = m // 2, (m - 1) // 2  # odd sites, those with a right neighbour before the wrap
+    w = np.divide(1.0, d[1::2], out=d[1::2])
+    left, right = e[0:2 * h:2], e[1::2]
+    d[::2][:h] -= left * left * w
+    d[2::2] -= right * right * w[:k]
+    for row in b:
+        y = row[1::2]
+        y *= w  # w b on the odd sites, until back substitution
+        row[::2][:h] -= left * y
+        row[2::2] -= right * y[:k]
+    next_wrap = wrap
+    if k < h:  # the last odd site's right neighbour is site 0
+        d[0] -= wrap * wrap * w[-1]
+        b[:, 0] -= wrap * b[:, -1]
+        next_wrap = wrap * (-left[-1] * w[-1])
+    _reduce(d[::2], -left[:k] * right * w[:k], next_wrap, b[:, ::2])
+    for row in b:
+        xe, xo = row[::2], row[1::2]
+        xo -= w * left * xe[:h]
+        xo[:k] -= w[:k] * right * xe[1:]
+        if k < h:
+            xo[-1] -= w[-1] * wrap * xe[0]
+
+
 def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     """Solve J x = rhs by odd-even cyclic reduction, or return None.
 
     rhs is one right-hand side of shape (N,) or a stack (K, N); the pivots
-    are computed once for the stack.  Each level is a ring (or a chain) of
-    m sites with diagonal d, a hop e[j] between sites j and j + 1 and a hop
-    wrap between sites m - 1 and 0 (0 on a chain).  Numpy operations across
-    the level eliminate its odd sites into its even ones: with w = 1/d on
-    an odd site j, its neighbours i get d[i] -= e**2 w and b[i] -= e w b[j]
-    through the hop e that joins them, and the two even neighbours of j
-    are joined by the new hop -e[j-1] e[j] w.  The even sites form the next
-    level, half the size.  Parity settles the wrap: on an even ring the
-    last odd site has site 0 as its right neighbour, and on an odd ring
-    sites m - 1 and 0 stay joined by wrap; on a two-site ring both hops
-    join the same pair and add; a one-site ring is the 1x1 system
-    d + 2 wrap.  Back substitution then gives each odd site from its
-    solved neighbours, deepest level first, so no rank-1 correction and no
-    reduced system are needed (Hockney 1965; Buzbee, Golub & Nielson 1970).
+    are computed once for the stack.  _reduce eliminates the odd sites of
+    the ring, solves the ring of its even sites by recursion down to one
+    site, and back-substitutes, so no rank-1 correction and no reduced
+    system are needed (Hockney 1965; Buzbee, Golub & Nielson 1970).  The
+    first level's hops are the unit hops of J, held as a broadcast -1 that
+    takes no memory.  x is solved in place in the rows of the result, and
+    every level's diagonal in one copy of diag, so only the hops of the
+    deeper levels are made.
 
-    The first level's hops are the unit hops of J, held as a broadcast -1
-    that takes no memory.  x is built in the rows of the result: on each
-    level's odd sites it holds w b until back substitution.  Each level's
-    diagonal, and on its odd sites w, lives in one copy of diag, so only
-    the hops of the deeper levels are kept for the way back.
-
-    Returns None, so that the caller falls back to the scalar sweep and
-    its singularity test, when a pivot at any level is below the threshold
-    of that test (NaN included), or when the backward error of any
-    solution of the stack is above BACKWARD_REL_THRESHOLD.  No pivoting is
-    done, so a pivot just above the threshold leaves large weights whose
-    contributions cancel; the backward-error test catches what results.
+    The copy ends holding every reciprocal pivot, and those are tested
+    once, after the recursion.  Returns None, so that the caller falls
+    back to the scalar sweep and its singularity test, when a pivot at any
+    level is below the threshold of that test (NaN included), or when the
+    backward error of any solution of the stack is above
+    BACKWARD_REL_THRESHOLD.  No pivoting is done, so a pivot just above the
+    threshold leaves large weights whose contributions cancel; the
+    backward-error test catches what results.
     """
     n = diag.size
     x = np.array(rhs, dtype=float)
-    rows = x.reshape(-1, n)  # rows are updated one at a time to bound temporaries
+    rows = x.reshape(-1, n)
     diag_max = max(diag.max(), -diag.min())
     limit = 1 / (PIVOT_REL_THRESHOLD * max(diag_max, 1.0))
     pivots = diag.copy()
-    e, wrap = np.broadcast_to(-1.0, n - 1), -1.0 if periodic else 0.0
-    levels = []  # (hops left and right of the odd sites, wrap) of each level
-    s = 1  # sites of a level are every s-th site of the ring
     with np.errstate(all="ignore"):  # a zero pivot is caught below
-        while (m := (d := pivots[::s]).size) > 1:
-            h, k = m // 2, (m - 1) // 2  # odd sites, those with a right neighbour before the wrap
-            w = np.divide(1.0, d[1::2], out=d[1::2])
-            left, right = e[0:2 * h:2], e[1::2]
-            levels.append((left, right, wrap))
-            d[::2][:h] -= left * left * w
-            d[2::2] -= right * right * w[:k]
-            for row in rows:
-                b = row[::s]
-                y = b[1::2]
-                y *= w  # w b on the odd sites, until back substitution
-                b[::2][:h] -= left * y
-                b[2::2] -= right * y[:k]
-            if k < h:  # the last odd site's right neighbour is site 0
-                d[0] -= wrap * wrap * w[-1]
-                rows[:, 0] -= wrap * rows[:, s * (m - 1)]
-                wrap *= -left[-1] * w[-1]
-            e = -left[:k] * right * w[:k]
-            s *= 2
-        pivots[0] = 1 / (pivots[0] + 2 * wrap)
-        # every level's w, and the last 1/pivot, are now in pivots
+        _reduce(pivots, np.broadcast_to(-1.0, n - 1), -1.0 if periodic else 0.0, rows)
         if not (-limit <= pivots.min() and pivots.max() <= limit):
             return None
-        rows[:, 0] *= pivots[0]
-        while levels:
-            left, right, wrap = levels.pop()
-            s //= 2
-            w = pivots[s::2 * s]
-            h, k = w.size, right.size
-            for row in rows:
-                xe, xo = row[::2 * s], row[s::2 * s]
-                xo -= w * left * xe[:h]
-                xo[:k] -= w[:k] * right * xe[1:]
-                if k < h:
-                    xo[-1] -= w[-1] * wrap * xe[0]
     # one residual at a time: holding both of a bordered step's raised the
     # traced peak of a solve at N = 10^5 from 8.2 to 9.0 MB
     for xk, bk in zip(rows, rhs.reshape(-1, n)):
@@ -615,10 +625,9 @@ def sweep_c(
     and leaves the history as it is.
     """
     c_values = list(c_values)
-    if len(c_values) > 1:
-        diffs = np.diff(c_values)
-        if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
-            raise ValueError("c_values must be monotone")
+    diffs = np.diff(c_values)
+    if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
+        raise ValueError("c_values must be monotone")
     records = []
     initial = normalize(initial)
     history, counts = [], None  # (c, psi) of the converged points the predictor uses

@@ -17,7 +17,7 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import newton
 from dnse_lab.errors import SingularJacobian
-from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _tridiag_solve
+from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _reduce, _tridiag_solve
 
 from conftest import (alternating_spot_pattern, irregular_pair_pattern, kernel_corpus,
                       reference_tridiag_solve)
@@ -267,6 +267,37 @@ class TestSingularity:
         assert _cyclic_reduction(diag, np.ones(n), True) is None
         with pytest.raises(SingularJacobian):
             dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), np.ones(n))
+
+
+class TestPivotSigns:
+    """The copy of the diagonal that the reduction leaves holds every
+    reciprocal pivot of a chain of Schur complements, so by Sylvester's law
+    of inertia (Haynsworth 1968) its negative entries are as many as the
+    negative eigenvalues of J: the Morse index of the state."""
+
+    @pytest.fixture(scope="class")
+    def final_iterates(self, chain100_solution, chain130_solution):
+        """(name, psi, c, E) of the paper chains and of the corpus rings
+        (N in {208, 1000}, seeds 0-9, c = 4N), solved."""
+        found = [("chain100", chain100_solution[1].values, 24.0, chain100_solution[2]),
+                 ("chain130", chain130_solution[1].values, 40.0, chain130_solution[2])]
+        for n in (208, 1000):
+            for seed in range(10):
+                start = dl.build_asymptotic_state(dl.random_pattern(n, seed))
+                state, energy, _ = dl.newton_solve(start, dl.ModelParams(4.0 * n))
+                found.append((f"ring{n}/{seed}", state.values, 4.0 * n, energy))
+        return found
+
+    @pytest.mark.parametrize("boundary", [dl.Boundary.PERIODIC, dl.Boundary.OPEN])
+    def test_negative_pivots_count_negative_eigenvalues(self, final_iterates, boundary):
+        for name, psi, c, energy in final_iterates:
+            state = dl.LatticeState(psi, boundary)
+            jac = dl.assemble_jacobian(state, dl.ModelParams(c, boundary), energy)
+            pivots = jac.diag.copy()
+            _reduce(pivots, np.broadcast_to(-1.0, jac.n - 1), -1.0 if jac.periodic else 0.0,
+                    np.empty((0, jac.n)))
+            index = np.count_nonzero(np.linalg.eigvalsh(jac.dense()) < 0)
+            assert np.count_nonzero(pivots < 0) == index, name
 
 
 def test_stacked_solve_memory():

@@ -1,5 +1,6 @@
 """Each experiment script under scripts/ runs to the end at a toy size."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 TOY_ARGS = {
+    "code_lines.py": [],
     "irregular_chain.py": [],
     "map_portraits.py": ["--seeds", "1", "--steps", "200"],
     "periodic_chain.py": [],
@@ -32,3 +34,36 @@ def test_script_runs(tmp_path, script):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(tmp_path.iterdir())
+
+
+SAMPLE = '''"""A module docstring
+over two lines."""
+
+import math  # a comment after code counts
+
+
+class Shape:
+    """A class docstring."""
+
+    # a comment alone does not count
+    def area(self):
+        """A function docstring
+        over two lines."""
+        text = """a string that is
+        not a docstring"""
+        return math.pi
+
+    async def wait(self):
+        "Async functions have docstrings too."
+        return (1,
+                2)
+'''
+
+
+def test_code_line_rule():
+    # counted: the import, the class, the def, both lines of the string
+    # and the return, the async def and both lines of its return
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    assert code_lines.count_code_lines(SAMPLE) == 9
