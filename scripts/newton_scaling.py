@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Time and memory of newton_solve on random rings of growing size.
+
+For each N of --sizes (default 10^4, 10^5 and 10^6) a fresh interpreter
+builds the strong-coupling start of the random pattern with --seed on an
+N-site ring, at c = 4N, and solves it twice: once without tracing, for
+the wall time, the iteration count and the process's ru_maxrss, and once
+under tracemalloc, for the traced peak of the solve alone.  Prints one
+line per N and writes the same figures to newton_scaling.json under --out.
+"""
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import dnse_lab as dl
+from dnse_lab import io as lab_io
+
+
+def measure(n: int, seed: int) -> dict:
+    """The figures of one N, measured in this process."""
+    start = dl.build_asymptotic_state(dl.random_pattern(n, seed))
+    params = dl.ModelParams(4.0 * n)
+    began = time.perf_counter()
+    _, _, report = dl.newton_solve(start, params)
+    wall = time.perf_counter() - began
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tracemalloc.start()
+    try:
+        dl.newton_solve(start, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"n": n, "seed": seed, "wall_ms": 1e3 * wall, "iterations": report.iterations,
+            "converged": report.converged, "traced_peak_mib": peak / 2**20,
+            "ru_maxrss_mib": maxrss_kb / 2**10}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default="out/newton_scaling")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000, 1_000_000])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--one", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.one is not None:  # the child: one N, its figures on stdout
+        print(json.dumps(measure(args.one, args.seed)))
+        return
+    rows = []
+    for n in args.sizes:
+        child = subprocess.run(
+            [sys.executable, __file__, "--one", str(n), "--seed", str(args.seed)],
+            capture_output=True, text=True, check=True)
+        rows.append(row := json.loads(child.stdout))
+        print(f"N={n:8d}  {row['wall_ms']:9.1f} ms  {row['iterations']:3d} iterations  "
+              f"traced peak {row['traced_peak_mib']:7.2f} MiB  "
+              f"ru_maxrss {row['ru_maxrss_mib']:7.1f} MiB")
+    path = lab_io.write_json(Path(args.out) / "newton_scaling.json", {"runs": rows})
+    print(f"written to {path}")
+
+
+if __name__ == "__main__":
+    main()

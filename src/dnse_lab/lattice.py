@@ -99,10 +99,17 @@ def _check_boundary(state: LatticeState, params: ModelParams):
 
 def normalize(state: LatticeState) -> LatticeState:
     """Scale the amplitudes to unit sum of squares, preserving direction."""
-    norm2 = state.norm_squared()
+    return LatticeState(_normalized(np.array(state.values)), state.boundary)
+
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """values divided in place by the square root of their sum of squares,
+    and returned: normalize's arithmetic, for a new Newton iterate."""
+    norm2 = float(np.dot(values, values))
     if norm2 == 0.0:
         raise ZeroState("cannot normalize the zero state")
-    return LatticeState(state.values / np.sqrt(norm2), state.boundary)
+    values /= np.sqrt(norm2)
+    return values
 
 
 def _neighbors(psi: np.ndarray, boundary: Boundary):
@@ -128,20 +135,30 @@ def _stencil_residual(psi: np.ndarray, c, energy, boundary: Boundary) -> np.ndar
     of Decimal with Decimal c and energy for the high-precision polish.
     No float literal enters it (psi * 2, not 2.0 * psi): Decimal refuses
     a float operand.  On float64, psi * 2 is as fast as 2.0 * psi, where
-    psi + psi takes a fifth longer."""
-    left, right = _neighbors(psi, boundary)
-    res = psi * 2 - left - right
+    psi + psi takes a fifth longer.
+
+    The hops are subtracted in place, in the order of psi * 2 - left -
+    right: each site loses its left neighbour first and its right one
+    second, site 0's left neighbour being the one across the wrap.  An
+    open end subtracts nothing, which is what subtracting its 0.0 did."""
+    res = psi * 2
+    res[1:] -= psi[:-1]
+    if boundary is Boundary.PERIODIC:
+        res[0] -= psi[-1]
+    res[:-1] -= psi[1:]
+    if boundary is Boundary.PERIODIC:
+        res[-1] -= psi[0]
     # psi*psi*psi, not psi**3: numpy's pow costs about 50 times as much.
-    # The cube goes into left, a new array no longer needed, so the
-    # residual takes no more memory than with pow.
-    cube = np.multiply(psi, psi, out=left)
-    cube *= psi
-    cube *= c
-    res -= cube
+    # The cube and then E psi go into one scratch array, so the residual
+    # holds two arrays of N numbers.
+    scratch = psi * psi
+    scratch *= psi
+    scratch *= c
+    res -= scratch
     # psi on the left: an mpf energy on the left of an object array makes
     # mpmath's operator format the whole array into an error message
     # before numpy takes over
-    res -= psi * energy
+    res -= np.multiply(psi, energy, out=scratch)
     return res
 
 

@@ -24,6 +24,15 @@ the report only what depends on its state.  newton_solve stops at its
 tolerance or, where that is larger, at the residual that rounding alone
 can leave.
 
+An iteration allocates only the arrays of N numbers its arithmetic uses:
+the residual is built in place from psi * 2 with one scratch array, the
+Jacobian's diagonal in one array, the bordered step's two right-hand
+sides are handed to solve_linear as rows and copied once, into the array
+the reduction solves in place, and a frozen-E step subtracts, checks and
+normalizes its new iterate in the array of its solution.  The traced
+peak of a solve is about eight arrays of N float64: 6.1 MiB at 10^5
+sites and 61 MiB at 10^6.
+
 newton_solve runs in two phases, chosen at each step from the residual
 max-norm the loop has just evaluated.  Above BORDERED_RESIDUAL the step
 freezes E at the estimate
@@ -58,7 +67,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, SumTooSmall, ZeroState
-from .lattice import Boundary, LatticeState, ModelParams, _as_readonly, normalize, residual
+from .lattice import (Boundary, LatticeState, ModelParams, _as_readonly, _normalized, normalize,
+                      residual)
 from .patterns import PatternCounts, _count, _trits
 
 # The cubic energy estimator is abandoned when |sum psi| falls below
@@ -231,7 +241,9 @@ def _jacobian_diagonal(psi, c, energy):
     """2 - E - 3 c psi**2, on float64 or on an object array of Decimal;
     as in _stencil_residual, no float literal enters it and the array
     stays on the left of every operator."""
-    return np.subtract(2 - energy, psi**2 * (3 * c))
+    diag = psi * psi
+    diag *= 3 * c
+    return np.subtract(2 - energy, diag, out=diag)
 
 
 def _sweep(inv, rhs):
@@ -354,8 +366,10 @@ def _reduce(d, e, wrap, b):
 def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     """Solve J x = rhs by odd-even cyclic reduction, or return None.
 
-    rhs is one right-hand side of shape (N,) or a stack (K, N); the pivots
-    are computed once for the stack.  _reduce eliminates the odd sites of
+    rhs is one right-hand side of shape (N,), a stack (K, N) or a sequence
+    of K rows of N; the pivots are computed once for all of them.  The
+    rows are copied once, into the (K, N) result, and the backward-error
+    test reads the caller's rows, which are left unchanged.  _reduce eliminates the odd sites of
     the ring, solves the ring of its even sites by recursion down to one
     site, and back-substitutes, so no rank-1 correction and no reduced
     system are needed (Hockney 1965; Buzbee, Golub & Nielson 1970).  The
@@ -374,7 +388,7 @@ def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     backward-error test catches what results.
     """
     n = diag.size
-    x = np.array(rhs, dtype=float)
+    x = np.array(rhs, dtype=float)  # the one copy, solved in place
     rows = x.reshape(-1, n)
     diag_max = max(diag.max(), -diag.min())
     limit = 1 / (PIVOT_REL_THRESHOLD * max(diag_max, 1.0))
@@ -385,7 +399,8 @@ def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
             return None
     # one residual at a time: holding both of a bordered step's raised the
     # traced peak of a solve at N = 10^5 from 8.2 to 9.0 MB
-    for xk, bk in zip(rows, rhs.reshape(-1, n)):
+    for xk, bk in zip(rows, rhs if x.ndim == 2 else (rhs,)):
+        bk = np.asarray(bk, dtype=float)
         r = _matvec(diag, xk, periodic)
         r -= bk
         scale = (diag_max + 2) * max(xk.max(), -xk.min()) + max(bk.max(), -bk.min())
@@ -396,8 +411,11 @@ def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
 
 
 def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs in O(N), for rhs of shape (N,) or a stack (K, N)
-    whose K solutions share one factorization of J.
+    """Solve J x = rhs in O(N), for rhs of shape (N,), or a stack (K, N)
+    or a sequence of K rows of N whose K solutions share one
+    factorization of J.  Returns a new array of rhs's shape and leaves
+    rhs unchanged; the cyclic reduction copies the rows once, so a
+    caller need not stack them.
 
     From REDUCTION_MIN_SITES sites on by cyclic reduction, one numpy
     operation across a level at a time; below that, and when the
@@ -407,15 +425,15 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     Only the scalar kernel decides that J is singular: a pivot below
     PIVOT_REL_THRESHOLD times the matrix scale raises SingularJacobian.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim not in (1, 2) or rhs.shape[-1] != jac.n:
+    shape = np.shape(rhs)
+    if len(shape) not in (1, 2) or shape[-1] != jac.n:
         raise ValueError("rhs length does not match the matrix")
     if jac.n >= REDUCTION_MIN_SITES:
         x = _cyclic_reduction(jac.diag, rhs, jac.periodic)
         if x is not None:
             return x
-    xs = np.array(_tridiag_solve(jac.diag.tolist(), rhs.reshape(-1, jac.n).tolist(), jac.periodic))
-    return xs.reshape(rhs.shape)
+    rows = np.asarray(rhs, dtype=float).reshape(-1, jac.n).tolist()
+    return np.array(_tridiag_solve(jac.diag.tolist(), rows, jac.periodic)).reshape(shape)
 
 
 def _estimate(state: LatticeState, params: ModelParams) -> float:
@@ -468,7 +486,7 @@ def _rounding_floor(state: LatticeState, params: ModelParams, energy: float) -> 
     computes its residual there in steps of 2**-39 = 1.8e-12; its bound
     is 1.4e-11.
     """
-    m = float(abs(state.values).max())
+    m = float(max(state.values.max(), -state.values.min()))
     return float(np.finfo(float).eps * m
                  * (6.0 + 2.0 * abs(energy) + 2.5 * abs(params.c) * m * m))
 
@@ -491,7 +509,7 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter):
     e_hist, r_hist, bordered_from, failure = [], [], None, None
     for iterations in count():
         res = residual_of(state, energy)
-        res_norm = np.max(np.abs(res))
+        res_norm = max(res.max(), -res.min())
         e_hist.append(float(energy))
         r_hist.append(float(res_norm))
         tol = tol_of(state, energy)
@@ -552,18 +570,20 @@ def newton_solve(
     report, completed the same way, attached.
     """
 
-    def checked(values, boundary):
+    def checked(values):
         if not np.all(np.isfinite(values)) or not np.any(values):
             raise SingularJacobian("Newton step produced a degenerate state")
-        return LatticeState(values, boundary)
+        return values
 
     def step(state, energy, res, res_norm):
         jac = assemble_jacobian(state, params, energy)
         if res_norm <= BORDERED_RESIDUAL:
             values, energy = _bordered_step(state.values, energy, res,
-                                            lambda rhss: solve_linear(jac, np.stack(rhss)))
-            return checked(values, state.boundary), float(energy), True
-        state = normalize(checked(state.values - solve_linear(jac, res), state.boundary))
+                                            lambda rhss: solve_linear(jac, rhss))
+            return LatticeState(checked(values), state.boundary), float(energy), True
+        delta = solve_linear(jac, res)
+        values = _normalized(checked(np.subtract(state.values, delta, out=delta)))
+        state = LatticeState(values, state.boundary)
         return state, _estimate(state, params), False
 
     def tolerance(state, energy):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,3 +447,20 @@ class TestSweep:
         for rec in records:
             if not rec.converged:
                 assert rec.error in ("NoConvergence", "SingularJacobian")
+
+
+def test_solve_memory_budget():
+    # the traced peak of a 10^5-site solve (random ring, pattern seed 1,
+    # c = 4N) is 6.12 MiB, about eight arrays of N doubles, when each
+    # iteration allocates only the arrays its arithmetic uses; one
+    # redundant (2, N) copy in the bordered step breaks the budget
+    n = 100_000
+    start = dl.build_asymptotic_state(dl.random_pattern(n, 1))
+    tracemalloc.start()
+    try:
+        _, _, report = dl.newton_solve(start, dl.ModelParams(4.0 * n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.bordered_from is not None
+    assert peak <= 6.5 * 2**20, peak

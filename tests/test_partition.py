@@ -124,6 +124,27 @@ class TestAgainstScalarKernel:
             assert np.array_equal(row, dl.solve_linear(jac, rhs)), n
             _assert_agrees(row, _scalar(jac.diag, rhs, periodic), n)
 
+    @pytest.mark.parametrize("n", [208, 1000, 10_000])
+    @pytest.mark.parametrize("boundary", [dl.Boundary.PERIODIC, dl.Boundary.OPEN],
+                             ids=lambda b: b.value)
+    def test_rows_solve_as_their_stack(self, n, boundary):
+        # the bordered step hands solve_linear its two rows unstacked: the
+        # same bytes as the stack, by the scalar kernel below
+        # REDUCTION_MIN_SITES and by the reduction above, rows untouched
+        jac, res = _newton_system(n, 2, boundary)
+        psi = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, 2))).values
+        a, b = res.copy(), psi.copy()
+        x = dl.solve_linear(jac, (a, b))
+        assert x.shape == (2, n)
+        assert x.tobytes() == dl.solve_linear(jac, np.stack((res, psi))).tobytes()
+        assert a.tobytes() == res.tobytes() and b.tobytes() == psi.tobytes()
+
+    def test_ragged_rows_rejected(self):
+        for n in (3, 1000):
+            jac = dl.JacobianMatrix(np.full(n, 4.0), periodic=True)
+            with pytest.raises(ValueError):
+                dl.solve_linear(jac, (np.ones(n), np.ones(n - 1)))
+
     def test_stack_shape_checked(self):
         jac = dl.JacobianMatrix([4.0, 4.0, 4.0], periodic=True)
         for shape in ((2, 4), (2, 2, 3), ()):

@@ -14,6 +14,7 @@ TOY_ARGS = {
     "code_lines.py": [],
     "irregular_chain.py": [],
     "map_portraits.py": ["--seeds", "1", "--steps", "200"],
+    "newton_scaling.py": ["--sizes", "208", "1000"],
     "periodic_chain.py": [],
     "random_chains.py": ["--seeds", "1", "--cases", "208:260"],
 }
