@@ -5,15 +5,20 @@ For each N of --sizes (default 10^4, 10^5 and 10^6) a fresh interpreter
 builds the strong-coupling start of the random pattern with --seed on an
 N-site ring, at c = 4N, and solves it twice: once without tracing, for
 the wall time, the iteration count and the process's ru_maxrss, and once
-under tracemalloc, for the traced peak of the solve alone.  Prints one
-line per N and writes the same figures to newton_scaling.json under --out.
+under tracemalloc, for the traced peak of the solve alone.  It then
+writes the solved state with write_state WRITE_REPEATS times, into a
+temporary directory, for the median time of the state writer.  Prints
+one line per N and writes the same figures to newton_scaling.json under
+--out.
 """
 
 import argparse
 import json
 import resource
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -21,13 +26,15 @@ from pathlib import Path
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 
+WRITE_REPEATS = 5
+
 
 def measure(n: int, seed: int) -> dict:
     """The figures of one N, measured in this process."""
     start = dl.build_asymptotic_state(dl.random_pattern(n, seed))
     params = dl.ModelParams(4.0 * n)
     began = time.perf_counter()
-    _, _, report = dl.newton_solve(start, params)
+    state, energy, report = dl.newton_solve(start, params)
     wall = time.perf_counter() - began
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tracemalloc.start()
@@ -36,9 +43,16 @@ def measure(n: int, seed: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    writes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(WRITE_REPEATS):
+            began = time.perf_counter()
+            lab_io.write_state(Path(tmp) / "state.csv", state, params.c, energy)
+            writes.append(time.perf_counter() - began)
     return {"n": n, "seed": seed, "wall_ms": 1e3 * wall, "iterations": report.iterations,
             "converged": report.converged, "traced_peak_mib": peak / 2**20,
-            "ru_maxrss_mib": maxrss_kb / 2**10}
+            "ru_maxrss_mib": maxrss_kb / 2**10,
+            "write_state_ms": 1e3 * statistics.median(writes)}
 
 
 def main():
@@ -59,7 +73,8 @@ def main():
         rows.append(row := json.loads(child.stdout))
         print(f"N={n:8d}  {row['wall_ms']:9.1f} ms  {row['iterations']:3d} iterations  "
               f"traced peak {row['traced_peak_mib']:7.2f} MiB  "
-              f"ru_maxrss {row['ru_maxrss_mib']:7.1f} MiB")
+              f"ru_maxrss {row['ru_maxrss_mib']:7.1f} MiB  "
+              f"write_state {row['write_state_ms']:7.1f} ms")
     path = lab_io.write_json(Path(args.out) / "newton_scaling.json", {"runs": rows})
     print(f"written to {path}")
 

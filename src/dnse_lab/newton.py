@@ -425,7 +425,10 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
     Only the scalar kernel decides that J is singular: a pivot below
     PIVOT_REL_THRESHOLD times the matrix scale raises SingularJacobian.
     """
-    shape = np.shape(rhs)
+    if isinstance(rhs, np.ndarray):
+        shape = rhs.shape
+    else:  # from the first row: np.shape would stack the rows; ragged ones fail at the copy
+        shape = (len(rhs), *np.shape(rhs[0]))
     if len(shape) not in (1, 2) or shape[-1] != jac.n:
         raise ValueError("rhs length does not match the matrix")
     if jac.n >= REDUCTION_MIN_SITES:

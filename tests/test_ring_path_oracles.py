@@ -180,6 +180,10 @@ SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300
             1e300, -1e300, 1.0, -1.0, 0.1, 1 / 3, 123456789.0, 2.0**53 + 2]
 
 
+# around the old block of 1024 rows and the block of io._CHUNK_LINES = 4096
+WRITER_SIZES = [1, 1023, 1024, 1025, 4095, 4096, 4097, 8193]
+
+
 def _values(n, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
@@ -187,14 +191,14 @@ def _values(n, seed):
     return rng.permutation(values)
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+@pytest.mark.parametrize("n", WRITER_SIZES)
 def test_state_file_bytes(tmp_path, n):
     state = dl.LatticeState(_values(n, n))
     path = lab_io.write_state(tmp_path / "s.csv", state, 4.0 * n, -1.5)
     assert path.read_bytes() == _state_text_oracle(state).encode()
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+@pytest.mark.parametrize("n", WRITER_SIZES)
 def test_portrait_and_orbit_file_bytes(tmp_path, n):
     points = np.column_stack([_values(n, n + 1), _values(n, n + 2)])
     portrait = dl.PhasePortrait(points)
