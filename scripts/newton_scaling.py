@@ -7,9 +7,10 @@ N-site ring, at c = 4N, and solves it twice: once without tracing, for
 the wall time, the iteration count and the process's ru_maxrss, and once
 under tracemalloc, for the traced peak of the solve alone.  It then
 writes the solved state with write_state WRITE_REPEATS times, into a
-temporary directory, for the median time of the state writer.  Prints
-one line per N and writes the same figures to newton_scaling.json under
---out.
+temporary directory, for the median time of the state writer, and counts
+the distinct points of its phase portrait at DISTINCT_TOL as many times,
+for the median time of distinct_points.  Prints one line per N and
+writes the same figures to newton_scaling.json under --out.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import dnse_lab as dl
 from dnse_lab import io as lab_io
+from dnse_lab.analysis import DISTINCT_TOL
 
 WRITE_REPEATS = 5
 
@@ -49,10 +51,17 @@ def measure(n: int, seed: int) -> dict:
             began = time.perf_counter()
             lab_io.write_state(Path(tmp) / "state.csv", state, params.c, energy)
             writes.append(time.perf_counter() - began)
+    portrait = dl.phase_portrait(state)
+    counts = []
+    for _ in range(WRITE_REPEATS):
+        began = time.perf_counter()
+        dl.distinct_points(portrait, DISTINCT_TOL)
+        counts.append(time.perf_counter() - began)
     return {"n": n, "seed": seed, "wall_ms": 1e3 * wall, "iterations": report.iterations,
             "converged": report.converged, "traced_peak_mib": peak / 2**20,
             "ru_maxrss_mib": maxrss_kb / 2**10,
-            "write_state_ms": 1e3 * statistics.median(writes)}
+            "write_state_ms": 1e3 * statistics.median(writes),
+            "distinct_ms": 1e3 * statistics.median(counts)}
 
 
 def main():
@@ -74,7 +83,8 @@ def main():
         print(f"N={n:8d}  {row['wall_ms']:9.1f} ms  {row['iterations']:3d} iterations  "
               f"traced peak {row['traced_peak_mib']:7.2f} MiB  "
               f"ru_maxrss {row['ru_maxrss_mib']:7.1f} MiB  "
-              f"write_state {row['write_state_ms']:7.1f} ms")
+              f"write_state {row['write_state_ms']:7.1f} ms  "
+              f"distinct_points {row['distinct_ms']:7.1f} ms")
     path = lab_io.write_json(Path(args.out) / "newton_scaling.json", {"runs": rows})
     print(f"written to {path}")
 

@@ -13,8 +13,9 @@ classify_portrait (default DISTINCT_TOL).
 
 Classification runs in near-linear time in the number of points: the
 distinct-point count buckets cluster representatives on a grid of cell
-size tol, whose edge cells take every point beyond +-_GRID_LIMIT cells
-(the count turns quadratic only when most points lie there), the period
+size 2 tol, so every match of a point lies in the 3 x 3 cells around its
+own, and the edge cells take every point beyond +-_GRID_LIMIT cells (the
+count turns quadratic only when most points lie there); the period
 search tests in full only the shifts that carry each of the 8 largest
 sites to within tol of itself, and the curve thickness finds exact
 nearest neighbors with a k-d tree searched one leaf's queries at a time,
@@ -34,7 +35,6 @@ only.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -129,13 +129,14 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
     return PhasePortrait(pts, psi_sequence=orbit.psi, cyclic=False)
 
 
-# cells floor(p / tol) are clamped to +-_GRID_LIMIT, where they are still
-# exact integers well below 2**53; the points beyond share the edge cells
+# cells floor(p / (2 tol)) are clamped to +-_GRID_LIMIT, where they are
+# still exact integers well below 2**53; the points beyond share the edge
+# cells
 _GRID_LIMIT = 2.0**49
 # points whose cells, or neighbourhoods whose spreads, one numpy pass
 # computes: it bounds the temporaries, as io._CHUNK_LINES does the writers'
 _BLOCK = 256
-# cell (cx, cy) has the key cx * _ROW + cy, one int: |cy| <= _GRID_LIMIT,
+# cell (cx, cy) has the key cx * _ROW + cy, one int: |cy| <= _GRID_LIMIT + 1,
 # so no two cells share a key
 _ROW = 2**51
 
@@ -148,28 +149,22 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     finite tol a point with a NaN or infinite coordinate matches nothing,
     so each one counts as a cluster of its own.
 
-    Representatives are bucketed by the cell floor(p / tol), clamped to
-    +-_GRID_LIMIT, and a point is compared only with the cells its tol-box
-    can reach.  Those cells run from the cell of p - reach to the cell of
-    p + reach, with reach the float just above tol and both ends clipped
-    to +-the largest float: a match r has |p - r| <= tol + ulp(tol)/2
-    exactly, so fl(p - reach) <= r <= fl(p + reach) with r finite, and a
-    correctly rounded p / tol (an overflow included) followed by floor
-    and the clamp is monotone in p.  The span is three cells, or four when
-    p + reach or p - reach lands on a cell edge (five at tol 5e-324, whose
-    reach is 2 tol); the clip keeps an overflowing p + reach from widening
-    it, and the clamp shrinks it, down to the edge cell alone, whose
-    points are compared exactly.  A NaN quotient, from a non-finite point
-    or from tol = inf, gives cell 0, so with tol = inf every point meets
-    every representative.  numpy computes these cells for _BLOCK points
-    at a time.  The loop then looks in the point's own cell, and after
-    that only in the columns of cells that hold representatives, and
-    stops at the first match.
+    Representatives are bucketed by the cell floor(p / (2 tol)), clamped
+    to +-_GRID_LIMIT, and a point is compared only with the 3 x 3 block
+    of cells around its own.  A match r has |p - r| <= tol + ulp(tol)/2
+    exactly, at most 3/4 of a cell side, and below the clamp the
+    quotients p / (2 tol) and r / (2 tol) each round by at most 2**-5,
+    so their floors differ by at most one; the clamp and an overflowing
+    quotient are monotone and keep them so.  When 2 tol overflows every
+    finite point has cell 0 and is compared exactly with the others.  A
+    NaN quotient, from a non-finite point or from tol = inf, gives cell
+    0, so with tol = inf every point meets every representative.  numpy
+    computes these cells for _BLOCK points at a time.  The loop then
+    looks in the point's own cell, and after that only in the other
+    cells of the block's occupied columns, and stops at the first match.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    reach = math.nextafter(tol, math.inf)
-    big = sys.float_info.max
     count = 0
     buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
     columns = set()  # the cx of every bucket
@@ -178,20 +173,14 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
         # a non-finite point matches nothing unless tol itself is inf
         apart = ~(np.isfinite(xs) & np.isfinite(ys)) & (tol < math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            edges = np.clip([xs - reach, ys - reach, xs + reach, ys + reach], -big, big)
-            cells = np.floor(np.vstack([xs, ys, edges]) / tol)
+            cells = np.floor(np.vstack([xs, ys]) / (2.0 * tol))
             cells = np.nan_to_num(cells.clip(-_GRID_LIMIT, _GRID_LIMIT), nan=0.0).astype(np.int64)
-        # the reach range relative to the own cell, in small ints that
-        # Python does not allocate one by one
-        cells[2:4] -= cells[:2]
-        cells[4:] -= cells[:2]
-        for x, y, alone, cx, cy, lx, ly, hx, hy in zip(
-                xs.tolist(), ys.tolist(), apart.tolist(), *cells.tolist()):
+        for x, y, alone, cx, cy in zip(xs.tolist(), ys.tolist(), apart.tolist(), *cells.tolist()):
             if not alone:
                 key = cx * _ROW + cy
                 own = buckets.get(key)
                 if ((own is not None and _matches(x, y, own, tol))
-                        or _reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol)):
+                        or _reaches(buckets, columns, x, y, cx, cy, own, tol)):
                     continue
                 if own is None:
                     buckets[key] = own = []
@@ -209,14 +198,14 @@ def _matches(x: float, y: float, reps, tol: float) -> bool:
     return False
 
 
-def _reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol) -> bool:
-    """Whether a representative in the cells from (cx + lx, cy + ly) to
-    (cx + hx, cy + hy) matches (x, y)."""
-    for ax in range(cx + lx, cx + hx + 1):
+def _reaches(buckets, columns, x, y, cx, cy, own, tol) -> bool:
+    """Whether a representative in the 3 x 3 cells around (cx, cy), but
+    not in own, the bucket of (cx, cy) itself, matches (x, y)."""
+    for ax in range(cx - 1, cx + 2):
         if ax in columns:
-            for key in range(ax * _ROW + cy + ly, ax * _ROW + cy + hy + 1):
+            for key in range(ax * _ROW + cy - 1, ax * _ROW + cy + 2):
                 near = buckets.get(key)
-                if near is not None and _matches(x, y, near, tol):
+                if near is not None and near is not own and _matches(x, y, near, tol):
                     return True
     return False
 

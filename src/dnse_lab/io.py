@@ -216,11 +216,10 @@ def _value_words(x, sep: bytes, end: bytes, out):
         out.view(np.uint8)[fallback, 1:31] = np.where(chars == ord(" "), 0, chars)
 
 
-def _rows(row: str, *columns, numbered: bool):
-    """The text of the columns, row % (k, *values) for row k, or row %
-    values when not numbered, in blocks of _CHUNK_LINES rows.  row is
-    its fields, %d for the row number where numbered and %.17g for each
-    column, joined by commas and ended by a newline.
+def _rows(*columns, numbered: bool):
+    """The text of the columns in blocks of _CHUNK_LINES rows: row k is
+    its number k where numbered and then '%.17g' of each column's value,
+    joined by commas and ended by a newline.
 
     A block is a matrix of 8-byte words, one row of it per row of text:
     the row number in 4-byte words of four digits, then a 32-byte slot
@@ -230,8 +229,6 @@ def _rows(row: str, *columns, numbered: bool):
     NULs.  Values that _decimal_digits decides take their text from
     tables of four-digit groups, prefixes and exponents; the others are
     formatted by one '%.17g' operation per block, into their slots."""
-    if row != ",".join(["%d"] * numbered + ["%.17g"] * len(columns)) + "\n":
-        raise ValueError(f"unsupported row format {row!r}")
     for start in range(0, len(columns[0]), _CHUNK_LINES):
         stop = min(start + _CHUNK_LINES, len(columns[0]))
         # the row number in an even count of 4-byte words, so slots align
@@ -260,7 +257,7 @@ def _write(path, first: str, blocks=()):
 
 def write_state(csv_path, state: LatticeState, c: float, energy):
     """Write the amplitude CSV and its sidecar JSON (same stem, .json)."""
-    csv_path = _write(csv_path, "index,psi", _rows("%d,%.17g\n", state.values, numbered=True))
+    csv_path = _write(csv_path, "index,psi", _rows(state.values, numbered=True))
     sidecar = {
         "N": state.n_sites,
         "boundary": state.boundary.value,
@@ -309,11 +306,11 @@ def read_state(csv_path):
 
 
 def write_portrait(path, portrait: PhasePortrait):
-    return _write(path, "psi,dpsi", _rows("%.17g,%.17g\n", *portrait.points.T, numbered=False))
+    return _write(path, "psi,dpsi", _rows(*portrait.points.T, numbered=False))
 
 
 def write_orbit(path, orbit: MapOrbit):
-    return _write(path, "step,psi,Z", _rows("%d,%.17g,%.17g\n", *orbit.points.T, numbered=True))
+    return _write(path, "step,psi,Z", _rows(*orbit.points.T, numbered=True))
 
 
 def write_box_counts(path, result: BoxCountResult):

@@ -621,10 +621,11 @@ class TestDistinctEdgeCases:
         assert dl.distinct_points(dl.PhasePortrait(pts), 1e-6) == 7
 
     def test_beyond_the_grid(self):
-        # |p| >= 2**49 tol lands in an edge cell; such points still merge
-        # with neighbors within tol in the cells next to it
+        # |p| >= 2**50 tol, _GRID_LIMIT cells of side 2 tol, lands in an
+        # edge cell; such points still merge with neighbors within tol in
+        # the cells next to it
         tol = 1e-6
-        edge = 2.0**49 * tol
+        edge = 2 * analysis._GRID_LIMIT * tol
         pts = [[edge - 0.5 * tol, 0.0], [edge, 0.0], [edge + 0.7 * tol, 0.0],
                [-edge, edge], [-edge + tol, edge - tol], [1e30, 1e30], [1e30, 1e30]]
         self._check(pts, tol)

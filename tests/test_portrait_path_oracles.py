@@ -86,15 +86,20 @@ def _iterate_map_oracle(initial, energy, c, steps, escape_bound):
 # 1e-17, 1e-300 and 5e-324 put most points of a cloud or a ring past the
 # clamp, in the edge cells, beside gridded ones
 DISTINCT_TOLS = (1e-6, 0.1, math.inf, 1e-17, 1e-300, 5e-324)
+# the clamp's edge, _GRID_LIMIT cells of side 2 tol from the origin
+EDGE = 2 * _GRID_LIMIT
 
 
 def _cloud_point(kind, kx, ky, ulps, tol):
     """A point of one kind: on a coarse grid of step tol (1 for tol = inf)
-    nudged by a few ulps, far off the cell grid, or not finite."""
+    nudged by a few ulps, past the clamp's edge, astride it (its x near
+    +EDGE tol and its y near -EDGE tol), or not finite."""
     step = tol if math.isfinite(tol) else 1.0
     x, y = kx * step, ky * step
     if kind == "far":
-        x = math.copysign(_GRID_LIMIT * step, kx or 1) + kx * step
+        x = math.copysign(2 * EDGE * step, kx or 1) + kx * step
+    elif kind == "edge":
+        x, y = EDGE * step + x, y - EDGE * step
     elif kind == "nan":
         x = math.nan
     elif kind == "inf":
@@ -104,7 +109,8 @@ def _cloud_point(kind, kx, ky, ulps, tol):
     return [x, y]
 
 
-@given(st.lists(st.tuples(st.sampled_from(["grid", "grid", "grid", "far", "nan", "inf"]),
+@given(st.lists(st.tuples(st.sampled_from(["grid", "grid", "grid", "far", "edge", "edge", "nan",
+                                            "inf"]),
                           st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2)),
                 min_size=1, max_size=60),
        st.sampled_from(DISTINCT_TOLS))
@@ -112,6 +118,17 @@ def _cloud_point(kind, kx, ky, ulps, tol):
 def test_distinct_clouds(cloud, tol):
     portrait = dl.PhasePortrait([_cloud_point(*point, tol) for point in cloud])
     assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+
+
+@pytest.mark.parametrize("tol", [tol for tol in DISTINCT_TOLS if math.isfinite(tol)])
+def test_distinct_pairs_astride_a_cell(tol):
+    # (x, -5e-324) and (x, tol) match for a normal tol, and lie in the
+    # cells -1 and 0 of side 2 tol, but in the cells -1 and 1 of side tol
+    for x in (0.0, 3 * tol, -EDGE * tol, EDGE * tol):
+        portrait = dl.PhasePortrait([[x, -5e-324], [x, tol]])
+        expected = _distinct_oracle(portrait, tol)
+        assert expected == (2 if tol == 5e-324 else 1)
+        assert dl.distinct_points(portrait, tol) == expected, x
 
 
 # 1e-17 mixes gridded and clamped points of the rings; the tols that put
@@ -144,17 +161,10 @@ def test_distinct_past_a_block():
 
 
 @pytest.mark.parametrize("tol", (1e292, 1e300, 1e308, 1.5e308))
-def test_distinct_near_float_max(monkeypatch, tol):
-    # p + tol overflows to inf for points within tol of the largest float;
-    # its cell must not stretch the span of five or fewer cells a side out
-    # to the clamp, where _reaches would walk 2**49 columns
-    reaches = analysis._reaches
-
-    def checked_reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol):
-        assert hx - lx <= 4 and hy - ly <= 4, (x, y, lx, hx, ly, hy)
-        return reaches(buckets, columns, x, y, cx, cy, lx, ly, hx, hy, tol)
-
-    monkeypatch.setattr(analysis, "_reaches", checked_reaches)
+def test_distinct_near_float_max(tol):
+    # p / (2 tol) overflows for points near the largest float, and 2 tol
+    # itself overflows at 1e308 and 1.5e308, which puts every point in
+    # cell 0
     big = np.finfo(np.float64).max
     rng = np.random.default_rng(11)
     points = np.vstack([big * rng.uniform(0.9, 1.0, (60, 2)) * rng.choice([-1.0, 1.0], (60, 2)),

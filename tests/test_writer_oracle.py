@@ -31,7 +31,7 @@ def _assert_same_bytes(*columns):
     """The rows of the columns, numbered and not, as the oracle writes them."""
     for numbered in (True, False):
         row = ",".join(["%d"] * numbered + ["%.17g"] * len(columns)) + "\n"
-        got = "".join(lab_io._rows(row, *columns, numbered=numbered)).splitlines()
+        got = "".join(lab_io._rows(*columns, numbered=numbered)).splitlines()
         want = "".join(_oracle_rows(row, *columns, numbered=numbered)).splitlines()
         assert len(got) == len(want)
         wrong = [(k, g, w) for k, (g, w) in enumerate(zip(got, want)) if g != w]
