@@ -29,9 +29,12 @@ the residual is built in place from psi * 2 with one scratch array, the
 Jacobian's diagonal in one array, the bordered step's two right-hand
 sides are handed to solve_linear as rows and copied once, into the array
 the reduction solves in place, and a frozen-E step subtracts, checks and
-normalizes its new iterate in the array of its solution.  The traced
-peak of a solve is about eight arrays of N float64: 6.1 MiB at 10^5
-sites and 61 MiB at 10^6.
+normalizes its new iterate in the array of its solution.  The reduction's
+first level forms no hop products and hands the second its hops as a
+view of its own pivots, the pivot copy is freed before the backward-error
+residuals, and the normalized start is freed after the first step.  The
+traced peak of a solve is about 6.5 arrays of N float64: 5.0 MiB at 10^5
+sites and 50 MiB at 10^6.
 
 newton_solve runs in two phases, chosen at each step from the residual
 max-norm the loop has just evaluated.  Above BORDERED_RESIDUAL the step
@@ -311,56 +314,64 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     return solutions
 
 
-def _reduce(d, e, wrap, b):
+def _reduce(d, g, wrap, b):
     """Solve one level of odd-even cyclic reduction, and every level below
     it, in place.
 
-    The level is a ring (or a chain) of m sites with diagonal d, a hop e[j]
-    between sites j and j + 1 and a hop wrap between sites m - 1 and 0 (0
-    on a chain); b holds the right-hand sides, one per row.  With w = 1/d
-    on an odd site j, its neighbours i get d[i] -= e**2 w and b[i] -= e w
-    b[j] through the hop e that joins them, and the two even neighbours of
-    j are joined by the new hop -e[j-1] e[j] w.  Parity settles the wrap:
-    on an even ring the last odd site has site 0 as its right neighbour
-    and the new wrap passes through it, and on an odd ring sites m - 1 and
-    0 stay joined by wrap; on a two-site ring both hops join the same pair
-    and add.  The even sites form the next level, half the size, solved by
-    the recursion; a one-site level is the 1x1 system d + 2 wrap.  Back
-    substitution then gives each odd site from its two solved neighbours.
+    The level is a ring (or a chain) of m sites with diagonal d, the hop
+    -g[j] between sites j and j + 1 and the hop -wrap between sites m - 1
+    and 0 (wrap is -0.0, the negated 0, on a chain); b holds the
+    right-hand sides, one per row.  Each hop is carried negated, which
+    rounds every result as the hop itself would: squares keep their bits,
+    and x + g y is x - (-g) y.  g None stands for J's own hops, g = 1, on
+    the first level, where every hop product is its other factor.  With
+    w = 1/d on an odd site j, its neighbours i get d[i] -= g**2 w and
+    b[i] += g w b[j] through the hop -g that joins them, and the two even
+    neighbours of j are joined by the new hop -g[j-1] g[j] w; on the first
+    level that is -w, so the next level's g is a view of this level's
+    pivots.  Parity settles the wrap: on an even ring the last odd site
+    has site 0 as its right neighbour and the new wrap passes through it,
+    and on an odd ring sites m - 1 and 0 stay joined by wrap; on a
+    two-site ring both hops join the same pair and add.  The even sites
+    form the next level, half the size, solved by the recursion; a
+    one-site level is the 1x1 system d - 2 wrap.  Back substitution then
+    gives each odd site from its two solved neighbours.
 
     d ends holding every reciprocal pivot of the level and of those below
-    it (w on each level's odd sites, and 1/(d + 2 wrap) of the one-site
+    it (w on each level's odd sites, and 1/(d - 2 wrap) of the one-site
     level on site 0), and b the solutions.  b is a 2-D view and may have
     no rows; its rows are updated one at a time to bound the temporaries.
     Nothing is checked here.
     """
     m = d.size
     if m == 1:
-        d[0] = 1 / (d[0] + 2 * wrap)
+        d[0] = 1 / (d[0] - 2 * wrap)
         b[:, 0] *= d[0]
         return
     h, k = m // 2, (m - 1) // 2  # odd sites, those with a right neighbour before the wrap
     w = np.divide(1.0, d[1::2], out=d[1::2])
-    left, right = e[0:2 * h:2], e[1::2]
-    d[::2][:h] -= left * left * w
-    d[2::2] -= right * right * w[:k]
+    unit = g is None
+    if not unit:
+        left, right = g[0:2 * h:2], g[1::2]
+    d[::2][:h] -= w if unit else left * left * w
+    d[2::2] -= w[:k] if unit else right * right * w[:k]
     for row in b:
         y = row[1::2]
         y *= w  # w b on the odd sites, until back substitution
-        row[::2][:h] -= left * y
-        row[2::2] -= right * y[:k]
+        row[::2][:h] += y if unit else left * y
+        row[2::2] += y[:k] if unit else right * y[:k]
     next_wrap = wrap
     if k < h:  # the last odd site's right neighbour is site 0
         d[0] -= wrap * wrap * w[-1]
-        b[:, 0] -= wrap * b[:, -1]
-        next_wrap = wrap * (-left[-1] * w[-1])
-    _reduce(d[::2], -left[:k] * right * w[:k], next_wrap, b[:, ::2])
+        b[:, 0] += wrap * b[:, -1]
+        next_wrap = wrap * (w[-1] if unit else left[-1] * w[-1])
+    _reduce(d[::2], w[:k] if unit else left[:k] * right * w[:k], next_wrap, b[:, ::2])
     for row in b:
         xe, xo = row[::2], row[1::2]
-        xo -= w * left * xe[:h]
-        xo[:k] -= w[:k] * right * xe[1:]
+        xo += (w if unit else w * left) * xe[:h]
+        xo[:k] += (w[:k] if unit else w[:k] * right) * xe[1:]
         if k < h:
-            xo[-1] -= w[-1] * wrap * xe[0]
+            xo[-1] += w[-1] * wrap * xe[0]
 
 
 def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
@@ -369,22 +380,24 @@ def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     rhs is one right-hand side of shape (N,), a stack (K, N) or a sequence
     of K rows of N; the pivots are computed once for all of them.  The
     rows are copied once, into the (K, N) result, and the backward-error
-    test reads the caller's rows, which are left unchanged.  _reduce eliminates the odd sites of
-    the ring, solves the ring of its even sites by recursion down to one
-    site, and back-substitutes, so no rank-1 correction and no reduced
-    system are needed (Hockney 1965; Buzbee, Golub & Nielson 1970).  The
-    first level's hops are the unit hops of J, held as a broadcast -1 that
-    takes no memory.  x is solved in place in the rows of the result, and
-    every level's diagonal in one copy of diag, so only the hops of the
-    deeper levels are made.
+    test reads the caller's rows, which are left unchanged.  _reduce
+    eliminates the odd sites of the ring, solves the ring of its even
+    sites by recursion down to one site, and back-substitutes, so no
+    rank-1 correction and no reduced system are needed (Hockney 1965;
+    Buzbee, Golub & Nielson 1970).  It carries the hops negated, and the
+    first level's, the unit hops of J, as None: that level forms no hop
+    products, and its pivots are the second level's hops.  x is solved in
+    place in the rows of the result, and every level's diagonal in one
+    copy of diag, so only the hops of the third level on are made.
 
     The copy ends holding every reciprocal pivot, and those are tested
-    once, after the recursion.  Returns None, so that the caller falls
-    back to the scalar sweep and its singularity test, when a pivot at any
-    level is below the threshold of that test (NaN included), or when the
-    backward error of any solution of the stack is above
-    BACKWARD_REL_THRESHOLD.  No pivoting is done, so a pivot just above the
-    threshold leaves large weights whose contributions cancel; the
+    once, after the recursion; the copy is freed as soon as they pass,
+    before the backward-error residuals.  Returns None, so that the caller
+    falls back to the scalar sweep and its singularity test, when a pivot
+    at any level is below the threshold of that test (NaN included), or
+    when the backward error of any solution of the stack is above
+    BACKWARD_REL_THRESHOLD.  No pivoting is done, so a pivot just above
+    the threshold leaves large weights whose contributions cancel; the
     backward-error test catches what results.
     """
     n = diag.size
@@ -394,9 +407,10 @@ def _cyclic_reduction(diag: np.ndarray, rhs: np.ndarray, periodic: bool):
     limit = 1 / (PIVOT_REL_THRESHOLD * max(diag_max, 1.0))
     pivots = diag.copy()
     with np.errstate(all="ignore"):  # a zero pivot is caught below
-        _reduce(pivots, np.broadcast_to(-1.0, n - 1), -1.0 if periodic else 0.0, rows)
+        _reduce(pivots, None, 1.0 if periodic else -0.0, rows)
         if not (-limit <= pivots.min() and pivots.max() <= limit):
             return None
+    del pivots  # before the residuals: holding it kept one more array of N
     # one residual at a time: holding both of a bordered step's raised the
     # traced peak of a solve at N = 10^5 from 8.2 to 9.0 MB
     for xk, bk in zip(rows, rhs if x.ndim == 2 else (rhs,)):
@@ -596,10 +610,12 @@ def newton_solve(
         return replace(report, final_counts=_count(_trits(state.values), state.boundary),
                        final_norm=state.norm_squared())
 
-    energy = _estimate(state := normalize(initial), params)
+    # the loop gets the only reference to the start, and frees it after its first step
+    start = [normalize(initial)]
+    energy = _estimate(start[0], params)
     try:
         state, energy, report = _newton_loop(
-            state, energy, lambda state, energy: residual(state, params, energy),
+            start.pop(), energy, lambda state, energy: residual(state, params, energy),
             step, tolerance, config.max_iter)
     except (NoConvergence, SingularJacobian) as exc:
         exc.report = described(exc.report, exc.state)

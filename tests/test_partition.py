@@ -294,36 +294,66 @@ class TestPivotSigns:
     """The copy of the diagonal that the reduction leaves holds every
     reciprocal pivot of a chain of Schur complements, so by Sylvester's law
     of inertia (Haynsworth 1968) its negative entries are as many as the
-    negative eigenvalues of J: the Morse index of the state."""
+    negative eigenvalues of J: the Morse index of the state.  On an open
+    chain or an even ring, flipping the sign of every hop is a similarity
+    (diag(+-1) on alternate sites) and leaves the eigenvalues as they are;
+    on an odd ring it is not, so only an odd ring can show a hop of the
+    wrong sign.  The random odd rings at c = 4N do not: their states are
+    localized and their diagonals dominant, so their Morse index is the
+    same for either sign.  The uniform state of an odd ring at weak
+    coupling is extended, and the sign moves its index by one."""
 
     @pytest.fixture(scope="class")
     def final_iterates(self, chain100_solution, chain130_solution):
-        """(name, psi, c, E) of the paper chains and of the corpus rings
-        (N in {208, 1000}, seeds 0-9, c = 4N), solved."""
+        """(name, psi, c, E) of the paper chains, of the corpus rings
+        (N in {208, 1000}, seeds 0-9) and of odd rings (N in {207, 1001},
+        seeds 0-2), c = 4N, and of the uniform state of the odd rings at
+        c = N/10 and 9N/10, solved."""
         found = [("chain100", chain100_solution[1].values, 24.0, chain100_solution[2]),
                  ("chain130", chain130_solution[1].values, 40.0, chain130_solution[2])]
-        for n in (208, 1000):
-            for seed in range(10):
+        for n, seeds in ((208, 10), (1000, 10), (207, 3), (1001, 3)):
+            for seed in range(seeds):
                 start = dl.build_asymptotic_state(dl.random_pattern(n, seed))
                 state, energy, _ = dl.newton_solve(start, dl.ModelParams(4.0 * n))
                 found.append((f"ring{n}/{seed}", state.values, 4.0 * n, energy))
+        for n in (207, 1001):
+            for c in (n / 10, 9 * n / 10):
+                state, energy, _ = dl.newton_solve(dl.LatticeState(np.ones(n)), dl.ModelParams(c))
+                found.append((f"uniform{n}/{c:g}", state.values, c, energy))
         return found
+
+    @staticmethod
+    def _counts(psi, c, energy, boundary, g, wrap):
+        """The negative pivots that _reduce leaves with the hops g and the
+        wrap wrap, and the negative eigenvalues of J."""
+        jac = dl.assemble_jacobian(dl.LatticeState(psi, boundary), dl.ModelParams(c, boundary),
+                                   energy)
+        pivots = jac.diag.copy()
+        _reduce(pivots, g, wrap, np.empty((0, jac.n)))
+        return (np.count_nonzero(pivots < 0),
+                np.count_nonzero(np.linalg.eigvalsh(jac.dense()) < 0))
 
     @pytest.mark.parametrize("boundary", [dl.Boundary.PERIODIC, dl.Boundary.OPEN])
     def test_negative_pivots_count_negative_eigenvalues(self, final_iterates, boundary):
+        wrap = 1.0 if boundary is dl.Boundary.PERIODIC else -0.0
         for name, psi, c, energy in final_iterates:
-            state = dl.LatticeState(psi, boundary)
-            jac = dl.assemble_jacobian(state, dl.ModelParams(c, boundary), energy)
-            pivots = jac.diag.copy()
-            _reduce(pivots, np.broadcast_to(-1.0, jac.n - 1), -1.0 if jac.periodic else 0.0,
-                    np.empty((0, jac.n)))
-            index = np.count_nonzero(np.linalg.eigvalsh(jac.dense()) < 0)
-            assert np.count_nonzero(pivots < 0) == index, name
+            negative, index = self._counts(psi, c, energy, boundary, None, wrap)
+            assert negative == index, name
+
+    def test_wrong_hop_sign_miscounts(self, final_iterates):
+        # J's hops -1 passed as they are, where _reduce carries them negated
+        for name, psi, c, energy in final_iterates:
+            if name.startswith("uniform"):
+                negative, index = self._counts(psi, c, energy, dl.Boundary.PERIODIC,
+                                               np.broadcast_to(-1.0, psi.size - 1), -1.0)
+                assert abs(negative - index) == 1, name
 
 
 def test_stacked_solve_memory():
     # the bordered step's (2, N) solve at N = 10^5: the solutions, one copy
-    # of the diagonal and the deeper levels' hops, well within 8 N doubles
+    # of the diagonal and the hops of the third level on, 3.52 N doubles;
+    # hop products on the first level, or the pivot copy held through the
+    # residuals, read 4.0 N
     n = 100_000
     jac, res = _newton_system(n, 1)
     rhs = np.stack((res, np.ones(n)))
@@ -333,7 +363,7 @@ def test_stacked_solve_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * 8
+    assert peak <= 3.75 * n * 8, peak
 
 
 def test_scalar_fallback_memory():

@@ -5,9 +5,14 @@ sites of one level, solves the ring of its even sites by recursion and
 back-substitutes.  It replaced a loop that walked the levels down by a
 stride, kept each level's hops on a stack and walked them back up in a
 second loop.  _loop_reduction below is that loop, verbatim.  Every
-arithmetic operation kept its operands and their order, so the two must
-return the same bytes, or both None, on every system here, and the
-recursion must trace the same peak memory as the loop.
+arithmetic operation kept its operands and their order, and the
+recursion carries each hop negated, which rounds every result the same
+(squares keep their bits, and x + g y is x - (-g) y), so the two must
+return the same bytes, or both None, on every system here.  The
+recursion must also trace a lower peak than the loop: its first level,
+whose hops are J's unit hops, forms no hop products and hands the second
+level its hops as a view of its pivots, and its pivot copy is freed
+before the backward-error residuals.
 """
 
 import tracemalloc
@@ -20,7 +25,6 @@ from dnse_lab.newton import (BACKWARD_REL_THRESHOLD, PIVOT_REL_THRESHOLD, _cycli
                              _matvec)
 
 SIZES = (*range(1, 65), 511, 512, 513, 640, 1000, 1023, 1024, 1025, 4097, 10_000, 100_000)
-PEAK_SLACK = 64 * 1024  # bytes
 
 
 def _loop_reduction(diag, rhs, periodic):
@@ -121,6 +125,18 @@ def test_random_diagonals(periodic):
                 _assert_same(diag, rhs, periodic, (n, kind, rhs.shape))
 
 
+@pytest.mark.parametrize("periodic", [True, False], ids=["ring", "chain"])
+def test_signed_zeros(periodic):
+    # right-hand sides full of 0.0 and -0.0: x - p and x + (-p) round to
+    # the same zero only when the carried hop, and a chain's wrap (-0.0),
+    # is exactly the negated one
+    rng = np.random.default_rng(31 + periodic)
+    for n in SIZES[:64]:
+        diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+        for _ in range(20):
+            _assert_same(diag, rng.choice([0.0, -0.0, 1.0, -2.0], (2, n)), periodic, n)
+
+
 @pytest.mark.parametrize("site, value", [(1, 0.0), (2, 0.5), (1, 1e-12), (1, 1e-8), (1, 1e-6)],
                          ids=["zero-level0", "zero-level1", "gap1e-12", "gap1e-8", "gap1e-6"])
 def test_refusals(site, value):
@@ -162,10 +178,13 @@ def _traced_peak(solve, diag, rhs):
 
 @pytest.mark.parametrize("rhs_count", [1, 2])
 def test_peak_memory(rhs_count):
-    # one Newton system at 10^5 sites: the recursion keeps each level's hops
-    # on its frame where the loop kept them on its stack, and nothing more
+    # one Newton system at 10^5 sites: the recursion's first level makes no
+    # hop products and hands the second its hops as a view of its pivots,
+    # and the pivot copy is freed before the residuals, where the loop
+    # holds N / 2 hops and the copy; 0.49 N doubles below the loop's peak
+    # with one row and with two
     n = 100_000
     diag, res, psi = _newton_system(n, 1)
     rhs = res if rhs_count == 1 else np.stack((res, psi))
     peaks = [_traced_peak(solve, diag, rhs) for solve in (_loop_reduction, _cyclic_reduction)]
-    assert abs(peaks[1] - peaks[0]) <= PEAK_SLACK, peaks
+    assert peaks[1] <= peaks[0] - 0.4 * n * 8, peaks
