@@ -3,8 +3,9 @@
 
 For each N of --sizes (default 10^4, 10^5 and 10^6) a fresh interpreter
 builds the strong-coupling start of the random pattern with --seed on an
-N-site ring, at c = 4N, and solves it twice: once without tracing, for
-the wall time, the iteration count and the process's ru_maxrss, and once
+N-site ring, at c = 4N, and solves it WRITE_REPEATS times without
+tracing, for the median and the range of the wall time, the iteration
+count and the process's ru_maxrss after the first solve, then once more
 under tracemalloc, for the traced peak of the solve alone.  It then
 writes the solved state with write_state WRITE_REPEATS times, into a
 temporary directory, for the median time of the state writer, and counts
@@ -35,10 +36,13 @@ def measure(n: int, seed: int) -> dict:
     """The figures of one N, measured in this process."""
     start = dl.build_asymptotic_state(dl.random_pattern(n, seed))
     params = dl.ModelParams(4.0 * n)
-    began = time.perf_counter()
-    state, energy, report = dl.newton_solve(start, params)
-    wall = time.perf_counter() - began
-    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    walls = []
+    for k in range(WRITE_REPEATS):
+        began = time.perf_counter()
+        state, energy, report = dl.newton_solve(start, params)
+        walls.append(time.perf_counter() - began)
+        if k == 0:  # the peak of one solve: later ones raise it by a MiB at 10^5
+            maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tracemalloc.start()
     try:
         dl.newton_solve(start, params)
@@ -57,7 +61,9 @@ def measure(n: int, seed: int) -> dict:
         began = time.perf_counter()
         dl.distinct_points(portrait, DISTINCT_TOL)
         counts.append(time.perf_counter() - began)
-    return {"n": n, "seed": seed, "wall_ms": 1e3 * wall, "iterations": report.iterations,
+    return {"n": n, "seed": seed, "wall_ms": 1e3 * statistics.median(walls),
+            "wall_min_ms": 1e3 * min(walls), "wall_max_ms": 1e3 * max(walls),
+            "iterations": report.iterations,
             "converged": report.converged, "traced_peak_mib": peak / 2**20,
             "ru_maxrss_mib": maxrss_kb / 2**10,
             "write_state_ms": 1e3 * statistics.median(writes),
@@ -80,7 +86,8 @@ def main():
             [sys.executable, __file__, "--one", str(n), "--seed", str(args.seed)],
             capture_output=True, text=True, check=True)
         rows.append(row := json.loads(child.stdout))
-        print(f"N={n:8d}  {row['wall_ms']:9.1f} ms  {row['iterations']:3d} iterations  "
+        print(f"N={n:8d}  {row['wall_ms']:9.1f} ms ({row['wall_min_ms']:.1f}-{row['wall_max_ms']:.1f})  "
+              f"{row['iterations']:3d} iterations  "
               f"traced peak {row['traced_peak_mib']:7.2f} MiB  "
               f"ru_maxrss {row['ru_maxrss_mib']:7.1f} MiB  "
               f"write_state {row['write_state_ms']:7.1f} ms  "

@@ -11,22 +11,23 @@ steps on (psi, E), built from the float64 code run on the standard
 library's decimal numbers (libmpdec, correctly rounded; several times
 faster than mpmath without gmpy2): the Newton loop, the bordered step and
 the tridiagonal kernel of newton, and the lattice residual.  Its results
-come back as mpf, and the map check runs on mpmath.
+come back as mpf.  The map check iterates mapdyn's step on Decimal too, at
+dps + 1 digits, the precision mpmath gives dps, from its mpf or float
+inputs converted once each.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import replace
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, Overflow, localcontext
 
 import numpy as np
 from mpmath import mp, mpf
 
 from .errors import NoConvergence, SingularJacobian
 from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
-from .mapdyn import MapState, map_step
+from .mapdyn import _step
 from .newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve, rayleigh_energy
 
 # The polish stops once the residual max-norm is at most 10**-(dps - 10),
@@ -85,13 +86,29 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
                 np.array([Decimal(v) for v in state.values.tolist()], dtype=object),
                 Decimal(rayleigh_energy(state, params)),
                 lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
-                step, lambda *_: tol, POLISH_MAX_ITER)
+                step, lambda *_: tol, POLISH_MAX_ITER,
+                lambda psi: (None, float(np.dot(psi, psi))))
         except (NoConvergence, SingularJacobian) as exc:
-            exc.report = replace(exc.report, final_norm=float(np.dot(exc.state, exc.state)))
             exc.state, exc.energy = _as_mpf(exc.state, exc.energy, dps)
             raise
     psi, energy = _as_mpf(psi, energy, dps)
     return psi.tolist(), energy
+
+
+def _decimal(x, powers):
+    """x as a Decimal.  An mpf, man * 2**exp, is rounded once to the
+    context's precision, as Decimal(man) times the exact Decimal of 2**exp
+    (kept in powers, by exp); an infinite or NaN one goes through float.
+    Anything else, a float or an int, is taken exactly by Decimal."""
+    if not isinstance(x, mpf):
+        return Decimal(x)
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:  # mpmath's inf, -inf and nan: no mantissa, an exponent
+        return Decimal(float(x))
+    power = powers.get(exp)
+    if power is None:  # 2**-k is 5**k / 10**k, exactly
+        power = powers[exp] = Decimal(1 << exp) if exp >= 0 else Decimal(f"{5 ** -exp}e{exp}")
+    return Decimal(-man if sign else man) * power
 
 
 def map_reproduction_error(psi, energy, c, dps: int = 60):
@@ -101,21 +118,33 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     as floats.  Pass mpf values from polish_solution and a dps matching
     the polish so the hyperbolic amplification acts on the polished
     residual, not on double-precision round-off.  dps is an integer >= 15.
+
+    The map runs on Decimal at dps + 1 significant digits, the precision
+    that mpmath gives dps (203 bits at 60).  Each input is converted once:
+    an mpf is rounded to that precision, a float or an int taken exactly.
+    An orbit that leaves Decimal's exponent range (10**999999) has left
+    float's long before: that deviation, and every later one, reads inf.
     """
     n = len(psi)
     if n < 2:
         raise ValueError("the map needs at least 2 sites")
     _check_dps(dps)
-    with mp.workdps(dps):
-        energy, c = mpf(energy), mpf(c)
-        s = MapState(psi[1], psi[1] - psi[0])
-        max_dev = mpf(0)
-        closure = mpf(0)
-        for i in range(2, n + 2):
-            s = map_step(s, energy, c)
-            dev = abs(s.psi - psi[i % n])
+    powers = {}
+    with localcontext(Context(prec=operator.index(dps) + 1, traps=[Overflow])):
+        psi = [_decimal(p, powers) for p in psi]
+        energy, c = _decimal(energy, powers), _decimal(c, powers)
+        x, z = psi[1], psi[1] - psi[0]
+        max_dev = closure = Decimal(0)
+        try:
+            for i in range(2, n + 2):
+                x, z = _step(x, z, energy, c)
+                dev = abs(x - psi[i % n])
+                if i < n:
+                    max_dev = max(max_dev, dev)
+                else:
+                    closure = max(closure, dev)
+        except Overflow:
+            closure = Decimal("Infinity")
             if i < n:
-                max_dev = max(max_dev, dev)
-            else:
-                closure = max(closure, dev)
-        return float(max_dev), float(closure)
+                max_dev = closure
+    return float(max_dev), float(closure)

@@ -13,6 +13,7 @@ and the amplitude/coupling similarity rescaling).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,17 @@ def _as_readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _held(value_type, array: np.ndarray, *rest):
+    """value_type(array, *rest) without the copy and the checks of its
+    __post_init__: the instance holds array itself, marked read-only.
+    For a float64 array that the caller has just made, found valid and
+    hands over, as a Newton iterate or a Jacobian diagonal."""
+    array.flags.writeable = False
+    held = object.__new__(value_type)
+    vars(held).update(zip(value_type.__dataclass_fields__, (array, *rest)))
+    return held
 
 
 def _as_points(points, owner: str) -> np.ndarray:
@@ -57,7 +69,7 @@ class LatticeState:
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("state needs a 1D array with at least one site")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("amplitudes must be finite")
 
     @property
@@ -99,7 +111,7 @@ def _check_boundary(state: LatticeState, params: ModelParams):
 
 def normalize(state: LatticeState) -> LatticeState:
     """Scale the amplitudes to unit sum of squares, preserving direction."""
-    return LatticeState(_normalized(np.array(state.values)), state.boundary)
+    return _held(LatticeState, _normalized(np.array(state.values)), state.boundary)
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -108,7 +120,7 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     norm2 = float(np.dot(values, values))
     if norm2 == 0.0:
         raise ZeroState("cannot normalize the zero state")
-    values /= np.sqrt(norm2)
+    values /= math.sqrt(norm2)
     return values
 
 

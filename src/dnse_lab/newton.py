@@ -24,17 +24,23 @@ the report only what depends on its state.  newton_solve stops at its
 tolerance or, where that is larger, at the residual that rounding alone
 can leave.
 
-An iteration allocates only the arrays of N numbers its arithmetic uses:
-the residual is built in place from psi * 2 with one scratch array, the
-Jacobian's diagonal in one array, the bordered step's two right-hand
-sides are handed to solve_linear as rows and copied once, into the array
-the reduction solves in place, and a frozen-E step subtracts, checks and
-normalizes its new iterate in the array of its solution.  The reduction's
-first level forms no hop products and hands the second its hops as a
-view of its own pivots, the pivot copy is freed before the backward-error
-residuals, and the normalized start is freed after the first step.  The
-traced peak of a solve is about 6.5 arrays of N float64: 5.0 MiB at 10^5
-sites and 50 MiB at 10^6.
+An iteration allocates only the arrays of N numbers its arithmetic uses,
+and copies and tests none of them again: the residual is built in place
+from psi * 2 with one scratch array, the Jacobian's diagonal in one
+array, which the JacobianMatrix holds as made, the bordered step's two
+right-hand sides are handed to solve_linear as rows and copied once, into
+the array the reduction solves in place, and its new psi is one array,
+psi - a, which frees the rows with the step.  A frozen-E step subtracts,
+checks and normalizes its new iterate in the array of its solution.  The
+new iterate is tested finite and nonzero once, and the next LatticeState
+holds that array itself, read-only (lattice._held), as normalize holds
+its one copy.  The reduction's first level forms no hop products and
+hands the second its hops as a view of its own pivots, the pivot copy is
+freed before the backward-error residuals, and the normalized start is
+freed after the first step.  The traced peak of a solve is about 6.5
+arrays of N float64: 5.0 MiB at 10^5 sites and 50 MiB at 10^6.  On the
+paper's chains a warm-started sweep point takes one bordered step, and
+the scalar kernel takes 35-41% of a sweep's time (see the README).
 
 newton_solve runs in two phases, chosen at each step from the residual
 max-norm the loop has just evaluated.  Above BORDERED_RESIDUAL the step
@@ -63,15 +69,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from itertools import count
 from typing import Optional
 
 import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, SumTooSmall, ZeroState
-from .lattice import (Boundary, LatticeState, ModelParams, _as_readonly, _normalized, normalize,
-                      residual)
+from .lattice import (Boundary, LatticeState, ModelParams, _as_readonly, _held, _normalized,
+                      normalize, residual)
 from .patterns import PatternCounts, _count, _trits
 
 # The cubic energy estimator is abandoned when |sum psi| falls below
@@ -166,7 +173,9 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.tol_residual < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        # bool is an Integral, and True would pass for a budget of 1
+        if not (isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
+                and self.max_iter >= 1):
             raise ValueError("max_iter must be a positive integer")
 
 
@@ -215,13 +224,13 @@ def energy_estimate(state: LatticeState, params: ModelParams) -> float:
     if params.boundary is not Boundary.PERIODIC:
         raise ValueError("the cubic energy estimator is defined for PBC only")
     psi = state.values
-    total = float(np.sum(psi))
-    cutoff = SUM_REL_THRESHOLD * np.sqrt(psi.size)
+    total = float(psi.sum())
+    cutoff = SUM_REL_THRESHOLD * math.sqrt(psi.size)
     if abs(total) < cutoff:
         raise SumTooSmall(f"|sum psi| = {abs(total):.3e} below {cutoff:.3e}")
     cube = psi * psi
     cube *= psi
-    return -params.c * float(np.sum(cube)) / total
+    return -params.c * float(cube.sum()) / total
 
 
 def rayleigh_energy(state: LatticeState, params: ModelParams) -> float:
@@ -236,8 +245,8 @@ def rayleigh_energy(state: LatticeState, params: ModelParams) -> float:
 
 def assemble_jacobian(state: LatticeState, params: ModelParams, energy: float) -> JacobianMatrix:
     """Build the (cyclic) tridiagonal Newton matrix at a state, any N."""
-    return JacobianMatrix(diag=_jacobian_diagonal(state.values, params.c, energy),
-                          periodic=state.boundary is Boundary.PERIODIC)
+    return _held(JacobianMatrix, _jacobian_diagonal(state.values, params.c, energy),
+                 state.boundary is Boundary.PERIODIC)
 
 
 def _jacobian_diagonal(psi, c, energy):
@@ -284,7 +293,7 @@ def _tridiag_solve(diag, rhss, periodic: bool):
         diag = diag[:]
         diag[0] -= 2  # both hops land on the site itself
         periodic = False
-    pivot_tol = PIVOT_REL_THRESHOLD * float(max(max(map(abs, diag)), 1))
+    pivot_tol = PIVOT_REL_THRESHOLD * float(max(max(diag), -min(diag), 1))  # max|diag|, or 1
     inv = diag[:]  # the modified diagonal, then the reciprocal pivots
     if periodic:
         gamma = -(abs(diag[0]) + 1)
@@ -450,7 +459,7 @@ def solve_linear(jac: JacobianMatrix, rhs: np.ndarray) -> np.ndarray:
         if x is not None:
             return x
     rows = np.asarray(rhs, dtype=float).reshape(-1, jac.n).tolist()
-    return np.array(_tridiag_solve(jac.diag.tolist(), rows, jac.periodic)).reshape(shape)
+    return np.array(_tridiag_solve(jac.diag.tolist(), rows, jac.periodic), dtype=float).reshape(shape)
 
 
 def _estimate(state: LatticeState, params: ModelParams) -> float:
@@ -473,15 +482,16 @@ def _bordered_step(psi, energy, res, solve):
         dE = (psi.a - g) / (psi.b),    dpsi = -a + b dE,
 
     which converges quadratically near a solution.  Serves float64 arrays
-    and object arrays of Decimal alike; returns (psi + dpsi, E + dE), built
-    in the arrays solve returned.  Raises SingularJacobian when psi.b = 0.
+    and object arrays of Decimal alike; returns (psi + dpsi, E + dE), the
+    new psi an array of its own, so that it does not keep the rows solve
+    returned, and b dE built in b.  Raises SingularJacobian when psi.b = 0.
     """
     a, b = solve((res, psi))
     den = np.dot(psi, b)
     if not den:
         raise SingularJacobian("bordered step: psi.b = 0")
     d_energy = (np.dot(psi, a) - (np.dot(psi, psi) - 1) / 2) / den
-    new_psi = np.subtract(psi, a, out=a)
+    new_psi = psi - a
     b *= d_energy
     new_psi += b
     return new_psi, energy + d_energy
@@ -504,11 +514,11 @@ def _rounding_floor(state: LatticeState, params: ModelParams, energy: float) -> 
     is 1.4e-11.
     """
     m = float(max(state.values.max(), -state.values.min()))
-    return float(np.finfo(float).eps * m
-                 * (6.0 + 2.0 * abs(energy) + 2.5 * abs(params.c) * m * m))
+    return sys.float_info.epsilon * m * (6.0 + 2.0 * abs(energy) + 2.5 * abs(params.c) * m * m)
 
 
-def _newton_loop(state, energy, residual_of, step, tol_of, max_iter):
+def _newton_loop(state, energy, residual_of, step, tol_of, max_iter,
+                 describe=lambda state: (None, 0.0)):
     """The Newton iteration of newton_solve and the high-precision polish.
 
     Each iteration evaluates res = residual_of(state, energy) once and
@@ -518,10 +528,11 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter):
     res, norm) gives the next (state, energy, bordered), bordered telling
     whether that step was a bordered (psi, E) step.  The loop builds the
     run's NewtonReport from what it recorded: the histories, convergence,
-    bordered_from and the first energy jump; the callers add what depends
-    on their state.  Returns (state, energy, report).  Raises
-    NoConvergence, or SingularJacobian when a step does, with the last
-    iterate, its E and the report attached.
+    bordered_from and the first energy jump, with the final_counts and
+    final_norm that describe(state) gives for the last iterate (by
+    default, the report's defaults).  Returns (state, energy, report).
+    Raises NoConvergence, or SingularJacobian when a step does, with the
+    last iterate, its E and the report attached.
     """
     e_hist, r_hist, bordered_from, failure = [], [], None, None
     for iterations in count():
@@ -545,9 +556,11 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter):
     changed_at = next((j for j in range(3, len(e_hist))
                        if abs(e_hist[j] - e_hist[j - 1]) > STRUCTURE_CHANGE_THRESHOLD), None)
     # a step is taken only above tol, so a failed step leaves the run unconverged
+    final_counts, final_norm = describe(state)
     report = NewtonReport(iterations, tuple(e_hist), tuple(r_hist),
                           converged=bool(res_norm <= tol),
-                          structure_change_iteration=changed_at, bordered_from=bordered_from)
+                          structure_change_iteration=changed_at, final_counts=final_counts,
+                          final_norm=final_norm, bordered_from=bordered_from)
     if failure is not None:
         raise SingularJacobian(str(failure), state=state, energy=energy, report=report) from failure
     if not report.converged:
@@ -588,39 +601,33 @@ def newton_solve(
     """
 
     def checked(values):
-        if not np.all(np.isfinite(values)) or not np.any(values):
+        if not (np.isfinite(values).all() and values.any()):
             raise SingularJacobian("Newton step produced a degenerate state")
         return values
 
+    # each step's new values are an array of its own, which the next state holds
     def step(state, energy, res, res_norm):
         jac = assemble_jacobian(state, params, energy)
         if res_norm <= BORDERED_RESIDUAL:
             values, energy = _bordered_step(state.values, energy, res,
                                             lambda rhss: solve_linear(jac, rhss))
-            return LatticeState(checked(values), state.boundary), float(energy), True
+            return _held(LatticeState, checked(values), state.boundary), float(energy), True
         delta = solve_linear(jac, res)
         values = _normalized(checked(np.subtract(state.values, delta, out=delta)))
-        state = LatticeState(values, state.boundary)
+        state = _held(LatticeState, values, state.boundary)
         return state, _estimate(state, params), False
 
     def tolerance(state, energy):
         return max(config.tol_residual, _rounding_floor(state, params, energy))
 
-    def described(report, state):
-        return replace(report, final_counts=_count(_trits(state.values), state.boundary),
-                       final_norm=state.norm_squared())
+    def describe(state):
+        return _count(_trits(state.values), state.boundary), state.norm_squared()
 
     # the loop gets the only reference to the start, and frees it after its first step
     start = [normalize(initial)]
     energy = _estimate(start[0], params)
-    try:
-        state, energy, report = _newton_loop(
-            start.pop(), energy, lambda state, energy: residual(state, params, energy),
-            step, tolerance, config.max_iter)
-    except (NoConvergence, SingularJacobian) as exc:
-        exc.report = described(exc.report, exc.state)
-        raise
-    return state, energy, described(report, state)
+    return _newton_loop(start.pop(), energy, lambda state, energy: residual(state, params, energy),
+                        step, tolerance, config.max_iter, describe)
 
 
 @dataclass(frozen=True)
@@ -665,7 +672,7 @@ def sweep_c(
     """
     c_values = list(c_values)
     diffs = np.diff(c_values)
-    if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
+    if not ((diffs >= 0).all() or (diffs <= 0).all()):
         raise ValueError("c_values must be monotone")
     records = []
     initial = normalize(initial)
@@ -673,7 +680,7 @@ def sweep_c(
     for c in map(float, c_values):
         start = LatticeState(_extrapolate(history, c), initial.boundary) if history else initial
         try:
-            solved, energy, report = newton_solve(start, replace(params, c=c), config)
+            solved, energy, report = newton_solve(start, ModelParams(c, params.boundary), config)
         except (NoConvergence, SingularJacobian) as exc:
             solved, energy, report, error = None, exc.energy, exc.report, type(exc).__name__
         else:
@@ -690,7 +697,8 @@ def sweep_c(
             energy=energy,
             converged=solved is not None,
             counts=report.final_counts,
-            max_amplitude=None if solved is None else float(np.max(np.abs(solved.values))),
+            max_amplitude=None if solved is None else float(max(solved.values.max(),
+                                                                 -solved.values.min())),
             iterations=report.iterations,
             structure_changed=report.structure_changed,
             error=error,

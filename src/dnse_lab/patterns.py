@@ -145,10 +145,11 @@ def quantize_state(state: LatticeState) -> PatternSpec:
 
 def _trits(psi: np.ndarray) -> np.ndarray:
     """The trits of quantize_state as an int8 array."""
-    peak = np.max(np.abs(psi))
+    magnitude = np.abs(psi)
+    peak = magnitude.max()
     if peak == 0.0:
         raise AllZero("zero state has no pattern")
-    return np.sign(psi).astype(np.int8) * (np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak)
+    return np.sign(psi).astype(np.int8) * (magnitude > OCCUPIED_REL_THRESHOLD * peak)
 
 
 def limit_points(spec: PatternSpec) -> set:

@@ -1,3 +1,4 @@
+import math
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -9,6 +10,7 @@ from dnse_lab.errors import NoConvergence, SingularJacobian
 from dnse_lab import highprec
 from dnse_lab.highprec import map_reproduction_error, polish_solution
 from dnse_lab.lattice import _neighbors, _stencil_residual
+from dnse_lab.mapdyn import MapState, map_step
 from dnse_lab.newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve
 
 from conftest import (alternating_spot_pattern, irregular_pair_pattern, kernel_corpus,
@@ -300,6 +302,82 @@ class TestMapReproduction:
         psi = [mpf(0), mpf(1), mpf(0)]
         assert (map_reproduction_error(psi, -1.0, 10.0, dps=np.int64(30))
                 == map_reproduction_error(psi, -1.0, 10.0, dps=30))
+
+
+def _mpf_map_reproduction_error(psi, energy, c, dps=60):
+    """map_reproduction_error as it iterated map_step on mpf before it ran
+    on Decimal: the oracle of the Decimal iteration."""
+    n = len(psi)
+    with mp.workdps(dps):
+        energy, c = mpf(energy), mpf(c)
+        s = MapState(psi[1], psi[1] - psi[0])
+        max_dev = mpf(0)
+        closure = mpf(0)
+        for i in range(2, n + 2):
+            s = map_step(s, energy, c)
+            dev = abs(s.psi - psi[i % n])
+            if i < n:
+                max_dev = max(max_dev, dev)
+            else:
+                closure = max(closure, dev)
+        return float(max_dev), float(closure)
+
+
+def _within_ten_times(got, ref):
+    return all(r / 10 <= g <= 10 * r for g, r in zip(got, ref))
+
+
+@pytest.fixture(scope="module")
+def polished_chains(chain100_solution, chain130_solution):
+    """(name, float64 state, its E, polished psi, polished E, c, dps) of
+    both chains, polished at the acceptance precisions."""
+    chains = []
+    for name, (_, state, energy, _), c, dps in [("chain100", chain100_solution, 24.0, 60),
+                                                ("chain130", chain130_solution, 40.0, 80)]:
+        psi, polished_energy = polish_solution(state, dl.ModelParams(c), dps=dps)
+        chains.append((name, state, energy, psi, polished_energy, c, dps))
+    return chains
+
+
+class TestMapOnDecimal:
+    """The map check runs on Decimal at dps + 1 digits; the deviations it
+    reads stay within a factor 10 of the mpf iteration's.  Measured: 9.3e-50
+    and 9.7e-50 against 9.4e-50 and 9.8e-50 for chain100, 1.4e-50 and
+    2.8e-50 against 7.3e-51 and 1.4e-50 for chain130."""
+
+    def test_mpf_inputs(self, polished_chains):
+        for name, _, _, psi, energy, c, dps in polished_chains:
+            got = map_reproduction_error(psi, energy, c, dps=dps)
+            ref = _mpf_map_reproduction_error(psi, energy, c, dps=dps)
+            assert max(got) <= 1e-40 and _within_ten_times(got, ref), (name, got, ref)
+
+    def test_float_inputs(self, polished_chains):
+        # chain100's float64 state itself: its round-off, amplified around
+        # the ring, reads 1.2e-5 and 1.3e-5 (1.3e-5 and 1.4e-5 on mpf, which
+        # took psi[1] - psi[0] in float64).  chain130's float64 orbit leaves
+        # the state's neighbourhood, and where it goes then depends on the
+        # last bits: 0.27 here, inf on mpf.
+        _, state, energy, _, _, c, dps = polished_chains[0]
+        psi = state.values.tolist()
+        got = map_reproduction_error(psi, energy, c, dps=dps)
+        ref = _mpf_map_reproduction_error(psi, energy, c, dps=dps)
+        assert max(got) <= 1e-4 and _within_ten_times(got, ref), (got, ref)
+
+    def test_numpy_integer_precision(self, polished_chains):
+        for name, _, _, psi, energy, c, dps in polished_chains:
+            assert (map_reproduction_error(psi, energy, c, dps=np.int64(dps))
+                    == map_reproduction_error(psi, energy, c, dps=dps)), name
+
+    @pytest.mark.parametrize("sites, escaped", [(20, (math.inf, math.inf)),
+                                                (6, (1.7753190722690412e+78, math.inf))],
+                             ids=["past-decimal-range", "past-float-range"])
+    def test_escaping_orbit_reads_inf(self, sites, escaped):
+        # from psi = 10 the orbit cubes its way past 10**999999, Decimal's
+        # range, within 20 sites, and past float's within 6; the mpf
+        # iteration reads inf for both
+        psi = [mpf(0), mpf(10 if sites == 20 else 3)] + [mpf(0)] * (sites - 2)
+        assert map_reproduction_error(psi, -1.0, 10.0, dps=30) == escaped
+        assert _mpf_map_reproduction_error(psi, -1.0, 10.0, dps=30) == escaped
 
 
 def _float_newton(spec, solved, k):

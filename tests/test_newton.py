@@ -297,6 +297,12 @@ class TestNewtonSolve:
                 dl.NewtonConfig(max_iter=max_iter)
         assert dl.NewtonConfig(max_iter=np.int64(2)).max_iter == 2
 
+    @pytest.mark.parametrize("max_iter", [True, False])
+    def test_bool_budget_rejected(self, max_iter):
+        # bool is an Integral: True would pass for a budget of one step
+        with pytest.raises(ValueError):
+            dl.NewtonConfig(max_iter=max_iter)
+
 
 class TestRoundingFloor:
     """At c = 4 10^4 a ring collapsed onto two sites of amplitude 1/sqrt(2)
