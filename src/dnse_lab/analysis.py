@@ -417,14 +417,15 @@ def fit_tail(
     """Least-squares exponential fit of the tail following a peak.
 
     peak_index is a site, 0 <= peak_index < N.  window = (start, end)
-    offsets from the peak, inclusive; the sites must lie strictly between
-    peaks.  The fit is flagged when any window amplitude exceeds
-    0.1 * max|psi|, where the cubic term is no longer negligible and the
-    pure exponential stops being a good model.
+    offsets from the peak, inclusive, with start < end (a slope needs two
+    sites); the sites must lie strictly between peaks.  The fit is
+    flagged when any window amplitude exceeds 0.1 * max|psi|, where the
+    cubic term is no longer negligible and the pure exponential stops
+    being a good model.
     """
     start, end = window
-    if not (1 <= start <= end):
-        raise ValueError("window offsets must satisfy 1 <= start <= end")
+    if not (1 <= start < end):
+        raise ValueError("window offsets must satisfy 1 <= start < end")
     psi = state.values
     n = psi.size
     if not 0 <= peak_index < n:
@@ -531,7 +532,7 @@ def zoom_report(
     pts = portrait.points
     out = []
     for level in range(levels):
-        fx, fy = hx / 2.0**level, hy / 2.0**level
+        fx, fy = math.ldexp(hx, -level), math.ldexp(hy, -level)
         box = (cx - fx, cx + fx, cy - fy, cy + fy)
         inside = pts[
             (pts[:, 0] >= box[0]) & (pts[:, 0] <= box[1])

@@ -29,13 +29,14 @@ r errs from y - p by under 1e-14: fl(|x| lo) rounds a number below 12
 (at most 9e-16), the sum rounds one below 20 (at most 1.8e-15), and
 hi + lo is within 2**-106 of the power (at most 1.3e-15 of y).  The
 digits D = p + rint(r) are taken where r is more than _TIE_MARGIN = 1e-3
-from a half-integer and 10**16 < D < 10**17; where log10 was one off,
-k is first corrected by one from the sign of y - 10**16 or y - 10**17.
-Such a value is written as 0.ddd to 0.000ddd for k = -1 to -4 and as
-d.ddde-XX(X) below.  Every other value, that is +-0, inf, nan,
-|x| >= 1, |x| <= 1e-280, a value within the margin of a tie (about 0.2%
-of a ring's values) and one whose D is 10**16 or 10**17, is formatted
-by '%.17g' itself, so no digit is guessed.
+from a half-integer and 10**16 < D < 10**17.  Such a value is written as
+0.ddd to 0.000ddd for k = -1 to -4 and as d.ddde-XX(X) below.  Every
+other value, that is +-0, inf, nan, |x| >= 1, |x| <= 1e-280, a value
+within the margin of a tie (about 0.2% of a ring's values) and one whose
+D is not inside (10**16, 10**17), is formatted by '%.17g' itself, so no
+digit is guessed.  A rare value takes that general path rather than a
+repair of its own: where log10 is one off, within about 1e-15 of a power
+of ten, y lies outside [10**16, 10**17), so D is not inside the range.
 """
 
 from __future__ import annotations
@@ -96,17 +97,6 @@ def _powers_of_ten():
     return tuple(map(_as_readonly, (hi, lo, *_split(np.array(hi)))))
 
 
-def _scaled(a, n):
-    """a 10**n as p + r: p = fl(a hi), r = (a hi - p) + fl(a lo), the
-    first term exact by Dekker's product."""
-    hi, lo, hi_high, hi_low = _powers_of_ten()
-    p = a * hi[n]
-    a_high, a_low = _split(a)
-    r = (((a_high * hi_high[n] - p) + a_high * hi_low[n] + a_low * hi_high[n])
-         + a_low * hi_low[n]) + a * lo[n]
-    return p, r
-
-
 def _decimal_digits(x):
     """(D, k, decided) for the array x: where decided, |x| rounds to 17
     significant digits as D 10**(k - 16), with 10**16 < D < 10**17.
@@ -115,17 +105,16 @@ def _decimal_digits(x):
     decided = (a > _FAST_MIN) & (a < _FAST_MAX)  # false for nan
     a = np.where(decided, a, 0.5)
     k = np.floor(np.log10(a)).astype(np.int64)
-    p, r = _scaled(a, 16 - k)
-    # next to a power of ten log10 can be one off: p + r, the scaled |x|,
-    # must lie in [10**16, 10**17)
-    shift = (p - 1e17 + r >= 0) * 1 - (p - 1e16 + r < 0)
-    wrong = np.flatnonzero(shift)
-    if len(wrong):
-        k[wrong] += shift[wrong]
-        p[wrong], r[wrong] = _scaled(a[wrong], 16 - k[wrong])
+    # a 10**(16 - k) as p + r: p = fl(a hi), r = (a hi - p) + fl(a lo), the
+    # first term exact by Dekker's product
+    hi, lo, hi_high, hi_low = (table[16 - k] for table in _powers_of_ten())
+    p = a * hi
+    a_high, a_low = _split(a)
+    r = (a_high * hi_high - p) + a_high * hi_low + a_low * hi_high + a_low * hi_low + a * lo
     rounded = np.rint(r)
     decided &= np.abs(r - rounded) < 0.5 - _TIE_MARGIN
     digits = p.astype(np.int64) + rounded.astype(np.int64)
+    # where log10 is one off, next to a power of ten, D is outside the range
     decided &= (digits > _D_MIN) & (digits < _D_MAX)
     digits[~decided] = 2 * _D_MIN
     k[~decided] = -1
@@ -146,11 +135,8 @@ def _digit_words():
     pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
     high, low = np.divmod(np.arange(10_000), 100)
     chars = np.stack([pairs[high], pairs[low]], axis=1).view(np.uint8)
-    trailing = chars != ord("0")
-    leading = trailing.copy()
-    for col in (2, 1, 0):
-        trailing[:, col] |= trailing[:, col + 1]
-        leading[:, 3 - col] |= leading[:, 2 - col]
+    trailing = np.logical_or.accumulate(chars[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    leading = np.logical_or.accumulate(chars != ord("0"), axis=1)
     leading[0, 3] = True
     words = np.concatenate([chars, chars * trailing, chars * leading]).view(np.uint32).ravel()
     words.flags.writeable = False

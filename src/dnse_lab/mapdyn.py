@@ -7,7 +7,10 @@ stationary equation becomes the area-preserving map
     psi' = psi + Z'
 
 so a lattice solution is a map orbit and vice versa.  Orbits may diverge;
-escape is recorded as data, not raised.
+escape is recorded as data, not raised.  A step whose psi**3 leaves the
+float range takes the general path too: the cube reads +-inf, as float64
+gives, where a Python float raises OverflowError, so the step returns a
+non-finite point.
 """
 
 from __future__ import annotations
@@ -50,20 +53,27 @@ class MapOrbit:
 
 
 def map_step(s: MapState, energy: float, c: float) -> MapState:
-    """One forward application of the map."""
+    """One forward application of the map; non-finite once it overflows."""
     return MapState(*_step(s.psi, s.Z, energy, c))
 
 
 def _step(psi, z, energy, c) -> tuple:
     """map_step on plain numbers: (psi', Z')."""
-    z_next = z - energy * psi - c * psi**3
+    try:
+        cube = psi**3
+    except OverflowError:  # a Python float; float64 gives +-inf
+        cube = math.copysign(math.inf, psi)
+    z_next = z - energy * psi - c * cube
     return psi + z_next, z_next
 
 
 def map_step_inverse(s: MapState, energy: float, c: float) -> MapState:
-    """Exact inverse: psi = psi' - Z', Z = Z' + E psi + c psi**3."""
+    """Exact inverse: psi = psi' - Z', Z = Z' + E psi + c psi**3, the
+    negated Z' of a forward step from (psi, -Z').  Rounding is symmetric,
+    so the values are those of the formula; only a Z of exactly zero may
+    differ in sign."""
     psi_prev = s.psi - s.Z
-    return MapState(psi_prev, s.Z + energy * psi_prev + c * psi_prev**3)
+    return MapState(psi_prev, -_step(psi_prev, -s.Z, energy, c)[1])
 
 
 def iterate_map(
@@ -90,13 +100,7 @@ def iterate_map(
     recorded = [(psi, z)]
     escape_index = None
     for k in range(1, steps + 1):
-        try:
-            psi, z = _step(psi, z, energy, c)
-        except OverflowError:
-            # psi**3 left the float range; the same step on float64 records
-            # the overflowed point as inf or nan, and the orbit escapes below
-            with np.errstate(over="ignore", invalid="ignore"):
-                psi, z = _step(np.float64(psi), np.float64(z), energy, c)
+        psi, z = _step(psi, z, energy, c)
         recorded.append((psi, z))
         # NaN fails every comparison; a non-finite Z makes psi = psi + Z non-finite
         if not (math.isfinite(psi) and abs(psi) <= escape_bound and abs(z) <= escape_bound):

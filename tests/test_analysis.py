@@ -243,8 +243,10 @@ class TestFitTail:
 
     def test_bad_window_rejected(self):
         state = dl.LatticeState([1.0, 0.5, 0.2], dl.Boundary.OPEN)
-        with pytest.raises(ValueError):
-            dl.fit_tail(state, 0, (0, 2))
+        # (1, 1) is one site, through which no slope is determined
+        for window in [(0, 2), (1, 1)]:
+            with pytest.raises(ValueError):
+                dl.fit_tail(state, 0, window)
 
     def test_peak_index_outside_lattice_rejected(self):
         values = 0.5 ** np.arange(7)
@@ -344,6 +346,19 @@ class TestZoom:
             dl.zoom_report(portrait, (0, 1, 0, 1), 0)
         with pytest.raises(ValueError):
             dl.zoom_report(portrait, (1, 0, 0, 1), 2)
+
+    def test_levels_past_the_float_exponent(self):
+        # 2.0**level overflows from level 1024; the boxes keep halving
+        # through the subnormals to the center, and below level 1024 they
+        # are those of hx / 2.0**level
+        portrait = dl.PhasePortrait(np.array([[0.0, 0.0], [0.5, 0.5]]))
+        levels = dl.zoom_report(portrait, (-1.0, 1.0, -1.0, 1.0), 1100)
+        assert len(levels) == 1100
+        assert [lv.region for lv in levels[:1024]] == [
+            (-1 / 2.0**k, 1 / 2.0**k) * 2 for k in range(1024)]
+        assert levels[1074].region == (-5e-324, 5e-324, -5e-324, 5e-324)
+        assert levels[-1].region == (0.0, 0.0, 0.0, 0.0)
+        assert all(lv.points.tolist() == [[0.0, 0.0]] for lv in levels[2:])
 
     @pytest.mark.parametrize("region", [(0, np.inf, 0, 1), (-np.inf, 1, 0, 1),
                                         (0, 1, np.nan, 1), (0, 1, 0, np.nan)])

@@ -73,6 +73,13 @@ class TestIterateMap:
         assert orbit.points.shape[0] == 2
         assert not np.all(np.isfinite(orbit.points[-1]))
 
+    def test_overflowing_step_is_not_finite(self):
+        # the same psi**3 overflow in one step, forward and back
+        s = dl.MapState(1e200, 0.0)
+        for step in (dl.map_step, dl.map_step_inverse):
+            point = step(s, 1.0, 1.0)
+            assert not np.all(np.isfinite(point)), step.__name__
+
     def test_bounded_elliptic_orbit(self):
         # linear map at E in (0, 4) is a rotation: stays bounded forever
         orbit = dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 0.0, 10_000)

@@ -233,4 +233,4 @@ def test_integer_powers_only_in_scalar_map_steps():
     psi**3, since their orbits are compared digit for digit."""
     package = Path(dl.__file__).parent
     found = [use for path in sorted(package.rglob("*.py")) for use in _integer_powers(path)]
-    assert found == ["mapdyn.py:_step", "mapdyn.py:map_step_inverse"]
+    assert found == ["mapdyn.py:_step"]
