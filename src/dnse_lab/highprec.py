@@ -10,10 +10,13 @@ configurable number of decimal digits.  The polish takes bordered Newton
 steps on (psi, E), built from the float64 code run on the standard
 library's decimal numbers (libmpdec, correctly rounded; several times
 faster than mpmath without gmpy2): the Newton loop, the bordered step and
-the tridiagonal kernel of newton, and the lattice residual.  Its results
-come back as mpf.  The map check iterates mapdyn's step on Decimal too, at
-dps + 1 digits, the precision mpmath gives dps, from its mpf or float
-inputs converted once each.
+the tridiagonal kernel of newton, and the lattice residual.  It serves
+rings and open chains alike, taking the boundary from the state as
+newton_solve does.  Its results come back as mpf, each rounded once from
+its exact integer ratio.  The map check iterates mapdyn's step on Decimal
+too, at dps + 1 digits, the precision mpmath gives dps, from its mpf,
+float or integer inputs converted once each by one converter; its closure
+over the wrap assumes a ring.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import operator
 from decimal import Context, Decimal, Overflow, localcontext
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import NoConvergence, SingularJacobian
 from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
@@ -46,9 +49,12 @@ def _check_dps(dps):
 
 def _as_mpf(psi, energy, dps):
     """The polish's Decimal psi and E as an object array of mpf and an mpf,
-    each rounded once, to nearest, at dps digits."""
-    with mp.workdps(dps):
-        return np.array([mpf(str(v)) for v in psi], dtype=object), mpf(str(energy))
+    each rounded once, to nearest, at dps digits: from the Decimal's exact
+    integer ratio, with no decimal string formatted and parsed back."""
+    prec = libmp.dps_to_prec(dps)  # the bits of mp.workdps(dps)
+    *psi, energy = [mp.make_mpf(libmp.from_rational(*v.as_integer_ratio(), prec, libmp.round_nearest))
+                    for v in (*psi, energy)]
+    return np.array(psi, dtype=object), energy
 
 
 def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
@@ -60,8 +66,12 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     _bordered_step, solving J a = F and J b = psi in one kernel call, which
     converges quadratically from the float64 state and its Rayleigh
     energy, both taken exactly.  Returns (psi list, E) as mpf at dps once
-    the residual max-norm is at most 10**-(dps-10).  PBC only; dps is an
-    integer >= 15.
+    the residual max-norm is at most 10**-(dps-10).  Serves a ring and an
+    open chain alike: the residual and the kernel take the state's
+    boundary, and params must carry the same one (ValueError otherwise, from
+    rayleigh_energy).  The coupling enters through _decimal, so a numpy
+    integer or float is taken as newton_solve takes it.  dps is an integer
+    >= 15.
 
     Raises NoConvergence when POLISH_MAX_ITER steps do not reach that
     tolerance; it carries the last iterate (an object array of mpf), its E
@@ -69,24 +79,22 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     final_norm.  A singular Jacobian raises SingularJacobian carrying the
     same.
     """
-    if state.boundary is not Boundary.PERIODIC:
-        raise ValueError("high-precision polish supports PBC only")
     _check_dps(dps)
+    periodic = state.boundary is Boundary.PERIODIC
     with localcontext(Context(prec=operator.index(dps))):
-        c = Decimal(params.c)
-        tol = Decimal(10) ** (10 - dps)
+        c = _decimal(params.c, {})
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
             return *_bordered_step(psi, energy, res, lambda rhss: np.array(
-                _tridiag_solve(diag, np.stack(rhss).tolist(), True), dtype=object)), True
+                _tridiag_solve(diag, np.stack(rhss).tolist(), periodic), dtype=object)), True
 
         try:
             psi, energy, _ = _newton_loop(
                 np.array([Decimal(v) for v in state.values.tolist()], dtype=object),
                 Decimal(rayleigh_energy(state, params)),
-                lambda psi, energy: _stencil_residual(psi, c, energy, Boundary.PERIODIC),
-                step, lambda *_: tol, POLISH_MAX_ITER,
+                lambda psi, energy: _stencil_residual(psi, c, energy, state.boundary),
+                step, lambda *_: Decimal(10) ** (10 - dps), POLISH_MAX_ITER,
                 lambda psi: (None, float(np.dot(psi, psi))))
         except (NoConvergence, SingularJacobian) as exc:
             exc.state, exc.energy = _as_mpf(exc.state, exc.energy, dps)
@@ -96,12 +104,15 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
 
 
 def _decimal(x, powers):
-    """x as a Decimal.  An mpf, man * 2**exp, is rounded once to the
-    context's precision, as Decimal(man) times the exact Decimal of 2**exp
-    (kept in powers, by exp); an infinite or NaN one goes through float.
-    Anything else, a float or an int, is taken exactly by Decimal."""
+    """x as a Decimal, the one way the polish and the map check take their
+    inputs.  An mpf, man * 2**exp, is rounded once to the context's
+    precision, as Decimal(man) times the exact Decimal of 2**exp (kept in
+    powers, by exp); an infinite or NaN one goes through float.  An int or a
+    float is taken exactly by Decimal; a numpy integer or float, which
+    Decimal refuses, goes through int() or float() first."""
     if not isinstance(x, mpf):
-        return Decimal(x)
+        return Decimal(int(x) if isinstance(x, np.integer)
+                       else float(x) if isinstance(x, np.floating) else x)
     sign, man, exp, _ = x._mpf_
     if not man and exp:  # mpmath's inf, -inf and nan: no mantissa, an exponent
         return Decimal(float(x))
@@ -115,13 +126,16 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     """Iterate the map from (psi[1], psi[1]-psi[0]) through one full wrap.
 
     Returns (max deviation over psi[2..N-1], closure error over the wrap)
-    as floats.  Pass mpf values from polish_solution and a dps matching
-    the polish so the hyperbolic amplification acts on the polished
-    residual, not on double-precision round-off.  dps is an integer >= 15.
+    as floats; the closure compares the orbit with psi[0] and psi[1] again,
+    which reads a state as a ring.  Pass mpf values from polish_solution and
+    a dps matching the polish so the hyperbolic amplification acts on the
+    polished residual, not on double-precision round-off.  dps is an
+    integer >= 15.
 
     The map runs on Decimal at dps + 1 significant digits, the precision
-    that mpmath gives dps (203 bits at 60).  Each input is converted once:
-    an mpf is rounded to that precision, a float or an int taken exactly.
+    that mpmath gives dps (203 bits at 60).  Each input, psi, E and c, is
+    converted once by _decimal: an mpf is rounded to that precision, a
+    float or an int taken exactly, a numpy scalar through int() or float().
     An orbit that leaves Decimal's exponent range (10**999999) has left
     float's long before: that deviation, and every later one, reads inf.
     """
@@ -131,8 +145,7 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     _check_dps(dps)
     powers = {}
     with localcontext(Context(prec=operator.index(dps) + 1, traps=[Overflow])):
-        psi = [_decimal(p, powers) for p in psi]
-        energy, c = _decimal(energy, powers), _decimal(c, powers)
+        *psi, energy, c = [_decimal(v, powers) for v in (*psi, energy, c)]
         x, z = psi[1], psi[1] - psi[0]
         max_dev = closure = Decimal(0)
         try:

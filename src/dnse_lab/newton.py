@@ -275,8 +275,10 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     periodic, -1 in the two corners.  diag and each b are lists, of floats
     or of Decimal, and each solution comes back as a list: the loops run on
     plain Python numbers, so one code serves float64 and the high-precision
-    polish alike.  The pivot threshold is a float, which Decimal compares
-    with exactly; no float enters the arithmetic.  A
+    polish alike.  The pivot threshold is formed in float and converted
+    once, exactly, into the diagonal's own number type, so that Decimal
+    pivots compare with a Decimal and not with a float converted anew at
+    each site; no float enters the arithmetic.  A
     ring is solved as in Numerical Recipes 2.7: the corners are peeled off
     as a rank-1 update u v^T of an open chain, and Sherman-Morrison
     restores them with one more sweep, of u.  On a two-site ring the
@@ -293,7 +295,8 @@ def _tridiag_solve(diag, rhss, periodic: bool):
         diag = diag[:]
         diag[0] -= 2  # both hops land on the site itself
         periodic = False
-    pivot_tol = PIVOT_REL_THRESHOLD * float(max(max(diag), -min(diag), 1))  # max|diag|, or 1
+    # times max|diag|, or 1, in diag's own number type, which a float enters exactly
+    pivot_tol = type(diag[0])(PIVOT_REL_THRESHOLD * float(max(max(diag), -min(diag), 1)))
     inv = diag[:]  # the modified diagonal, then the reciprocal pivots
     if periodic:
         gamma = -(abs(diag[0]) + 1)

@@ -249,10 +249,10 @@ class TestPolish:
         assert exc.value.report.iterations == 0 and len(exc.value.state) == 130
         _assert_mpf_iterate(exc.value, 80)
 
-    def test_open_boundary_rejected(self):
+    def test_boundary_mismatch_rejected(self):
         state = dl.LatticeState([0.0, 1.0, 0.0], dl.Boundary.OPEN)
         with pytest.raises(ValueError):
-            polish_solution(state, dl.ModelParams(10.0, dl.Boundary.OPEN))
+            polish_solution(state, dl.ModelParams(10.0))
 
     @pytest.mark.parametrize("dps", [14, 0, -3])
     def test_precision_below_float64_rejected(self, dps, chain100_solution):
@@ -280,6 +280,106 @@ class TestPolish:
         ref_psi, ref_energy = polish_solution(state, dl.ModelParams(24.0), dps=60)
         assert energy._mpf_ == ref_energy._mpf_
         assert [p._mpf_ for p in psi] == [p._mpf_ for p in ref_psi]
+
+
+def _string_as_mpf(v, dps):
+    """A Decimal to mpf as the polish converted its results before the
+    exact integer ratio: formatted, and the string parsed back at dps."""
+    with mp.workdps(dps):
+        return mpf(str(v))
+
+
+class TestExactConversion:
+    """_as_mpf rounds each Decimal's exact integer ratio once at dps
+    digits, to the same bits as formatting it and parsing the string."""
+
+    @pytest.mark.parametrize("dps", [15, 30, 60, 80])
+    def test_random_decimals(self, dps):
+        rng = np.random.default_rng(dps)
+        values = [Decimal(0), Decimal("-0")]
+        with localcontext(Context(prec=dps)):
+            for _ in range(500):
+                digits = "".join(map(str, rng.integers(0, 10, dps)))
+                sign = "-" if rng.integers(2) else ""
+                values.append(+Decimal(f"{sign}0.{digits}e{rng.integers(-300, 301)}"))
+        psi, energy = highprec._as_mpf(values, values[-1], dps)
+        assert [p._mpf_ for p in psi] == [_string_as_mpf(v, dps)._mpf_ for v in values]
+        assert energy._mpf_ == _string_as_mpf(values[-1], dps)._mpf_
+
+    def test_polished_chains(self, chain100_solution, chain130_solution, monkeypatch):
+        decimals, as_mpf = [], highprec._as_mpf
+
+        def recording(psi, energy, dps):
+            decimals.append((psi, energy))
+            return as_mpf(psi, energy, dps)
+
+        monkeypatch.setattr(highprec, "_as_mpf", recording)
+        for (_, state, _, _), c, dps in [(chain100_solution, 24.0, 60),
+                                         (chain130_solution, 40.0, 80)]:
+            psi, energy = polish_solution(state, dl.ModelParams(c), dps=dps)
+            (dec_psi, dec_energy), = decimals
+            decimals.clear()
+            assert energy._mpf_ == _string_as_mpf(dec_energy, dps)._mpf_, dps
+            assert [p._mpf_ for p in psi] == [_string_as_mpf(v, dps)._mpf_ for v in dec_psi], dps
+
+
+def _open_worst_residual(psi, energy, c, dps):
+    """The residual max-norm of an open chain at dps, with a zero pad past
+    each end."""
+    padded = [mpf(0), *psi, mpf(0)]
+    with mp.workdps(dps):
+        return max(abs(-padded[i - 1] + 2 * padded[i] - padded[i + 1]
+                       - c * padded[i] ** 3 - energy * padded[i])
+                   for i in range(1, len(padded) - 1))
+
+
+class TestOpenChains:
+    """The polish takes the boundary from the state.  Measured: residuals
+    1.7e-59 and 6.4e-40."""
+
+    @pytest.mark.parametrize("code, c, dps", [("00+00000-000+0000-+000", 30, 60),
+                                              ("+0-0+00-", 12, 40)])
+    def test_reaches_tolerance(self, code, c, dps):
+        params = dl.ModelParams(c, dl.Boundary.OPEN)
+        spec = dl.parse_pattern(code, dl.Boundary.OPEN)
+        state, energy, _ = dl.newton_solve(dl.build_asymptotic_state(spec), params)
+        psi, polished_energy = polish_solution(state, params, dps=dps)
+        assert len(psi) == len(code)
+        with mp.workdps(dps):
+            tol = mpf(10) ** (10 - dps)
+            assert _open_worst_residual(psi, polished_energy, c, dps) <= tol
+            assert abs(mp.fsum(p * p for p in psi) - 1) <= tol
+        assert abs(float(polished_energy) - energy) <= 1e-12
+        assert max(abs(float(p) - v) for p, v in zip(psi, state.values)) <= 1e-12
+
+
+class TestNumpyScalars:
+    """A numpy integer or float coupling, or numpy psi entries, are taken
+    as the Python int or float they hold, as newton_solve takes them."""
+
+    @pytest.mark.parametrize("c", [np.int64(24), np.float32(24), np.float64(24)],
+                             ids=["int64", "float32", "float64"])
+    def test_polish_coupling(self, c, chain100_solution):
+        _, state, _, _ = chain100_solution
+        psi, energy = polish_solution(state, dl.ModelParams(c), dps=60)
+        ref_psi, ref_energy = polish_solution(state, dl.ModelParams(24), dps=60)
+        assert energy._mpf_ == ref_energy._mpf_
+        assert [p._mpf_ for p in psi] == [p._mpf_ for p in ref_psi]
+
+    @pytest.mark.parametrize("c", [np.int64(24), np.float32(24), np.float64(24)],
+                             ids=["int64", "float32", "float64"])
+    def test_map_coupling(self, c, polished_chains):
+        _, _, _, psi, energy, _, dps = polished_chains[0]
+        assert (map_reproduction_error(psi, energy, c, dps=dps)
+                == map_reproduction_error(psi, energy, 24.0, dps=dps)
+                == map_reproduction_error(psi, energy, 24, dps=dps))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_map_psi_entries(self, dtype, polished_chains):
+        _, state, energy, _, _, c, dps = polished_chains[0]
+        values = state.values.astype(dtype)
+        assert (map_reproduction_error(list(values), dtype(energy), c, dps=dps)
+                == map_reproduction_error(values.tolist(), float(dtype(energy)), c, dps=dps))
 
 
 class TestMapReproduction:
