@@ -8,10 +8,11 @@ tracing, for the median and the range of the wall time, the iteration
 count and the process's ru_maxrss after the first solve, then once more
 under tracemalloc, for the traced peak of the solve alone.  It then
 writes the solved state with write_state WRITE_REPEATS times, into a
-temporary directory, for the median time of the state writer, and counts
+temporary directory, for the median time of the state writer, counts
 the distinct points of its phase portrait at DISTINCT_TOL as many times,
-for the median time of distinct_points.  Prints one line per N and
-writes the same figures to newton_scaling.json under --out.
+for the median time of distinct_points, and classifies the portrait as
+many times, for the median time of classify_portrait.  Prints one line
+per N and writes the same figures to newton_scaling.json under --out.
 """
 
 import argparse
@@ -32,6 +33,16 @@ from dnse_lab.analysis import DISTINCT_TOL
 WRITE_REPEATS = 5
 
 
+def _median_ms(call) -> float:
+    """The median wall time of WRITE_REPEATS calls of call(), in ms."""
+    times = []
+    for _ in range(WRITE_REPEATS):
+        began = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - began)
+    return 1e3 * statistics.median(times)
+
+
 def measure(n: int, seed: int) -> dict:
     """The figures of one N, measured in this process."""
     start = dl.build_asymptotic_state(dl.random_pattern(n, seed))
@@ -49,25 +60,17 @@ def measure(n: int, seed: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    writes = []
     with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(WRITE_REPEATS):
-            began = time.perf_counter()
-            lab_io.write_state(Path(tmp) / "state.csv", state, params.c, energy)
-            writes.append(time.perf_counter() - began)
+        write_ms = _median_ms(lambda: lab_io.write_state(Path(tmp) / "state.csv", state, params.c, energy))
     portrait = dl.phase_portrait(state)
-    counts = []
-    for _ in range(WRITE_REPEATS):
-        began = time.perf_counter()
-        dl.distinct_points(portrait, DISTINCT_TOL)
-        counts.append(time.perf_counter() - began)
     return {"n": n, "seed": seed, "wall_ms": 1e3 * statistics.median(walls),
             "wall_min_ms": 1e3 * min(walls), "wall_max_ms": 1e3 * max(walls),
             "iterations": report.iterations,
             "converged": report.converged, "traced_peak_mib": peak / 2**20,
             "ru_maxrss_mib": maxrss_kb / 2**10,
-            "write_state_ms": 1e3 * statistics.median(writes),
-            "distinct_ms": 1e3 * statistics.median(counts)}
+            "write_state_ms": write_ms,
+            "distinct_ms": _median_ms(lambda: dl.distinct_points(portrait, DISTINCT_TOL)),
+            "classify_ms": _median_ms(lambda: dl.classify_portrait(portrait))}
 
 
 def main():
@@ -91,7 +94,8 @@ def main():
               f"traced peak {row['traced_peak_mib']:7.2f} MiB  "
               f"ru_maxrss {row['ru_maxrss_mib']:7.1f} MiB  "
               f"write_state {row['write_state_ms']:7.1f} ms  "
-              f"distinct_points {row['distinct_ms']:7.1f} ms")
+              f"distinct_points {row['distinct_ms']:7.1f} ms  "
+              f"classify_portrait {row['classify_ms']:7.1f} ms")
     path = lab_io.write_json(Path(args.out) / "newton_scaling.json", {"runs": rows})
     print(f"written to {path}")
 

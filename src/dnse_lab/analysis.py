@@ -17,13 +17,18 @@ size 2 tol, so every match of a point lies in the 3 x 3 cells around its
 own, and the edge cells take every point beyond +-_GRID_LIMIT cells (the
 count turns quadratic only when most points lie there); the period
 search tests in full only the shifts that carry each of the 8 largest
-sites to within tol of itself, and the curve thickness finds exact
-nearest neighbors with a k-d tree searched one leaf's queries at a time,
-breaking distance ties by the lower index.  Each gives the result the
-all-pairs search would.  numpy does the arithmetic, in blocks of _BLOCK:
-the count computes every point's cell before its greedy loop, which then
-only looks up buckets, and the thickness ranks distances on x and y
-columns and takes the spreads of many neighbourhoods at once.
+sites to within tol of itself.  The thickness test first counts the
+distinct points on a grid of cell side BAND_FRAC times the diameter:
+when more than half of them share a cell with NEIGHBORS others, the
+thickness is provably at most BAND_FRAC (_crowded), which decides most
+solved rings and map orbits.  Only the other portraits get the exact
+thickness, whose nearest neighbors come from a k-d tree searched one
+leaf's queries at a time, breaking distance ties by the lower index.
+Each gives the result the all-pairs search would.  numpy does the
+arithmetic, in blocks of _BLOCK: the count computes every point's cell
+before its greedy loop, which then only looks up buckets, and the
+thickness ranks distances on x and y columns and takes the spreads of
+many neighbourhoods at once.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -82,11 +87,15 @@ NEIGHBORS = 6  # nearest neighbours in each local spread
 
 @dataclass(frozen=True)
 class PortraitClass:
+    """A portrait's label, its distinct-point count at tolerance tol, and
+    the period of a regular_periodic one.  The curve thickness that splits
+    the irregular labels is not kept: classify_portrait proves most thin
+    portraits thin without computing it."""
+
     label: PortraitLabel
     distinct_points: int
     tol: float  # the distinct-point tolerance
     period: Optional[int] = None
-    curve_thickness: Optional[float] = None  # None if periodic or non-finite
 
     def as_dict(self) -> dict:
         return {
@@ -243,19 +252,84 @@ def _largest_sites(psi: np.ndarray) -> np.ndarray:
 
 
 def classify_portrait(portrait: PhasePortrait, tol: float = DISTINCT_TOL) -> PortraitClass:
-    """Label a portrait, counting its distinct points at tolerance tol."""
+    """Label a portrait, counting its distinct points at tolerance tol.
+
+    A portrait that is not periodic is commensurate when its curve
+    thickness is at most BAND_FRAC.  _crowded proves that for most thin
+    portraits from a grid count; only when it cannot is the thickness
+    itself computed."""
     n_distinct = distinct_points(portrait, tol)
     if portrait.psi_sequence is not None and portrait.psi_sequence.size >= 2:
         period = _detect_period(portrait.psi_sequence, portrait.cyclic, SHIFT_TOL)
         if period is not None:
             return PortraitClass(PortraitLabel.REGULAR_PERIODIC, n_distinct, tol, period)
 
-    thickness = _curve_thickness(portrait.points)
-    if thickness is not None and thickness <= BAND_FRAC:
-        label = PortraitLabel.IRREGULAR_COMMENSURATE
-    else:
-        label = PortraitLabel.IRREGULAR_INCOMMENSURATE
-    return PortraitClass(label, n_distinct, tol, curve_thickness=thickness)
+    pts = _distinct_rows(portrait.points)
+    thin = _crowded(pts)
+    if not thin:
+        thickness = _curve_thickness(pts)
+        thin = thickness is not None and thickness <= BAND_FRAC
+    label = PortraitLabel.IRREGULAR_COMMENSURATE if thin else PortraitLabel.IRREGULAR_INCOMMENSURATE
+    return PortraitClass(label, n_distinct, tol)
+
+
+def _distinct_rows(points: np.ndarray) -> np.ndarray:
+    """The rows of np.unique(points, axis=0), sorted on x and then y, each
+    once: a stable lexsort and a test of adjacent rows, which counts -0.0
+    and 0.0 as equal and every NaN as distinct, as np.unique does.  Of
+    rows equal up to the sign of a zero it keeps the first, where
+    np.unique keeps the one its unstable sort puts first."""
+    rows = points[np.lexsort((points[:, 1], points[:, 0]))]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return rows[fresh]
+
+
+def _crowded(pts: np.ndarray) -> bool:
+    """Whether the distinct points pts provably have a curve thickness of
+    at most BAND_FRAC, which it shows without a neighbour search.
+
+    Put the n points on a grid of cell side t = BAND_FRAC * D, D the
+    diameter _curve_thickness divides by, with cells floor((p - lo) / t),
+    and let k = min(NEIGHBORS, n - 1).  Take a point p whose cell holds at
+    least k + 1 of the points, itself included.  Its k nearest others lie
+    within R of it, R**2 <= 2 t**2 the cell's squared diagonal.  The
+    covariance C of p and those k has trace
+    sum |x - mean|**2 / (k + 1) <= sum |x - p|**2 / (k + 1) <= k R**2 / (k + 1),
+    so its smaller eigenvalue is at most half that, k t**2 / (k + 1), and
+    the spread of p at most sqrt(k / (k + 1)) t, 0.93 t for k = 6.  When
+    more than n // 2 of the points are in such cells, the median spread,
+    which np.median takes from the middle one or two, is at most that
+    too, and the thickness at most sqrt(k / (k + 1)) BAND_FRAC.
+
+    The factor's slack, 7% for k = 6, covers the rounding of the computed
+    path.  The cell floors round by at most 1/BAND_FRAC ulps of t, and
+    the squared distances that rank the neighbours by a few.  The
+    neighbourhood mean rounds by at most k + 1 ulps of the largest
+    coordinate M; that adds its square to the smaller eigenvalue, at most
+    2**-17 t**2 while (k + 1)**2 M <= 2**44 t.  eigvalsh, the median and
+    the division by D each add a few ulps.  The certificate holds only
+    where these bounds do, so it declines, and leaves the decision to
+    _curve_thickness, on fewer than 4 points, on a non-finite point,
+    where (k + 1)**2 M exceeds 2**400, which keeps every sum finite, where
+    t < 2**-500, so that a squared distance as small as t**2 does not
+    underflow (t = 0 included), or where (k + 1)**2 M > 2**44 t.
+    """
+    n = pts.shape[0]
+    if n < 4:
+        return False
+    k = min(NEIGHBORS, n - 1)
+    size = float(np.abs(pts).max()) * (k + 1) ** 2  # NaN for a NaN point
+    if not size <= 2.0**400:
+        return False
+    lo = pts.min(axis=0)
+    t = BAND_FRAC * float(np.linalg.norm(pts.max(axis=0) - lo))
+    if not (2.0**-500 <= t and size <= 2.0**44 * t):
+        return False
+    cx, cy = np.floor((pts - lo) / t).T
+    # cells run from 0 to about 1/BAND_FRAC, so each key is an exact integer
+    sizes = np.unique(cx * (cy.max() + 1) + cy, return_counts=True)[1]
+    return int(sizes[sizes > k].sum()) > n // 2
 
 
 def _curve_thickness(points: np.ndarray) -> Optional[float]:
@@ -269,7 +343,7 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     the spread is the square root of the smaller eigenvalue of their
     covariance.  A portrait with a non-finite point has no thickness.
     """
-    pts = np.unique(points, axis=0)
+    pts = _distinct_rows(points)
     if not np.all(np.isfinite(pts)):
         return None
     if pts.shape[0] < 4:

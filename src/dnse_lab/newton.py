@@ -71,6 +71,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, getcontext
 from itertools import count
 from typing import Optional
 
@@ -87,6 +88,8 @@ from .patterns import PatternCounts, _count, _trits
 SUM_REL_THRESHOLD = 1e-8
 # A pivot below PIVOT_REL_THRESHOLD * max(max|diag|, 1), or a
 # Sherman-Morrison denominator below PIVOT_REL_THRESHOLD, is singular.
+# It is 10**(2 - 16) for float64's 16 digits; on Decimal _tridiag_solve
+# takes 10**(2 - prec) for the context's prec digits instead.
 PIVOT_REL_THRESHOLD = 1e-14
 # A cyclic-reduction solution is kept when |J x - b| is at most this times
 # max|diag| + 2 times max|x|, plus max|b| (about 450 machine epsilons).
@@ -275,28 +278,28 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     periodic, -1 in the two corners.  diag and each b are lists, of floats
     or of Decimal, and each solution comes back as a list: the loops run on
     plain Python numbers, so one code serves float64 and the high-precision
-    polish alike.  The pivot threshold is formed in float and converted
-    once, exactly, into the diagonal's own number type, so that Decimal
-    pivots compare with a Decimal and not with a float converted anew at
-    each site; no float enters the arithmetic.  A
+    polish alike.  The singularity threshold scales with the precision:
+    PIVOT_REL_THRESHOLD, 10**(2 - 16), for floats, and 10**(2 - prec) for
+    Decimal at the context's prec digits, formed in Decimal, so that no
+    float enters the arithmetic.  A
     ring is solved as in Numerical Recipes 2.7: the corners are peeled off
     as a rank-1 update u v^T of an open chain, and Sherman-Morrison
     restores them with one more sweep, of u.  On a two-site ring the
     corners land on the off-diagonals; a one-site ring is the 1x1 system
     d - 2.
 
-    Raises SingularJacobian on a pivot below PIVOT_REL_THRESHOLD times
-    max(max|diag|, 1), or a Sherman-Morrison denominator below
-    PIVOT_REL_THRESHOLD, before dividing by it; a NaN pivot or denominator
-    counts as below.
+    Raises SingularJacobian on a pivot below the threshold times
+    max(max|diag|, 1), or a Sherman-Morrison denominator below the
+    threshold, before dividing by it; a NaN pivot or denominator counts as
+    below.
     """
     n = len(diag)
     if periodic and n == 1:
         diag = diag[:]
         diag[0] -= 2  # both hops land on the site itself
         periodic = False
-    # times max|diag|, or 1, in diag's own number type, which a float enters exactly
-    pivot_tol = type(diag[0])(PIVOT_REL_THRESHOLD * float(max(max(diag), -min(diag), 1)))
+    rel = Decimal(10).scaleb(2 - getcontext().prec) if isinstance(diag[0], Decimal) else PIVOT_REL_THRESHOLD
+    pivot_tol = rel * max(max(diag), -min(diag), 1)
     inv = diag[:]  # the modified diagonal, then the reciprocal pivots
     if periodic:
         gamma = -(abs(diag[0]) + 1)
@@ -314,7 +317,7 @@ def _tridiag_solve(diag, rhss, periodic: bool):
     # u = (gamma, 0, ..., 0, -1), v = (1, 0, ..., 0, -1/gamma)
     q = _sweep(inv, [gamma] + [0] * (n - 2) + [-1])
     den = 1 + q[0] - q[-1] / gamma
-    if not abs(den) >= PIVOT_REL_THRESHOLD:
+    if not abs(den) >= rel:
         raise SingularJacobian(f"rank-1 correction denominator {float(den):.3e}")
     solutions = []
     for b in rhss:

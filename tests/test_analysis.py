@@ -138,7 +138,8 @@ class TestClassification:
         pts[7] = [-np.inf, np.inf]
         portrait = dl.PhasePortrait(pts, psi_sequence=pts[:, 0] + theta * 1e-3)
         cls = dl.classify_portrait(portrait)
-        assert cls.curve_thickness is None
+        assert not analysis._crowded(analysis._distinct_rows(pts))
+        assert analysis._curve_thickness(pts) is None
         assert cls.label is dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
 
     def test_subnormal_extent_has_zero_thickness(self):
@@ -149,7 +150,6 @@ class TestClassification:
 
     def test_as_dict_payload(self):
         cls = dl.classify_portrait(dl.phase_portrait(dl.LatticeState(np.full(4, 0.5))))
-        assert cls.curve_thickness is None  # a periodic portrait is not measured
         payload = cls.as_dict()
         assert payload == {
             "label": "regular_periodic",
@@ -166,7 +166,9 @@ class TestClassification:
         assert cls.tol == 0.5
         assert cls.as_dict()["tol"] == 0.5
         assert cls.as_dict()["distinct_points"] == dl.distinct_points(portrait, 0.5)
-        assert cls.curve_thickness == analysis._curve_thickness(pts)
+        # the label is the thickness's, whichever path decides it
+        assert cls.label is dl.PortraitLabel.IRREGULAR_COMMENSURATE
+        assert analysis._curve_thickness(pts) <= analysis.BAND_FRAC
 
 
 class TestTailDecay:
@@ -526,6 +528,140 @@ class TestAgainstOracle:
             assert _thickness_agrees(new, old), (name, new, old)
 
 
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return x
+
+
+def _label_by_thickness(points):
+    """The label of the exact path, at today's BAND_FRAC and NEIGHBORS."""
+    thickness = analysis._curve_thickness(points)
+    if thickness is not None and thickness <= analysis.BAND_FRAC:
+        return dl.PortraitLabel.IRREGULAR_COMMENSURATE
+    return dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
+
+
+class TestCrowdedCertificate:
+    """The grid certificate says thin only where the exact thickness is
+    at most BAND_FRAC, indeed at most sqrt(k / (k + 1)) BAND_FRAC."""
+
+    def test_corpus(self, portrait_corpus):
+        certified = set()
+        for name, portrait in portrait_corpus:
+            if analysis._crowded(analysis._distinct_rows(portrait.points)):
+                certified.add(name)
+                assert analysis._curve_thickness(portrait.points) <= analysis.BAND_FRAC, name
+        # every solved N = 1000 ring and every map orbit skips the search
+        assert {f"ring1000/{seed}" for seed in range(10)} <= certified
+        assert {f"map/{k}" for k in range(10)} <= certified
+
+    @given(
+        st.sampled_from([0.05, 0.02, 0.2]),
+        st.sampled_from([6, 4, 8]),
+        st.sampled_from([(0.0, 0.0), (-0.3, 1.7), (1e3, -2e3)]),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1),
+                           st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+                                              st.sampled_from([0.0, 0.5, 1.0]),
+                                              st.sampled_from([-1, 0, 0, 1]),
+                                              st.sampled_from([-1, 0, 0, 1])),
+                                    min_size=5, max_size=9),
+                           st.integers(0, 3)),
+                 min_size=1, max_size=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_clusters_at_the_cell_scale(self, band, neighbors, lo, clusters):
+        # two anchors fix lo and the diameter, hence the cell side t; the
+        # clusters sit at lo + j t, one ulp to either side of the cell
+        # edges, with repeats that add raw points to a cell but no
+        # distinct ones
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "BAND_FRAC", band)
+            mp.setattr(analysis, "NEIGHBORS", neighbors)
+            anchors = np.array([lo, (lo[0] + 1.0, lo[1] + 0.5)])
+            t = band * float(np.linalg.norm(anchors[1] - anchors[0]))
+            pts = list(anchors)
+            for j, m, members, repeats in clusters:
+                cluster = [(_nudged(lo[0] + (j + ox) * t, ux), _nudged(lo[1] + (m + oy) * t, uy))
+                           for ox, oy, ux, uy in members]
+                pts += cluster + cluster[:repeats]
+            pts = np.array(pts)
+            distinct = analysis._distinct_rows(pts)
+            k = min(neighbors, distinct.shape[0] - 1)
+            thickness = analysis._curve_thickness(pts)
+            if analysis._crowded(distinct):
+                assert thickness <= band * np.sqrt(k / (k + 1)) * (1 + 1e-9)
+            assert dl.classify_portrait(dl.PhasePortrait(pts)).label is _label_by_thickness(pts)
+
+    def test_repeats_do_not_crowd_a_cell(self):
+        # each point of a smeared cloud seven times: every occupied cell
+        # holds k + 1 raw points but one distinct point, so only the
+        # exact thickness can label it, and it is thick
+        rng = np.random.default_rng(3)
+        pts = np.repeat(rng.uniform(-1, 1, (300, 2)), analysis.NEIGHBORS + 1, axis=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "BAND_FRAC", 0.01)
+            assert not analysis._crowded(analysis._distinct_rows(pts))
+            cls = dl.classify_portrait(dl.PhasePortrait(pts))
+            assert cls.label is dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
+            assert cls.label is _label_by_thickness(pts)
+
+    def test_cells_are_counted_apart(self):
+        # t = 0.05 * hypot(1, 0.5): 4 points in the top cell of column 0,
+        # (0, 8), and 3 in cell (1, 0), whose keys would meet were the
+        # key cx * 8 + cy; no cell holds 7
+        t = 0.05 * float(np.hypot(1.0, 0.5))
+        top = [(0.01 * j, 0.49 + 0.003 * j) for j in range(4)]
+        bottom = [(t + 0.01 * j, 0.01 * j) for j in range(3)]
+        pts = np.array([(0.0, 0.0), (1.0, 0.5)] + top + bottom)
+        assert not analysis._crowded(analysis._distinct_rows(pts))
+
+    def test_half_crowded_is_not_enough(self):
+        # 8 of 16 points crowd one cell and 8 sit on an octagon around it:
+        # the median averages a cluster's spread with a vertex's, 3.8 t,
+        # and the portrait is thick
+        angles = np.arange(8) * np.pi / 4
+        cluster = 0.03 + 0.01 * np.array([[i % 3, i // 3] for i in range(8)])
+        pts = np.concatenate([np.column_stack([np.cos(angles), np.sin(angles)]), cluster])
+        assert not analysis._crowded(analysis._distinct_rows(pts))
+        assert dl.classify_portrait(dl.PhasePortrait(pts)).label is \
+            dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
+
+    @pytest.mark.parametrize("pts", [
+        # the extent overflows: the diameter is inf
+        [[-1e308, -1e308], [1e308, 1e308]] + [[1e308, 1e308 - j * 1e292] for j in range(1, 9)],
+        # four distinct points whose extent is subnormal: t = 0
+        [[0.0, 0.0], [5e-324, 0.0], [1e-323, 0.0], [1.5e-323, 0.0]],
+        # a non-finite point among a crowded cell's
+        [[np.inf, 0.0]] + [[0.1 * j, 0.0] for j in range(9)] + [[1e-9 * j, 1e-9] for j in range(9)],
+        # fewer than four distinct points, repeated
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]] * 5,
+        # a crowded band one ulp apart at 1e15, far above its diameter,
+        # where a neighbourhood mean rounds by a fair part of t
+        [[1e15 + 0.125 * j, 1e15 + 0.125 * m] for j in range(64) for m in range(5)],
+    ])
+    def test_declines(self, pts):
+        pts = np.array(pts)
+        assert not analysis._crowded(analysis._distinct_rows(pts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            label = dl.classify_portrait(dl.PhasePortrait(pts)).label
+            assert label is _label_by_thickness(pts)
+
+    def test_distinct_rows_match_unique(self, portrait_corpus):
+        for name, portrait in portrait_corpus:
+            assert analysis._distinct_rows(portrait.points).tobytes() == \
+                np.unique(portrait.points, axis=0).tobytes(), name
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 5, 16):
+            for _ in range(50):
+                pts = rng.choice([0.0, -0.0, 1.0, -1.0, np.nan, np.inf], (size, 2))
+                assert analysis._distinct_rows(pts).tobytes() == np.unique(pts, axis=0).tobytes()
+        # past 16 rows np.unique's unstable sort may keep the other zero
+        # of two rows equal up to a zero's sign; the rows still compare equal
+        pts = rng.choice([0.0, -0.0, 1.0, -1.0], (200, 2))
+        assert np.array_equal(analysis._distinct_rows(pts), np.unique(pts, axis=0))
+
+
 class TestNearestNeighbors:
     """The k-d search against a full ranking by (squared distance, index)."""
 
@@ -650,29 +786,35 @@ class TestDistinctEdgeCases:
 
 def test_classification_memory_bounded(monkeypatch):
     # a solved 10^5-site ring (pattern seed 1, c = 4N): 24143 distinct
-    # points on a commensurate curve.  The count and the thickness peak at
-    # about 8.7 and 6.9 MB, and the bounds sit about 10% above, so a
-    # block that grows is caught; the code the blocked passes replaced
+    # points on a commensurate curve, which the grid certificate labels
+    # with no neighbour search.  The count and the period test peak at
+    # about 5.9 MB and the label step, from the dedupe on, at 5.7 MB; the
+    # bounds, 9.5 and 7.6 MB, are those the count and the k-d thickness
+    # were held to, so a block that grows is caught.  The code the blocked passes replaced
     # peaked at 15.51 and 9.94 MB.
     initial = dl.build_asymptotic_state(dl.random_pattern(100_000, 1))
     state, _, _ = dl.newton_solve(initial, dl.ModelParams(4e5))
     portrait = dl.phase_portrait(state)
     peaks = {}
-    thickness = analysis._curve_thickness
+    distinct_rows = analysis._distinct_rows
 
-    def traced_thickness(points):
+    def traced_rows(points):
         peaks["distinct points"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        return thickness(points)
+        return distinct_rows(points)
 
-    monkeypatch.setattr(analysis, "_curve_thickness", traced_thickness)
+    def no_search(pts, count):
+        raise AssertionError("the certificate should decide this ring")
+
+    monkeypatch.setattr(analysis, "_distinct_rows", traced_rows)
+    monkeypatch.setattr(analysis, "_nearest_neighbors", no_search)
     tracemalloc.start()
     try:
         result = dl.classify_portrait(portrait)
-        peaks["thickness"] = tracemalloc.get_traced_memory()[1]
+        peaks["label"] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.distinct_points == 24143
     assert result.label is dl.PortraitLabel.IRREGULAR_COMMENSURATE
     assert peaks["distinct points"] < 9.5e6
-    assert peaks["thickness"] < 7.6e6
+    assert peaks["label"] < 7.6e6

@@ -122,6 +122,20 @@ class TestMpKernel:
             with pytest.raises(SingularJacobian):
                 _tridiag_solve([mpf(1), mpf(1), mpf(5)], [[mpf(1)] * 3], False)
 
+    @pytest.mark.parametrize("prec, singular", [(22, True), (25, False)])
+    def test_decimal_threshold_scales_with_precision(self, prec, singular):
+        # the second pivot is 1e-20, against 10**(2 - prec) times max|diag| = 5
+        with localcontext(Context(prec=prec)):
+            diag = [Decimal(1), 1 + Decimal("1e-20"), Decimal(5)]
+            if singular:
+                with pytest.raises(SingularJacobian):
+                    _tridiag_solve(diag, [[Decimal(1)] * 3], False)
+            else:
+                (x,) = _tridiag_solve(diag, [[Decimal(1)] * 3], False)
+                x = [Decimal(0)] + x + [Decimal(0)]
+                for i, d in enumerate(diag, 1):  # |x| ~ 1e20 at 25 digits
+                    assert abs(d * x[i] - x[i - 1] - x[i + 1] - 1) <= Decimal("1e-3")
+
 
 # E of the polish that renormalized and re-estimated E every step, 40 digits
 # (its residual stalled at 1.9e-38 and 1.2e-43)
@@ -224,6 +238,19 @@ class TestPolish:
         assert max(abs(float(p) - v) for p, v in zip(psi, state.values)) <= 1e-10
         max_dev, closure = map_reproduction_error(psi, energy, c, dps=dps)
         assert max_dev <= 1e-40 and closure <= 1e-40
+
+    @pytest.mark.parametrize("code", ["+", "++"])
+    def test_weak_coupling_polarons(self, code):
+        # the site- and bond-centred polarons of a 64-site ring, continued
+        # from c = 20 in 80 geometric steps: at c = 0.7 their
+        # Sherman-Morrison denominators, 1.7e-15 and -2.0e-16, are far
+        # from singular at 60 digits, though below float64's 1e-14
+        state = dl.normalize(dl.build_asymptotic_state(dl.parse_pattern(code.ljust(64, "0"))))
+        for c in np.geomspace(20.0, 0.7, 80):
+            state, _, _ = dl.newton_solve(state, dl.ModelParams(float(c)))
+        psi, energy = polish_solution(state, dl.ModelParams(0.7), dps=60)
+        with mp.workdps(60):
+            assert _worst_residual(psi, energy, 0.7, 60) <= mpf(10) ** -50
 
     def test_budget_exhausted_raises(self, chain130_solution, monkeypatch):
         _, state, _, _ = chain130_solution
@@ -531,10 +558,11 @@ class TestSharedStoppingRule:
 class TestArrayOperandOrder:
     """An mpf on the left of an object array makes mpmath's operator call
     npconvert on the array, which formats the whole array at full
-    precision into a TypeError before numpy takes over.  The polish runs
-    on Decimal and the map check on mpf scalars, and the shared kernels
-    keep the array on the left; their float64 results are the same bits
-    as with the scalar-first expressions."""
+    precision into a TypeError before numpy takes over.  The polish and
+    the map check both run on Decimal and take mpf only one value at a
+    time, at their ends, so no array should reach npconvert.  The shared
+    kernels keep the array on the left all the same; their float64
+    results are the same bits as with the scalar-first expressions."""
 
     def test_polish_never_converts_an_array(self, monkeypatch, chain100_solution,
                                             chain130_solution):

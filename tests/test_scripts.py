@@ -68,3 +68,11 @@ def test_code_line_rule():
     code_lines = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(code_lines)
     assert code_lines.count_code_lines(SAMPLE) == 9
+
+
+def test_newton_scaling_times_classification():
+    spec = importlib.util.spec_from_file_location("newton_scaling", ROOT / "scripts" / "newton_scaling.py")
+    newton_scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(newton_scaling)
+    row = newton_scaling.measure(208, 1)
+    assert row["classify_ms"] > 0 and row["distinct_ms"] > 0
