@@ -17,18 +17,20 @@ size 2 tol, so every match of a point lies in the 3 x 3 cells around its
 own, and the edge cells take every point beyond +-_GRID_LIMIT cells (the
 count turns quadratic only when most points lie there); the period
 search tests in full only the shifts that carry each of the 8 largest
-sites to within tol of itself.  The thickness test first counts the
-distinct points on a grid of cell side BAND_FRAC times the diameter:
-when more than half of them share a cell with NEIGHBORS others, the
-thickness is provably at most BAND_FRAC (_crowded), which decides most
-solved rings and map orbits.  Only the other portraits get the exact
-thickness, whose nearest neighbors come from a k-d tree searched one
-leaf's queries at a time, breaking distance ties by the lower index.
-Each gives the result the all-pairs search would.  numpy does the
-arithmetic, in blocks of _BLOCK: the count computes every point's cell
-before its greedy loop, which then only looks up buckets, and the
-thickness ranks distances on x and y columns and takes the spreads of
-many neighbourhoods at once.
+sites to within tol of itself.  The thickness is taken in the
+portrait's own frame, the distinct points moved to their lower corner
+and scaled by a power of two so that the diameter lies in [0.5, 1).
+The test first counts them on a grid of cell side BAND_FRAC times the
+diameter: when more than half of them share a cell with NEIGHBORS
+others, the thickness is provably at most BAND_FRAC (_crowded).  Only
+the other portraits, of at most 2700 distinct points, get the exact
+thickness, whose nearest neighbors come from a ranking of all pairs,
+breaking distance ties by the lower index.  The count and the period
+search give the result their all-pairs versions would.  numpy does the
+arithmetic in blocks: the count computes the cells of _BLOCK points at
+a time before its greedy loop, which then only looks up buckets, and
+the thickness ranks _CELLS distances at a time on x and y columns and
+takes the spreads of a block's neighbourhoods at once.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -40,6 +42,7 @@ only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -285,16 +288,40 @@ def _distinct_rows(points: np.ndarray) -> np.ndarray:
     return rows[fresh]
 
 
+def _frame(pts: np.ndarray):
+    """The finite rows pts in the portrait's own frame, and its diameter:
+    pts - lo, lo their lower corner, scaled by the power of two that puts
+    the diameter, the hypot of the frame's extent, in [0.5, 1).
+
+    The subtraction is the only rounding step: it moves a point by at
+    most half an ulp of its distance from lo, so points closer together
+    than that may meet.  A scaled value rounds only below 2**-1022.  Where
+    the span passes the largest float, the rows are quartered before the
+    subtraction, which rounds only values below 2**-1020, so no finite
+    input overflows.
+    """
+    lo = pts.min(axis=0)
+    with np.errstate(over="ignore"):
+        rel = pts - lo
+        diameter = float(np.hypot(*rel.max(axis=0)))
+    if diameter == math.inf:
+        rel = pts * 0.25 - lo * 0.25
+        diameter = float(np.hypot(*rel.max(axis=0)))
+    scale = -math.frexp(diameter)[1]
+    return np.ldexp(rel, scale, out=rel), math.ldexp(diameter, scale)
+
+
 def _crowded(pts: np.ndarray) -> bool:
     """Whether the distinct points pts provably have a curve thickness of
     at most BAND_FRAC, which it shows without a neighbour search.
 
-    Put the n points on a grid of cell side t = BAND_FRAC * D, D the
-    diameter _curve_thickness divides by, with cells floor((p - lo) / t),
-    and let k = min(NEIGHBORS, n - 1).  Take a point p whose cell holds at
-    least k + 1 of the points, itself included.  Its k nearest others lie
-    within R of it, R**2 <= 2 t**2 the cell's squared diagonal.  The
-    covariance C of p and those k has trace
+    Both it and _curve_thickness work in the frame of _frame, where every
+    coordinate lies in [0, 1) and the diameter D in [0.5, 1).  Put the n
+    points on a grid of cell side t = BAND_FRAC * D, with cells
+    floor(p / t), and let k = min(NEIGHBORS, n - 1).  Take a point p whose
+    cell holds at least k + 1 of the points, itself included.  Its k
+    nearest others lie within R of it, R**2 <= 2 t**2 the cell's squared
+    diagonal.  The covariance C of p and those k has trace
     sum |x - mean|**2 / (k + 1) <= sum |x - p|**2 / (k + 1) <= k R**2 / (k + 1),
     so its smaller eigenvalue is at most half that, k t**2 / (k + 1), and
     the spread of p at most sqrt(k / (k + 1)) t, 0.93 t for k = 6.  When
@@ -305,28 +332,23 @@ def _crowded(pts: np.ndarray) -> bool:
     The factor's slack, 7% for k = 6, covers the rounding of the computed
     path.  The cell floors round by at most 1/BAND_FRAC ulps of t, and
     the squared distances that rank the neighbours by a few.  The
-    neighbourhood mean rounds by at most k + 1 ulps of the largest
-    coordinate M; that adds its square to the smaller eigenvalue, at most
-    2**-17 t**2 while (k + 1)**2 M <= 2**44 t.  eigvalsh, the median and
-    the division by D each add a few ulps.  The certificate holds only
-    where these bounds do, so it declines, and leaves the decision to
-    _curve_thickness, on fewer than 4 points, on a non-finite point,
-    where (k + 1)**2 M exceeds 2**400, which keeps every sum finite, where
-    t < 2**-500, so that a squared distance as small as t**2 does not
-    underflow (t = 0 included), or where (k + 1)**2 M > 2**44 t.
+    neighbourhood mean rounds by at most k + 1 ulps of 1; that adds its
+    square to the smaller eigenvalue, at most 2**-17 t**2 while
+    k + 1 <= 2**42 BAND_FRAC.  eigvalsh, the median and the division
+    by D each add a few ulps.  So it declines, and leaves the decision to
+    _curve_thickness, only on fewer than 4 points, on a non-finite point,
+    or where the count fails.  Then at least n - n // 2 points lie in
+    cells of at most k points each, and the grid has at most
+    (floor(1 / (sqrt(2) BAND_FRAC)) + 1)**2 = 225 occupied cells, so a
+    portrait it declines has at most 2 NEIGHBORS 225 = 2700 points.
     """
     n = pts.shape[0]
-    if n < 4:
+    if n < 4 or not np.all(np.isfinite(pts)):
         return False
     k = min(NEIGHBORS, n - 1)
-    size = float(np.abs(pts).max()) * (k + 1) ** 2  # NaN for a NaN point
-    if not size <= 2.0**400:
-        return False
-    lo = pts.min(axis=0)
-    t = BAND_FRAC * float(np.linalg.norm(pts.max(axis=0) - lo))
-    if not (2.0**-500 <= t and size <= 2.0**44 * t):
-        return False
-    cx, cy = np.floor((pts - lo) / t).T
+    rel, diameter = _frame(pts)
+    rel /= BAND_FRAC * diameter
+    cx, cy = np.floor(rel, out=rel).T
     # cells run from 0 to about 1/BAND_FRAC, so each key is an exact integer
     sizes = np.unique(cx * (cy.max() + 1) + cy, return_counts=True)[1]
     return int(sizes[sizes > k].sum()) > n // 2
@@ -336,23 +358,21 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     """Median local perpendicular spread relative to the portrait diameter.
 
     Points on a thin closed curve have locally collinear neighborhoods;
-    a smeared cloud does not.  The neighborhood of a distinct point is
-    its k + 1 nearest distinct points, itself included, with k = NEIGHBORS
-    where there are that many others, by squared distance with ties
-    going to the lower index in lexicographic order;
-    the spread is the square root of the smaller eigenvalue of their
-    covariance.  A portrait with a non-finite point has no thickness.
+    a smeared cloud does not.  The distinct points are taken in the frame
+    of _frame, and the neighborhood of each is its k + 1 nearest points
+    there, itself included, with k = NEIGHBORS where there are that many
+    others, by squared distance with ties going to the lower index in
+    lexicographic order; the spread is the square root of the smaller
+    eigenvalue of their covariance.  A portrait with a non-finite point
+    has no thickness.  classify_portrait computes it only where _crowded
+    declines, on at most 2700 points.
     """
     pts = _distinct_rows(points)
     if not np.all(np.isfinite(pts)):
         return None
     if pts.shape[0] < 4:
         return 0.0
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    diameter = float(np.linalg.norm(hi - lo))
-    if diameter == 0.0:
-        return 0.0
+    pts, diameter = _frame(pts)
     k = min(NEIGHBORS, pts.shape[0] - 1)
     spreads = []
     for hoods in _nearest_neighbors(pts, k + 1):
@@ -363,89 +383,32 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     return float(np.median(np.concatenate(spreads))) / diameter
 
 
-_LEAF = 64  # a k-d node with fewer than max(_LEAF, 2 * count) points is a leaf
-_CELLS = 1 << 16  # distances the kNN search ranks at once
+_CELLS = 1 << 15  # distances the kNN ranking holds at once
 
 
 def _nearest_neighbors(pts: np.ndarray, count: int):
     """Yield the indices into pts of the `count` nearest points of every
-    point, as arrays of shape (queries, count), _BLOCK queries or more at
-    a time.
+    point, as arrays of shape (queries, count), for the queries in order.
 
     Exact: squared distances are dx*dx + dy*dy with dx = neighbor - query,
-    and ties go to the lower index into pts.  A 2-d tree (Friedman,
-    Bentley & Finkel 1977) splits a node at its middle along the wider
-    side of its box until it holds fewer than max(_LEAF, 2 * count)
-    points, so every leaf holds at least `count`.  Each query of a leaf
-    bounds its count-th distance by the leaf's own points.  The search
-    keeps the leaves whose box lies within the largest of those bounds of
-    the leaf's box, and each query then only the leaves within its own
-    bound of it; box gaps round the same way as point distances, so no
-    point is nearer than its box.  The queries are ranked in order of
-    their bounds, against the leaves the queries so far keep, in blocks
-    of at most _CELLS distances (one query at least), which bounds the
-    working memory.
+    and ties go to the lower index into pts.  Each block of queries ranks
+    all its distances, at most _CELLS of them (one query at least), which
+    bounds the working memory: np.partition finds each query's count-th
+    distance, and a stable lexsort orders the pairs no farther than that
+    by query and then distance, so ties keep the order of their indices.
+    The work is quadratic; classify_portrait asks only where _crowded
+    declines, on at most 2700 points.
     """
     x, y = pts.T
-    leaf_size = max(_LEAF, 2 * count)
-    order = np.arange(pts.shape[0])
-    boxes, slices = [], []  # of the leaves
-
-    def build(s, e):
-        ids = order[s:e]
-        bx, by = x[ids], y[ids]
-        box = (float(bx.min()), float(by.min()), float(bx.max()), float(by.max()))
-        if e - s < leaf_size:
-            boxes.append(box)
-            slices.append(slice(s, e))
-            return box, len(slices) - 1
-        wider = bx if box[2] - box[0] >= box[3] - box[1] else by  # x on a tie
-        order[s:e] = ids[np.argsort(wider, kind="stable")]
-        del bx, by, wider  # before the subtrees gather theirs
-        return box, build(s, (s + e) // 2), build((s + e) // 2, e)
-
-    root = build(0, pts.shape[0])
-    lo_x, lo_y, hi_x, hi_y = np.array(boxes).T
-    sizes = np.array([at.stop - at.start for at in slices])
-    held, found = 0, []
-    for (lx, ly, hx, hy), at in zip(boxes, slices):
-        q = order[at]
-        qx, qy = x[q], y[q]
-        bound = np.partition(_sq_dist(qx, qy, qx[:, None], qy[:, None]), count - 1, axis=1)[:, count - 1]
-        reach = float(bound.max())
-        near, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            nlx, nly, nhx, nhy = node[0]
-            gx, gy = max(nlx - hx, lx - nhx, 0.0), max(nly - hy, ly - nhy, 0.0)
-            if gx * gx + gy * gy <= reach:
-                if len(node) == 2:
-                    near.append(node[1])
-                else:
-                    stack += node[1:]
-        near = np.array(near)
-        # the leaves within each query's own bound of it, queries by bound
-        rank = np.argsort(bound, kind="stable")
-        qx, qy, bound = qx[rank, None], qy[rank, None], bound[rank]
-        gx = np.maximum(np.maximum(lo_x[near] - qx, qx - hi_x[near]), 0.0)
-        gy = np.maximum(np.maximum(lo_y[near] - qy, qy - hi_y[near]), 0.0)
-        kept = np.logical_or.accumulate(gx * gx + gy * gy <= bound[:, None], axis=0)
-        width = kept @ sizes[near]  # candidates of the queries so far
-        r0 = 0
-        while r0 < bound.size:  # as many queries as fit in _CELLS distances
-            r1 = r0 + max(1, np.count_nonzero(np.arange(1, bound.size - r0 + 1) * width[r0:] <= _CELLS))
-            leaves = near[kept[r1 - 1]]
-            cand = np.sort(np.concatenate([order[slices[leaf]] for leaf in leaves.tolist()]))
-            d2 = _sq_dist(x[cand], y[cand], qx[r0:r1], qy[r0:r1])
-            close = (d2 <= bound[r0:r1, None]).any(axis=0)
-            found.append(cand[close][np.argsort(d2[:, close], axis=1, kind="stable")[:, :count]])
-            held += r1 - r0
-            r0 = r1
-        if held >= _BLOCK:
-            yield np.concatenate(found)
-            held, found = 0, []
-    if found:
-        yield np.concatenate(found)
+    step = max(1, _CELLS // x.size)
+    for start in range(0, x.size, step):
+        d2 = _sq_dist(x, y, x[start:start + step, None], y[start:start + step, None])
+        kth = np.partition(d2, count - 1, axis=1)[:, count - 1:count]
+        pairs = np.flatnonzero(d2 <= kth)  # by query, then by index
+        rows = pairs // x.size
+        pairs = pairs[np.lexsort((d2.ravel()[pairs], rows))]
+        first = np.searchsorted(rows, rows)  # where each pair's query starts
+        yield pairs[np.arange(rows.size) - first < count].reshape(-1, count) % x.size
 
 
 def _sq_dist(x: np.ndarray, y: np.ndarray, qx, qy) -> np.ndarray:
@@ -490,14 +453,19 @@ def fit_tail(
 ) -> TailFit:
     """Least-squares exponential fit of the tail following a peak.
 
-    peak_index is a site, 0 <= peak_index < N.  window = (start, end)
-    offsets from the peak, inclusive, with start < end (a slope needs two
-    sites); the sites must lie strictly between peaks.  The fit is
+    peak_index is a site, an integer 0 <= peak_index < N.  window =
+    (start, end) are integer offsets from the peak, inclusive, with
+    start < end (a slope needs two sites); the sites must lie strictly
+    between peaks.  Other values raise ValueError.  The fit is
     flagged when any window amplitude exceeds 0.1 * max|psi|, where the
     cubic term is no longer negligible and the pure exponential stops
     being a good model.
     """
-    start, end = window
+    try:
+        peak_index = operator.index(peak_index)
+        start, end = map(operator.index, window)
+    except TypeError:
+        raise ValueError("peak_index and the window offsets must be integers") from None
     if not (1 <= start < end):
         raise ValueError("window offsets must satisfy 1 <= start < end")
     psi = state.values
@@ -533,7 +501,7 @@ def fit_tail(
         decay_factor_measured=measured,
         decay_factor_predicted=predicted,
         continuum_predicted=continuum,
-        window=(int(start), int(end)),
+        window=(start, end),
         cubic_term_significant=bool(np.any(amps > 0.1 * peak_amp)),
     )
 

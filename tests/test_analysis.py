@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,16 @@ class TestFitTail:
         ring = dl.LatticeState(0.5 ** ((np.arange(7) + 1) % 7), dl.Boundary.PERIODIC)
         assert abs(dl.fit_tail(ring, 6, (1, 3)).decay_factor_measured - 0.5) <= 1e-12
 
+    def test_non_integer_sites_rejected(self):
+        state = dl.LatticeState(0.5 ** np.arange(7), dl.Boundary.OPEN)
+        for index, window in [(2.5, (1, 2)), (np.float64(0.0), (1, 2)), (0, (1.0, 3.0)), (0, (1, 2.5))]:
+            with pytest.raises(ValueError, match="integers"):
+                dl.fit_tail(state, index, window)
+        # numpy integers are integers
+        fit = dl.fit_tail(state, np.int64(0), (np.int32(1), 3))
+        assert fit.window == (1, 3)
+        assert abs(fit.decay_factor_measured - 0.5) <= 1e-12
+
     def test_cubic_flag(self):
         state = dl.LatticeState([1.0, 0.5, 0.25, 0.0001, 0.00005, 0.000025], dl.Boundary.OPEN)
         near = dl.fit_tail(state, 0, (1, 2))
@@ -403,21 +414,29 @@ def _oracle_period(psi, cyclic, tol):
     return None
 
 
-def _oracle_thickness(points, neighbors=analysis.NEIGHBORS):
-    """A full argsort of the distances for every point."""
+def _oracle_thickness(points, neighbors):
+    """A full ranking of the distances by (squared distance, index) for
+    every point, in the portrait's own frame."""
     pts = np.unique(points, axis=0)
     if pts.shape[0] < 4:
         return 0.0
+    # the frame: the lower corner at 0, and the diameter, scaled by a
+    # power of two, in [0.5, 1); quartered first where the span overflows
     lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    diameter = float(np.linalg.norm(hi - lo))
-    if diameter == 0.0:
-        return 0.0
+    with np.errstate(over="ignore"):
+        rel = pts - lo
+        diameter = float(np.hypot(*rel.max(axis=0)))
+    if diameter == np.inf:
+        rel = pts * 0.25 - lo * 0.25
+        diameter = float(np.hypot(*rel.max(axis=0)))
+    scale = -math.frexp(diameter)[1]
+    pts, diameter = np.ldexp(rel, scale), math.ldexp(diameter, scale)
     k = min(neighbors, pts.shape[0] - 1)
     spreads = []
     for p in pts:
-        d2 = np.sum((pts - p) ** 2, axis=1)
-        idx = np.argsort(d2)[: k + 1]
+        d = pts - p
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        idx = np.lexsort((np.arange(pts.shape[0]), d2))[: k + 1]
         local = pts[idx] - pts[idx].mean(axis=0)
         cov = local.T @ local / local.shape[0]
         eigvals = np.linalg.eigvalsh(cov)
@@ -506,7 +525,7 @@ class TestAgainstOracle:
     def test_thickness_and_labels(self, portrait_corpus):
         for name, portrait in portrait_corpus:
             new = analysis._curve_thickness(portrait.points)
-            old = _oracle_thickness(portrait.points)
+            old = _oracle_thickness(portrait.points, analysis.NEIGHBORS)
             assert _thickness_agrees(new, old), (name, new, old)
             if _oracle_period(portrait.psi_sequence, portrait.cyclic, analysis.SHIFT_TOL) is not None:
                 expected = dl.PortraitLabel.REGULAR_PERIODIC
@@ -516,11 +535,9 @@ class TestAgainstOracle:
                 expected = dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
             assert dl.classify_portrait(portrait).label is expected, name
 
-    def test_thickness_more_neighbors_than_a_leaf(self, portrait_corpus, monkeypatch):
-        # k + 1 = 41 points per neighbourhood, more than the _LEAF / 2 a
-        # leaf may hold: leaves grow to hold at least that many
+    def test_thickness_with_forty_neighbors(self, portrait_corpus, monkeypatch):
+        # k + 1 = 41 points per neighbourhood
         monkeypatch.setattr(analysis, "NEIGHBORS", 40)
-        assert analysis.NEIGHBORS + 1 > analysis._LEAF // 2
         picked = dict(portrait_corpus)
         for name in ("chain130", "ring1000/0", "ring208/3", "map/0", "map/7"):
             new = analysis._curve_thickness(picked[name].points)
@@ -627,6 +644,54 @@ class TestCrowdedCertificate:
         assert dl.classify_portrait(dl.PhasePortrait(pts)).label is \
             dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
 
+    def test_declined_portraits_are_small(self, portrait_corpus, monkeypatch):
+        # where it declines, at least half the points lie in cells of at
+        # most k points, and at most 15 x 15 cells are occupied: the exact
+        # path ranks at most 2 NEIGHBORS 225 points
+        sizes = []
+        search = analysis._nearest_neighbors
+
+        def recorded(pts, count):
+            sizes.append(pts.shape[0])
+            return search(pts, count)
+
+        monkeypatch.setattr(analysis, "_nearest_neighbors", recorded)
+        for _, portrait in portrait_corpus:
+            dl.classify_portrait(portrait)
+        rng = np.random.default_rng(13)
+        for n in (4, 10, 30, 100, 300, 1000, 2700, 4000, 8000):
+            for cloud in (rng.uniform(-1, 1, (n, 2)), rng.standard_normal((n, 2)) * [1.0, 0.01]):
+                dl.classify_portrait(dl.PhasePortrait(cloud))
+        # near the bound: anchors at (0, 0) and (1, 1) fix the cell side,
+        # sqrt(2) / 20, and each of the 15 x 15 cells holds 6 points (5
+        # beside an anchor) but one, which holds half of all 2688
+        side = 0.05 * math.sqrt(2)
+        pts = [np.array([[0.0, 0.0], [1.0, 1.0]])]
+        for i in range(15):
+            for j in range(15):
+                m = 1344 if (i, j) == (7, 7) else 5 if (i, j) in ((0, 0), (14, 14)) else 6
+                corner = np.array([i, j]) * side
+                pts.append(corner + rng.uniform(0.1, 0.9, (m, 2)) * np.minimum(side, 1.0 - corner))
+        dl.classify_portrait(dl.PhasePortrait(np.concatenate(pts)))
+        assert sizes[-1] == 2688
+        assert max(sizes) <= 2 * analysis.NEIGHBORS * 225
+
+    def test_certifies_at_any_scale(self):
+        # 10^5-point portraits far from the unit scale, each crowded in
+        # its own frame
+        rng = np.random.default_rng(14)
+        theta = rng.uniform(0, 2 * np.pi, 100_000)
+        cloud = rng.uniform(-1, 1, (100_000, 2))
+        portraits = {
+            "circle of radius 1e-7 around (1e5, 0)":
+                np.column_stack([1e5 + 1e-7 * np.cos(theta), 1e-7 * np.sin(theta)]),
+            "one 1e300 outlier": np.concatenate([cloud, [[1e300, 0.0]]]),
+            "a +-1.7e308 span": cloud * 1.7e308,
+            "subnormal": cloud * 2.0**-1050,
+        }
+        for name, pts in portraits.items():
+            assert analysis._crowded(analysis._distinct_rows(pts)), name
+
     @pytest.mark.parametrize("pts", [
         # the extent overflows: the diameter is inf
         [[-1e308, -1e308], [1e308, 1e308]] + [[1e308, 1e308 - j * 1e292] for j in range(1, 9)],
@@ -636,13 +701,20 @@ class TestCrowdedCertificate:
         [[np.inf, 0.0]] + [[0.1 * j, 0.0] for j in range(9)] + [[1e-9 * j, 1e-9] for j in range(9)],
         # fewer than four distinct points, repeated
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]] * 5,
-        # a crowded band one ulp apart at 1e15, far above its diameter,
-        # where a neighbourhood mean rounds by a fair part of t
+        # a crowded band one ulp apart at 1e15, far above its diameter
         [[1e15 + 0.125 * j, 1e15 + 0.125 * m] for j in range(64) for m in range(5)],
     ])
     def test_declines(self, pts):
+        # it must decline on fewer than four distinct points and on a
+        # non-finite one; elsewhere it may certify, in the portrait's
+        # frame, only a thin portrait
         pts = np.array(pts)
-        assert not analysis._crowded(analysis._distinct_rows(pts))
+        distinct = analysis._distinct_rows(pts)
+        k = min(analysis.NEIGHBORS, distinct.shape[0] - 1)
+        if distinct.shape[0] < 4 or not np.all(np.isfinite(pts)):
+            assert not analysis._crowded(distinct)
+        elif analysis._crowded(distinct):
+            assert analysis._curve_thickness(pts) <= analysis.BAND_FRAC * np.sqrt(k / (k + 1))
         with np.errstate(over="ignore", invalid="ignore"):
             label = dl.classify_portrait(dl.PhasePortrait(pts)).label
             assert label is _label_by_thickness(pts)
@@ -663,7 +735,8 @@ class TestCrowdedCertificate:
 
 
 class TestNearestNeighbors:
-    """The k-d search against a full ranking by (squared distance, index)."""
+    """The blocked ranking against a per-point ranking by (squared
+    distance, index)."""
 
     def _check(self, points, count):
         pts = np.unique(points, axis=0)
@@ -685,18 +758,17 @@ class TestNearestNeighbors:
     def test_underflow_ring(self):
         # one peak on a solved N = 1000 ring (pattern seed 2): hundreds of
         # its 757 distinct points sit so close to the origin that their
-        # squared distances underflow to 0, and the descent frontier
-        # outgrows the budget, so batches are retried with fewer queries
+        # squared distances underflow to 0, so distances tie, and in the
+        # portrait's frame those points meet
         initial = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(1000, 2)))
         state, _, _ = dl.newton_solve(initial, dl.ModelParams(4000.0))
         points = dl.phase_portrait(state).points
         for count in (7, 21):
             self._check(points, count)
-        assert analysis._curve_thickness(points) == _oracle_thickness(points)
+        assert analysis._curve_thickness(points) == _oracle_thickness(points, analysis.NEIGHBORS)
 
     def test_budget_below_one_query(self, monkeypatch):
-        # leaves ranked in blocks of a few queries, and many one query at
-        # a time over the budget
+        # blocks of one query, each over the budget
         monkeypatch.setattr(analysis, "_CELLS", 160)
         g = np.arange(-6, 7, dtype=float)
         xx, yy = np.meshgrid(g, g)
@@ -788,10 +860,11 @@ def test_classification_memory_bounded(monkeypatch):
     # a solved 10^5-site ring (pattern seed 1, c = 4N): 24143 distinct
     # points on a commensurate curve, which the grid certificate labels
     # with no neighbour search.  The count and the period test peak at
-    # about 5.9 MB and the label step, from the dedupe on, at 5.7 MB; the
-    # bounds, 9.5 and 7.6 MB, are those the count and the k-d thickness
-    # were held to, so a block that grows is caught.  The code the blocked passes replaced
-    # peaked at 15.51 and 9.94 MB.
+    # about 5.9 MB and the label step, from the dedupe on, at 5.1 MB in
+    # the portrait's frame; the bounds, 9.5 and 7.6 MB, are those the
+    # count and the earlier k-d thickness were held to, so a block that
+    # grows is caught.  The code the blocked passes replaced peaked at
+    # 15.51 and 9.94 MB.
     initial = dl.build_asymptotic_state(dl.random_pattern(100_000, 1))
     state, _, _ = dl.newton_solve(initial, dl.ModelParams(4e5))
     portrait = dl.phase_portrait(state)
