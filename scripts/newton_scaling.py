@@ -12,11 +12,16 @@ temporary directory, for the median time of the state writer, counts
 the distinct points of its phase portrait at DISTINCT_TOL as many times,
 for the median time of distinct_points, and classifies the portrait as
 many times, for the median time of classify_portrait.  Prints one line
-per N and writes the same figures to newton_scaling.json under --out.
+per N and writes the same figures to newton_scaling.json under --out,
+beside an environment block: the git SHA of the checkout (null outside
+one, as in a git archive copy), the Python, numpy and mpmath versions,
+the machine type and the CPU count.
 """
 
 import argparse
 import json
+import os
+import platform
 import resource
 import statistics
 import subprocess
@@ -26,11 +31,14 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 from dnse_lab.analysis import DISTINCT_TOL
 
 WRITE_REPEATS = 5
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _median_ms(call) -> float:
@@ -41,6 +49,23 @@ def _median_ms(call) -> float:
         call()
         times.append(time.perf_counter() - began)
     return 1e3 * statistics.median(times)
+
+
+def environment() -> dict:
+    """What the figures were measured with.  git looks for a repository
+    at ROOT only, so a copy inside another checkout records null.  mpmath
+    is imported here, so the children's ru_maxrss does not count it."""
+    import mpmath
+
+    try:
+        git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
+                             env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
+        sha = git.stdout.strip() if git.returncode == 0 else None
+    except OSError:  # no git on the machine
+        sha = None
+    return {"git_sha": sha, "python": platform.python_version(), "numpy": np.__version__,
+            "mpmath": mpmath.__version__, "machine": platform.machine(),
+            "cpu_count": os.cpu_count()}
 
 
 def measure(n: int, seed: int) -> dict:
@@ -96,7 +121,8 @@ def main():
               f"write_state {row['write_state_ms']:7.1f} ms  "
               f"distinct_points {row['distinct_ms']:7.1f} ms  "
               f"classify_portrait {row['classify_ms']:7.1f} ms")
-    path = lab_io.write_json(Path(args.out) / "newton_scaling.json", {"runs": rows})
+    path = lab_io.write_json(Path(args.out) / "newton_scaling.json",
+                             {"environment": environment(), "runs": rows})
     print(f"written to {path}")
 
 

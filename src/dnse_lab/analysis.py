@@ -29,8 +29,7 @@ breaking distance ties by the lower index.  The count and the period
 search give the result their all-pairs versions would.  numpy does the
 arithmetic in blocks: the count computes the cells of _BLOCK points at
 a time before its greedy loop, which then only looks up buckets, and
-the thickness ranks _CELLS distances at a time on x and y columns and
-takes the spreads of a block's neighbourhoods at once.
+the thickness ranks _CELLS distances at a time on x and y columns.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -145,8 +144,8 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
 # still exact integers well below 2**53; the points beyond share the edge
 # cells
 _GRID_LIMIT = 2.0**49
-# points whose cells, or neighbourhoods whose spreads, one numpy pass
-# computes: it bounds the temporaries, as io._CHUNK_LINES does the writers'
+# points whose cells one numpy pass of distinct_points computes: it bounds
+# the temporaries, as io._CHUNK_LINES does the writers'
 _BLOCK = 256
 # cell (cx, cy) has the key cx * _ROW + cy, one int: |cy| <= _GRID_LIMIT + 1,
 # so no two cells share a key
@@ -171,9 +170,10 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     finite point has cell 0 and is compared exactly with the others.  A
     NaN quotient, from a non-finite point or from tol = inf, gives cell
     0, so with tol = inf every point meets every representative.  numpy
-    computes these cells for _BLOCK points at a time.  The loop then
-    looks in the point's own cell, and after that only in the other
-    cells of the block's occupied columns, and stops at the first match.
+    computes these cells for _BLOCK points at a time.  For each point
+    _near looks in its own cell, and after that only in the other cells
+    of the 3 x 3 block's occupied columns, and stops at the first match;
+    a point it does not match joins the bucket of its cell.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -181,23 +181,18 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
     columns = set()  # the cx of every bucket
     for start in range(0, portrait.size, _BLOCK):
-        xs, ys = portrait.points[start:start + _BLOCK].T
+        block = portrait.points[start:start + _BLOCK].T
         # a non-finite point matches nothing unless tol itself is inf
-        apart = ~(np.isfinite(xs) & np.isfinite(ys)) & (tol < math.inf)
+        apart = ~np.isfinite(block).all(axis=0) & (tol < math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.floor(np.vstack([xs, ys]) / (2.0 * tol))
+            cells = np.floor(block / (2.0 * tol))
             cells = np.nan_to_num(cells.clip(-_GRID_LIMIT, _GRID_LIMIT), nan=0.0).astype(np.int64)
-        for x, y, alone, cx, cy in zip(xs.tolist(), ys.tolist(), apart.tolist(), *cells.tolist()):
+        for x, y, alone, cx, cy in zip(*block.tolist(), apart.tolist(), *cells.tolist()):
             if not alone:
-                key = cx * _ROW + cy
-                own = buckets.get(key)
-                if ((own is not None and _matches(x, y, own, tol))
-                        or _reaches(buckets, columns, x, y, cx, cy, own, tol)):
+                if _near(buckets, columns, x, y, cx, cy, tol):
                     continue
-                if own is None:
-                    buckets[key] = own = []
-                    columns.add(cx)
-                own.append((x, y))
+                buckets.setdefault(cx * _ROW + cy, []).append((x, y))
+                columns.add(cx)
             count += 1
     return count
 
@@ -210,13 +205,18 @@ def _matches(x: float, y: float, reps, tol: float) -> bool:
     return False
 
 
-def _reaches(buckets, columns, x, y, cx, cy, own, tol) -> bool:
-    """Whether a representative in the 3 x 3 cells around (cx, cy), but
-    not in own, the bucket of (cx, cy) itself, matches (x, y)."""
-    for ax in range(cx - 1, cx + 2):
+def _near(buckets, columns, x, y, cx, cy, tol) -> bool:
+    """Whether a representative in the 3 x 3 cells around (cx, cy) lies
+    within tol of (x, y): first in the bucket of (cx, cy) itself, then in
+    the other cells of the occupied columns cx - 1, cx and cx + 1, each
+    column's three buckets fetched at once."""
+    own = buckets.get(cx * _ROW + cy)
+    if own is not None and _matches(x, y, own, tol):
+        return True
+    for ax in (cx - 1, cx, cx + 1):
         if ax in columns:
-            for key in range(ax * _ROW + cy - 1, ax * _ROW + cy + 2):
-                near = buckets.get(key)
+            key = ax * _ROW + cy
+            for near in (buckets.get(key - 1), buckets.get(key), buckets.get(key + 1)):
                 if near is not None and near is not own and _matches(x, y, near, tol):
                     return True
     return False
@@ -265,7 +265,7 @@ def classify_portrait(portrait: PhasePortrait, tol: float = DISTINCT_TOL) -> Por
     if portrait.psi_sequence is not None and portrait.psi_sequence.size >= 2:
         period = _detect_period(portrait.psi_sequence, portrait.cyclic, SHIFT_TOL)
         if period is not None:
-            return PortraitClass(PortraitLabel.REGULAR_PERIODIC, n_distinct, tol, period)
+            return PortraitClass(PortraitLabel.REGULAR_PERIODIC, n_distinct, float(tol), period)
 
     pts = _distinct_rows(portrait.points)
     thin = _crowded(pts)
@@ -273,7 +273,7 @@ def classify_portrait(portrait: PhasePortrait, tol: float = DISTINCT_TOL) -> Por
         thickness = _curve_thickness(pts)
         thin = thickness is not None and thickness <= BAND_FRAC
     label = PortraitLabel.IRREGULAR_COMMENSURATE if thin else PortraitLabel.IRREGULAR_INCOMMENSURATE
-    return PortraitClass(label, n_distinct, tol)
+    return PortraitClass(label, n_distinct, float(tol))
 
 
 def _distinct_rows(points: np.ndarray) -> np.ndarray:
@@ -365,7 +365,9 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     lexicographic order; the spread is the square root of the smaller
     eigenvalue of their covariance.  A portrait with a non-finite point
     has no thickness.  classify_portrait computes it only where _crowded
-    declines, on at most 2700 points.
+    declines, on at most 2700 points, so the spreads of all the
+    neighbourhoods are taken in one batch: one covariance stack and one
+    eigvalsh call.
     """
     pts = _distinct_rows(points)
     if not np.all(np.isfinite(pts)):
@@ -374,13 +376,11 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
         return 0.0
     pts, diameter = _frame(pts)
     k = min(NEIGHBORS, pts.shape[0] - 1)
-    spreads = []
-    for hoods in _nearest_neighbors(pts, k + 1):
-        hood = pts[hoods]
-        local = hood - hood.mean(axis=1, keepdims=True)
-        cov = local.transpose(0, 2, 1) @ local / (k + 1)
-        spreads.append(np.sqrt(np.maximum(np.linalg.eigvalsh(cov)[:, 0], 0.0)))
-    return float(np.median(np.concatenate(spreads))) / diameter
+    hood = pts[np.concatenate(list(_nearest_neighbors(pts, k + 1)))]
+    local = hood - hood.mean(axis=1, keepdims=True)
+    cov = local.transpose(0, 2, 1) @ local / (k + 1)
+    spreads = np.sqrt(np.maximum(np.linalg.eigvalsh(cov)[:, 0], 0.0))
+    return float(np.median(spreads)) / diameter
 
 
 _CELLS = 1 << 15  # distances the kNN ranking holds at once

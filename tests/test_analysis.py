@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import dnse_lab as dl
 from dnse_lab import analysis
+from dnse_lab import io as lab_io
 from dnse_lab.errors import (
     NoConvergence,
     NotLocalized,
@@ -170,6 +172,15 @@ class TestClassification:
         # the label is the thickness's, whichever path decides it
         assert cls.label is dl.PortraitLabel.IRREGULAR_COMMENSURATE
         assert analysis._curve_thickness(pts) <= analysis.BAND_FRAC
+
+    @pytest.mark.parametrize("tol", [np.float32(1e-6), np.float64(1e-6), 1e-6],
+                             ids=["float32", "float64", "float"])
+    def test_numpy_tolerance_is_written(self, tmp_path, tol):
+        # the recorded tolerance is a Python float, so json can write it
+        cls = dl.classify_portrait(dl.phase_portrait(dl.LatticeState(np.full(4, 0.5))), tol)
+        path = lab_io.write_json(tmp_path / "class.json", cls.as_dict())
+        assert json.loads(path.read_text())["tol"] == float(tol)
+        assert type(cls.tol) is float
 
 
 class TestTailDecay:

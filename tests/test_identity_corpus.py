@@ -4,9 +4,12 @@ The corpus runs through cli.main in one process:
 
 - solve --random N --seed s --c 4N for N in {208, 1000} and s in 0-9;
 - map --E 1 --c 1 from psi0 = 0.05 (k + 1), z0 = 0, 2000 steps, k = 0-9;
+- portrait --state-file on the state each ring1000_s solve wrote, the
+  path the benchmark's portrait_scan times;
 - for each paper chain (chain100 at c = 24, chain130 at c = 40): solve,
   a sweep from c to c + 2 in steps of 0.25, a solve stopped by
-  --max-iter 2 (the partial artifacts of NoConvergence) and pattern;
+  --max-iter 2 (the partial artifacts of NoConvergence), pattern, and
+  solve --state-file from the state its solve wrote, at the same c;
 
 plus the high-precision polish of each chain's solution, its psi and E
 written as strings at 60 digits.  Every file a run writes is one
@@ -51,12 +54,16 @@ def _chains():
             ("chain130", irregular_pair_pattern(), 40.0)]
 
 
-def _runs():
-    """(name, argv without --out) of every CLI run of the corpus."""
+def _runs(root: Path):
+    """(name, argv without --out) of every CLI run of the corpus, in order:
+    a --state-file run reads a state that an earlier run wrote under root."""
     for n in (208, 1000):
         for seed in range(10):
             yield f"ring{n}_{seed}", ["solve", "--random", str(n), "--seed", str(seed),
                                       "--c", str(4 * n)]
+    for seed in range(10):
+        yield f"ring1000_{seed}_portrait", ["portrait", "--state-file",
+                                            str(root / f"ring1000_{seed}" / "solve.state.csv")]
     for k in range(10):
         yield f"map{k}", ["map", "--E", "1", "--c", "1", "--psi0", repr(0.05 * (k + 1)),
                           "--z0", "0", "--steps", "2000"]
@@ -68,6 +75,8 @@ def _runs():
         yield f"{name}_partial", ["solve", "--pattern", text, "--c", repr(c),
                                   "--max-iter", "2"]
         yield f"{name}_pattern", ["pattern", text, "--c", repr(c)]
+        yield f"{name}_state_solve", ["solve", "--state-file",
+                                      str(root / f"{name}_solve" / "solve.state.csv"), "--c", repr(c)]
 
 
 def _sha256(data: bytes) -> str:
@@ -77,7 +86,7 @@ def _sha256(data: bytes) -> str:
 def corpus_digests(root: Path) -> dict:
     """{artifact name: SHA-256} of the corpus, its runs written under root."""
     digests = {}
-    for name, argv in _runs():
+    for name, argv in _runs(root):
         out = root / name
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -2,10 +2,15 @@
 
 import importlib.util
 import os
+import platform
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,15 +69,36 @@ class Shape:
 def test_code_line_rule():
     # counted: the import, the class, the def, both lines of the string
     # and the return, the async def and both lines of its return
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
-    code_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(code_lines)
-    assert code_lines.count_code_lines(SAMPLE) == 9
+    assert _load(ROOT / "scripts" / "code_lines.py").count_code_lines(SAMPLE) == 9
+
+
+def _load(script: Path):
+    """The script at that path, imported as a module."""
+    spec = importlib.util.spec_from_file_location(script.stem, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_newton_scaling_times_classification():
-    spec = importlib.util.spec_from_file_location("newton_scaling", ROOT / "scripts" / "newton_scaling.py")
-    newton_scaling = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(newton_scaling)
-    row = newton_scaling.measure(208, 1)
+    row = _load(ROOT / "scripts" / "newton_scaling.py").measure(208, 1)
     assert row["classify_ms"] > 0 and row["distinct_ms"] > 0
+
+
+def test_newton_scaling_records_its_environment(tmp_path):
+    env = _load(ROOT / "scripts" / "newton_scaling.py").environment()
+    assert sorted(env) == ["cpu_count", "git_sha", "machine", "mpmath", "numpy", "python"]
+    # null where the scripts do not sit in a git checkout of their own
+    assert env["git_sha"] is None or re.fullmatch("[0-9a-f]{40}", env["git_sha"])
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["mpmath"] == mpmath.__version__ and env["machine"] == platform.machine()
+    assert env["cpu_count"] == os.cpu_count()
+    # a copy without its .git records null, even inside another repository
+    copy = tmp_path / "copy"
+    (copy / "scripts").mkdir(parents=True)
+    shutil.copy(ROOT / "scripts" / "newton_scaling.py", copy / "scripts")
+    if shutil.which("git"):
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "outer"], check=True)
+    assert _load(copy / "scripts" / "newton_scaling.py").environment()["git_sha"] is None
