@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
 """Time and memory of newton_solve on random rings of growing size.
 
-For each N of --sizes (default 10^4, 10^5 and 10^6) a fresh interpreter
-builds the strong-coupling start of the random pattern with --seed on an
-N-site ring, at c = 4N, and solves it WRITE_REPEATS times without
-tracing, for the median and the range of the wall time, the iteration
-count and the process's ru_maxrss after the first solve, then once more
-under tracemalloc, for the traced peak of the solve alone.  It then
+For each N of --sizes (default 10^4, 10^5 and 10^6) each of RUNS fresh
+interpreters builds the strong-coupling start of the random pattern with
+--seed on an N-site ring, at c = 4N, and solves it WRITE_REPEATS times
+without tracing, for the median and the range of the wall time, the
+iteration count and the process's ru_maxrss after the first solve, then
+once more under tracemalloc, for the traced peak of the solve alone.  It then
 writes the solved state with write_state WRITE_REPEATS times, into a
 temporary directory, for the median time of the state writer, counts
 the distinct points of its phase portrait at DISTINCT_TOL as many times,
 for the median time of distinct_points, and classifies the portrait as
 many times, for the median time of classify_portrait.  Prints one line
-per N and writes the same figures to newton_scaling.json under --out,
-beside an environment block: the git SHA of the checkout (null outside
-one, as in a git archive copy), the Python, numpy and mpmath versions,
-the machine type and the CPU count.
+per N with the min-max of each figure over its runs, and writes every
+run's figures to newton_scaling.json under --out, beside an environment
+block: the git SHA of the checkout (null outside one, as in a git archive
+copy), the Python, numpy and mpmath versions, the machine type and the
+CPU count.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -38,6 +40,9 @@ from dnse_lab import io as lab_io
 from dnse_lab.analysis import DISTINCT_TOL
 
 WRITE_REPEATS = 5
+# Fresh processes per N: a process's ru_maxrss peak follows what ran
+# before it in that process, so one child gives one draw of it.
+RUNS = 3
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -49,6 +54,12 @@ def _median_ms(call) -> float:
         call()
         times.append(time.perf_counter() - began)
     return 1e3 * statistics.median(times)
+
+
+def _span(runs, key, digits) -> str:
+    """The min-max of one figure over the runs of one N."""
+    values = [run[key] for run in runs]
+    return f"{min(values):.{digits}f}-{max(values):.{digits}f}"
 
 
 def environment() -> dict:
@@ -110,17 +121,17 @@ def main():
         return
     rows = []
     for n in args.sizes:
-        child = subprocess.run(
+        runs = [json.loads(subprocess.run(
             [sys.executable, __file__, "--one", str(n), "--seed", str(args.seed)],
-            capture_output=True, text=True, check=True)
-        rows.append(row := json.loads(child.stdout))
-        print(f"N={n:8d}  {row['wall_ms']:9.1f} ms ({row['wall_min_ms']:.1f}-{row['wall_max_ms']:.1f})  "
-              f"{row['iterations']:3d} iterations  "
-              f"traced peak {row['traced_peak_mib']:7.2f} MiB  "
-              f"ru_maxrss {row['ru_maxrss_mib']:7.1f} MiB  "
-              f"write_state {row['write_state_ms']:7.1f} ms  "
-              f"distinct_points {row['distinct_ms']:7.1f} ms  "
-              f"classify_portrait {row['classify_ms']:7.1f} ms")
+            capture_output=True, text=True, check=True).stdout) for _ in range(RUNS)]
+        rows += runs
+        span = functools.partial(_span, runs)
+        print(f"N={n:8d}  {span('wall_ms', 1)} ms  {span('iterations', 0)} iterations  "
+              f"traced peak {span('traced_peak_mib', 2)} MiB  "
+              f"ru_maxrss {span('ru_maxrss_mib', 1)} MiB  "
+              f"write_state {span('write_state_ms', 1)} ms  "
+              f"distinct_points {span('distinct_ms', 1)} ms  "
+              f"classify_portrait {span('classify_ms', 1)} ms  ({RUNS} runs)")
     path = lab_io.write_json(Path(args.out) / "newton_scaling.json",
                              {"environment": environment(), "runs": rows})
     print(f"written to {path}")

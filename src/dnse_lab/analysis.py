@@ -53,7 +53,7 @@ from .errors import (
     WindowTouchesPeak,
     ZeroAmplitudeInWindow,
 )
-from .lattice import Boundary, LatticeState, _as_points, _as_readonly, _neighbors
+from .lattice import Boundary, LatticeState, _as_index, _as_points, _as_readonly, _neighbors
 from .mapdyn import MapOrbit
 
 
@@ -562,6 +562,7 @@ def zoom_report(
     rectangle's sides.  Empty levels are reported with a flag, not
     raised.
     """
+    levels = _as_index(levels, "levels")
     if levels < 1:
         raise ValueError("need at least one level")
     xmin, xmax, ymin, ymax = (float(v) for v in region)

@@ -12,11 +12,14 @@ library's decimal numbers (libmpdec, correctly rounded; several times
 faster than mpmath without gmpy2): the Newton loop, the bordered step and
 the tridiagonal kernel of newton, and the lattice residual.  It serves
 rings and open chains alike, taking the boundary from the state as
-newton_solve does.  Its results come back as mpf, each rounded once from
-its exact integer ratio.  The map check iterates mapdyn's step on Decimal
-too, at dps + 1 digits, the precision mpmath gives dps, from its mpf,
-float or integer inputs converted once each by one converter; its closure
-over the wrap assumes a ring.
+newton_solve does.  Each conversion between the two number types rounds
+one exact integer ratio once, with nothing cached between values: a
+Decimal result comes back as the mpf of its integer ratio, and an mpf
+input man * 2**exp goes in as the Decimal of man times or over a power of
+two.  The map check iterates mapdyn's step on Decimal too, at dps + 1
+digits, the precision mpmath gives dps, from its mpf, float or integer
+inputs converted once each by that one converter; its closure over the
+wrap assumes a ring.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     _check_dps(dps)
     periodic = state.boundary is Boundary.PERIODIC
     with localcontext(Context(prec=operator.index(dps))):
-        c = _decimal(params.c, {})
+        c = _decimal(params.c)
 
         def step(psi, energy, res, _res_norm):
             diag = _jacobian_diagonal(psi, c, energy).tolist()
@@ -103,23 +106,22 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     return psi.tolist(), energy
 
 
-def _decimal(x, powers):
+def _decimal(x):
     """x as a Decimal, the one way the polish and the map check take their
     inputs.  An mpf, man * 2**exp, is rounded once to the context's
-    precision, as Decimal(man) times the exact Decimal of 2**exp (kept in
-    powers, by exp); an infinite or NaN one goes through float.  An int or a
-    float is taken exactly by Decimal; a numpy integer or float, which
-    Decimal refuses, goes through int() or float() first."""
+    precision from that exact ratio: Decimal(man) times 2**exp, or divided
+    by 2**-exp, the integer taken exactly; an infinite or NaN one goes
+    through float.  An int or a float is taken exactly by Decimal; a numpy
+    integer or float, which Decimal refuses, goes through int() or float()
+    first."""
     if not isinstance(x, mpf):
         return Decimal(int(x) if isinstance(x, np.integer)
                        else float(x) if isinstance(x, np.floating) else x)
     sign, man, exp, _ = x._mpf_
     if not man and exp:  # mpmath's inf, -inf and nan: no mantissa, an exponent
         return Decimal(float(x))
-    power = powers.get(exp)
-    if power is None:  # 2**-k is 5**k / 10**k, exactly
-        power = powers[exp] = Decimal(1 << exp) if exp >= 0 else Decimal(f"{5 ** -exp}e{exp}")
-    return Decimal(-man if sign else man) * power
+    man = Decimal(-man if sign else man)
+    return man * (1 << exp) if exp >= 0 else man / (1 << -exp)
 
 
 def map_reproduction_error(psi, energy, c, dps: int = 60):
@@ -139,13 +141,11 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     An orbit that leaves Decimal's exponent range (10**999999) has left
     float's long before: that deviation, and every later one, reads inf.
     """
-    n = len(psi)
-    if n < 2:
+    if (n := len(psi)) < 2:
         raise ValueError("the map needs at least 2 sites")
     _check_dps(dps)
-    powers = {}
     with localcontext(Context(prec=operator.index(dps) + 1, traps=[Overflow])):
-        *psi, energy, c = [_decimal(v, powers) for v in (*psi, energy, c)]
+        *psi, energy, c = map(_decimal, (*psi, energy, c))
         x, z = psi[1], psi[1] - psi[0]
         max_dev = closure = Decimal(0)
         try:

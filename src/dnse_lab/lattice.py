@@ -14,6 +14,7 @@ and the amplitude/coupling similarity rescaling).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +44,16 @@ def _held(value_type, array: np.ndarray, *rest):
     held = object.__new__(value_type)
     vars(held).update(zip(value_type.__dataclass_fields__, (array, *rest)))
     return held
+
+
+def _as_index(value, name: str) -> int:
+    """A count or shift argument as an int, by operator.index, so that a
+    numpy integer is taken; a float or any other non-integer raises
+    ValueError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _as_points(points, owner: str) -> np.ndarray:
@@ -81,7 +92,7 @@ class LatticeState:
 
     def rotated(self, shift: int) -> "LatticeState":
         """Cyclic shift of the amplitudes (meaningful under PBC)."""
-        return LatticeState(np.roll(self.values, shift), self.boundary)
+        return LatticeState(np.roll(self.values, _as_index(shift, "shift")), self.boundary)
 
 
 @dataclass(frozen=True)

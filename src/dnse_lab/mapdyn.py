@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import EscapedOrbit
-from .lattice import Boundary, LatticeState, _as_points
+from .lattice import Boundary, LatticeState, _as_index, _as_points
 
 DEFAULT_ESCAPE_BOUND = 1e8
 
@@ -90,6 +90,7 @@ def iterate_map(
     kept and the orbit is flagged escaped.  E, c and the seed must be
     finite, and escape_bound positive (inf included).
     """
+    steps = _as_index(steps, "steps")
     if steps < 1:
         raise ValueError("need at least one step")
     if not all(map(math.isfinite, (energy, c, initial.psi, initial.Z))):

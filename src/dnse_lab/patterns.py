@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadCharacter, EmptyPattern
-from .lattice import Boundary, LatticeState, _neighbors
+from .lattice import Boundary, LatticeState, _as_index, _neighbors
 
 _CHAR_TO_TRIT = {"+": 1, "0": 0, "-": -1}
 _TRIT_TO_CHAR = {1: "+", 0: "0", -1: "-"}
@@ -64,7 +64,7 @@ class PatternSpec:
 
     def rotated(self, shift: int) -> "PatternSpec":
         n = self.n_sites
-        shift %= n
+        shift = _as_index(shift, "shift") % n
         return PatternSpec(self.trits[-shift:] + self.trits[:-shift], self.boundary)
 
 
@@ -173,7 +173,7 @@ def random_pattern(n_sites: int, seed: int) -> PatternSpec:
     Uses numpy's default PCG64 generator so a (n_sites, seed) pair pins
     the pattern exactly.
     """
-    if n_sites < 1:
+    if _as_index(n_sites, "n_sites") < 1:
         raise ValueError("need at least one site")
     rng = np.random.default_rng(seed)
     while True:
@@ -190,8 +190,10 @@ def spot_pattern(n_sites: int, spot_starts, spot_len: int, signs) -> PatternSpec
     """
     if len(spot_starts) != len(signs):
         raise ValueError("need one sign per spot")
+    n_sites, spot_len = _as_index(n_sites, "n_sites"), _as_index(spot_len, "spot_len")
     trits = [0] * n_sites
     for start, sign in zip(spot_starts, signs):
+        start = _as_index(start, "spot_starts")
         for off in range(spot_len):
             trits[(start + off) % n_sites] = sign
     return PatternSpec(tuple(trits), Boundary.PERIODIC)

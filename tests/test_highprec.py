@@ -1,9 +1,11 @@
+import functools
 import math
+import random
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 import dnse_lab as dl
 from dnse_lab.errors import NoConvergence, SingularJacobian
@@ -506,6 +508,85 @@ class TestMapOnDecimal:
         assert map_reproduction_error(psi, -1.0, 10.0, dps=30) == escaped
         assert _mpf_map_reproduction_error(psi, -1.0, 10.0, dps=30) == escaped
 
+
+def _cached_product_decimal(x, powers):
+    """_decimal as it converted an mpf before one rounded division:
+    Decimal(man) times the exact Decimal of 2**exp, kept in powers by exp.
+    The oracle of the conversion."""
+    if not isinstance(x, mpf):
+        return Decimal(int(x) if isinstance(x, np.integer)
+                       else float(x) if isinstance(x, np.floating) else x)
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:  # mpmath's inf, -inf and nan: no mantissa, an exponent
+        return Decimal(float(x))
+    power = powers.get(exp)
+    if power is None:  # 2**-k is 5**k / 10**k, exactly
+        power = powers[exp] = Decimal(1 << exp) if exp >= 0 else Decimal(f"{5 ** -exp}e{exp}")
+    return Decimal(-man if sign else man) * power
+
+
+def _mpf_corpus():
+    """4 002 mpf, two at every third binary exponent from -3000 to 3000,
+    with odd mantissas of 1 to 700 bits (up to twice the 668 bits of 201
+    digits) and random signs."""
+    rng = random.Random(34)
+    values = []
+    for exp in range(-3000, 3001, 3):
+        for _ in range(2):
+            man = (rng.getrandbits(rng.randint(1, 700)) | 1) * rng.choice((1, -1))
+            values.append(mp.make_mpf(libmp.from_man_exp(man, exp)))
+    return values
+
+
+MPF_CORPUS = _mpf_corpus()
+SPECIAL_VALUES = [mpf(0), mpf("inf"), mpf("-inf"), mpf("nan"), mpf(2) ** 500, -mpf(2) ** 500,
+                  np.int64(-7), np.int32(2**31 - 1), np.uint64(2**64 - 1), np.float64(0.1),
+                  np.float32(1 / 3), np.float16(-2.5), 10**30, -1e-300]
+
+
+class TestDecimalAgainstCachedProduct:
+    """_decimal divides by 2**-exp where it multiplied by the cached exact
+    5**k e-k: one correctly rounded operation on the same exact value, so
+    the same Decimal, coefficient and exponent alike."""
+
+    def test_corpus_spans_the_exponents(self):
+        exps = [x._mpf_[2] for x in MPF_CORPUS]
+        assert len(exps) >= 4000 and min(exps) == -3000 and max(exps) == 3000
+
+    @pytest.mark.parametrize("prec", [16, 31, 61, 81, 201])
+    def test_mpf_values(self, prec):
+        powers = {}
+        with localcontext(Context(prec=prec)):
+            got = [str(highprec._decimal(x)) for x in MPF_CORPUS]
+            ref = [str(_cached_product_decimal(x, powers)) for x in MPF_CORPUS]
+        assert got == ref
+
+    @pytest.mark.parametrize("prec", [16, 31, 61, 81, 201])
+    def test_special_and_numpy_values(self, prec):
+        with localcontext(Context(prec=prec)):
+            got = [str(highprec._decimal(x)) for x in SPECIAL_VALUES]
+            ref = [str(_cached_product_decimal(x, {})) for x in SPECIAL_VALUES]
+        assert got == ref
+        assert got[1:4] == ["Infinity", "-Infinity", "NaN"]
+
+    def _both(self, monkeypatch, psi, energy, c, dps):
+        got = map_reproduction_error(psi, energy, c, dps=dps)
+        with monkeypatch.context() as patched:
+            patched.setattr(highprec, "_decimal", functools.partial(_cached_product_decimal, powers={}))
+            ref = map_reproduction_error(psi, energy, c, dps=dps)
+        return got, ref
+
+    @pytest.mark.parametrize("dps", [30, 60, 80])
+    def test_map_check_on_polished_chains(self, dps, polished_chains, monkeypatch):
+        for name, _, _, psi, energy, c, _ in polished_chains:
+            got, ref = self._both(monkeypatch, psi, energy, c, dps)
+            assert got == ref, (name, got, ref)
+
+    @pytest.mark.parametrize("sites", [20, 6])
+    def test_map_check_on_escaping_orbits(self, sites, monkeypatch):
+        psi = [mpf(0), mpf(10 if sites == 20 else 3)] + [mpf(0)] * (sites - 2)
+        got, ref = self._both(monkeypatch, psi, -1.0, 10.0, 30)
+        assert got == ref and math.inf in got
 
 def _float_newton(spec, solved, k):
     return dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(40.0),

@@ -1,6 +1,7 @@
 """Each experiment script under scripts/ runs to the end at a toy size."""
 
 import importlib.util
+import json
 import os
 import platform
 import re
@@ -83,6 +84,23 @@ def _load(script: Path):
 def test_newton_scaling_times_classification():
     row = _load(ROOT / "scripts" / "newton_scaling.py").measure(208, 1)
     assert row["classify_ms"] > 0 and row["distinct_ms"] > 0
+
+
+def test_newton_scaling_runs_each_size_in_fresh_processes(tmp_path):
+    # a process's ru_maxrss follows what ran before it, so each N is
+    # measured in RUNS children, every row kept and their min-max printed
+    assert _load(ROOT / "scripts" / "newton_scaling.py").RUNS == 3
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "newton_scaling.py"), "--out", str(tmp_path),
+         "--sizes", "130", "100"], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads((tmp_path / "newton_scaling.json").read_text())["runs"]
+    assert [run["n"] for run in runs] == [130] * 3 + [100] * 3
+    lines = proc.stdout.splitlines()
+    for line, n in zip(lines, (130, 100)):
+        assert re.match(rf"N=\s*{n}\s", line) and re.search(r"ru_maxrss [\d.]+-[\d.]+ MiB", line)
 
 
 def test_newton_scaling_records_its_environment(tmp_path):
