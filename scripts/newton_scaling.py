@@ -11,12 +11,13 @@ writes the solved state with write_state WRITE_REPEATS times, into a
 temporary directory, for the median time of the state writer, counts
 the distinct points of its phase portrait at DISTINCT_TOL as many times,
 for the median time of distinct_points, and classifies the portrait as
-many times, for the median time of classify_portrait.  Prints one line
-per N with the min-max of each figure over its runs, and writes every
-run's figures to newton_scaling.json under --out, beside an environment
-block: the git SHA of the checkout (null outside one, as in a git archive
-copy), the Python, numpy and mpmath versions, the machine type and the
-CPU count.
+many times, for the median time of classify_portrait, and reads
+ru_maxrss again: classification sets the peak of a whole run at 10^6.
+Prints one line per N with the min-max of each figure over its runs, and
+writes every run's figures to newton_scaling.json under --out, beside an
+environment block: the git SHA of the checkout (null outside one, as in
+a git archive copy), the Python, numpy and mpmath versions, the machine
+type and the CPU count.
 """
 
 import argparse
@@ -106,7 +107,8 @@ def measure(n: int, seed: int) -> dict:
             "ru_maxrss_mib": maxrss_kb / 2**10,
             "write_state_ms": write_ms,
             "distinct_ms": _median_ms(lambda: dl.distinct_points(portrait, DISTINCT_TOL)),
-            "classify_ms": _median_ms(lambda: dl.classify_portrait(portrait))}
+            "classify_ms": _median_ms(lambda: dl.classify_portrait(portrait)),
+            "ru_maxrss_classified_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10}
 
 
 def main():
@@ -128,7 +130,8 @@ def main():
         span = functools.partial(_span, runs)
         print(f"N={n:8d}  {span('wall_ms', 1)} ms  {span('iterations', 0)} iterations  "
               f"traced peak {span('traced_peak_mib', 2)} MiB  "
-              f"ru_maxrss {span('ru_maxrss_mib', 1)} MiB  "
+              f"ru_maxrss {span('ru_maxrss_mib', 1)} MiB, "
+              f"{span('ru_maxrss_classified_mib', 1)} MiB classified  "
               f"write_state {span('write_state_ms', 1)} ms  "
               f"distinct_points {span('distinct_ms', 1)} ms  "
               f"classify_portrait {span('classify_ms', 1)} ms  ({RUNS} runs)")

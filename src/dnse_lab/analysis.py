@@ -12,10 +12,13 @@ SHIFT_TOL.  The one setting is the distinct-point tolerance, tol of
 classify_portrait (default DISTINCT_TOL).
 
 Classification runs in near-linear time in the number of points: the
-distinct-point count buckets cluster representatives on a grid of cell
-size 2 tol, so every match of a point lies in the 3 x 3 cells around its
-own, and the edge cells take every point beyond +-_GRID_LIMIT cells (the
-count turns quadratic only when most points lie there); the period
+distinct-point count places the points on a grid of cell size 2 tol, so
+every match of a point lies in the 3 x 3 cells around its own, and the
+edge cells take every point beyond +-_GRID_LIMIT cells (the count turns
+quadratic only when most points lie there).  A point whose 3 x 3 cells
+hold no other point matches nothing; one pass over the sorted cell keys
+finds these lonely points, which are counted in bulk, and the greedy
+loop buckets cluster representatives among the other points; the period
 search tests in full only the shifts that carry each of the 8 largest
 sites to within tol of itself.  The thickness is taken in the
 portrait's own frame, the distinct points moved to their lower corner
@@ -27,9 +30,10 @@ the other portraits, of at most 2700 distinct points, get the exact
 thickness, whose nearest neighbors come from a ranking of all pairs,
 breaking distance ties by the lower index.  The count and the period
 search give the result their all-pairs versions would.  numpy does the
-arithmetic in blocks: the count computes the cells of _BLOCK points at
-a time before its greedy loop, which then only looks up buckets, and
-the thickness ranks _CELLS distances at a time on x and y columns.
+arithmetic in blocks: the count computes the cells of _CELLS points at
+a time, once for its lonely-point pass and its greedy loop, which then
+only looks up buckets, and the thickness ranks _CELLS distances at a
+time on x and y columns.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -144,12 +148,21 @@ def portrait_from_orbit(orbit: MapOrbit) -> PhasePortrait:
 # still exact integers well below 2**53; the points beyond share the edge
 # cells
 _GRID_LIMIT = 2.0**49
-# points whose cells one numpy pass of distinct_points computes: it bounds
-# the temporaries, as io._CHUNK_LINES does the writers'
+# points that distinct_points' greedy loop turns into Python numbers at
+# a time: it bounds the temporaries, as io._CHUNK_LINES does the writers'
 _BLOCK = 256
+# entries that one numpy pass of the distinct-point count or of
+# _nearest_neighbors holds at once: the points whose cells are computed
+# or keyed, the distances that are ranked
+_CELLS = 1 << 15
 # cell (cx, cy) has the key cx * _ROW + cy, one int: |cy| <= _GRID_LIMIT + 1,
 # so no two cells share a key
 _ROW = 2**51
+# the lonely-point pass clamps cells to +-_KEY_LIMIT and keys them as
+# cx * _KEY_ROW + cy in int64: a key plus or minus _KEY_ROW + 1 stays
+# below 2**63, and no two cells share a key
+_KEY_LIMIT = 2**30
+_KEY_ROW = 2**32
 
 
 def distinct_points(portrait: PhasePortrait, tol: float) -> int:
@@ -160,34 +173,44 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     finite tol a point with a NaN or infinite coordinate matches nothing,
     so each one counts as a cluster of its own.
 
-    Representatives are bucketed by the cell floor(p / (2 tol)), clamped
-    to +-_GRID_LIMIT, and a point is compared only with the 3 x 3 block
-    of cells around its own.  A match r has |p - r| <= tol + ulp(tol)/2
-    exactly, at most 3/4 of a cell side, and below the clamp the
-    quotients p / (2 tol) and r / (2 tol) each round by at most 2**-5,
-    so their floors differ by at most one; the clamp and an overflowing
-    quotient are monotone and keep them so.  When 2 tol overflows every
-    finite point has cell 0 and is compared exactly with the others.  A
-    NaN quotient, from a non-finite point or from tol = inf, gives cell
-    0, so with tol = inf every point meets every representative.  numpy
-    computes these cells for _BLOCK points at a time.  For each point
-    _near looks in its own cell, and after that only in the other cells
-    of the 3 x 3 block's occupied columns, and stops at the first match;
-    a point it does not match joins the bucket of its cell.
+    Points are placed in the cells floor(p / (2 tol)), clamped to
+    +-_GRID_LIMIT (_cells, two int64 per point).  A match r has
+    |p - r| <= tol + ulp(tol)/2 exactly, at most 3/4 of a cell side, and
+    below the clamp the quotients p / (2 tol) and r / (2 tol) each round
+    by at most 2**-5, so their floors differ by at most one; the clamp
+    and an overflowing quotient are monotone and keep them so.  When
+    2 tol overflows every finite point has cell 0 and is compared exactly
+    with the others.  A NaN quotient, from a non-finite point or from
+    tol = inf, gives cell 0, so with tol = inf every point meets every
+    representative.
+
+    The relation is symmetric, so a point whose 3 x 3 block of cells
+    holds no other point matches no point, earlier or later: it opens a
+    cluster, and no later point can join it.  _lonely finds these points
+    in one numpy pass, and they are counted in bulk and never stored.
+    The greedy loop runs, in order, on the other points, _BLOCK of them
+    at a time: each representative is bucketed by its cell, and for each
+    point _near looks in its own cell, and after that only in the other
+    cells of the 3 x 3 block's occupied columns, and stops at the first
+    match; a point it does not match joins the bucket of its cell.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    count = 0
+    cells = _cells(portrait.points, tol)
+    lonely = _lonely(cells)
+    count = int(np.count_nonzero(lonely))
     buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
     columns = set()  # the cx of every bucket
-    for start in range(0, portrait.size, _BLOCK):
+    starts = range(0, portrait.size, _BLOCK)
+    for start, some in zip(starts, np.logical_or.reduceat(lonely, starts).tolist()):
         block = portrait.points[start:start + _BLOCK].T
+        where = cells[:, start:start + _BLOCK]
+        if some:  # the block holds lonely points, already counted
+            keep = ~lonely[start:start + _BLOCK]
+            block, where = block[:, keep], where[:, keep]
         # a non-finite point matches nothing unless tol itself is inf
         apart = ~np.isfinite(block).all(axis=0) & (tol < math.inf)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.floor(block / (2.0 * tol))
-            cells = np.nan_to_num(cells.clip(-_GRID_LIMIT, _GRID_LIMIT), nan=0.0).astype(np.int64)
-        for x, y, alone, cx, cy in zip(*block.tolist(), apart.tolist(), *cells.tolist()):
+        for x, y, alone, cx, cy in zip(*block.tolist(), apart.tolist(), *where.tolist()):
             if not alone:
                 if _near(buckets, columns, x, y, cx, cy, tol):
                     continue
@@ -195,6 +218,56 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
                 columns.add(cx)
             count += 1
     return count
+
+
+def _cells(points: np.ndarray, tol: float) -> np.ndarray:
+    """The cells floor(p / (2 tol)) of the points p, clamped to
+    +-_GRID_LIMIT, with cell 0 for a NaN quotient: cx and cy as the rows
+    of an int64 array, computed _CELLS points at a time."""
+    cells = np.empty((2, len(points)), np.int64)
+    for start in range(0, len(points), _CELLS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = points[start:start + _CELLS].T / (2.0 * tol)
+            np.floor(part, out=part)
+        part.clip(-_GRID_LIMIT, _GRID_LIMIT, out=part)
+        cells[:, start:start + _CELLS] = np.nan_to_num(part, copy=False, nan=0.0)
+    return cells
+
+
+def _lonely(cells: np.ndarray) -> np.ndarray:
+    """Whether each point's 3 x 3 block of cells holds no other point.
+
+    The cells are clamped to +-_KEY_LIMIT and keyed as cx * _KEY_ROW +
+    cy, _CELLS points at a time.  That clamp is monotone and never moves
+    two cells apart, so a point can be read as crowded when it is not,
+    but never as lonely when it is not.  The keys within one of a key
+    are those of its own cell and of the cells above and below it, so in
+    the sorted keys a key more than one away from both its neighbours is
+    a cell of one point with its column's two other cells empty.  That
+    cell is lonely when the ranges [key + d _KEY_ROW - 1, key + d _KEY_ROW
+    + 1], d = -1 and 1, which hold exactly the keys of the side columns'
+    cells, hold no key.  Each point's key is then looked up once among
+    the lonely cells.  The pass holds two int64 keys per point.
+    """
+    n = cells.shape[1]
+    keys = np.empty(n, np.int64)
+    for start in range(0, n, _CELLS):
+        cx, cy = cells[:, start:start + _CELLS].clip(-_KEY_LIMIT, _KEY_LIMIT)
+        keys[start:start + _CELLS] = cx * _KEY_ROW + cy
+    occupied = np.sort(keys)
+    apart = np.ones(n + 1, bool)  # apart[i]: occupied[i - 1] < occupied[i] - 1
+    for start in range(1, n, _CELLS):
+        stop = min(start + _CELLS, n)
+        np.greater(occupied[start:stop] - occupied[start - 1:stop - 1], 1, out=apart[start:stop])
+    single = occupied[apart[:-1] & apart[1:]]
+    crowd = np.zeros(single.size, np.int64)
+    for d in (-_KEY_ROW, _KEY_ROW):
+        crowd += np.searchsorted(occupied, single + (d + 1), "right")
+        crowd -= np.searchsorted(occupied, single + (d - 1), "left")
+    lonely = single[crowd == 0]
+    if not lonely.size:
+        return np.zeros(n, bool)
+    return lonely[np.searchsorted(lonely, keys).clip(max=lonely.size - 1)] == keys
 
 
 def _matches(x: float, y: float, reps, tol: float) -> bool:
@@ -381,9 +454,6 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     cov = local.transpose(0, 2, 1) @ local / (k + 1)
     spreads = np.sqrt(np.maximum(np.linalg.eigvalsh(cov)[:, 0], 0.0))
     return float(np.median(spreads)) / diameter
-
-
-_CELLS = 1 << 15  # distances the kNN ranking holds at once
 
 
 def _nearest_neighbors(pts: np.ndarray, count: int):

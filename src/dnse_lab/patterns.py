@@ -191,6 +191,8 @@ def spot_pattern(n_sites: int, spot_starts, spot_len: int, signs) -> PatternSpec
     if len(spot_starts) != len(signs):
         raise ValueError("need one sign per spot")
     n_sites, spot_len = _as_index(n_sites, "n_sites"), _as_index(spot_len, "spot_len")
+    if n_sites < 1:
+        raise ValueError("need at least one site")
     trits = [0] * n_sites
     for start, sign in zip(spot_starts, signs):
         start = _as_index(start, "spot_starts")

@@ -40,3 +40,13 @@ def test_non_integer_rejected(argument, value):
 def test_numpy_integer_taken(argument, kind):
     assert CALLS[argument](kind(3)) == CALLS[argument](3)
 
+
+
+@pytest.mark.parametrize("n_sites", [0, -3])
+def test_spot_pattern_needs_a_site(n_sites):
+    # as random_pattern: no ZeroDivisionError from the cyclic index at 0,
+    # no IndexError at a negative count
+    with pytest.raises(ValueError, match="^need at least one site$"):
+        dl.spot_pattern(n_sites, [0], 1, [1])
+    with pytest.raises(ValueError, match="^need at least one site$"):
+        dl.random_pattern(n_sites, 0)

@@ -1,11 +1,13 @@
 """The portrait and map commands without per-point Python, against the code
 it replaced.
 
-distinct_points computes every point's cells with numpy before its greedy
-loop, and iterate_map steps on plain floats.  The per-point loop and the
-MapState loop they replaced are kept here as the oracles: counts must be
-equal and orbits must be bit-identical.  read_state is checked directly:
-which files it accepts, and the row its errors name.
+distinct_points counts the points whose 3 x 3 block of cells holds no
+other point in one numpy pass and computes the other points' cells with
+numpy before its greedy loop, and iterate_map steps on plain floats.  The
+per-point loop and the MapState loop they replaced are kept here as the
+oracles: counts must be equal and orbits must be bit-identical.
+read_state is checked directly: which files it accepts, and the row its
+errors name.
 """
 
 import json
@@ -17,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnse_lab as dl
+from conftest import alternating_spot_pattern, irregular_pair_pattern
 from dnse_lab import analysis
 from dnse_lab import io as lab_io
-from dnse_lab.analysis import _GRID_LIMIT
+from dnse_lab.analysis import _GRID_LIMIT, _KEY_LIMIT
 from dnse_lab.errors import NoConvergence
 from dnse_lab.mapdyn import MapState
 
@@ -195,6 +198,169 @@ def test_far_points_stay_in_their_cells(monkeypatch):
     monkeypatch.setattr(analysis, "_matches", counting_matches)
     assert dl.distinct_points(portrait, 1e-6) == expected
     assert scanned < 10 * portrait.size
+
+
+def _solved_corpus():
+    """(name, portrait): the acceptance chains, chain100 at c = 24 and
+    chain130 at c = 40, and the random rings with N in {208, 1000} and
+    seeds 0-9 at c = 4N (the last iterate where Newton gives up)."""
+    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
+                          ("chain130", irregular_pair_pattern(), 40.0)]:
+        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
+        yield name, dl.phase_portrait(state)
+    for n in (208, 1000):
+        for seed in range(10):
+            try:
+                state, _, _ = dl.newton_solve(dl.build_asymptotic_state(dl.random_pattern(n, seed)),
+                                              dl.ModelParams(4.0 * n))
+            except NoConvergence as exc:
+                state = exc.state
+            yield f"ring{n}/{seed}", dl.phase_portrait(state)
+
+
+def test_distinct_on_the_corpus():
+    # the solved, uncollapsed rings have most of their points lonely at
+    # 1e-6, the chains and the collapsed rings none; 1e-17 and below put
+    # points past the clamps
+    for name, portrait in _solved_corpus():
+        for tol in [tol for tol in DISTINCT_TOLS if math.isfinite(tol)]:
+            assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol), (name, tol)
+
+
+def _crowded_count(points, tol):
+    """How many points have another point in the 3 x 3 block of cells
+    floor(p / (2 tol)) around their own, for points well inside the
+    clamps."""
+    cells = [(math.floor(x / (2 * tol)), math.floor(y / (2 * tol))) for x, y in points.tolist()]
+    occupied = {}
+    for cell in cells:
+        occupied[cell] = occupied.get(cell, 0) + 1
+    return sum(sum(occupied.get((cx + dx, cy + dy), 0) for dx in (-1, 0, 1) for dy in (-1, 0, 1)) > 1
+               for cx, cy in cells)
+
+
+def _near_calls(monkeypatch):
+    """A list that grows by one at each later call of analysis._near."""
+    calls = []
+    near = analysis._near
+
+    def counting_near(*args):
+        calls.append(args)
+        return near(*args)
+
+    monkeypatch.setattr(analysis, "_near", counting_near)
+    return calls
+
+
+def test_lonely_points_skip_the_greedy_loop(monkeypatch):
+    # the orbit of `map --E 1 --c 1 --psi0 0.1 --z0 0 --steps 2000`: the
+    # greedy loop looks up only the points that share their 3 x 3 block
+    # of cells, all others are counted in bulk
+    portrait = dl.portrait_from_orbit(dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 1.0, 2000))
+    expected = _distinct_oracle(portrait, 1e-6)
+    calls = _near_calls(monkeypatch)
+    assert dl.distinct_points(portrait, 1e-6) == expected
+    assert len(calls) == _crowded_count(portrait.points, 1e-6) < portrait.size // 100
+
+
+@pytest.mark.parametrize("cells", (1, 2, 7))
+def test_lonely_pass_in_small_blocks(monkeypatch, cells):
+    # the pass keys the cells, and compares neighbouring sorted keys,
+    # _CELLS points at a time; small blocks put many block edges inside
+    # runs of equal or adjacent keys
+    monkeypatch.setattr(analysis, "_CELLS", cells)
+    orbit = dl.portrait_from_orbit(dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 1.0, 2000))
+    ring = dl.phase_portrait(dl.build_asymptotic_state(dl.random_pattern(208, 0)))
+    calls = _near_calls(monkeypatch)
+    for portrait in (orbit, ring):
+        for tol in (1e-6, 0.1):
+            del calls[:]
+            assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+            assert len(calls) == _crowded_count(portrait.points, tol)
+
+
+def _straddling(kx, ky, tol):
+    """Points near the corner shared by the cells kx, kx + 1 (in x) and
+    ky, ky + 1 (in y) of side 2 tol: a few on each side of both edges,
+    tol / 4 apart, so that true neighbours lie in different cells."""
+    return [[(2 * kx + 2) * tol + i * tol / 4, (2 * ky + 2) * tol + j * tol / 4]
+            for i in (-3, -1, 0, 2) for j in (-2, 1)]
+
+
+# cells at and past the key clamp, at and past _GRID_LIMIT, and on both
+# sides of the cells whose cx * 2**51 leaves int64 (|cx| >= 2**12)
+CLAMPED_CELLS = [_KEY_LIMIT - 1, _KEY_LIMIT, _KEY_LIMIT + 1, int(_GRID_LIMIT) - 1, int(_GRID_LIMIT),
+                 2**12 - 1, 2**12, 2**13]
+
+
+@pytest.mark.parametrize("tol", (1e-6, 2.0**-20))
+@pytest.mark.parametrize("cell", CLAMPED_CELLS + [-cell - 1 for cell in CLAMPED_CELLS])
+def test_distinct_neighbours_astride_the_clamps(cell, tol):
+    # each corner's points, alone, in one column and in one row of corners
+    for kx, ky in ((cell, cell), (cell, -1), (-1, cell), (cell, 0)):
+        portrait = dl.PhasePortrait(_straddling(kx, ky, tol))
+        assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol), (kx, ky)
+    points = [p for ky in (-1, 5, cell) for p in _straddling(cell, ky, tol)]
+    points += [[(2 * cell + 9) * tol, 0.0], [0.0, (2 * cell + 9) * tol]]  # lonely, or not
+    portrait = dl.PhasePortrait(np.random.default_rng(abs(cell) % 97).permutation(points))
+    assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+
+
+def test_distinct_across_every_neighbour_cell():
+    # a point alone in its cell matches a point in each of its 8
+    # neighbour cells in turn, with the other cells two away crowded
+    tol = 1e-6
+    crowd = [[x * tol + 0.1 * k * tol, y * tol] for x in (-5, 5) for y in (-5, 5) for k in range(4)]
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            if dx or dy:
+                pair = [[0.9 * tol, 0.9 * tol], [0.9 * tol + 0.5 * dx * tol, 0.9 * tol + 0.8 * dy * tol]]
+                for points in (pair, pair + crowd, crowd + pair[::-1]):
+                    portrait = dl.PhasePortrait(points)
+                    assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+                assert dl.distinct_points(dl.PhasePortrait(pair), tol) == 1
+
+
+def test_lonely_point_beside_a_crowded_cell():
+    tol = 1e-6
+    crowd = [[2.5 * tol + 0.01 * k * tol, 0.5 * tol] for k in range(5)]
+    for x in (-4.5, -2.5, -0.5, 0.5, 1.5, 4.5, 6.5, 8.5):  # cells -3 ... 4, the crowd's is 1
+        points = [[x * tol, 0.5 * tol]] + crowd
+        for order in (points, points[::-1]):
+            portrait = dl.PhasePortrait(order)
+            assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol), x
+
+
+@pytest.mark.parametrize("tol", (1e-6, 0.1, math.inf))
+def test_lonely_non_finite_points(tol):
+    nan, inf = math.nan, math.inf
+    for points in ([[nan, 0.0]], [[inf, 0.0]], [[nan, nan], [0.0, 0.0]], [[0.0, 0.0], [-inf, 1.0]],
+                   [[inf, inf], [1.0, 1.0], [inf, 0.0]], [[nan, 0.0], [0.0, 0.0], [3e-6, 0.0]],
+                   [[1e308, 0.0], [inf, 0.0], [-inf, -inf], [0.5, nan]]):
+        portrait = dl.PhasePortrait(points)
+        assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol), points
+
+
+def test_distinct_cloud_past_the_int64_row(monkeypatch):
+    # cells (cx, cy) with |cx| from 2**12 to 2**20, where cx * 2**51
+    # leaves int64: pairs that match across cy = -1 and 0, and lone
+    # points, some in the cells that keys wrapped in int64 would merge
+    # (cx and cx + 2**13, or cx and cx + 2**32 without the key clamp)
+    tol = 1e-6
+    rng = np.random.default_rng(3)
+    cx = rng.integers(2**12, 2**20, 300) * rng.choice([-1, 1], 300)
+    x = (2 * cx + 1) * tol
+    lone = rng.integers(2**12, 2**20, 300) * rng.choice([-1, 1], 300)
+    lone = np.concatenate([lone, [5, 5 + 2**13, 2**32 + 5, -2**12, 2**12]])
+    points = np.concatenate([np.column_stack([x, np.full(300, -0.3 * tol)]),
+                             np.column_stack([x + 0.2 * tol, np.full(300, 0.4 * tol)]),
+                             np.column_stack([(2 * lone + 1) * tol, np.full(lone.size, 7 * tol)])])
+    portrait = dl.PhasePortrait(rng.permutation(points))
+    expected = _distinct_oracle(portrait, tol)
+    calls = _near_calls(monkeypatch)
+    assert dl.distinct_points(portrait, tol) == expected
+    # only the cell of 2**32 + 5 lies past the key clamp, alone there
+    assert len(calls) == _crowded_count(portrait.points, tol) < 700
 
 
 # ---------------------------------------------------------------- read_state

@@ -84,6 +84,8 @@ def _load(script: Path):
 def test_newton_scaling_times_classification():
     row = _load(ROOT / "scripts" / "newton_scaling.py").measure(208, 1)
     assert row["classify_ms"] > 0 and row["distinct_ms"] > 0
+    # read again after classification, which can set the run's peak
+    assert row["ru_maxrss_classified_mib"] >= row["ru_maxrss_mib"] > 0
 
 
 def test_newton_scaling_runs_each_size_in_fresh_processes(tmp_path):
@@ -100,7 +102,8 @@ def test_newton_scaling_runs_each_size_in_fresh_processes(tmp_path):
     assert [run["n"] for run in runs] == [130] * 3 + [100] * 3
     lines = proc.stdout.splitlines()
     for line, n in zip(lines, (130, 100)):
-        assert re.match(rf"N=\s*{n}\s", line) and re.search(r"ru_maxrss [\d.]+-[\d.]+ MiB", line)
+        assert re.match(rf"N=\s*{n}\s", line)
+        assert re.search(r"ru_maxrss [\d.]+-[\d.]+ MiB, [\d.]+-[\d.]+ MiB classified", line)
 
 
 def test_newton_scaling_records_its_environment(tmp_path):
