@@ -7,12 +7,14 @@ interpreters builds the strong-coupling start of the random pattern with
 without tracing, for the median and the range of the wall time, the
 iteration count and the process's ru_maxrss after the first solve, then
 once more under tracemalloc, for the traced peak of the solve alone.  It then
-writes the solved state with write_state WRITE_REPEATS times, into a
-temporary directory, for the median time of the state writer, counts
-the distinct points of its phase portrait at DISTINCT_TOL as many times,
-for the median time of distinct_points, and classifies the portrait as
-many times, for the median time of classify_portrait, and reads
-ru_maxrss again: classification sets the peak of a whole run at 10^6.
+writes the solved state with write_state WRITE_REPEATS times, to one
+path in a temporary directory, for the median time of the state writer:
+the first call creates the state file and its sidecar and the others
+rewrite them, so the median is of rewrites.  It then counts the
+distinct points of its phase portrait at DISTINCT_TOL as many times, for
+the median time of distinct_points, and classifies the portrait as many
+times, for the median time of classify_portrait, and reads ru_maxrss
+again: classification sets the peak of a whole run at 10^6.
 Prints one line per N with the min-max of each figure over its runs, and
 writes every run's figures to newton_scaling.json under --out, beside an
 environment block: the git SHA of the checkout (null outside one, as in

@@ -5,6 +5,23 @@ the same resolved configuration are byte-identical.  Every writer creates
 the parent directory of its file and returns the file's path, so a run
 that fails before its first write leaves nothing behind.
 
+Every writer rewrites an existing file in place, without truncating it
+to zero first, and cuts it at the last byte written, whether the write
+finished or raised, so the file holds exactly the new text.  The file
+keeps its inode, as with open("w"): a symlink is written through, and
+hard links, mode and owner are kept.  On ext4, a file truncated to zero
+and rewritten is flushed to disk on close (the auto_da_alloc heuristic
+for replace-via-truncate; a temporary file renamed over the old one
+triggers it too).  That flush was most of the cost of rewriting a run's
+artifacts into the same directory: the best of 5 x 100 rewrites of a
+150 B, 40 KB and 300 KB file took 113, 151 and 309 us truncating first
+against 12, 21 and 31 us in place (2-vCPU Xeon, ext4).  In exchange, a
+process killed (SIGKILL) in the middle of a write can leave the new
+bytes followed by the old file's tail, where truncating first left only
+the new prefix; no writer calls fsync, so neither was ever durable.
+And the cut needs a file that can be truncated: a path that is a device
+or a FIFO takes the text, then raises OSError.
+
 State:        CSV `index,psi` plus a sidecar JSON {"N", "boundary", "c", "E"}.
 Orbit:        CSV `step,psi,Z`.
 Portrait:     CSV `psi,dpsi`.
@@ -43,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -231,13 +249,18 @@ def _rows(*columns, numbered: bool):
 
 def _write(path, first: str, blocks=()):
     """Write the text first and a newline, then the blocks of
-    newline-terminated text, to path, creating its directory.  Returns
-    the path."""
+    newline-terminated text, to path, creating its directory.  An
+    existing file is rewritten in place, not truncated to zero first
+    (see the module docstring), and is cut at the last byte written,
+    also when a block raises.  Returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as out:
-        out.write(first + "\n")
-        out.writelines(blocks)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
+        try:
+            out.write(first + "\n")
+            out.writelines(blocks)
+        finally:
+            out.truncate()
     return path
 
 

@@ -1,5 +1,6 @@
 """Only dnse_lab.io writes files: no other package module and no script
-calls write_text, write_bytes, mkdir or opens a file for writing."""
+calls write_text, write_bytes, mkdir, truncate or ftruncate, or opens a
+file for writing, by a mode string or by os.open's write flags."""
 
 import ast
 from pathlib import Path
@@ -8,15 +9,19 @@ import dnse_lab
 from dnse_lab import io as lab_io
 
 ROOT = Path(__file__).resolve().parents[1]
-WRITE_METHODS = {"write_text", "write_bytes", "mkdir"}
+WRITE_METHODS = {"write_text", "write_bytes", "mkdir", "truncate", "ftruncate"}
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
 
 
 def _opens_for_writing(call):
+    arguments = call.args + [k.value for k in call.keywords]
+    names = {getattr(node, "attr", getattr(node, "id", None))
+             for argument in arguments for node in ast.walk(argument)}
     modes = [a.value for a in call.args if isinstance(a, ast.Constant)]
     modes += [k.value.value for k in call.keywords
               if k.arg == "mode" and isinstance(k.value, ast.Constant)]
-    return any(isinstance(m, str) and set(m) <= set("rwxabt+") and set(m) & set("wxa+")
-               for m in modes)
+    return bool(names & WRITE_FLAGS) or any(
+        isinstance(m, str) and set(m) <= set("rwxabt+") and set(m) & set("wxa+") for m in modes)
 
 
 def _writes(path):
@@ -26,7 +31,7 @@ def _writes(path):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         if name in WRITE_METHODS or (name == "open" and _opens_for_writing(node)):
-            yield f"{path.parent.name}/{path.name}:{node.lineno} {name}"
+            yield f"{path.parent.name}/{path.name}:{node.lineno} {ast.unparse(func)}"
 
 
 def test_only_io_writes_files():
@@ -39,4 +44,18 @@ def test_only_io_writes_files():
 
 
 def test_guard_sees_writes():
-    assert list(_writes(Path(lab_io.__file__)))
+    calls = {hit.split()[-1] for hit in _writes(Path(lab_io.__file__))}
+    assert {"os.open", "open", "out.truncate"} <= calls
+
+
+def test_guard_reads_open_flags(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import os\n"
+                      "os.open('f.txt', os.O_RDONLY)\n"
+                      "open('f.txt')\n"
+                      "os.open('f.txt', flags=os.O_RDWR)\n"
+                      "os.open('f.txt', O_APPEND | os.O_CREAT)\n"
+                      "os.open('f.txt', os.O_WRONLY | os.O_TRUNC, 0o600)\n"
+                      "os.ftruncate(3, 0)\n")
+    assert [hit.split(":")[1] for hit in _writes(source)] == ["4 os.open", "5 os.open",
+                                                              "6 os.open", "7 os.ftruncate"]

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -122,6 +124,58 @@ class TestOtherWriters:
         assert lab_io.write_json(tmp_path / "c" / "r.json", {}).is_file()
         pattern = lab_io.write_pattern(tmp_path / "d" / "p.txt", dl.parse_pattern("+0-"))
         assert pattern.read_text() == "+0-\n"
+
+    @pytest.mark.parametrize("old_sites, new_sites", [(50, 3), (3, 50)])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_sites, new_sites):
+        rng = np.random.default_rng(5)
+        old, new = (dl.LatticeState(rng.standard_normal(n)) for n in (old_sites, new_sites))
+        path = tmp_path / "s.csv"
+        lab_io.write_state(path, old, 1.0, -1.0)
+        lab_io.write_state(path, new, 2.0, None)
+        fresh = lab_io.write_state(tmp_path / "fresh" / "s.csv", new, 2.0, None)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.with_suffix(".json").read_bytes() == fresh.with_suffix(".json").read_bytes()
+
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path):
+        path = lab_io.write_json(tmp_path / "r.json", {"a": list(range(100))})
+        path.chmod(0o640)
+        before = path.stat()
+        lab_io.write_json(path, {"b": 1})
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_text() == '{\n  "b": 1\n}\n'
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            path = lab_io.write_json(tmp_path / "r.json", {})
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_rewrite_writes_through_a_symlink(self, tmp_path):
+        target = lab_io.write_csv(tmp_path / "target.csv", ["x"], [[k] for k in range(100)])
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        lab_io.write_csv(link, ["y"], [[1.5]])
+        assert link.is_symlink()
+        assert target.read_text() == "y\n1.5\n"
+
+    def test_failed_rewrite_leaves_no_old_tail(self, tmp_path):
+        path = lab_io.write_csv(tmp_path / "t.csv", ["x"], [[k] for k in range(1000)])
+
+        def rows():
+            yield [1]
+            yield [2]
+            raise RuntimeError("row generator failed")
+
+        with pytest.raises(RuntimeError, match="row generator failed"):
+            lab_io.write_csv(path, ["y"], rows())
+        assert path.read_text() == "y\n1\n2\n"
+
+    def test_directory_path_refused(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            lab_io.write_json(tmp_path, {})
 
     def test_portrait_memory_bounded(self, tmp_path):
         rng = np.random.default_rng(3)
