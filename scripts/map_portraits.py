@@ -45,10 +45,16 @@ def main():
     if kept:
         combined = dl.PhasePortrait(np.vstack(kept))
         lab_io.write_portrait(outdir / "portrait.csv", combined)
-        result = dl.box_count(combined, np.logspace(-3, -1, 7))
-        lab_io.write_box_counts(outdir / "box_counts.csv", result)
+        # boxes of side s from the portrait's lower corner: an exploratory
+        # dimension statistic, not a rigorous one
+        pts = combined.points
+        lo = pts.min(axis=0)
+        scales = np.logspace(-3, -1, 7)
+        counts = [len(np.unique(np.floor((pts - lo) / s), axis=0)) for s in scales]
+        lab_io.write_csv(outdir / "box_counts.csv", ["scale", "occupied"], zip(scales, counts))
+        slope = np.polyfit(np.log(1 / scales), np.log(counts), 1)[0]
         print(f"combined portrait: {combined.size} points, "
-              f"box-count slope {result.slope_estimate:.3f} (exploratory)")
+              f"box-count slope {slope:.3f} (exploratory)")
     print(f"artifacts in {outdir}")
 
 

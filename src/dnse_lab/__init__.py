@@ -4,12 +4,10 @@ to finite coupling, the equivalent 2D iterated map, and phase-portrait
 classification."""
 
 from .analysis import (
-    BoxCountResult,
     PhasePortrait,
     PortraitClass,
     PortraitLabel,
     TailFit,
-    box_count,
     classify_portrait,
     distinct_points,
     fit_tail,

@@ -38,8 +38,7 @@ time on x and y columns.
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
 approximation exp(-sqrt(-E)) is its small-|E| limit and is reported
-alongside.  Box counting and zoom reports are exploratory statistics
-only.
+alongside.  Zoom reports are exploratory statistics only.
 """
 
 from __future__ import annotations
@@ -574,44 +573,6 @@ def fit_tail(
         window=(start, end),
         cubic_term_significant=bool(np.any(amps > 0.1 * peak_amp)),
     )
-
-
-@dataclass(frozen=True)
-class BoxCountResult:
-    counts: tuple  # of (scale, occupied) pairs
-    slope_estimate: float  # exploratory, non-rigorous dimension statistic
-
-
-def box_count(portrait: PhasePortrait, scales) -> BoxCountResult:
-    """Occupied-box counts on the portrait bounding square.
-
-    The log-log slope is reported as an exploratory statistic only; no
-    rigorous fractal-dimension claim is attached to it.  A scale is
-    refused when the portrait's extent spans _GRID_LIMIT boxes of it.
-    """
-    scales = [float(s) for s in scales]
-    if len(scales) < 2:
-        raise ValueError("need at least two scales")
-    if not all(0 < s < math.inf for s in scales):  # NaN fails too
-        raise ValueError("scales must be positive and finite")
-    pts = portrait.points
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("box counting needs finite points")
-    lo = pts.min(axis=0)
-    with np.errstate(over="ignore"):
-        extent = float(np.max(pts.max(axis=0) - lo))
-    if extent == math.inf:
-        raise ValueError("portrait extent overflows float64")
-    counts = []
-    for s in scales:
-        if extent >= _GRID_LIMIT * s:  # box indices past it are not exact
-            raise ValueError(f"scale {s!r} is too fine for exact boxes on this portrait")
-        cells = np.floor((pts - lo) / s).astype(np.int64)
-        counts.append((s, int(np.unique(cells, axis=0).shape[0])))
-    xs = np.log([1.0 / s for s, _ in counts])
-    ys = np.log([max(c, 1) for _, c in counts])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if np.ptp(xs) > 0 else 0.0
-    return BoxCountResult(counts=tuple(counts), slope_estimate=slope)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ or a FIFO takes the text, then raises OSError.
 State:        CSV `index,psi` plus a sidecar JSON {"N", "boundary", "c", "E"}.
 Orbit:        CSV `step,psi,Z`.
 Portrait:     CSV `psi,dpsi`.
-Box counts:   CSV `scale,occupied`.
 Pattern:      one line of +, 0 and - trits.
-Tables:       CSV with a header row (sweeps and experiment summaries).
+Tables:       CSV with a header row (sweeps, experiment summaries and
+              the box counts of scripts/map_portraits.py).
 Reports:      plain JSON (solver report, classification, pattern counts).
 
 The state, orbit and portrait files write each float as '%.17g' does,
@@ -65,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import BoxCountResult, PhasePortrait
+from .analysis import PhasePortrait
 from .lattice import Boundary, LatticeState, _as_readonly
 from .mapdyn import MapOrbit
 from .patterns import PatternSpec
@@ -320,10 +320,6 @@ def write_portrait(path, portrait: PhasePortrait):
 
 def write_orbit(path, orbit: MapOrbit):
     return _write(path, "step,psi,Z", _rows(*orbit.points.T, numbered=True))
-
-
-def write_box_counts(path, result: BoxCountResult):
-    return write_csv(path, ["scale", "occupied"], result.counts)
 
 
 def write_pattern(path, spec: PatternSpec):

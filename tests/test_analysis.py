@@ -291,61 +291,6 @@ class TestFitTail:
         assert not far.cubic_term_significant
 
 
-class TestBoxCount:
-    def test_single_point(self):
-        portrait = dl.PhasePortrait(np.tile([[0.3, 0.4]], (50, 1)))
-        result = dl.box_count(portrait, [1.0, 0.5, 0.25])
-        assert all(occ == 1 for _, occ in result.counts)
-        assert abs(result.slope_estimate) <= 1e-12
-
-    def test_line_slope_near_one(self):
-        xs = np.linspace(0.0, 1.0, 2000)
-        portrait = dl.PhasePortrait(np.column_stack([xs, np.zeros_like(xs)]))
-        result = dl.box_count(portrait, np.logspace(-2, -0.5, 8))
-        assert abs(result.slope_estimate - 1.0) <= 0.15
-
-    def test_filled_square_slope_near_two(self):
-        g = np.linspace(0.0, 1.0, 150)
-        xx, yy = np.meshgrid(g, g)
-        portrait = dl.PhasePortrait(np.column_stack([xx.ravel(), yy.ravel()]))
-        result = dl.box_count(portrait, np.logspace(-1.5, -0.5, 6))
-        assert abs(result.slope_estimate - 2.0) <= 0.3
-
-    def test_bad_scales(self):
-        portrait = dl.PhasePortrait(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            dl.box_count(portrait, [0.5])
-        with pytest.raises(ValueError):
-            dl.box_count(portrait, [0.5, -0.1])
-
-    @pytest.mark.parametrize("scale", [np.nan, np.inf])
-    def test_non_finite_scale(self, scale):
-        portrait = dl.PhasePortrait(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            dl.box_count(portrait, [0.5, scale])
-
-    @pytest.mark.parametrize("scale", [1e-19, 1e-300, 5e-324])
-    def test_scale_too_fine(self, scale):
-        # 2 / scale boxes a side: the int64 box indices used to wrap
-        # (730 boxes at 1e-19, 3 at 1e-300) or the slope fit failed (5e-324)
-        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 2))
-        with pytest.raises(ValueError, match=f"scale {scale!r}"):
-            dl.box_count(dl.PhasePortrait(pts), [0.5, scale])
-
-    def test_extent_overflows(self):
-        # finite points more than the largest float apart
-        portrait = dl.PhasePortrait([[-1e308, 0.0], [1e308, 1.0]])
-        with pytest.raises(ValueError, match="extent overflows"):
-            dl.box_count(portrait, [1e300, 1e306])
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_point(self, bad):
-        # floor(inf) has no int64 cell
-        portrait = dl.PhasePortrait([[0.0, 0.0], [1.0, bad], [0.5, 0.5]])
-        with pytest.raises(ValueError):
-            dl.box_count(portrait, [0.1, 0.5])
-
-
 class TestZoom:
     def test_nested_levels(self):
         rng = np.random.default_rng(5)

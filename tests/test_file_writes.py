@@ -13,13 +13,25 @@ WRITE_METHODS = {"write_text", "write_bytes", "mkdir", "truncate", "ftruncate"}
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
 
 
+def _mode_position(func):
+    """Where a call's positional mode sits: second in open(...) and
+    io.open(...), first in any other .open(...) (Path.open), and nowhere
+    in os.open(...), which takes flags."""
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if isinstance(func, ast.Name) or owner == "io":
+        return 1
+    return None if owner == "os" else 0
+
+
 def _opens_for_writing(call):
     arguments = call.args + [k.value for k in call.keywords]
     names = {getattr(node, "attr", getattr(node, "id", None))
              for argument in arguments for node in ast.walk(argument)}
-    modes = [a.value for a in call.args if isinstance(a, ast.Constant)]
-    modes += [k.value.value for k in call.keywords
-              if k.arg == "mode" and isinstance(k.value, ast.Constant)]
+    position = _mode_position(call.func)
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    if position is not None and len(call.args) > position:
+        modes.append(call.args[position])
+    modes = [m.value for m in modes if isinstance(m, ast.Constant)]
     return bool(names & WRITE_FLAGS) or any(
         isinstance(m, str) and set(m) <= set("rwxabt+") and set(m) & set("wxa+") for m in modes)
 
@@ -56,6 +68,15 @@ def test_guard_reads_open_flags(tmp_path):
                       "os.open('f.txt', flags=os.O_RDWR)\n"
                       "os.open('f.txt', O_APPEND | os.O_CREAT)\n"
                       "os.open('f.txt', os.O_WRONLY | os.O_TRUNC, 0o600)\n"
-                      "os.ftruncate(3, 0)\n")
-    assert [hit.split(":")[1] for hit in _writes(source)] == ["4 os.open", "5 os.open",
-                                                              "6 os.open", "7 os.ftruncate"]
+                      "os.ftruncate(3, 0)\n"
+                      "open('a')\n"
+                      "open('f', 'a')\n"
+                      "Path('x').open('w')\n"
+                      "io.open('f', 'wb')\n"
+                      "os.open('a', os.O_RDONLY)\n"
+                      "open('w', mode='r')\n"
+                      "Path('a').open()\n"
+                      "open('f', mode='x')\n")
+    assert [hit.split(":")[1] for hit in _writes(source)] == [
+        "4 os.open", "5 os.open", "6 os.open", "7 os.ftruncate", "9 open",
+        "10 Path('x').open", "11 io.open", "15 open"]

@@ -87,24 +87,6 @@ class TestOtherWriters:
         assert len(lines) == 7
         assert lines[1].startswith("0,")
 
-    def test_box_counts_file(self, tmp_path):
-        portrait = dl.PhasePortrait(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        result = dl.box_count(portrait, [1.0, 0.5])
-        path = lab_io.write_box_counts(tmp_path / "b.csv", result)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "scale,occupied"
-        assert len(lines) == 3
-
-    def test_box_counts_bytes(self, tmp_path):
-        # the table writer gives the bytes of a per-row "scale,occupied" line
-        pts = np.random.default_rng(4).standard_normal((500, 2))
-        scales = [1.0 / 3.0, 0.1, 2.0**-20, 7.0, 1e-3 * np.pi]
-        result = dl.box_count(dl.PhasePortrait(pts), scales)
-        path = lab_io.write_box_counts(tmp_path / "b.csv", result)
-        expected = "scale,occupied\n" + "".join(
-            f"{lab_io.fmt(s)},{occ}\n" for s, occ in result.counts)
-        assert path.read_bytes() == expected.encode()
-
     def test_json_sorted_and_stable(self, tmp_path):
         payload = {"b": 1, "a": [1.5, None]}
         path = lab_io.write_json(tmp_path / "r.json", payload)
@@ -116,6 +98,15 @@ class TestOtherWriters:
         path = lab_io.write_csv(tmp_path / "t.csv", ["c", "E", "label"],
                                 [[0.1, None, "x"], [2, np.float64(1.5), ""]])
         assert path.read_text() == "c,E,label\n0.10000000000000001,,x\n2,1.5,\n"
+
+    def test_box_counts_bytes(self, tmp_path):
+        # a "scale,occupied" table: float scales at 17 digits, int counts
+        scales = [1.0 / 3.0, 0.1, 2.0**-20, 7.0, 1e-3 * np.pi]
+        path = lab_io.write_csv(tmp_path / "b.csv", ["scale", "occupied"],
+                                zip(scales, [500, 37, 1, 2, np.int64(499)]))
+        assert path.read_bytes() == (b"scale,occupied\n0.33333333333333331,500\n"
+                                     b"0.10000000000000001,37\n9.5367431640625e-07,1\n"
+                                     b"7,2\n0.0031415926535897933,499\n")
 
     def test_writers_create_their_directory(self, tmp_path):
         state = dl.LatticeState([1.0, 0.5])

@@ -14,6 +14,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from dnse_lab import io as lab_io
+
 ROOT = Path(__file__).resolve().parents[1]
 
 TOY_ARGS = {
@@ -30,17 +32,37 @@ def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(TOY_ARGS)
 
 
-@pytest.mark.parametrize("script", sorted(TOY_ARGS))
-def test_script_runs(tmp_path, script):
+def _run(script, out, args):
+    """Run a script with --out and those arguments, on this checkout's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--out", str(tmp_path),
-         *TOY_ARGS[script]],
+        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("script", sorted(TOY_ARGS))
+def test_script_runs(tmp_path, script):
+    _run(script, tmp_path, TOY_ARGS[script])
     assert any(tmp_path.iterdir())
+
+
+def test_map_portraits_counts_its_boxes(tmp_path):
+    _run("map_portraits.py", tmp_path, TOY_ARGS["map_portraits.py"])
+    lines = (tmp_path / "box_counts.csv").read_text().splitlines()
+    assert lines[0] == "scale,occupied" and len(lines) == 8
+    scales = np.logspace(-3, -1, 7)
+    assert [line.split(",")[0] for line in lines[1:]] == [lab_io.fmt(s) for s in scales]
+    counts = [int(line.split(",")[1]) for line in lines[1:]]
+    points = np.loadtxt(tmp_path / "portrait.csv", delimiter=",", skiprows=1)
+    lo = points.min(axis=0)
+    # occupied boxes of side s, counted as distinct cell tuples
+    assert counts == [len({tuple(cell) for cell in np.floor((points - lo) / s)})
+                      for s in scales]
+    assert counts == sorted(counts, reverse=True)
 
 
 SAMPLE = '''"""A module docstring
@@ -92,12 +114,7 @@ def test_newton_scaling_runs_each_size_in_fresh_processes(tmp_path):
     # a process's ru_maxrss follows what ran before it, so each N is
     # measured in RUNS children, every row kept and their min-max printed
     assert _load(ROOT / "scripts" / "newton_scaling.py").RUNS == 3
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "newton_scaling.py"), "--out", str(tmp_path),
-         "--sizes", "130", "100"], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = _run("newton_scaling.py", tmp_path, ["--sizes", "130", "100"])
     runs = json.loads((tmp_path / "newton_scaling.json").read_text())["runs"]
     assert [run["n"] for run in runs] == [130] * 3 + [100] * 3
     lines = proc.stdout.splitlines()
