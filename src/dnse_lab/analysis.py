@@ -44,7 +44,6 @@ alongside.  Zoom reports are exploratory statistics only.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -157,6 +156,8 @@ _CELLS = 1 << 15
 # cell (cx, cy) has the key cx * _ROW + cy, one int: |cy| <= _GRID_LIMIT + 1,
 # so no two cells share a key
 _ROW = 2**51
+# the key offsets of a cell's 3 x 3 block, its own cell first
+_AROUND = (0, *(dx * _ROW + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy))
 # the lonely-point pass clamps cells to +-_KEY_LIMIT and keys them as
 # cx * _KEY_ROW + cy in int64: a key plus or minus _KEY_ROW + 1 stays
 # below 2**63, and no two cells share a key
@@ -186,37 +187,29 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     The relation is symmetric, so a point whose 3 x 3 block of cells
     holds no other point matches no point, earlier or later: it opens a
     cluster, and no later point can join it.  _lonely finds these points
-    in one numpy pass, and they are counted in bulk and never stored.
-    The greedy loop runs, in order, on the other points, _BLOCK of them
-    at a time: each representative is bucketed by its cell, and for each
-    point _near looks in its own cell, and after that only in the other
-    cells of the 3 x 3 block's occupied columns, and stops at the first
-    match; a point it does not match joins the bucket of its cell.
+    in one numpy pass, and they are counted in bulk and never stored, as
+    are the non-finite points for a finite tol.  The greedy loop runs, in
+    order, on the other points, _BLOCK of them at a time: each
+    representative is bucketed by its cell, and for each point _near
+    looks in its own cell and then in the 8 around it, and stops at the
+    first match; a point it does not match joins the bucket of its cell.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    cells = _cells(portrait.points, tol)
-    lonely = _lonely(cells)
-    count = int(np.count_nonzero(lonely))
+    points = portrait.points
+    cells = _cells(points, tol)
+    alone = _lonely(cells)
+    if tol < math.inf:  # a non-finite point matches nothing
+        alone |= ~np.isfinite(points).all(axis=1)
     buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
-    columns = set()  # the cx of every bucket
-    starts = range(0, portrait.size, _BLOCK)
-    for start, some in zip(starts, np.logical_or.reduceat(lonely, starts).tolist()):
-        block = portrait.points[start:start + _BLOCK].T
-        where = cells[:, start:start + _BLOCK]
-        if some:  # the block holds lonely points, already counted
-            keep = ~lonely[start:start + _BLOCK]
-            block, where = block[:, keep], where[:, keep]
-        # a non-finite point matches nothing unless tol itself is inf
-        apart = ~np.isfinite(block).all(axis=0) & (tol < math.inf)
-        for x, y, alone, cx, cy in zip(*block.tolist(), apart.tolist(), *where.tolist()):
-            if not alone:
-                if _near(buckets, columns, x, y, cx, cy, tol):
-                    continue
-                buckets.setdefault(cx * _ROW + cy, []).append((x, y))
-                columns.add(cx)
-            count += 1
-    return count
+    crowded = np.flatnonzero(~alone)
+    for start in range(0, crowded.size, _BLOCK):
+        part = crowded[start:start + _BLOCK]
+        for x, y, cx, cy in zip(*points[part].T.tolist(), *cells[:, part].tolist()):
+            key = cx * _ROW + cy
+            if not _near(buckets, x, y, key, tol):
+                buckets.setdefault(key, []).append((x, y))
+    return int(np.count_nonzero(alone)) + sum(map(len, buckets.values()))
 
 
 def _cells(points: np.ndarray, tol: float) -> np.ndarray:
@@ -277,20 +270,14 @@ def _matches(x: float, y: float, reps, tol: float) -> bool:
     return False
 
 
-def _near(buckets, columns, x, y, cx, cy, tol) -> bool:
-    """Whether a representative in the 3 x 3 cells around (cx, cy) lies
-    within tol of (x, y): first in the bucket of (cx, cy) itself, then in
-    the other cells of the occupied columns cx - 1, cx and cx + 1, each
-    column's three buckets fetched at once."""
-    own = buckets.get(cx * _ROW + cy)
-    if own is not None and _matches(x, y, own, tol):
-        return True
-    for ax in (cx - 1, cx, cx + 1):
-        if ax in columns:
-            key = ax * _ROW + cy
-            for near in (buckets.get(key - 1), buckets.get(key), buckets.get(key + 1)):
-                if near is not None and near is not own and _matches(x, y, near, tol):
-                    return True
+def _near(buckets, x, y, key, tol) -> bool:
+    """Whether a representative in the 3 x 3 cells around the cell of
+    key lies within tol of (x, y): first in the bucket of that cell
+    itself, then in those of the 8 around it."""
+    for offset in _AROUND:
+        near = buckets.get(key + offset)
+        if near is not None and _matches(x, y, near, tol):
+            return True
     return False
 
 
@@ -531,10 +518,10 @@ def fit_tail(
     being a good model.
     """
     try:
-        peak_index = operator.index(peak_index)
-        start, end = map(operator.index, window)
-    except TypeError:
+        peak_index, *offsets = (_as_index(v, "site") for v in (peak_index, *window))
+    except (TypeError, ValueError):  # a window that is not a sequence, a bool, a float
         raise ValueError("peak_index and the window offsets must be integers") from None
+    start, end = offsets
     if not (1 <= start < end):
         raise ValueError("window offsets must satisfy 1 <= start < end")
     psi = state.values

@@ -24,15 +24,13 @@ wrap assumes a ring.
 
 from __future__ import annotations
 
-import numbers
-import operator
 from decimal import Context, Decimal, Overflow, localcontext
 
 import numpy as np
 from mpmath import libmp, mp, mpf
 
 from .errors import NoConvergence, SingularJacobian
-from .lattice import Boundary, LatticeState, ModelParams, _stencil_residual
+from .lattice import Boundary, LatticeState, ModelParams, _as_index, _stencil_residual
 from .mapdyn import _step
 from .newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve, rayleigh_energy
 
@@ -43,11 +41,14 @@ from .newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_s
 POLISH_MAX_ITER = 60
 
 
-def _check_dps(dps):
-    """Reject a precision that is not a whole number of digits, at least
-    float64's 15 (its 53 bits): fewer would round the float64 input."""
-    if not (isinstance(dps, numbers.Integral) and dps >= 15):
-        raise ValueError(f"dps {dps} is not an integer of at least the 15 digits of float64")
+def _check_dps(dps) -> int:
+    """A precision as an int of digits, rejecting one that is not a whole
+    number of digits, at least float64's 15 (its 53 bits): fewer would
+    round the float64 input."""
+    dps = _as_index(dps, "dps")
+    if dps < 15:
+        raise ValueError(f"dps {dps} is below the 15 digits of float64")
+    return dps
 
 
 def _as_mpf(psi, energy, dps):
@@ -82,9 +83,9 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     final_norm.  A singular Jacobian raises SingularJacobian carrying the
     same.
     """
-    _check_dps(dps)
+    dps = _check_dps(dps)
     periodic = state.boundary is Boundary.PERIODIC
-    with localcontext(Context(prec=operator.index(dps))):
+    with localcontext(Context(prec=dps)):
         c = _decimal(params.c)
 
         def step(psi, energy, res, _res_norm):
@@ -143,8 +144,8 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     """
     if (n := len(psi)) < 2:
         raise ValueError("the map needs at least 2 sites")
-    _check_dps(dps)
-    with localcontext(Context(prec=operator.index(dps) + 1, traps=[Overflow])):
+    dps = _check_dps(dps)
+    with localcontext(Context(prec=dps + 1, traps=[Overflow])):
         *psi, energy, c = map(_decimal, (*psi, energy, c))
         x, z = psi[1], psi[1] - psi[0]
         max_dev = closure = Decimal(0)

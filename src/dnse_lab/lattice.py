@@ -48,12 +48,14 @@ def _held(value_type, array: np.ndarray, *rest):
 
 def _as_index(value, name: str) -> int:
     """A count or shift argument as an int, by operator.index, so that a
-    numpy integer is taken; a float or any other non-integer raises
-    ValueError naming the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    numpy integer is taken; a bool (True would pass for 1), a float or
+    any other non-integer raises ValueError naming the argument."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def _as_points(points, owner: str) -> np.ndarray:

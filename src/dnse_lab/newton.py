@@ -68,7 +68,6 @@ inside the bordered phase, and a warm-started point takes one step.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
@@ -78,8 +77,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, SumTooSmall, ZeroState
-from .lattice import (Boundary, LatticeState, ModelParams, _as_readonly, _held, _normalized,
-                      normalize, residual)
+from .lattice import (Boundary, LatticeState, ModelParams, _as_index, _as_readonly, _held,
+                      _normalized, normalize, residual)
 from .patterns import PatternCounts, _count, _trits
 
 # The cubic energy estimator is abandoned when |sum psi| falls below
@@ -176,9 +175,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.tol_residual < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        # bool is an Integral, and True would pass for a budget of 1
-        if not (isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
-                and self.max_iter >= 1):
+        if _as_index(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be a positive integer")
 
 

@@ -275,7 +275,8 @@ class TestFitTail:
 
     def test_non_integer_sites_rejected(self):
         state = dl.LatticeState(0.5 ** np.arange(7), dl.Boundary.OPEN)
-        for index, window in [(2.5, (1, 2)), (np.float64(0.0), (1, 2)), (0, (1.0, 3.0)), (0, (1, 2.5))]:
+        for index, window in [(2.5, (1, 2)), (np.float64(0.0), (1, 2)), (0, (1.0, 3.0)), (0, (1, 2.5)),
+                              (True, (1, 2)), (0, (True, 3))]:
             with pytest.raises(ValueError, match="integers"):
                 dl.fit_tail(state, index, window)
         # numpy integers are integers

@@ -1,6 +1,7 @@
 """Count and shift arguments are taken through operator.index: a float
 raises a ValueError that names the argument, where range, list repetition,
-slicing or np.roll would raise TypeError or truncate it, and a numpy
+slicing or np.roll would raise TypeError or truncate it, and so does a
+bool, which they would take for 0 or 1; a numpy
 integer gives what the Python int it holds gives (a uint8 shift of a
 pattern wrapped around when negated for the slice)."""
 
@@ -27,7 +28,8 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 1.0, "2", None], ids=["2.5", "1.0", "str", "None"])
+@pytest.mark.parametrize("value", [2.5, 1.0, "2", None, True, False],
+                         ids=["2.5", "1.0", "str", "None", "True", "False"])
 @pytest.mark.parametrize("argument", sorted(CALLS))
 def test_non_integer_rejected(argument, value):
     name = argument.split("/")[0]

@@ -341,6 +341,25 @@ def test_lonely_non_finite_points(tol):
         assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol), points
 
 
+@pytest.mark.parametrize("tol", (1e-6, 0.1, math.inf))
+def test_non_finite_points_skip_the_greedy_loop(monkeypatch, tol):
+    # NaN and inf points, some in the crowded cell 0 of the finite pairs:
+    # at a finite tol they are counted in bulk, and _near sees only the
+    # crowded finite points; at tol = inf every cell is 0 and it sees all
+    nan, inf = math.nan, math.inf
+    finite = [[k * 1e-8, 0.0] for k in range(6)] + [[0.5 + k * 1e-8, 0.5] for k in range(4)] + [[0.9, -0.9]]
+    points = np.random.default_rng(5).permutation(
+        finite + [[nan, 0.0], [0.0, nan], [inf, 0.0], [-inf, inf], [nan, nan], [0.0, -inf]] * 2)
+    portrait = dl.PhasePortrait(points)
+    expected = _distinct_oracle(portrait, tol)
+    calls = _near_calls(monkeypatch)
+    assert dl.distinct_points(portrait, tol) == expected
+    if tol < math.inf:
+        assert len(calls) == _crowded_count(np.array(finite), tol) == 10
+    else:
+        assert len(calls) == portrait.size
+
+
 def test_distinct_cloud_past_the_int64_row(monkeypatch):
     # cells (cx, cy) with |cx| from 2**12 to 2**20, where cx * 2**51
     # leaves int64: pairs that match across cy = -1 and 0, and lone
