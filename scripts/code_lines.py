@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Code lines of each module of src/dnse_lab, and their total.
+"""Raw and code lines of each module of src/dnse_lab and of tests/, and
+their totals.
 
-A code line is a line of a module that is not blank, not a comment alone
-and not part of a docstring (of the module, a class or a function).  A
-line that holds code and a comment counts, and so does every line of a
-string that is not a docstring.  Prints one line per module and the
-total, and writes the same counts to code_lines.json under --out.
+A raw line is a line of the file, as wc -l counts them.  A code line is
+a line that is not blank, not a comment alone and not part of a
+docstring (of the module, a class or a function).  A line that holds
+code and a comment counts, and so does every line of a string that is not
+a docstring.  Prints one line per file and each directory's total, and
+writes the same counts to code_lines.json under --out.
 """
 
 import argparse
@@ -16,7 +18,8 @@ from pathlib import Path
 
 from dnse_lab import io as lab_io
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dnse_lab"
+ROOT = Path(__file__).resolve().parents[1]
+DIRECTORIES = ("src/dnse_lab", "tests")
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}
 
@@ -43,15 +46,26 @@ def count_code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def count_directory(directory: Path) -> dict:
+    """{file name: {"raw": lines, "code": code lines}} of each .py file in
+    directory, and their sums under "total"."""
+    counts = {}
+    for path in sorted(directory.glob("*.py")):
+        source = path.read_text()
+        counts[path.name] = {"raw": source.count("\n"), "code": count_code_lines(source)}
+    counts["total"] = {key: sum(c[key] for c in counts.values()) for key in ("raw", "code")}
+    return counts
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="out/code_lines")
     args = parser.parse_args()
-    counts = {path.name: count_code_lines(path.read_text())
-              for path in sorted(PACKAGE.glob("*.py"))}
-    counts["total"] = sum(counts.values())
-    for name, lines in counts.items():
-        print(f"{name:16s} {lines:5d}")
+    counts = {name: count_directory(ROOT / name) for name in DIRECTORIES}
+    for name, files in counts.items():
+        print(f"{name + '/':32s}   raw  code")
+        for file, lines in files.items():
+            print(f"  {file:30s} {lines['raw']:5d} {lines['code']:5d}")
     path = lab_io.write_json(Path(args.out) / "code_lines.json", counts)
     print(f"written to {path}")
 

@@ -19,7 +19,11 @@ Prints one line per N with the min-max of each figure over its runs, and
 writes every run's figures to newton_scaling.json under --out, beside an
 environment block: the git SHA of the checkout (null outside one, as in
 a git archive copy), the Python, numpy and mpmath versions, the machine
-type and the CPU count.
+type and the CPU count, numpy's BLAS (name, version and configuration),
+the OpenBLAS kernel that a child process reports under OPENBLAS_VERBOSE=2
+(null where it reports none), and OPENBLAS_NUM_THREADS and
+OPENBLAS_CORETYPE as set (null where unset).  The BLAS kernel and thread
+count decide the last bits of numpy's dot products.
 """
 
 import argparse
@@ -27,6 +31,7 @@ import functools
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -77,9 +82,24 @@ def environment() -> dict:
         sha = git.stdout.strip() if git.returncode == 0 else None
     except OSError:  # no git on the machine
         sha = None
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"git_sha": sha, "python": platform.python_version(), "numpy": np.__version__,
             "mpmath": mpmath.__version__, "machine": platform.machine(),
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "configuration": blas.get("openblas configuration")},
+            "openblas_core": _openblas_core(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE")}
+
+
+def _openblas_core():
+    """The kernel OpenBLAS picks in a child that imports numpy, from the
+    "Core: <name>" line that OPENBLAS_VERBOSE=2 makes it print."""
+    child = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+    found = re.search(r"^Core: (\S+)", child.stdout + child.stderr, re.MULTILINE)
+    return found.group(1) if found else None
 
 
 def measure(n: int, seed: int) -> dict:

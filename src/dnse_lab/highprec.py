@@ -18,8 +18,8 @@ Decimal result comes back as the mpf of its integer ratio, and an mpf
 input man * 2**exp goes in as the Decimal of man times or over a power of
 two.  The map check iterates mapdyn's step on Decimal too, at dps + 1
 digits, the precision mpmath gives dps, from its mpf, float or integer
-inputs converted once each by that one converter; its closure over the
-wrap assumes a ring.
+inputs converted once each by that one converter; its closure is taken
+over a ring's wrap or at an open chain's zero pad.
 """
 
 from __future__ import annotations
@@ -125,15 +125,16 @@ def _decimal(x):
     return man * (1 << exp) if exp >= 0 else man / (1 << -exp)
 
 
-def map_reproduction_error(psi, energy, c, dps: int = 60):
-    """Iterate the map from (psi[1], psi[1]-psi[0]) through one full wrap.
+def map_reproduction_error(psi, energy, c, dps: int = 60, boundary=Boundary.PERIODIC):
+    """Iterate the map from (psi[1], psi[1]-psi[0]) past the last site.
 
-    Returns (max deviation over psi[2..N-1], closure error over the wrap)
-    as floats; the closure compares the orbit with psi[0] and psi[1] again,
-    which reads a state as a ring.  Pass mpf values from polish_solution and
-    a dps matching the polish so the hyperbolic amplification acts on the
-    polished residual, not on double-precision round-off.  dps is an
-    integer >= 15.
+    Returns (max deviation over psi[2..N-1], closure error) as floats.  On
+    a ring (the default boundary) the orbit runs through one full wrap and
+    the closure compares it with psi[0] and psi[1] again; on an open chain
+    it is |x_N|, the orbit at the zero pad after the last site.  Pass mpf
+    values from polish_solution and a dps matching the polish so the
+    hyperbolic amplification acts on the polished residual, not on
+    double-precision round-off.  dps is an integer >= 15.
 
     The map runs on Decimal at dps + 1 significant digits, the precision
     that mpmath gives dps (203 bits at 60).  Each input, psi, E and c, is
@@ -148,11 +149,14 @@ def map_reproduction_error(psi, energy, c, dps: int = 60):
     with localcontext(Context(prec=dps + 1, traps=[Overflow])):
         *psi, energy, c = map(_decimal, (*psi, energy, c))
         x, z = psi[1], psi[1] - psi[0]
+        # the values the orbit should meet after psi[1]: psi[2..N-1], then
+        # a ring's psi[0] and psi[1] again or an open chain's zero pad
+        targets = psi[2:] + (psi[:2] if Boundary(boundary) is Boundary.PERIODIC else [Decimal(0)])
         max_dev = closure = Decimal(0)
         try:
-            for i in range(2, n + 2):
+            for i, target in enumerate(targets, 2):
                 x, z = _step(x, z, energy, c)
-                dev = abs(x - psi[i % n])
+                dev = abs(x - target)
                 if i < n:
                     max_dev = max(max_dev, dev)
                 else:

@@ -1,10 +1,16 @@
+"""Shared test inputs: the paper's chains, the corpus that every
+differential test compares on, the benchmark's two sweeps and the map
+starts, and the scalar tridiagonal kernel kept as an oracle.  A member
+starts from build_asymptotic_state, as `solve --pattern` and `solve
+--random` do; tests/test_corpus.py pins the corpus to the benchmark's."""
+
+from collections import namedtuple
 from itertools import chain, repeat
 
-import numpy as np
 import pytest
 
 import dnse_lab as dl
-from dnse_lab.errors import SingularJacobian
+from dnse_lab.errors import NoConvergence, SingularJacobian
 from dnse_lab.newton import PIVOT_REL_THRESHOLD
 
 
@@ -22,40 +28,73 @@ def irregular_pair_pattern():
     return dl.spot_pattern(130, [10 * k for k in range(13)], 2, IRREGULAR_SIGNS)
 
 
-@pytest.fixture(scope="session")
-def chain100_solution():
-    spec = alternating_spot_pattern()
-    state, energy, report = dl.newton_solve(
-        dl.build_asymptotic_state(spec), dl.ModelParams(24.0)
-    )
-    return spec, state, energy, report
+class Member(namedtuple("Member", "name n seed pattern c")):
+    """A pattern on n sites and its coupling c; seed is a random ring's
+    pattern seed, None for a paper chain."""
+
+    def start(self):
+        return dl.build_asymptotic_state(self.pattern)
+
+
+# the North star's corpus, in its order
+CORPUS = [Member("chain100", 100, None, alternating_spot_pattern(), 24.0),
+          Member("chain130", 130, None, irregular_pair_pattern(), 40.0)] + [
+    Member(f"ring{n}/{seed}", n, seed, dl.random_pattern(n, seed), 4.0 * n)
+    for n in (208, 1000) for seed in range(10)]
+CHAINS, RINGS = CORPUS[:2], CORPUS[2:]
+
+# the benchmark's sweeps of the chains: 61 couplings each from the
+# member's c, c_from + k 0.1 as the CLI's sweep makes them
+BENCH_SWEEPS = {m.name: [m.c + k * 0.1 for k in range(61)] for m in CHAINS}
+
+# the map starts of `map --E 1 --c 1`: psi0 = 0.05 (k + 1), z0 = 0, k = 0-9
+MAP_E = MAP_C = 1.0
+MAP_STEPS = 2000
+MAP_STARTS = [0.05 * (k + 1) for k in range(10)]
+
+
+def map_orbit(psi0):
+    return dl.iterate_map(dl.MapState(psi0, 0.0), MAP_E, MAP_C, MAP_STEPS)
+
+
+Solved = namedtuple("Solved", "state energy report error")
+
+
+def solve_member(member):
+    """Newton from the member's start at its c.  Where Newton gives up,
+    the last iterate, its E and report, and the error's name; error is
+    None where it converged."""
+    try:
+        return Solved(*dl.newton_solve(member.start(), dl.ModelParams(member.c)), None)
+    except (NoConvergence, SingularJacobian) as exc:
+        return Solved(exc.state, exc.energy, exc.report, type(exc).__name__)
 
 
 @pytest.fixture(scope="session")
-def chain130_solution():
-    spec = irregular_pair_pattern()
-    state, energy, report = dl.newton_solve(
-        dl.build_asymptotic_state(spec), dl.ModelParams(40.0)
-    )
-    return spec, state, energy, report
+def solved_corpus():
+    """name -> Solved of every member, solved once per session."""
+    return {m.name: solve_member(m) for m in CORPUS}
+
+
+@pytest.fixture(scope="session")
+def chain100_solution(solved_corpus):
+    return (CHAINS[0].pattern, *solved_corpus["chain100"][:3])
+
+
+@pytest.fixture(scope="session")
+def chain130_solution(solved_corpus):
+    return (CHAINS[1].pattern, *solved_corpus["chain130"][:3])
 
 
 def random_state(rng, n, boundary=dl.Boundary.PERIODIC, amp=1.0):
     return dl.LatticeState(rng.uniform(-amp, amp, n), boundary)
 
 
-def kernel_corpus():
-    """(name, state, c): the acceptance chains, solved, and the random
-    rings with N in {208, 1000} and seeds 0-9 at their strong-coupling
-    start, c = 4N."""
-    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
-                          ("chain130", irregular_pair_pattern(), 40.0)]:
-        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
-        yield name, state, c
-    for n in (208, 1000):
-        for seed in range(10):
-            state = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
-            yield f"ring{n}/{seed}", state, 4.0 * n
+@pytest.fixture(scope="session")
+def kernel_corpus(solved_corpus):
+    """(name, state, c): the chains solved and the rings at their start."""
+    return ([(m.name, solved_corpus[m.name].state, m.c) for m in CHAINS]
+            + [(m.name, m.start(), m.c) for m in RINGS])
 
 
 def reference_tridiag_solve(diag, rhss, periodic):

@@ -11,11 +11,12 @@ import dnse_lab as dl
 from dnse_lab import analysis
 from dnse_lab import io as lab_io
 from dnse_lab.errors import (
-    NoConvergence,
     NotLocalized,
     WindowTouchesPeak,
     ZeroAmplitudeInWindow,
 )
+
+from conftest import CORPUS, MAP_STARTS, RINGS, map_orbit
 
 
 class TestPhasePortrait:
@@ -409,25 +410,14 @@ DISTINCT_TOLS = (1e-9, 1e-6, 1e-3, 1e-1)
 
 
 @pytest.fixture(scope="module")
-def portrait_corpus(chain100_solution, chain130_solution):
-    """(name, portrait): the acceptance chains; the random rings with
-    N in {208, 1000} and seeds 0-9, solved at c = 4N (the last iterate
-    where Newton gives up) and as their asymptotic initial states; and
-    ten 2000-step orbits of the map at E = 1, c = 1."""
-    corpus = [("chain100", dl.phase_portrait(chain100_solution[1])),
-              ("chain130", dl.phase_portrait(chain130_solution[1]))]
-    for n in (208, 1000):
-        for seed in range(10):
-            initial = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
-            try:
-                solved, _, _ = dl.newton_solve(initial, dl.ModelParams(4.0 * n))
-            except NoConvergence as exc:
-                solved = exc.state
-            corpus.append((f"ring{n}/{seed}", dl.phase_portrait(solved)))
-            corpus.append((f"ring{n}/{seed}/asymptotic", dl.phase_portrait(initial)))
-    for k in range(10):
-        orbit = dl.iterate_map(dl.MapState(0.05 * (k + 1), 0.0), 1.0, 1.0, 2000)
-        corpus.append((f"map/{k}", dl.portrait_from_orbit(orbit)))
+def portrait_corpus(solved_corpus):
+    """(name, portrait): the corpus members solved (the last iterate
+    where Newton gives up), the rings also at their start, and the map
+    orbits."""
+    corpus = [(m.name, dl.phase_portrait(solved_corpus[m.name].state)) for m in CORPUS]
+    corpus += [(f"{m.name}/asymptotic", dl.phase_portrait(m.start())) for m in RINGS]
+    corpus += [(f"map/{k}", dl.portrait_from_orbit(map_orbit(psi0)))
+               for k, psi0 in enumerate(MAP_STARTS)]
     return corpus
 
 

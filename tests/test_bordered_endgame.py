@@ -18,10 +18,7 @@ from dnse_lab import newton
 from dnse_lab.errors import SingularJacobian, SumTooSmall
 from dnse_lab.newton import BORDERED_RESIDUAL, _rounding_floor
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern
-
-SWEEP_STEP = 0.1
-SWEEP_POINTS = 61
+from conftest import BENCH_SWEEPS, CHAINS, CORPUS, irregular_pair_pattern
 
 
 def _estimate(state, params):
@@ -56,32 +53,21 @@ def _counts(state):
     return dl.count_pattern(dl.quantize_state(state))
 
 
-def _corpus():
-    """(name, start, params) of the single solves."""
-    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
-                          ("chain130", irregular_pair_pattern(), 40.0)]:
-        yield name, dl.build_asymptotic_state(spec), dl.ModelParams(c)
-    for n in (208, 1000):
-        for seed in range(10):
-            yield (f"ring{n}/{seed}", dl.build_asymptotic_state(dl.random_pattern(n, seed)),
-                   dl.ModelParams(4.0 * n))
-    values = dl.build_asymptotic_state(dl.random_pattern(500, 0)).values
-    yield ("open500/0", dl.LatticeState(values, dl.Boundary.OPEN),
-           dl.ModelParams(2000.0, dl.Boundary.OPEN))
-
-
 @pytest.fixture(scope="module")
-def solved():
-    """name -> (start, params, newton_solve result)."""
-    return {name: (start, params, dl.newton_solve(start, params))
-            for name, start, params in _corpus()}
+def solved(solved_corpus):
+    """name -> (start, params, newton_solve result) of the corpus and of
+    an open 500-site chain."""
+    found = {m.name: (m.start(), dl.ModelParams(m.c), solved_corpus[m.name][:3]) for m in CORPUS}
+    start = dl.LatticeState(dl.build_asymptotic_state(dl.random_pattern(500, 0)).values,
+                            dl.Boundary.OPEN)
+    params = dl.ModelParams(2000.0, dl.Boundary.OPEN)
+    found["open500/0"] = (start, params, dl.newton_solve(start, params))
+    return found
 
 
 def _sweeps():
-    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
-                          ("chain130", irregular_pair_pattern(), 40.0)]:
-        yield name, dl.build_asymptotic_state(spec), c, [c + k * SWEEP_STEP
-                                                         for k in range(SWEEP_POINTS)]
+    for m in CHAINS:
+        yield m.name, m.start(), m.c, BENCH_SWEEPS[m.name]
 
 
 def _oracle_sweep(initial, c0, c_values):

@@ -1,0 +1,65 @@
+"""The shared corpus of tests/conftest.py pinned to the North star's and to
+the benchmark's inputs, so that the tests and the benchmark cannot drift
+apart: the 22 members with their names, sizes, seeds and couplings, the
+chain patterns of bench/workloads.py and the couplings of its two sweep
+commands."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import dnse_lab as dl
+from dnse_lab import cli
+
+from conftest import BENCH_SWEEPS, CHAINS, CORPUS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """bench/workloads.py, imported read-only."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_members_are_the_north_stars():
+    # chain100 at c = 24, chain130 at c = 40, then random rings with N in
+    # {208, 1000} and seeds 0-9 at c = 4N
+    expected = [("chain100", 100, None, 24.0), ("chain130", 130, None, 40.0)]
+    expected += [(f"ring{n}/{seed}", n, seed, 4.0 * n) for n in (208, 1000) for seed in range(10)]
+    assert [(m.name, m.n, m.seed, m.c) for m in CORPUS] == expected
+    for m in CORPUS:
+        assert len(m.pattern.trits) == m.n and m.pattern.boundary is dl.Boundary.PERIODIC, m.name
+        if m.seed is not None:
+            assert m.pattern == dl.random_pattern(m.n, m.seed), m.name
+
+
+def test_chain_patterns_are_the_benchmarks(workloads):
+    for m in CHAINS:
+        assert m.pattern == workloads.chain_pattern(m.name), m.name
+
+
+def test_sweeps_are_the_benchmarks(workloads, tmp_path, monkeypatch):
+    # the couplings that the CLI makes of each sweep command of the
+    # benchmark's full profile
+    profile = workloads.PROFILES["full"]
+    made = {}
+
+    def recording(initial, params, c_values, config):
+        made[name] = list(c_values)
+        return []
+
+    monkeypatch.setattr(cli, "sweep_c", recording)
+    for name, c_from, c_to in profile["sweeps"]:
+        assert cli.main(["sweep", "--pattern", workloads.chain_pattern(name).text(),
+                         "--c-from", repr(c_from), "--c-to", repr(c_to),
+                         "--c-step", repr(profile["c_step"]), "--out", str(tmp_path / name)]) == 0
+    assert made == BENCH_SWEEPS

@@ -15,8 +15,7 @@ from dnse_lab.lattice import _neighbors, _stencil_residual
 from dnse_lab.mapdyn import MapState, map_step
 from dnse_lab.newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve
 
-from conftest import (alternating_spot_pattern, irregular_pair_pattern, kernel_corpus,
-                      reference_tridiag_solve)
+from conftest import alternating_spot_pattern, irregular_pair_pattern, reference_tridiag_solve
 
 
 def _oracle_thomas(diag, rhs, pivot_tol):
@@ -65,10 +64,10 @@ def _oracle_solve(jac, rhs, pivot_rel_threshold=1e-14):
 
 
 class TestFloatKernelAgainstOracle:
-    def test_newton_systems(self):
+    def test_newton_systems(self, kernel_corpus):
         # the step system J x = F and the bordering system J x = psi of each
         # corpus state, at its Rayleigh energy
-        for name, state, c in kernel_corpus():
+        for name, state, c in kernel_corpus:
             params = dl.ModelParams(c)
             energy = dl.rayleigh_energy(state, params)
             jac = dl.assemble_jacobian(state, params, energy)
@@ -362,12 +361,14 @@ def _open_worst_residual(psi, energy, c, dps):
                    for i in range(1, len(padded) - 1))
 
 
+OPEN_CHAINS = [("00+00000-000+0000-+000", 30, 60), ("+0-0+00-", 12, 40)]
+
+
 class TestOpenChains:
     """The polish takes the boundary from the state.  Measured: residuals
     1.7e-59 and 6.4e-40."""
 
-    @pytest.mark.parametrize("code, c, dps", [("00+00000-000+0000-+000", 30, 60),
-                                              ("+0-0+00-", 12, 40)])
+    @pytest.mark.parametrize("code, c, dps", OPEN_CHAINS)
     def test_reaches_tolerance(self, code, c, dps):
         params = dl.ModelParams(c, dl.Boundary.OPEN)
         spec = dl.parse_pattern(code, dl.Boundary.OPEN)
@@ -380,6 +381,18 @@ class TestOpenChains:
             assert abs(mp.fsum(p * p for p in psi) - 1) <= tol
         assert abs(float(polished_energy) - energy) <= 1e-12
         assert max(abs(float(p) - v) for p, v in zip(psi, state.values)) <= 1e-12
+
+    @pytest.mark.parametrize("code, c, dps", OPEN_CHAINS)
+    def test_map_check_closes_at_the_zero_pad(self, code, c, dps):
+        # measured: deviations 1.3e-45 and 1.1e-37, closures 6.8e-45 and
+        # 6.4e-37; read as rings, the closures were 0.083 and 0.50
+        params = dl.ModelParams(c, dl.Boundary.OPEN)
+        state, _, _ = dl.newton_solve(
+            dl.build_asymptotic_state(dl.parse_pattern(code, dl.Boundary.OPEN)), params)
+        psi, energy = polish_solution(state, params, dps=dps)
+        max_dev, closure = map_reproduction_error(psi, energy, c, dps=dps,
+                                                  boundary=dl.Boundary.OPEN)
+        assert 0 < max_dev <= 10.0 ** (30 - dps) and closure <= 10 * max_dev
 
 
 class TestNumpyScalars:
@@ -661,8 +674,8 @@ class TestArrayOperandOrder:
             map_reproduction_error(psi, energy, c, dps=dps)
         assert np.ndarray not in seen
 
-    def test_float64_kernels_bitwise_as_mpf_first(self):
-        for name, state, c in kernel_corpus():
+    def test_float64_kernels_bitwise_as_mpf_first(self, kernel_corpus):
+        for name, state, c in kernel_corpus:
             psi = state.values
             energy = dl.rayleigh_energy(state, dl.ModelParams(c))
             left, right = _neighbors(psi, state.boundary)

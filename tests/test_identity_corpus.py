@@ -43,32 +43,27 @@ import dnse_lab as dl
 from dnse_lab.cli import main
 from dnse_lab.highprec import polish_solution
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern
+from conftest import CHAINS, MAP_C, MAP_E, MAP_STARTS, MAP_STEPS, RINGS
 
 DIGESTS = Path(__file__).with_name("identity_digests.json")
 POLISH_DPS = 60
 
 
-def _chains():
-    return [("chain100", alternating_spot_pattern(), 24.0),
-            ("chain130", irregular_pair_pattern(), 40.0)]
-
-
 def _runs(root: Path):
     """(name, argv without --out) of every CLI run of the corpus, in order:
     a --state-file run reads a state that an earlier run wrote under root."""
-    for n in (208, 1000):
-        for seed in range(10):
-            yield f"ring{n}_{seed}", ["solve", "--random", str(n), "--seed", str(seed),
-                                      "--c", str(4 * n)]
-    for seed in range(10):
-        yield f"ring1000_{seed}_portrait", ["portrait", "--state-file",
-                                            str(root / f"ring1000_{seed}" / "solve.state.csv")]
-    for k in range(10):
-        yield f"map{k}", ["map", "--E", "1", "--c", "1", "--psi0", repr(0.05 * (k + 1)),
-                          "--z0", "0", "--steps", "2000"]
-    for name, spec, c in _chains():
-        text = spec.text()
+    for m in RINGS:
+        yield f"ring{m.n}_{m.seed}", ["solve", "--random", str(m.n), "--seed", str(m.seed),
+                                      "--c", str(int(m.c))]
+    for m in RINGS:
+        if m.n == 1000:
+            yield f"ring1000_{m.seed}_portrait", [
+                "portrait", "--state-file", str(root / f"ring1000_{m.seed}" / "solve.state.csv")]
+    for k, psi0 in enumerate(MAP_STARTS):
+        yield f"map{k}", ["map", "--E", f"{MAP_E:g}", "--c", f"{MAP_C:g}", "--psi0", repr(psi0),
+                          "--z0", "0", "--steps", str(MAP_STEPS)]
+    for m in CHAINS:
+        name, text, c = m.name, m.pattern.text(), m.c
         yield f"{name}_solve", ["solve", "--pattern", text, "--c", repr(c)]
         yield f"{name}_sweep", ["sweep", "--pattern", text, "--c-from", repr(c),
                                 "--c-to", repr(c + 2), "--c-step", "0.25"]
@@ -96,13 +91,13 @@ def corpus_digests(root: Path) -> dict:
         for path in sorted(out.rglob("*")):
             if path.is_file() and path.name != "run.json":
                 digests[f"{name}/{path.relative_to(out).as_posix()}"] = _sha256(path.read_bytes())
-    for name, spec, c in _chains():
-        params = dl.ModelParams(c)
-        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), params)
+    for m in CHAINS:
+        params = dl.ModelParams(m.c)
+        state, _, _ = dl.newton_solve(m.start(), params)
         psi, energy = polish_solution(state, params, POLISH_DPS)
         with mp.workdps(POLISH_DPS):
-            digests[f"{name}_polish/psi"] = _sha256("\n".join(map(str, psi)).encode())
-            digests[f"{name}_polish/E"] = _sha256(str(energy).encode())
+            digests[f"{m.name}_polish/psi"] = _sha256("\n".join(map(str, psi)).encode())
+            digests[f"{m.name}_polish/E"] = _sha256(str(energy).encode())
     return digests
 
 

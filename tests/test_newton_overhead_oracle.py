@@ -32,7 +32,7 @@ from dnse_lab.newton import (BORDERED_RESIDUAL, PREDICTOR_POINTS, STRUCTURE_CHAN
                              _cyclic_reduction, _extrapolate, _jacobian_diagonal)
 from dnse_lab.patterns import OCCUPIED_REL_THRESHOLD, _count
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern, reference_tridiag_solve
+from conftest import BENCH_SWEEPS, CHAINS, CORPUS, reference_tridiag_solve
 
 # ------------------------------------------------------------ the oracles
 
@@ -241,35 +241,17 @@ def _record_bits(record):
             record.error)
 
 
-def _corpus():
-    """(name, start, c): the acceptance chains and the random rings with
-    N in {208, 1000}, seeds 0-9, at c = 4N, from their strong-coupling
-    starts."""
-    yield "chain100", dl.build_asymptotic_state(alternating_spot_pattern()), 24.0
-    yield "chain130", dl.build_asymptotic_state(irregular_pair_pattern()), 40.0
-    for n in (208, 1000):
-        for seed in range(10):
-            yield f"ring{n}/{seed}", dl.build_asymptotic_state(dl.random_pattern(n, seed)), 4.0 * n
-
-
-# the benchmark's sweeps: 61 couplings each, c_from + k 0.1 as the CLI makes them
-BENCH_SWEEPS = {"chain100": (alternating_spot_pattern, 24.0),
-                "chain130": (irregular_pair_pattern, 40.0)}
-
-
-def _bench_sweep(name, sweep):
-    pattern, c_from = BENCH_SWEEPS[name]
-    return sweep(dl.build_asymptotic_state(pattern()), dl.ModelParams(c_from),
-                 [c_from + k * 0.1 for k in range(61)])
+def _bench_sweep(member, sweep):
+    """One of the benchmark's sweeps, from the chain's start."""
+    return sweep(member.start(), dl.ModelParams(member.c), BENCH_SWEEPS[member.name])
 
 
 # ------------------------------------------------------------ the tests
 
 
-@pytest.mark.parametrize("start, c", [pytest.param(start, c, id=name)
-                                      for name, start, c in _corpus()])
-def test_corpus_solves_byte_equal(start, c):
-    params = dl.ModelParams(c)
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_corpus_solves_byte_equal(member):
+    start, params = member.start(), dl.ModelParams(member.c)
     assert _solve_bits(dl.newton_solve, start, params) \
         == _solve_bits(_oracle_newton_solve, start, params)
 
@@ -283,12 +265,12 @@ def test_budget_exhausted_byte_equal():
     assert bits == _solve_bits(_oracle_newton_solve, start, params, config)
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_SWEEPS))
-def test_benchmark_sweeps_byte_equal(name):
-    records = _bench_sweep(name, newton.sweep_c)
+@pytest.mark.parametrize("member", CHAINS, ids=lambda m: m.name)
+def test_benchmark_sweeps_byte_equal(member):
+    records = _bench_sweep(member, newton.sweep_c)
     assert len(records) == 61 and all(r.converged for r in records)
     assert [_record_bits(r) for r in records] \
-        == [_record_bits(r) for r in _bench_sweep(name, _oracle_sweep_c)]
+        == [_record_bits(r) for r in _bench_sweep(member, _oracle_sweep_c)]
 
 
 def test_six_site_census_byte_equal():
@@ -315,18 +297,17 @@ def test_benchmark_sweeps_layer_calls(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(newton, name, counted)
-    for name in sorted(BENCH_SWEEPS):
-        _bench_sweep(name, newton.sweep_c)
+    for member in CHAINS:
+        _bench_sweep(member, newton.sweep_c)
     # a traced benchmark pass reads 340 and 68 Rayleigh calls: its two
     # polishes add one Rayleigh start each
     assert calls == {"solve_linear": 150, "sites": 17_340, "residual": 338,
                      "energy_estimate": 134, "rayleigh_energy": 66}
 
 
-def test_iterates_hold_their_own_arrays():
+def test_iterates_hold_their_own_arrays(solved_corpus):
     # a held iterate is read-only and keeps no larger array alive
-    state, _, _ = dl.newton_solve(dl.build_asymptotic_state(irregular_pair_pattern()),
-                                  dl.ModelParams(40.0))
+    state = solved_corpus["chain130"].state
     assert not state.values.flags.writeable and state.values.base is None
     jac = dl.assemble_jacobian(state, dl.ModelParams(40.0), -0.6)
     assert not jac.diag.flags.writeable and jac.diag.base is None

@@ -19,7 +19,7 @@ from dnse_lab import newton
 from dnse_lab.errors import SingularJacobian
 from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _reduce, _tridiag_solve
 
-from conftest import (alternating_spot_pattern, irregular_pair_pattern, kernel_corpus,
+from conftest import (CORPUS, alternating_spot_pattern, irregular_pair_pattern,
                       reference_tridiag_solve)
 
 
@@ -57,9 +57,9 @@ def _newton_system(n, seed, boundary=dl.Boundary.PERIODIC):
 
 
 class TestAgainstScalarKernel:
-    def test_corpus_systems(self):
+    def test_corpus_systems(self, kernel_corpus):
         # the step system J x = F and the bordering system J x = psi
-        for name, state, c in kernel_corpus():
+        for name, state, c in kernel_corpus:
             params = dl.ModelParams(c)
             energy = dl.rayleigh_energy(state, params)
             jac = dl.assemble_jacobian(state, params, energy)
@@ -186,10 +186,10 @@ class TestScalarBranchAgainstArrayGlue:
         assert x.shape == rhs.shape and x.dtype == np.float64, name
         assert x.tobytes() == _scalar(np.asarray(diag, dtype=float), rhs, periodic).tobytes(), name
 
-    def test_corpus_systems(self):
+    def test_corpus_systems(self, kernel_corpus):
         # the acceptance chains at their couplings and the random rings at
         # their c = 4N starts; open and periodic, one rhs and two
-        for name, state, c in kernel_corpus():
+        for name, state, c in kernel_corpus:
             params = dl.ModelParams(c)
             energy = dl.rayleigh_energy(state, params)
             diag = dl.assemble_jacobian(state, params, energy).diag
@@ -304,19 +304,17 @@ class TestPivotSigns:
     coupling is extended, and the sign moves its index by one."""
 
     @pytest.fixture(scope="class")
-    def final_iterates(self, chain100_solution, chain130_solution):
-        """(name, psi, c, E) of the paper chains, of the corpus rings
-        (N in {208, 1000}, seeds 0-9) and of odd rings (N in {207, 1001},
-        seeds 0-2), c = 4N, and of the uniform state of the odd rings at
+    def final_iterates(self, solved_corpus):
+        """(name, psi, c, E) of the corpus, of odd rings (N in {207, 1001},
+        seeds 0-2) at c = 4N, and of the uniform state of the odd rings at
         c = N/10 and 9N/10, solved."""
-        found = [("chain100", chain100_solution[1].values, 24.0, chain100_solution[2]),
-                 ("chain130", chain130_solution[1].values, 40.0, chain130_solution[2])]
-        for n, seeds in ((208, 10), (1000, 10), (207, 3), (1001, 3)):
-            for seed in range(seeds):
+        found = [(m.name, solved_corpus[m.name].state.values, m.c, solved_corpus[m.name].energy)
+                 for m in CORPUS]
+        for n in (207, 1001):
+            for seed in range(3):
                 start = dl.build_asymptotic_state(dl.random_pattern(n, seed))
                 state, energy, _ = dl.newton_solve(start, dl.ModelParams(4.0 * n))
                 found.append((f"ring{n}/{seed}", state.values, 4.0 * n, energy))
-        for n in (207, 1001):
             for c in (n / 10, 9 * n / 10):
                 state, energy, _ = dl.newton_solve(dl.LatticeState(np.ones(n)), dl.ModelParams(c))
                 found.append((f"uniform{n}/{c:g}", state.values, c, energy))

@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnse_lab as dl
-from conftest import alternating_spot_pattern, irregular_pair_pattern
 from dnse_lab import analysis
 from dnse_lab import io as lab_io
 from dnse_lab.analysis import _GRID_LIMIT, _KEY_LIMIT
 from dnse_lab.errors import NoConvergence
 from dnse_lab.mapdyn import MapState
+
+from conftest import MAP_STARTS, map_orbit
 
 
 # ------------------------------------------------------------ the oracles
@@ -200,29 +201,12 @@ def test_far_points_stay_in_their_cells(monkeypatch):
     assert scanned < 10 * portrait.size
 
 
-def _solved_corpus():
-    """(name, portrait): the acceptance chains, chain100 at c = 24 and
-    chain130 at c = 40, and the random rings with N in {208, 1000} and
-    seeds 0-9 at c = 4N (the last iterate where Newton gives up)."""
-    for name, spec, c in [("chain100", alternating_spot_pattern(), 24.0),
-                          ("chain130", irregular_pair_pattern(), 40.0)]:
-        state, _, _ = dl.newton_solve(dl.build_asymptotic_state(spec), dl.ModelParams(c))
-        yield name, dl.phase_portrait(state)
-    for n in (208, 1000):
-        for seed in range(10):
-            try:
-                state, _, _ = dl.newton_solve(dl.build_asymptotic_state(dl.random_pattern(n, seed)),
-                                              dl.ModelParams(4.0 * n))
-            except NoConvergence as exc:
-                state = exc.state
-            yield f"ring{n}/{seed}", dl.phase_portrait(state)
-
-
-def test_distinct_on_the_corpus():
+def test_distinct_on_the_corpus(solved_corpus):
     # the solved, uncollapsed rings have most of their points lonely at
     # 1e-6, the chains and the collapsed rings none; 1e-17 and below put
     # points past the clamps
-    for name, portrait in _solved_corpus():
+    for name, solved in solved_corpus.items():
+        portrait = dl.phase_portrait(solved.state)
         for tol in [tol for tol in DISTINCT_TOLS if math.isfinite(tol)]:
             assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol), (name, tol)
 
@@ -256,7 +240,7 @@ def test_lonely_points_skip_the_greedy_loop(monkeypatch):
     # the orbit of `map --E 1 --c 1 --psi0 0.1 --z0 0 --steps 2000`: the
     # greedy loop looks up only the points that share their 3 x 3 block
     # of cells, all others are counted in bulk
-    portrait = dl.portrait_from_orbit(dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 1.0, 2000))
+    portrait = dl.portrait_from_orbit(map_orbit(MAP_STARTS[1]))
     expected = _distinct_oracle(portrait, 1e-6)
     calls = _near_calls(monkeypatch)
     assert dl.distinct_points(portrait, 1e-6) == expected
@@ -269,7 +253,7 @@ def test_lonely_pass_in_small_blocks(monkeypatch, cells):
     # _CELLS points at a time; small blocks put many block edges inside
     # runs of equal or adjacent keys
     monkeypatch.setattr(analysis, "_CELLS", cells)
-    orbit = dl.portrait_from_orbit(dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 1.0, 2000))
+    orbit = dl.portrait_from_orbit(map_orbit(MAP_STARTS[1]))
     ring = dl.phase_portrait(dl.build_asymptotic_state(dl.random_pattern(208, 0)))
     calls = _near_calls(monkeypatch)
     for portrait in (orbit, ring):

@@ -20,11 +20,11 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 from dnse_lab import lattice, newton
-from dnse_lab.errors import AllZero, NoConvergence, SingularJacobian, SumTooSmall
+from dnse_lab.errors import AllZero, SumTooSmall
 from dnse_lab.io import fmt
 from dnse_lab.patterns import OCCUPIED_REL_THRESHOLD
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern
+from conftest import CORPUS, solve_member
 
 EPS = np.finfo(float).eps
 
@@ -81,34 +81,17 @@ def _orbit_text_oracle(orbit):
 
 # ------------------------------------------------- Newton on the corpus
 
-CORPUS = [("chain100", alternating_spot_pattern, 24.0),
-          ("chain130", irregular_pair_pattern, 40.0)] + [
-    (f"ring{n}/{seed}", lambda n=n, seed=seed: dl.random_pattern(n, seed), 4.0 * n)
-    for n in (208, 1000) for seed in range(10)]
-
-
-def _solve(spec, c):
-    """(outcome, state, E, report): outcome names the exception, if any."""
-    try:
-        state, energy, report = dl.newton_solve(dl.build_asymptotic_state(spec),
-                                                dl.ModelParams(c))
-    except (NoConvergence, SingularJacobian) as exc:
-        return type(exc).__name__, exc.state, exc.energy, exc.report
-    return "converged", state, energy, report
-
-
-@pytest.mark.parametrize("name,pattern,c", CORPUS, ids=[case[0] for case in CORPUS])
-def test_newton_finds_the_oracle_state(monkeypatch, name, pattern, c):
-    spec = pattern()
-    outcome, state, energy, report = _solve(spec, c)
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_newton_finds_the_oracle_state(monkeypatch, solved_corpus, member):
+    got = solved_corpus[member.name]
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "_stencil_residual", _stencil_residual_oracle)
         patch.setattr(newton, "energy_estimate", _energy_estimate_oracle)
-        ref_outcome, ref_state, ref_energy, ref_report = _solve(spec, c)
-    assert outcome == ref_outcome == "converged"
-    assert report.final_counts == ref_report.final_counts
-    assert abs(energy - ref_energy) <= 1e-9 * abs(ref_energy)
-    assert np.max(np.abs(state.values - ref_state.values)) <= 1e-10
+        ref = solve_member(member)
+    assert got.error is ref.error is None
+    assert got.report.final_counts == ref.report.final_counts
+    assert abs(got.energy - ref.energy) <= 1e-9 * abs(ref.energy)
+    assert np.max(np.abs(got.state.values - ref.state.values)) <= 1e-10
 
 
 # --------------------------------------------------------- the kernels

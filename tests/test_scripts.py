@@ -95,6 +95,23 @@ def test_code_line_rule():
     assert _load(ROOT / "scripts" / "code_lines.py").count_code_lines(SAMPLE) == 9
 
 
+def test_code_lines_counts_src_and_tests(tmp_path):
+    # raw lines as wc -l counts them, and code lines, of every file of
+    # both directories, with each directory's sums
+    _run("code_lines.py", tmp_path, [])
+    counts = json.loads((tmp_path / "code_lines.json").read_text())
+    assert sorted(counts) == ["src/dnse_lab", "tests"]
+    count = _load(ROOT / "scripts" / "code_lines.py").count_code_lines
+    for name, files in counts.items():
+        total = files.pop("total")
+        assert sorted(files) == sorted(p.name for p in (ROOT / name).glob("*.py"))
+        for file, lines in files.items():
+            source = (ROOT / name / file).read_text()
+            assert lines == {"raw": source.count("\n"), "code": count(source)}, file
+        assert total == {key: sum(lines[key] for lines in files.values())
+                         for key in ("raw", "code")}
+
+
 def _load(script: Path):
     """The script at that path, imported as a module."""
     spec = importlib.util.spec_from_file_location(script.stem, script)
@@ -123,9 +140,23 @@ def test_newton_scaling_runs_each_size_in_fresh_processes(tmp_path):
         assert re.search(r"ru_maxrss [\d.]+-[\d.]+ MiB, [\d.]+-[\d.]+ MiB classified", line)
 
 
-def test_newton_scaling_records_its_environment(tmp_path):
+def test_newton_scaling_records_its_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    for name in ("OPENBLAS_CORETYPE", "OPENBLAS_VERBOSE"):
+        monkeypatch.delenv(name, raising=False)
     env = _load(ROOT / "scripts" / "newton_scaling.py").environment()
-    assert sorted(env) == ["cpu_count", "git_sha", "machine", "mpmath", "numpy", "python"]
+    assert sorted(env) == ["blas", "cpu_count", "git_sha", "machine", "mpmath", "numpy",
+                           "openblas_core", "openblas_coretype", "openblas_num_threads",
+                           "python"]
+    # numpy's BLAS, the kernel a child reports (null where it names none)
+    # and the OpenBLAS variables as set, null where unset; OPENBLAS_VERBOSE
+    # is set for the child only
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"],
+                           "configuration": blas.get("openblas configuration")}
+    assert env["openblas_core"] is None or re.fullmatch(r"\w+", env["openblas_core"])
+    assert env["openblas_num_threads"] == "2" and env["openblas_coretype"] is None
+    assert "OPENBLAS_VERBOSE" not in os.environ
     # null where the scripts do not sit in a git checkout of their own
     assert env["git_sha"] is None or re.fullmatch("[0-9a-f]{40}", env["git_sha"])
     assert env["python"] == platform.python_version() and env["numpy"] == np.__version__

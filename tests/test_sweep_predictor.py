@@ -21,7 +21,7 @@ import dnse_lab as dl
 from dnse_lab import newton
 from dnse_lab.errors import NoConvergence, SingularJacobian
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern
+from conftest import BENCH_SWEEPS, CHAINS, alternating_spot_pattern, irregular_pair_pattern
 
 
 def _zero_order_sweep(initial, params, c_values, config=dl.NewtonConfig()):
@@ -71,8 +71,8 @@ def _chain_sweep(spec, c_from, c_to, step):
 BENCHMARK_SWEEPS = ["chain100-up", "chain130-up"]
 # name -> (initial state, params, couplings, config)
 SWEEPS = {
-    "chain100-up": _chain_sweep(alternating_spot_pattern(), 24.0, 30.0, 0.1),
-    "chain130-up": _chain_sweep(irregular_pair_pattern(), 40.0, 46.0, 0.1),
+    **{f"{m.name}-up": (m.start(), dl.ModelParams(m.c), BENCH_SWEEPS[m.name], dl.NewtonConfig())
+       for m in CHAINS},
     "chain130-down": _chain_sweep(irregular_pair_pattern(), 40.0, 32.5, -0.25),
     "chain100-down": _chain_sweep(alternating_spot_pattern(), 24.0, 0.5, -0.25),
     "open": (dl.build_asymptotic_state(dl.parse_pattern("00+00000-000+0000-+000",

@@ -20,6 +20,8 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 
+from conftest import MAP_STARTS, map_orbit
+
 
 def _oracle_rows(row: str, *columns, numbered: bool):
     for start in range(0, len(columns[0]), 1024):
@@ -144,19 +146,13 @@ def test_digits_decided_exactly(name):
             assert undecidable, f"{x!r} left to '%.17g'"
 
 
-def test_fast_path_decides_the_corpus(chain100_solution, chain130_solution):
+def test_fast_path_decides_the_corpus(solved_corpus):
     """The writers' numpy digits decide nearly every value they are given:
-    the solved states and portraits of the identity corpus (rings of 208
-    and 1000 sites, seeds 0-9, at c = 4N, and the two paper chains) and
-    a 2000-step orbit of `map --E 1 --c 1`.  99.75% are decided; '%.17g'
-    writes the rest."""
-    states = [dl.newton_solve(dl.build_asymptotic_state(dl.random_pattern(n, seed)),
-                              dl.ModelParams(4.0 * n))[0]
-              for n in (208, 1000) for seed in range(10)]
-    states += [chain100_solution[1], chain130_solution[1]]
-    orbit = dl.iterate_map(dl.MapState(0.05, 0.0), 1.0, 1.0, 2000)
-    columns = [orbit.points.ravel()]
-    for state in states:
-        columns += [state.values, dl.phase_portrait(state).points.ravel()]
+    the solved states and portraits of the corpus and the first 2000-step
+    orbit of `map --E 1 --c 1`.  99.75% are decided; '%.17g' writes the
+    rest."""
+    columns = [map_orbit(MAP_STARTS[0]).points.ravel()]
+    for solved in solved_corpus.values():
+        columns += [solved.state.values, dl.phase_portrait(solved.state).points.ravel()]
     _, _, decided = lab_io._decimal_digits(np.concatenate(columns))
     assert decided.mean() >= 0.995, f"{decided.sum()} of {len(decided)} values decided"
