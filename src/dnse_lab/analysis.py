@@ -70,7 +70,10 @@ class PhasePortrait:
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points, "portrait"))
         if self.psi_sequence is not None:
-            object.__setattr__(self, "psi_sequence", _as_readonly(self.psi_sequence))
+            psi = _as_readonly(self.psi_sequence)
+            if psi.ndim != 1:
+                raise ValueError(f"psi_sequence must be 1-D, got shape {psi.shape}")
+            object.__setattr__(self, "psi_sequence", psi)
 
     @property
     def size(self) -> int:

@@ -126,15 +126,18 @@ def _decimal(x):
 
 
 def map_reproduction_error(psi, energy, c, dps: int = 60, boundary=Boundary.PERIODIC):
-    """Iterate the map from (psi[1], psi[1]-psi[0]) past the last site.
+    """Iterate the map along psi and past its last site.
 
-    Returns (max deviation over psi[2..N-1], closure error) as floats.  On
-    a ring (the default boundary) the orbit runs through one full wrap and
-    the closure compares it with psi[0] and psi[1] again; on an open chain
-    it is |x_N|, the orbit at the zero pad after the last site.  Pass mpf
-    values from polish_solution and a dps matching the polish so the
-    hyperbolic amplification acts on the polished residual, not on
-    double-precision round-off.  dps is an integer >= 15.
+    Returns (max deviation, closure error) as floats.  On a ring (the
+    default boundary) the orbit starts at (psi[1], psi[1]-psi[0]), the
+    deviation is over psi[2..N-1], and the closure runs through one full
+    wrap and compares the orbit with psi[0] and psi[1] again.  On an open
+    chain it starts at (psi[0], psi[0]), from the zero pad before site 0,
+    the deviation is over psi[1..N-1], and the closure is |x_N|, the
+    orbit at the zero pad after the last site.  Pass mpf values from
+    polish_solution and a dps matching the polish so the hyperbolic
+    amplification acts on the polished residual, not on double-precision
+    round-off.  dps is an integer >= 15.
 
     The map runs on Decimal at dps + 1 significant digits, the precision
     that mpmath gives dps (203 bits at 60).  Each input, psi, E and c, is
@@ -148,13 +151,17 @@ def map_reproduction_error(psi, energy, c, dps: int = 60, boundary=Boundary.PERI
     dps = _check_dps(dps)
     with localcontext(Context(prec=dps + 1, traps=[Overflow])):
         *psi, energy, c = map(_decimal, (*psi, energy, c))
-        x, z = psi[1], psi[1] - psi[0]
-        # the values the orbit should meet after psi[1]: psi[2..N-1], then
-        # a ring's psi[0] and psi[1] again or an open chain's zero pad
-        targets = psi[2:] + (psi[:2] if Boundary(boundary) is Boundary.PERIODIC else [Decimal(0)])
+        # the start, and the values the orbit should meet: psi[first..N-1],
+        # then a ring's psi[0] and psi[1] again or an open chain's zero pad
+        if Boundary(boundary) is Boundary.PERIODIC:
+            x, z, first = psi[1], psi[1] - psi[0], 2
+            targets = psi[2:] + psi[:2]
+        else:
+            x = z = psi[0]  # psi[0] - psi[-1], with the zero pad psi[-1]
+            first, targets = 1, psi[1:] + [Decimal(0)]
         max_dev = closure = Decimal(0)
         try:
-            for i, target in enumerate(targets, 2):
+            for i, target in enumerate(targets, first):
                 x, z = _step(x, z, energy, c)
                 dev = abs(x - target)
                 if i < n:

@@ -1,17 +1,20 @@
-"""Shared test inputs: the paper's chains, the corpus that every
-differential test compares on, the benchmark's two sweeps and the map
-starts, and the scalar tridiagonal kernel kept as an oracle.  A member
-starts from build_asymptotic_state, as `solve --pattern` and `solve
---random` do; tests/test_corpus.py pins the corpus to the benchmark's."""
+"""Shared test inputs and oracles: the paper's chains, the corpus that
+every differential test compares on, the benchmark's two sweeps and the
+map starts, and the one reference implementation of each kernel that two
+test modules compare with.  A member starts from build_asymptotic_state,
+as `solve --pattern` and `solve --random` do; tests/test_corpus.py pins
+the corpus to the benchmark's."""
 
 from collections import namedtuple
 from itertools import chain, repeat
 
+import numpy as np
 import pytest
 
 import dnse_lab as dl
-from dnse_lab.errors import NoConvergence, SingularJacobian
+from dnse_lab.errors import AllZero, NoConvergence, SingularJacobian
 from dnse_lab.newton import PIVOT_REL_THRESHOLD
+from dnse_lab.patterns import OCCUPIED_REL_THRESHOLD
 
 
 def alternating_spot_pattern():
@@ -95,6 +98,37 @@ def kernel_corpus(solved_corpus):
     """(name, state, c): the chains solved and the rings at their start."""
     return ([(m.name, solved_corpus[m.name].state, m.c) for m in CHAINS]
             + [(m.name, m.start(), m.c) for m in RINGS])
+
+
+def newton_system(n, seed, boundary=dl.Boundary.PERIODIC):
+    """(J, F, psi) at the strong-coupling start of a random pattern on n
+    sites, normalized, at c = 4n and its Rayleigh energy."""
+    values = dl.build_asymptotic_state(dl.random_pattern(n, seed)).values
+    state = dl.normalize(dl.LatticeState(values, boundary))
+    params = dl.ModelParams(4.0 * n, boundary)
+    energy = dl.rayleigh_energy(state, params)
+    return (dl.assemble_jacobian(state, params, energy), dl.residual(state, params, energy),
+            state.values)
+
+
+def reference_quantize(state):
+    """quantize_state as it was, trit by trit from one np.where."""
+    psi = state.values
+    peak = np.max(np.abs(psi))
+    if peak == 0.0:
+        raise AllZero("zero state has no pattern")
+    occ = np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak
+    trits = np.where(occ, np.sign(psi).astype(int), 0)
+    return dl.PatternSpec(tuple(int(t) for t in trits), state.boundary)
+
+
+def reference_rows(*columns, numbered):
+    """The writers' row text, value by value: row k is k where numbered,
+    then '%.17g' of each column's value, joined by commas and ended by a
+    newline."""
+    values = (",".join(f"{v:.17g}" for v in row) for row in zip(*(c.tolist() for c in columns)))
+    return "".join(f"{k},{text}\n" if numbered else f"{text}\n"
+                   for k, text in enumerate(values))
 
 
 def reference_tridiag_solve(diag, rhss, periodic):

@@ -60,6 +60,12 @@ class TestPhasePortrait:
         with pytest.raises(ValueError):
             dl.portrait_from_orbit(dl.MapOrbit([[0.1, 0.0]]))
 
+    @pytest.mark.parametrize("psi_sequence", [np.zeros((2, 2)), [[0.1, 0.2, 0.3]], 0.5],
+                             ids=["2x2", "1x3", "scalar"])
+    def test_psi_sequence_not_1d_rejected(self, psi_sequence):
+        with pytest.raises(ValueError, match="psi_sequence"):
+            dl.PhasePortrait(np.zeros((4, 2)), psi_sequence=psi_sequence)
+
 
 class TestDistinctPoints:
     def test_identical_collapse(self):
@@ -389,13 +395,9 @@ def _oracle_thickness(points, neighbors):
         diameter = float(np.hypot(*rel.max(axis=0)))
     scale = -math.frexp(diameter)[1]
     pts, diameter = np.ldexp(rel, scale), math.ldexp(diameter, scale)
-    k = min(neighbors, pts.shape[0] - 1)
     spreads = []
-    for p in pts:
-        d = pts - p
-        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        idx = np.lexsort((np.arange(pts.shape[0]), d2))[: k + 1]
-        local = pts[idx] - pts[idx].mean(axis=0)
+    for near in _brute_neighbors(pts, min(neighbors, pts.shape[0] - 1) + 1):
+        local = near - near.mean(axis=0)
         cov = local.T @ local / local.shape[0]
         eigvals = np.linalg.eigvalsh(cov)
         spreads.append(np.sqrt(max(eigvals[0], 0.0)))

@@ -15,25 +15,16 @@ import pytest
 
 import dnse_lab as dl
 from dnse_lab import newton
-from dnse_lab.errors import SingularJacobian, SumTooSmall
-from dnse_lab.newton import BORDERED_RESIDUAL, _rounding_floor
+from dnse_lab.errors import SingularJacobian
+from dnse_lab.newton import BORDERED_RESIDUAL, _estimate, _rounding_floor
 
 from conftest import BENCH_SWEEPS, CHAINS, CORPUS, irregular_pair_pattern
 
 
-def _estimate(state, params):
-    if params.boundary is dl.Boundary.PERIODIC:
-        try:
-            return dl.energy_estimate(state, params)
-        except SumTooSmall:
-            pass
-    return dl.rayleigh_energy(state, params)
-
-
 def _frozen_energy_solve(initial, params, config=dl.NewtonConfig()):
     """(state, E, converged) of frozen-E Newton steps, each followed by
-    renormalization and a fresh energy estimate, stopping at the tolerance
-    or the rounding floor."""
+    renormalization and a fresh energy estimate (the solver's own
+    newton._estimate), stopping at the tolerance or the rounding floor."""
     state = dl.normalize(initial)
     energy = _estimate(state, params)
     for iterations in range(config.max_iter + 1):

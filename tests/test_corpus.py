@@ -2,10 +2,14 @@
 the benchmark's inputs, so that the tests and the benchmark cannot drift
 apart: the 22 members with their names, sizes, seeds and couplings, the
 chain patterns of bench/workloads.py and the couplings of its two sweep
-commands."""
+commands.  An AST scan keeps each helper and oracle in one home: no
+top-level function is defined in two test modules, and conftest.py holds
+only what some test module uses."""
 
+import ast
 import importlib.util
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from dnse_lab import cli
 from conftest import BENCH_SWEEPS, CHAINS, CORPUS
 
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = ROOT / "tests"
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +68,32 @@ def test_sweeps_are_the_benchmarks(workloads, tmp_path, monkeypatch):
                          "--c-from", repr(c_from), "--c-to", repr(c_to),
                          "--c-step", repr(profile["c_step"]), "--out", str(tmp_path / name)]) == 0
     assert made == BENCH_SWEEPS
+
+
+def _module(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _top_level_functions(path):
+    return [node.name for node in _module(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_no_function_defined_in_two_test_modules():
+    homes = defaultdict(list)
+    for path in sorted(TESTS.glob("*.py")):
+        for name in _top_level_functions(path):
+            homes[name].append(path.name)
+    assert {name: found for name, found in homes.items() if len(found) > 1} == {}
+
+
+def test_every_conftest_function_is_used():
+    # a name read, or a fixture asked for by argument, in some test module
+    used = set()
+    for path in TESTS.glob("test_*.py"):
+        for node in ast.walk(_module(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg):
+                used.add(node.arg)
+    assert set(_top_level_functions(TESTS / "conftest.py")) - used == set()

@@ -11,71 +11,11 @@ import dnse_lab as dl
 from dnse_lab.errors import NoConvergence, SingularJacobian
 from dnse_lab import highprec
 from dnse_lab.highprec import map_reproduction_error, polish_solution
-from dnse_lab.lattice import _neighbors, _stencil_residual
+from dnse_lab.lattice import _stencil_residual
 from dnse_lab.mapdyn import MapState, map_step
 from dnse_lab.newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve
 
 from conftest import alternating_spot_pattern, irregular_pair_pattern, reference_tridiag_solve
-
-
-def _oracle_thomas(diag, rhs, pivot_tol):
-    """Thomas elimination for off-diagonals fixed at -1, one pass per rhs."""
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    den = diag[0]
-    if abs(den) < pivot_tol:
-        raise SingularJacobian(f"pivot {den:.3e} at row 0")
-    cp[0] = -1.0 / den
-    dp[0] = rhs[0] / den
-    for i in range(1, n):
-        den = diag[i] + cp[i - 1]
-        if abs(den) < pivot_tol:
-            raise SingularJacobian(f"pivot {den:.3e} at row {i}")
-        cp[i] = -1.0 / den
-        dp[i] = (rhs[i] + dp[i - 1]) / den
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return dp
-
-
-def _oracle_solve(jac, rhs, pivot_rel_threshold=1e-14):
-    """The float64 solve the shared kernel replaced: Thomas elimination,
-    and for a ring a second elimination of the Sherman-Morrison vector."""
-    pivot_tol = pivot_rel_threshold * max(float(np.max(np.abs(jac.diag))), 1.0)
-    if not jac.periodic:
-        return _oracle_thomas(jac.diag, rhs, pivot_tol)
-    diag = jac.diag
-    gamma = -(abs(diag[0]) + 1.0)
-    t_diag = diag.copy()
-    t_diag[0] -= gamma
-    t_diag[-1] -= 1.0 / gamma
-    y = _oracle_thomas(t_diag, rhs, pivot_tol)
-    u = np.zeros(jac.n)
-    u[0] = gamma
-    u[-1] = -1.0
-    q = _oracle_thomas(t_diag, u, pivot_tol)
-    vy = y[0] - y[-1] / gamma
-    vq = q[0] - q[-1] / gamma
-    den = 1.0 + vq
-    if abs(den) < pivot_rel_threshold:
-        raise SingularJacobian(f"rank-1 correction denominator {den:.3e}")
-    return y - q * (vy / den)
-
-
-class TestFloatKernelAgainstOracle:
-    def test_newton_systems(self, kernel_corpus):
-        # the step system J x = F and the bordering system J x = psi of each
-        # corpus state, at its Rayleigh energy
-        for name, state, c in kernel_corpus:
-            params = dl.ModelParams(c)
-            energy = dl.rayleigh_energy(state, params)
-            jac = dl.assemble_jacobian(state, params, energy)
-            for rhs in (dl.residual(state, params, energy), state.values):
-                x = dl.solve_linear(jac, rhs)
-                ref = _oracle_solve(jac, rhs)
-                scale = max(1.0, float(np.max(np.abs(ref))))
-                assert np.max(np.abs(x - ref)) <= 1e-13 * scale, name
 
 
 def _random_system(rng, n):
@@ -187,11 +127,15 @@ def _list_of_arrays_polish(state, params, dps):
     return psi.tolist(), energy
 
 
-def _worst_residual(psi, energy, c, dps):
+def _worst_residual(psi, energy, c, dps, boundary=dl.Boundary.PERIODIC):
+    """The residual max-norm at dps: a ring wraps, and an open chain has a
+    zero pad past each end."""
+    first, last = (psi[-1], psi[0]) if boundary is dl.Boundary.PERIODIC else (mpf(0), mpf(0))
+    padded = [first, *psi, last]
     with mp.workdps(dps):
-        n = len(psi)
-        return max(abs(-psi[i - 1] + 2 * psi[i] - psi[(i + 1) % n]
-                       - c * psi[i] ** 3 - energy * psi[i]) for i in range(n))
+        return max(abs(-padded[i - 1] + 2 * padded[i] - padded[i + 1]
+                       - c * padded[i] ** 3 - energy * padded[i])
+                   for i in range(1, len(padded) - 1))
 
 
 def _assert_mpf_iterate(exc, dps):
@@ -351,16 +295,6 @@ class TestExactConversion:
             assert [p._mpf_ for p in psi] == [_string_as_mpf(v, dps)._mpf_ for v in dec_psi], dps
 
 
-def _open_worst_residual(psi, energy, c, dps):
-    """The residual max-norm of an open chain at dps, with a zero pad past
-    each end."""
-    padded = [mpf(0), *psi, mpf(0)]
-    with mp.workdps(dps):
-        return max(abs(-padded[i - 1] + 2 * padded[i] - padded[i + 1]
-                       - c * padded[i] ** 3 - energy * padded[i])
-                   for i in range(1, len(padded) - 1))
-
-
 OPEN_CHAINS = [("00+00000-000+0000-+000", 30, 60), ("+0-0+00-", 12, 40)]
 
 
@@ -377,15 +311,15 @@ class TestOpenChains:
         assert len(psi) == len(code)
         with mp.workdps(dps):
             tol = mpf(10) ** (10 - dps)
-            assert _open_worst_residual(psi, polished_energy, c, dps) <= tol
+            assert _worst_residual(psi, polished_energy, c, dps, dl.Boundary.OPEN) <= tol
             assert abs(mp.fsum(p * p for p in psi) - 1) <= tol
         assert abs(float(polished_energy) - energy) <= 1e-12
         assert max(abs(float(p) - v) for p, v in zip(psi, state.values)) <= 1e-12
 
     @pytest.mark.parametrize("code, c, dps", OPEN_CHAINS)
     def test_map_check_closes_at_the_zero_pad(self, code, c, dps):
-        # measured: deviations 1.3e-45 and 1.1e-37, closures 6.8e-45 and
-        # 6.4e-37; read as rings, the closures were 0.083 and 0.50
+        # measured: deviations 1.1e-45 and 1.2e-36, closures 5.7e-45 and
+        # 7.0e-36; read as rings, the closures were 0.083 and 0.50
         params = dl.ModelParams(c, dl.Boundary.OPEN)
         state, _, _ = dl.newton_solve(
             dl.build_asymptotic_state(dl.parse_pattern(code, dl.Boundary.OPEN)), params)
@@ -393,6 +327,13 @@ class TestOpenChains:
         max_dev, closure = map_reproduction_error(psi, energy, c, dps=dps,
                                                   boundary=dl.Boundary.OPEN)
         assert 0 < max_dev <= 10.0 ** (30 - dps) and closure <= 10 * max_dev
+
+    def test_map_check_reads_site_0(self):
+        # E = 0.61 solves site 1's equation, with the pad after it, and not
+        # site 0's: its residual is -0.182, so the orbit from the pad before
+        # site 0 misses psi[1] = 0.8 by 0.182
+        max_dev, _ = map_reproduction_error([0.6, 0.8], 0.61, 1.0, boundary=dl.Boundary.OPEN)
+        assert max_dev >= 0.1
 
 
 class TestNumpyScalars:
@@ -655,8 +596,9 @@ class TestArrayOperandOrder:
     precision into a TypeError before numpy takes over.  The polish and
     the map check both run on Decimal and take mpf only one value at a
     time, at their ends, so no array should reach npconvert.  The shared
-    kernels keep the array on the left all the same; their float64
-    results are the same bits as with the scalar-first expressions."""
+    kernels keep the array on the left all the same;
+    tests/test_residual_oracle.py holds their float64 results to the
+    bits of the forms they replaced."""
 
     def test_polish_never_converts_an_array(self, monkeypatch, chain100_solution,
                                             chain130_solution):
@@ -673,14 +615,3 @@ class TestArrayOperandOrder:
             psi, energy = polish_solution(state, dl.ModelParams(c), dps=dps)
             map_reproduction_error(psi, energy, c, dps=dps)
         assert np.ndarray not in seen
-
-    def test_float64_kernels_bitwise_as_mpf_first(self, kernel_corpus):
-        for name, state, c in kernel_corpus:
-            psi = state.values
-            energy = dl.rayleigh_energy(state, dl.ModelParams(c))
-            left, right = _neighbors(psi, state.boundary)
-            mpf_first = 2.0 * psi - left - right - c * (psi * psi * psi) - energy * psi
-            assert _stencil_residual(psi, c, energy, state.boundary).tobytes() \
-                == mpf_first.tobytes(), name
-            assert _jacobian_diagonal(psi, c, energy).tobytes() \
-                == (2.0 - energy - 3.0 * c * psi**2).tobytes(), name

@@ -9,11 +9,11 @@ its final counts and norm, and sweep_c makes each point's parameters
 without dataclasses.replace; the bordered step's new psi is an array of
 its own, and the scalar kernel takes its scale as max(max diag, -min
 diag).  The code they replaced is kept below as the oracle, with the
-scalar kernel of conftest (reference_tridiag_solve, which scales by
-max(map(abs, diag))).  Both must give the same bytes on the corpus, on
-the benchmark's two sweeps and on every pattern of a 6-site ring at
-c = 400.  The layer calls that the benchmark traces on those sweeps are
-pinned too.
+scalar kernel and the quantizer of conftest (reference_tridiag_solve,
+which scales by max(map(abs, diag)), and reference_quantize).  Both
+must give the same bytes on the corpus, on the benchmark's two sweeps
+and on every pattern of a 6-site ring at c = 400.  The layer calls that
+the benchmark traces on those sweeps are pinned too.
 """
 
 import itertools
@@ -26,13 +26,12 @@ import pytest
 
 import dnse_lab as dl
 from dnse_lab import newton
-from dnse_lab.errors import AllZero, NoConvergence, SingularJacobian, SumTooSmall, ZeroState
+from dnse_lab.errors import NoConvergence, SingularJacobian, SumTooSmall, ZeroState
 from dnse_lab.newton import (BORDERED_RESIDUAL, PREDICTOR_POINTS, STRUCTURE_CHANGE_THRESHOLD,
                              SUM_REL_THRESHOLD, JacobianMatrix, NewtonReport, SweepRecord,
                              _cyclic_reduction, _extrapolate, _jacobian_diagonal)
-from dnse_lab.patterns import OCCUPIED_REL_THRESHOLD, _count
 
-from conftest import BENCH_SWEEPS, CHAINS, CORPUS, reference_tridiag_solve
+from conftest import BENCH_SWEEPS, CHAINS, CORPUS, reference_quantize, reference_tridiag_solve
 
 # ------------------------------------------------------------ the oracles
 
@@ -47,13 +46,6 @@ def _oracle_normalized(values):
 
 def _oracle_normalize(state):
     return dl.LatticeState(_oracle_normalized(np.array(state.values)), state.boundary)
-
-
-def _oracle_trits(psi):
-    peak = np.max(np.abs(psi))
-    if peak == 0.0:
-        raise AllZero("zero state has no pattern")
-    return np.sign(psi).astype(np.int8) * (np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak)
 
 
 def _oracle_energy_estimate(state, params):
@@ -161,7 +153,7 @@ def _oracle_newton_solve(initial, params, config=dl.NewtonConfig()):
         return max(config.tol_residual, _oracle_rounding_floor(state, params, energy))
 
     def described(report, state):
-        return replace(report, final_counts=_count(_oracle_trits(state.values), state.boundary),
+        return replace(report, final_counts=dl.count_pattern(reference_quantize(state)),
                        final_norm=state.norm_squared())
 
     start = [_oracle_normalize(initial)]

@@ -19,7 +19,7 @@ from dnse_lab import newton
 from dnse_lab.errors import SingularJacobian
 from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _reduce, _tridiag_solve
 
-from conftest import (CORPUS, alternating_spot_pattern, irregular_pair_pattern,
+from conftest import (CORPUS, alternating_spot_pattern, irregular_pair_pattern, newton_system,
                       reference_tridiag_solve)
 
 
@@ -46,16 +46,6 @@ def _assert_agrees(x, ref, name):
     assert np.max(np.abs(x - ref)) <= 1e-13 * scale, name
 
 
-def _newton_system(n, seed, boundary=dl.Boundary.PERIODIC):
-    """J and the residual at the strong-coupling start of a random
-    pattern on n sites, c = 4n, at its Rayleigh energy."""
-    values = dl.build_asymptotic_state(dl.random_pattern(n, seed)).values
-    state = dl.normalize(dl.LatticeState(values, boundary))
-    params = dl.ModelParams(4.0 * n, boundary)
-    energy = dl.rayleigh_energy(state, params)
-    return dl.assemble_jacobian(state, params, energy), dl.residual(state, params, energy)
-
-
 class TestAgainstScalarKernel:
     def test_corpus_systems(self, kernel_corpus):
         # the step system J x = F and the bordering system J x = psi
@@ -73,7 +63,7 @@ class TestAgainstScalarKernel:
 
     @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
     def test_large_rings(self, n):
-        jac, rhs = _newton_system(n, 1)
+        jac, rhs, _ = newton_system(n, 1)
         x = dl.solve_linear(jac, rhs)
         assert np.array_equal(x, _cyclic_reduction(jac.diag, rhs, True))
         _assert_agrees(x, _scalar(jac.diag, rhs, True), n)
@@ -81,11 +71,11 @@ class TestAgainstScalarKernel:
     @pytest.mark.parametrize("boundary", [dl.Boundary.PERIODIC, dl.Boundary.OPEN])
     def test_prime_size(self, boundary):
         # 10007 sites: levels of odd size, on a ring and on a chain
-        jac, rhs = _newton_system(10_007, 2, boundary)
+        jac, rhs, _ = newton_system(10_007, 2, boundary)
         _assert_agrees(dl.solve_linear(jac, rhs), _scalar(jac.diag, rhs, jac.periodic), 10_007)
 
     def test_open_chain(self):
-        jac, rhs = _newton_system(20_000, 3, dl.Boundary.OPEN)
+        jac, rhs, _ = newton_system(20_000, 3, dl.Boundary.OPEN)
         assert not jac.periodic
         x = dl.solve_linear(jac, rhs)
         assert np.array_equal(x, _cyclic_reduction(jac.diag, rhs, False))
@@ -116,8 +106,7 @@ class TestAgainstScalarKernel:
         # the bordered step's pair J a = F, J b = psi through one
         # factorization: each row as if it were solved alone
         boundary = dl.Boundary.PERIODIC if periodic else dl.Boundary.OPEN
-        jac, res = _newton_system(n, 4, boundary)
-        psi = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, 4))).values
+        jac, res, psi = newton_system(n, 4, boundary)
         x = dl.solve_linear(jac, np.stack((res, psi)))
         assert x.shape == (2, n)
         for row, rhs in zip(x, (res, psi)):
@@ -131,8 +120,7 @@ class TestAgainstScalarKernel:
         # the bordered step hands solve_linear its two rows unstacked: the
         # same bytes as the stack, by the scalar kernel below
         # REDUCTION_MIN_SITES and by the reduction above, rows untouched
-        jac, res = _newton_system(n, 2, boundary)
-        psi = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, 2))).values
+        jac, res, psi = newton_system(n, 2, boundary)
         a, b = res.copy(), psi.copy()
         x = dl.solve_linear(jac, (a, b))
         assert x.shape == (2, n)
@@ -216,7 +204,7 @@ class TestThreshold:
     @pytest.mark.parametrize("stacked", [False, True], ids=["one-rhs", "two-rhs"])
     def test_kernel_on_either_side(self, stacked):
         for n in (REDUCTION_MIN_SITES - 1, REDUCTION_MIN_SITES):
-            jac, res = _newton_system(n, 5)
+            jac, res, _ = newton_system(n, 5)
             rhs = np.stack((res, np.ones(n))) if stacked else res
             if n < REDUCTION_MIN_SITES:
                 ref = _scalar(jac.diag, rhs, True)
@@ -353,7 +341,7 @@ def test_stacked_solve_memory():
     # hop products on the first level, or the pivot copy held through the
     # residuals, read 4.0 N
     n = 100_000
-    jac, res = _newton_system(n, 1)
+    jac, res, _ = newton_system(n, 1)
     rhs = np.stack((res, np.ones(n)))
     tracemalloc.start()
     try:

@@ -20,9 +20,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import dnse_lab as dl
 from dnse_lab.newton import (BACKWARD_REL_THRESHOLD, PIVOT_REL_THRESHOLD, _cyclic_reduction,
                              _matvec)
+
+from conftest import newton_system
 
 SIZES = (*range(1, 65), 511, 512, 513, 640, 1000, 1023, 1024, 1025, 4097, 10_000, 100_000)
 
@@ -97,17 +98,6 @@ def _assert_same(diag, rhs, periodic, name):
         assert x.tobytes() == ref.tobytes(), name
 
 
-def _newton_system(n, seed):
-    """The diagonal of J, the residual F and psi at the strong-coupling
-    start of a random pattern on an n-site ring, c = 4n, at its Rayleigh
-    energy."""
-    state = dl.normalize(dl.build_asymptotic_state(dl.random_pattern(n, seed)))
-    params = dl.ModelParams(4.0 * n)
-    energy = dl.rayleigh_energy(state, params)
-    jac = dl.assemble_jacobian(state, params, energy)
-    return jac.diag, dl.residual(state, params, energy), state.values
-
-
 def _diagonals(rng, n):
     """|d| in (3, 8) with random signs, d in (-1.9, 1.9) (no diagonal
     dominance) and d in (-10, 10) (both, and some refusals)."""
@@ -162,9 +152,9 @@ def test_singular_ring():
 def test_newton_systems(n, seeds):
     # the step system J x = F and the bordered step's stack (F, psi)
     for seed in range(seeds):
-        diag, res, psi = _newton_system(n, seed)
-        _assert_same(diag, res, True, (n, seed))
-        _assert_same(diag, np.stack((res, psi)), True, (n, seed))
+        jac, res, psi = newton_system(n, seed)
+        _assert_same(jac.diag, res, True, (n, seed))
+        _assert_same(jac.diag, np.stack((res, psi)), True, (n, seed))
 
 
 def _traced_peak(solve, diag, rhs):
@@ -184,7 +174,7 @@ def test_peak_memory(rhs_count):
     # holds N / 2 hops and the copy; 0.49 N doubles below the loop's peak
     # with one row and with two
     n = 100_000
-    diag, res, psi = _newton_system(n, 1)
+    jac, res, psi = newton_system(n, 1)
     rhs = res if rhs_count == 1 else np.stack((res, psi))
-    peaks = [_traced_peak(solve, diag, rhs) for solve in (_loop_reduction, _cyclic_reduction)]
+    peaks = [_traced_peak(solve, jac.diag, rhs) for solve in (_loop_reduction, _cyclic_reduction)]
     assert peaks[1] <= peaks[0] - 0.4 * n * 8, peaks

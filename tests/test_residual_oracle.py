@@ -78,6 +78,17 @@ def test_solved_ring_residual_bytes():
                 == _concatenated_residual(psi, 4.0 * n, energy, boundary).tobytes())
 
 
+def test_corpus_residual_and_diagonal_bytes(kernel_corpus):
+    # the chains solved and the rings at their starts, at the Rayleigh E
+    for name, state, c in kernel_corpus:
+        psi = state.values
+        energy = dl.rayleigh_energy(state, dl.ModelParams(c))
+        assert (_stencil_residual(psi, c, energy, state.boundary).tobytes()
+                == _concatenated_residual(psi, c, energy, state.boundary).tobytes()), name
+        assert (_jacobian_diagonal(psi, c, energy).tobytes()
+                == _three_array_diagonal(psi, c, energy).tobytes()), name
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 5, 100))
 def test_decimal_residual_and_diagonal(n):
     # the polish's numbers: periodic object arrays of Decimal at 60 digits

@@ -3,11 +3,13 @@ code it replaced.
 
 The residual and the cubic energy estimate form psi**3 as psi*psi*psi,
 quantize_state builds its trits with one numpy expression, and the state,
-portrait and orbit writers format blocks of 1024 rows with one % operation.
-The code they replaced is kept here as the oracle: Newton from either must
-find the same states on the corpus, quantization must agree exactly, and
-the files must be byte-identical.  An AST scan keeps integer powers of 3
-and up out of the package, but for the scalar map steps.
+portrait and orbit writers format their rows in numpy.  The residual and
+energy code they replaced is kept here as the oracle, and the quantizer
+and the row text in conftest (reference_quantize, reference_rows): Newton
+from either must find the same states on the corpus, quantization must
+agree exactly, and the files must be byte-identical.  An AST scan keeps
+integer powers of 3 and up out of the package, but for the scalar map
+steps.
 """
 
 import ast
@@ -20,11 +22,9 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 from dnse_lab import lattice, newton
-from dnse_lab.errors import AllZero, SumTooSmall
-from dnse_lab.io import fmt
-from dnse_lab.patterns import OCCUPIED_REL_THRESHOLD
+from dnse_lab.errors import SumTooSmall
 
-from conftest import CORPUS, solve_member
+from conftest import CORPUS, reference_quantize, reference_rows, solve_member
 
 EPS = np.finfo(float).eps
 
@@ -54,29 +54,6 @@ def _hamiltonian_oracle(state, params, energy):
         bonds = bonds[:-1]
     kinetic = float(np.sum(bonds**2))
     return kinetic - 0.5 * params.c * float(np.sum(psi**4)) - energy * state.norm_squared()
-
-
-def _quantize_oracle(state):
-    psi = state.values
-    peak = np.max(np.abs(psi))
-    if peak == 0.0:
-        raise AllZero("zero state has no pattern")
-    occ = np.abs(psi) > OCCUPIED_REL_THRESHOLD * peak
-    trits = np.where(occ, np.sign(psi).astype(int), 0)
-    return dl.PatternSpec(tuple(int(t) for t in trits), state.boundary)
-
-
-def _state_text_oracle(state):
-    return "index,psi\n" + "".join(f"{i},{fmt(v)}\n" for i, v in enumerate(state.values))
-
-
-def _portrait_text_oracle(portrait):
-    return "psi,dpsi\n" + "".join(f"{fmt(x)},{fmt(y)}\n" for x, y in portrait.points)
-
-
-def _orbit_text_oracle(orbit):
-    return "step,psi,Z\n" + "".join(
-        f"{k},{fmt(p)},{fmt(z)}\n" for k, (p, z) in enumerate(orbit.points))
 
 
 # ------------------------------------------------- Newton on the corpus
@@ -147,14 +124,14 @@ def _quantize_inputs():
 
 @pytest.mark.parametrize("state", list(_quantize_inputs()))
 def test_quantize_equals_oracle(state):
-    got, want = dl.quantize_state(state), _quantize_oracle(state)
+    got, want = dl.quantize_state(state), reference_quantize(state)
     assert got == want
     assert all(type(t) is int for t in got.trits)
 
 
 def test_quantize_corpus_states(chain100_solution, chain130_solution):
     for _, state, _, _ in (chain100_solution, chain130_solution):
-        assert dl.quantize_state(state) == _quantize_oracle(state)
+        assert dl.quantize_state(state) == reference_quantize(state)
 
 
 # ------------------------------------------------------------- writers
@@ -178,7 +155,8 @@ def _values(n, seed):
 def test_state_file_bytes(tmp_path, n):
     state = dl.LatticeState(_values(n, n))
     path = lab_io.write_state(tmp_path / "s.csv", state, 4.0 * n, -1.5)
-    assert path.read_bytes() == _state_text_oracle(state).encode()
+    want = "index,psi\n" + reference_rows(state.values, numbered=True)
+    assert path.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("n", WRITER_SIZES)
@@ -186,10 +164,12 @@ def test_portrait_and_orbit_file_bytes(tmp_path, n):
     points = np.column_stack([_values(n, n + 1), _values(n, n + 2)])
     portrait = dl.PhasePortrait(points)
     path = lab_io.write_portrait(tmp_path / "p.csv", portrait)
-    assert path.read_bytes() == _portrait_text_oracle(portrait).encode()
+    want = "psi,dpsi\n" + reference_rows(*portrait.points.T, numbered=False)
+    assert path.read_bytes() == want.encode()
     orbit = dl.MapOrbit(points)
     path = lab_io.write_orbit(tmp_path / "o.csv", orbit)
-    assert path.read_bytes() == _orbit_text_oracle(orbit).encode()
+    want = "step,psi,Z\n" + reference_rows(*orbit.points.T, numbered=True)
+    assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------- the guard

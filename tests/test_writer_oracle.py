@@ -1,18 +1,16 @@
 """io._rows against the formatting it replaced: the same bytes, value by value.
 
-_oracle_rows is the body _rows had before its digits were computed in
-numpy: each block of rows read as Python floats and formatted by one %
-operation.  The value sets aim at the places where the numpy digits
-could go wrong: exact and near ties, the neighbours of powers of ten
-(where log10's exponent is off by one), the switch between the 0.000ddd
-and the exponent layouts, the ends of the decided range (1e-280 and 1),
-and values that only '%.17g' writes.  The last test bounds how many values
+The oracle is conftest.reference_rows, '%.17g' of each value in Python.
+The value sets aim at the places where the numpy digits could go wrong:
+exact and near ties, the neighbours of powers of ten (where log10's
+exponent is off by one), the switch between the 0.000ddd and the
+exponent layouts, the ends of the decided range (1e-280 and 1), and
+values that only '%.17g' writes.  The last test bounds how many values
 of the solver's own outputs are left to '%.17g'.
 """
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -20,23 +18,14 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 
-from conftest import MAP_STARTS, map_orbit
-
-
-def _oracle_rows(row: str, *columns, numbered: bool):
-    for start in range(0, len(columns[0]), 1024):
-        block = [col[start:start + 1024].tolist() for col in columns]
-        if numbered:
-            block.insert(0, range(start, start + len(block[0])))
-        yield (row * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
+from conftest import MAP_STARTS, map_orbit, reference_rows
 
 
 def _assert_same_bytes(*columns):
     """The rows of the columns, numbered and not, as the oracle writes them."""
     for numbered in (True, False):
-        row = ",".join(["%d"] * numbered + ["%.17g"] * len(columns)) + "\n"
         got = "".join(lab_io._rows(*columns, numbered=numbered)).splitlines()
-        want = "".join(_oracle_rows(row, *columns, numbered=numbered)).splitlines()
+        want = reference_rows(*columns, numbered=numbered).splitlines()
         assert len(got) == len(want)
         wrong = [(k, g, w) for k, (g, w) in enumerate(zip(got, want)) if g != w]
         assert not wrong, f"{len(wrong)} rows differ, first (row, written, expected): {wrong[0]}"
