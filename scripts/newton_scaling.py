@@ -9,12 +9,15 @@ iteration count and the process's ru_maxrss after the first solve, then
 once more under tracemalloc, for the traced peak of the solve alone.  It then
 writes the solved state with write_state WRITE_REPEATS times, to one
 path in a temporary directory, for the median time of the state writer:
-the first call creates the state file and its sidecar and the others
-rewrite them, so the median is of rewrites.  It then counts the
-distinct points of its phase portrait at DISTINCT_TOL as many times, for
-the median time of distinct_points, and classifies the portrait as many
-times, for the median time of classify_portrait, and reads ru_maxrss
-again: classification sets the peak of a whole run at 10^6.
+the first call creates the state file, its sidecar and its binary copy
+and the others rewrite them, so the median is of rewrites.  It reads
+the state back with read_state as many times, for the median time of
+the reader, which takes the amplitudes from the binary copy.  It then
+counts the distinct points of its phase portrait at DISTINCT_TOL as many
+times, for the median time of distinct_points, and classifies the
+portrait as many times, for the median time of classify_portrait, and
+reads ru_maxrss again: classification sets the peak of a whole run at
+10^6.
 Prints one line per N with the min-max of each figure over its runs, and
 writes every run's figures to newton_scaling.json under --out, beside an
 environment block: the git SHA of the checkout (null outside one, as in
@@ -120,7 +123,9 @@ def measure(n: int, seed: int) -> dict:
     finally:
         tracemalloc.stop()
     with tempfile.TemporaryDirectory() as tmp:
-        write_ms = _median_ms(lambda: lab_io.write_state(Path(tmp) / "state.csv", state, params.c, energy))
+        path = Path(tmp) / "state.csv"
+        write_ms = _median_ms(lambda: lab_io.write_state(path, state, params.c, energy))
+        read_ms = _median_ms(lambda: lab_io.read_state(path))
     portrait = dl.phase_portrait(state)
     return {"n": n, "seed": seed, "wall_ms": 1e3 * statistics.median(walls),
             "wall_min_ms": 1e3 * min(walls), "wall_max_ms": 1e3 * max(walls),
@@ -128,6 +133,7 @@ def measure(n: int, seed: int) -> dict:
             "converged": report.converged, "traced_peak_mib": peak / 2**20,
             "ru_maxrss_mib": maxrss_kb / 2**10,
             "write_state_ms": write_ms,
+            "read_state_ms": read_ms,
             "distinct_ms": _median_ms(lambda: dl.distinct_points(portrait, DISTINCT_TOL)),
             "classify_ms": _median_ms(lambda: dl.classify_portrait(portrait)),
             "ru_maxrss_classified_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10}
@@ -155,6 +161,7 @@ def main():
               f"ru_maxrss {span('ru_maxrss_mib', 1)} MiB, "
               f"{span('ru_maxrss_classified_mib', 1)} MiB classified  "
               f"write_state {span('write_state_ms', 1)} ms  "
+              f"read_state {span('read_state_ms', 2)} ms  "
               f"distinct_points {span('distinct_ms', 1)} ms  "
               f"classify_portrait {span('classify_ms', 1)} ms  ({RUNS} runs)")
     path = lab_io.write_json(Path(args.out) / "newton_scaling.json",

@@ -1,11 +1,12 @@
 """Shared test inputs and oracles: the paper's chains, the corpus that
 every differential test compares on, the benchmark's two sweeps and the
-map starts, and the one reference implementation of each kernel that two
-test modules compare with.  A member starts from build_asymptotic_state,
+map starts, the writers' tie values, and the one reference
+implementation of each kernel that two test modules compare with.  A member starts from build_asymptotic_state,
 as `solve --pattern` and `solve --random` do; tests/test_corpus.py pins
 the corpus to the benchmark's."""
 
 from collections import namedtuple
+from decimal import Decimal
 from itertools import chain, repeat
 
 import numpy as np
@@ -129,6 +130,16 @@ def reference_rows(*columns, numbered):
     values = (",".join(f"{v:.17g}" for v in row) for row in zip(*(c.tolist() for c in columns)))
     return "".join(f"{k},{text}\n" if numbered else f"{text}\n"
                    for k, text in enumerate(values))
+
+
+def tie_values():
+    """m 2**-e, m odd: an exact 17-digit tie where the value has 18
+    significant digits, so half-even and half-up rounding differ on half
+    of them."""
+    values = [m * 2.0**-e for e in range(19, 50) for m in range(1, 4096, 2)]
+    ties = np.array([x for x in values if len(Decimal(x).as_tuple().digits) == 18])
+    assert 2.0**-25 in ties and 3 * 2.0**-25 in ties and len(ties) > 1000
+    return ties
 
 
 def reference_tridiag_solve(diag, rhss, periodic):

@@ -7,7 +7,6 @@ all); the assertions carry the same tolerances as the printed verdicts.
 import time
 
 import numpy as np
-import pytest
 
 import dnse_lab as dl
 from dnse_lab.highprec import map_reproduction_error, polish_solution

@@ -353,7 +353,8 @@ class TestOutPrefix:
         assert main(["solve", "--pattern", "+0000-0000", "--c", "30",
                      "--out-prefix", "sub/x", "--out", str(out)]) == EXIT_OK
         assert sorted(p.name for p in (out / "sub").iterdir()) == [
-            "x.class.json", "x.portrait.csv", "x.report.json", "x.state.csv", "x.state.json"]
+            "x.class.json", "x.portrait.csv", "x.report.json", "x.state.bin", "x.state.csv",
+            "x.state.json"]
         assert sorted(p.name for p in out.iterdir()) == ["run.json", "sub"]
 
 

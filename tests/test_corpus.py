@@ -4,7 +4,8 @@ apart: the 22 members with their names, sizes, seeds and couplings, the
 chain patterns of bench/workloads.py and the couplings of its two sweep
 commands.  An AST scan keeps each helper and oracle in one home: no
 top-level function is defined in two test modules, and conftest.py holds
-only what some test module uses."""
+only what some test module uses.  Another finds imports that a test
+module never reads."""
 
 import ast
 import importlib.util
@@ -85,6 +86,26 @@ def test_no_function_defined_in_two_test_modules():
         for name in _top_level_functions(path):
             homes[name].append(path.name)
     assert {name: found for name, found in homes.items() if len(found) > 1} == {}
+
+
+def _unread_imports(path):
+    """The names that the module at path imports and never reads."""
+    tree = _module(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    unread = [f"{path.name}: {name}" for path in sorted(TESTS.glob("*.py"))
+              for name in _unread_imports(path)]
+    assert not unread, f"imported and never read: {unread}"
 
 
 def test_every_conftest_function_is_used():

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 
 import dnse_lab as dl
 from dnse_lab import io as lab_io
+
+from conftest import tie_values
 
 
 class TestFormat:
@@ -71,6 +76,134 @@ class TestStateFiles:
             lab_io.read_state(path)
 
 
+def _outcome(path):
+    """What read_state makes of path: the value bytes, boundary and meta,
+    or the error's type and message."""
+    try:
+        state, meta = lab_io.read_state(path)
+    except (OSError, ValueError) as exc:
+        return type(exc), str(exc)
+    return state.values.tobytes(), state.boundary, meta
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The CSV paths whose text read_state has parsed, in order."""
+    calls = []
+    parse = lab_io._parsed_values
+
+    def counted(csv_path, data):
+        calls.append(csv_path)
+        return parse(csv_path, data)
+
+    monkeypatch.setattr(lab_io, "_parsed_values", counted)
+    return calls
+
+
+def _flip(path, at):
+    data = bytearray(path.read_bytes())
+    data[at] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _cut_last_row(csv, copy, other):
+    csv.write_bytes(csv.read_bytes().rstrip(b"\n").rpartition(b"\n")[0] + b"\n")
+
+
+def _change_last_digit(csv, copy, other):
+    data = csv.read_bytes()
+    csv.write_bytes(data[:-2] + (b"1" if data[-2:-1] == b"0" else b"0") + b"\n")
+
+
+# ways the copy stops matching its CSV: (csv, copy, another state's copy)
+STALE = {
+    "csv byte changed": _change_last_digit,
+    "row added": lambda csv, copy, other: csv.write_bytes(csv.read_bytes() + b"7,0.5\n"),
+    "row cut": _cut_last_row,
+    "copy missing": lambda csv, copy, other: copy.unlink(),
+    "copy cut by a value": lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:-8]),
+    "copy cut inside the digest": lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:20]),
+    "copy of the digest alone": lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:32]),
+    "copy one byte long": lambda csv, copy, other: copy.write_bytes(copy.read_bytes() + b"\0"),
+    "copy one byte short": lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:-1]),
+    "digest byte flipped": lambda csv, copy, other: _flip(copy, 31),
+    "value byte flipped": lambda csv, copy, other: _flip(copy, 32 + 8 * 3),
+    "copy of another state": lambda csv, copy, other: copy.write_bytes(other.read_bytes()),
+    "copy is a directory": lambda csv, copy, other: (copy.unlink(), copy.mkdir()),
+}
+
+
+class TestBinaryCopy:
+    """read_state takes the amplitudes from the .bin only where it matches
+    the CSV, and then returns what parsing the text returns: the text
+    parse is the oracle."""
+
+    def _assert_same_as_text(self, path, parses, copied):
+        """read_state(path) gives the same with its copy as without it,
+        took the copy if copied and parsed the text otherwise, and wrote
+        nothing."""
+        before = _files(path.parent)
+        parses.clear()
+        got = _outcome(path)
+        assert parses == ([] if copied else [path])
+        assert _files(path.parent) == before
+        copy = path.with_suffix(".bin")
+        if copy.is_dir():
+            copy.rmdir()
+        copy.unlink(missing_ok=True)
+        assert _outcome(path) == got
+        return got
+
+    def test_layout(self, tmp_path):
+        values = np.random.default_rng(6).standard_normal(5)
+        path = lab_io.write_state(tmp_path / "s.state.csv", dl.LatticeState(values), 4.0, -0.5)
+        amplitudes = values.astype("<f8").tobytes()
+        digest = hashlib.sha256(path.read_bytes() + amplitudes).digest()
+        assert path.with_suffix(".bin").read_bytes() == digest + amplitudes
+
+    def test_corpus(self, tmp_path, solved_corpus, parses):
+        for name, solved in solved_corpus.items():
+            path = lab_io.write_state(tmp_path / name / "solve.state.csv", solved.state,
+                                      4.0, solved.energy)
+            got = self._assert_same_as_text(path, parses, copied=True)
+            assert got[0] == solved.state.values.tobytes(), name
+
+    def test_edge_values(self, tmp_path, parses):
+        edges = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                          1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308])
+        values = np.concatenate([edges, tie_values(), -tie_values()])
+        path = lab_io.write_state(tmp_path / "s.csv", dl.LatticeState(values), 1.0, None)
+        got = self._assert_same_as_text(path, parses, copied=True)
+        assert got[0] == values.tobytes()
+
+    @pytest.mark.parametrize("name", STALE)
+    def test_stale_copy_falls_back_to_the_text(self, tmp_path, parses, name):
+        rng = np.random.default_rng(7)
+        path, other = (lab_io.write_state(tmp_path / f"{stem}.csv",
+                                          dl.LatticeState(rng.standard_normal(7)), 2.0, -1.0)
+                       for stem in ("s", "other"))
+        STALE[name](path, path.with_suffix(".bin"), other.with_suffix(".bin"))
+        self._assert_same_as_text(path, parses, copied=False)
+
+    def test_hashlib_waits_for_a_state(self):
+        # commands that read and write no state do not load OpenSSL
+        code = "import sys, dnse_lab.cli; print('hashlib' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dl.__file__))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout == "False\n"
+
+    def test_csv_named_bin_has_no_copy(self, tmp_path):
+        state = dl.LatticeState([0.5, -0.25])
+        path = lab_io.write_state(tmp_path / "s.bin", state, 1.0, 0.0)
+        assert path.read_bytes() == b"index,psi\n0,0.5\n1,-0.25\n"
+        assert lab_io.read_state(path)[0].values.tobytes() == state.values.tobytes()
+
+
 class TestOtherWriters:
     def test_portrait_file(self, tmp_path):
         portrait = dl.phase_portrait(dl.LatticeState([1.0, 0.0, 0.0]))
@@ -124,8 +257,8 @@ class TestOtherWriters:
         lab_io.write_state(path, old, 1.0, -1.0)
         lab_io.write_state(path, new, 2.0, None)
         fresh = lab_io.write_state(tmp_path / "fresh" / "s.csv", new, 2.0, None)
-        assert path.read_bytes() == fresh.read_bytes()
-        assert path.with_suffix(".json").read_bytes() == fresh.with_suffix(".json").read_bytes()
+        for suffix in (".csv", ".json", ".bin"):
+            assert path.with_suffix(suffix).read_bytes() == fresh.with_suffix(suffix).read_bytes()
 
     def test_rewrite_keeps_inode_and_mode(self, tmp_path):
         path = lab_io.write_json(tmp_path / "r.json", {"a": list(range(100))})

@@ -2,8 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dnse_lab as dl
 from dnse_lab.errors import (

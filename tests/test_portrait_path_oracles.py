@@ -7,7 +7,7 @@ numpy before its greedy loop, and iterate_map steps on plain floats.  The
 per-point loop and the MapState loop they replaced are kept here as the
 oracles: counts must be equal and orbits must be bit-identical.
 read_state is checked directly: which files it accepts, and the row its
-errors name.
+errors name, with and without a stale binary copy beside them.
 """
 
 import json
@@ -410,22 +410,37 @@ ACCEPTED = {
 }
 
 
+def _with_copy_of_good(tmp_path, path):
+    """Put beside path the binary copy that write_state makes of GOOD."""
+    values = [float(row.split(",")[1]) for row in GOOD]
+    good = lab_io.write_state(tmp_path / "good" / "s.csv",
+                              dl.LatticeState(values, dl.Boundary.OPEN), 1.0, 0.0)
+    path.with_suffix(".bin").write_bytes(good.with_suffix(".bin").read_bytes())
+
+
+# each read_state case runs on the text alone, then with a stale copy of
+# GOOD beside it, which must change nothing
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_read_state_names_the_bad_row(tmp_path, name):
     rows, message = MALFORMED[name]
     path = _write_rows(tmp_path, "s", rows)
-    with pytest.raises(ValueError) as got:
-        lab_io.read_state(path)
-    assert str(got.value).startswith(f"{path}: {message}")
+    for _ in range(2):
+        with pytest.raises(ValueError) as got:
+            lab_io.read_state(path)
+        assert str(got.value).startswith(f"{path}: {message}")
+        _with_copy_of_good(tmp_path, path)
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTED))
 def test_read_state_accepts_python_numbers(tmp_path, name):
     rows = ACCEPTED[name]
-    state, meta = lab_io.read_state(_write_rows(tmp_path, "s", rows))
+    path = _write_rows(tmp_path, "s", rows)
     expected = np.array([float(row.split(",")[1]) for row in rows])
-    assert state.values.tobytes() == expected.tobytes()
-    assert meta["N"] == len(rows)
+    for _ in range(2):
+        state, meta = lab_io.read_state(path)
+        assert state.values.tobytes() == expected.tobytes()
+        assert meta["N"] == len(rows)
+        _with_copy_of_good(tmp_path, path)
 
 
 def test_read_state_edges(tmp_path):

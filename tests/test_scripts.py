@@ -123,6 +123,7 @@ def _load(script: Path):
 def test_newton_scaling_times_classification():
     row = _load(ROOT / "scripts" / "newton_scaling.py").measure(208, 1)
     assert row["classify_ms"] > 0 and row["distinct_ms"] > 0
+    assert row["write_state_ms"] > 0 and row["read_state_ms"] > 0
     # read again after classification, which can set the run's peak
     assert row["ru_maxrss_classified_mib"] >= row["ru_maxrss_mib"] > 0
 

@@ -18,7 +18,7 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 
-from conftest import MAP_STARTS, map_orbit, reference_rows
+from conftest import MAP_STARTS, map_orbit, reference_rows, tie_values
 
 
 def _assert_same_bytes(*columns):
@@ -42,16 +42,6 @@ def _scaled_normals(n, seed):
     return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
 
 
-def _ties():
-    """m 2**-e, m odd: an exact 17-digit tie where the value has 18
-    significant digits, so half-even and half-up rounding differ on half
-    of them."""
-    values = [m * 2.0**-e for e in range(19, 50) for m in range(1, 4096, 2)]
-    ties = np.array([x for x in values if len(Decimal(x).as_tuple().digits) == 18])
-    assert 2.0**-25 in ties and 3 * 2.0**-25 in ties and len(ties) > 1000
-    return ties
-
-
 def _powers_of_ten():
     """10**j and both of its float neighbours, j = -300 ... 300."""
     powers = np.array([float(f"1e{j}") for j in range(-300, 301)])
@@ -71,7 +61,7 @@ EDGES = np.array([
 VALUE_SETS = {
     "random bits": lambda: _random_bits(100_000, 1),
     "scaled normals": lambda: _scaled_normals(100_000, 2),
-    "ties": _ties,
+    "ties": tie_values,
     "powers of ten": _powers_of_ten,
     "edges": lambda: EDGES,
 }
