@@ -51,7 +51,7 @@ def count_directory(directory: Path) -> dict:
     directory, and their sums under "total"."""
     counts = {}
     for path in sorted(directory.glob("*.py")):
-        source = path.read_text()
+        source = path.read_bytes().decode()
         counts[path.name] = {"raw": source.count("\n"), "code": count_code_lines(source)}
     counts["total"] = {key: sum(c[key] for c in counts.values()) for key in ("raw", "code")}
     return counts

@@ -1,13 +1,15 @@
 """File formats shared by the CLI and the experiment scripts.
 
 All floating-point output uses 17 significant digits so repeated runs with
-the same resolved configuration are byte-identical.  Every writer creates
-the parent directory of its file and returns the file's path, so a run
-that fails before its first write leaves nothing behind.
+the same resolved configuration are byte-identical.  Every writer hands
+its bytes to one writer, which opens the file in binary mode, creates its
+parent directory and returns the file's path, so a run that fails before
+its first write leaves nothing behind.  Text is UTF-8 with LF line ends,
+and read_state decodes as UTF-8, so no file depends on the host's locale.
 
-Every writer rewrites an existing file in place, without truncating it
-to zero first, and cuts it at the last byte written, whether the write
-finished or raised, so the file holds exactly the new text.  The file
+The writer rewrites an existing file in place, without truncating it to
+zero first, and cuts it at the last byte written, whether the write
+finished or raised, so the file holds exactly the new bytes.  The file
 keeps its inode, as with open("w"): a symlink is written through, and
 hard links, mode and owner are kept.  On ext4, a file truncated to zero
 and rewritten is flushed to disk on close (the auto_da_alloc heuristic
@@ -20,7 +22,7 @@ process killed (SIGKILL) in the middle of a write can leave the new
 bytes followed by the old file's tail, where truncating first left only
 the new prefix; no writer calls fsync, so neither was ever durable.
 And the cut needs a file that can be truncated: a path that is a device
-or a FIFO takes the text, then raises OSError.
+or a FIFO takes the bytes, then raises OSError.
 
 State:        CSV `index,psi`, a sidecar JSON {"N", "boundary", "c", "E"}
               and a binary copy of the amplitudes (see below).
@@ -31,20 +33,21 @@ Tables:       CSV with a header row (sweeps, experiment summaries and
               the box counts of scripts/map_portraits.py).
 Reports:      plain JSON (solver report, classification, pattern counts).
 
-A state's binary copy sits beside its CSV, with the suffix .bin: 32
-bytes of SHA-256 over the CSV's bytes followed by the amplitude bytes,
-then the N amplitudes as little-endian float64.  It is derived from the
-CSV and may be deleted, which only slows the next read: read_state takes
-the amplitudes from a copy whose digest matches the CSV it has just read
-and the copy's own values, and parses the text otherwise, with the same
-accepted forms and errors.  A '%.17g' value reads back as the float it
-was written from, so both paths give the same bits.  Parsing is bounded
-by float() on a 17-digit decimal, about 0.22 us a value, so no text
-parser gets far below it.  On solved random rings (c = 4N, 2-vCPU Xeon,
-Python 3.11) the copy took read_state from 0.78 to 0.08-0.13 ms at
-N = 10^3, from 75-117 to 3.4-3.9 ms at 10^5 and from 0.8-1.3 s to 0.04 s
-at 10^6.  The digest and the extra file cost write_state about 0.4 ms at
-10^4 and 3 ms at 10^5, on 1.5 and 14 ms.
+A state's sidecar and binary copy take its CSV's path with the suffixes
+.json and .bin, so write_state refuses a CSV named *.json or *.bin.  The
+copy is 32 bytes of SHA-256 over the CSV's bytes followed by the
+amplitude bytes, then the N amplitudes as little-endian float64.  It is
+derived from the CSV and may be deleted, which only slows the next read:
+read_state takes the amplitudes from a copy whose digest matches the CSV
+it has just read and the copy's own values, and parses the text
+otherwise, with the same accepted forms and errors.  A '%.17g' value
+reads back as the float it was written from, so both paths give the same
+bits.  Parsing is bounded by float() on a 17-digit decimal, about 0.22 us
+a value, so no text parser gets far below it.  On solved random rings
+(c = 4N, 2-vCPU Xeon, Python 3.11) the copy took read_state from 0.78 to
+0.08-0.13 ms at N = 10^3, from 75-117 to 3.4-3.9 ms at 10^5 and from
+0.8-1.3 s to 0.04 s at 10^6.  The digest and the extra file cost
+write_state about 0.4 ms at 10^4 and 3 ms at 10^5, on 1.5 and 14 ms.
 
 The state, orbit and portrait files write each float as '%.17g' does,
 byte for byte, but a block of rows at a time in numpy.  At 17 digits
@@ -74,11 +77,10 @@ of ten, y lies outside [10**16, 10**17), so D is not inside the range.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
-from io import BytesIO, TextIOWrapper
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -241,10 +243,15 @@ def _value_words(x, sep: bytes, end: bytes, out):
         out.view(np.uint8)[fallback, 1:31] = np.where(chars == ord(" "), 0, chars)
 
 
-def _rows(*columns, numbered: bool):
-    """The text of the columns in blocks of _CHUNK_LINES rows: row k is
-    its number k where numbered and then '%.17g' of each column's value,
-    joined by commas and ended by a newline.
+def _line(text: str) -> bytes:
+    return f"{text}\n".encode()
+
+
+def _rows(header: str, *columns, numbered: bool):
+    """The bytes of a table: the header and a newline, then the columns
+    in blocks of _CHUNK_LINES rows, where row k is its number k where
+    numbered and then '%.17g' of each column's value, joined by commas
+    and ended by a newline.
 
     A block is a matrix of 8-byte words, one row of it per row of text:
     the row number in 4-byte words of four digits, then a 32-byte slot
@@ -254,6 +261,7 @@ def _rows(*columns, numbered: bool):
     NULs.  Values that _decimal_digits decides take their text from
     tables of four-digit groups, prefixes and exponents; the others are
     formatted by one '%.17g' operation per block, into their slots."""
+    yield _line(header)
     for start in range(0, len(columns[0]), _CHUNK_LINES):
         stop = min(start + _CHUNK_LINES, len(columns[0]))
         # the row number in an even count of 4-byte words, so slots align
@@ -265,42 +273,31 @@ def _rows(*columns, numbered: bool):
             slot = index // 2 + 4 * f
             _value_words(column[start:stop], b"," if numbered or f else b"",
                          b"\n" if f == len(columns) - 1 else b"", words[:, slot:slot + 4])
-        yield words.tobytes().translate(None, b"\0").decode("ascii")
+        yield words.tobytes().translate(None, b"\0")
 
 
-@contextlib.contextmanager
-def _rewriting(path, mode: str):
-    """path opened for writing in mode ("w" or "wb"), creating its
-    directory.  An existing file is rewritten in place, not truncated to
-    zero first (see the module docstring), and is cut at the last byte
-    written, also when the body raises."""
+def _write(path, blocks):
+    """Write the byte blocks to path in place (see the module docstring),
+    also cutting it when taking a block raises.  Returns the path.
+    writelines drops each block before it takes the next."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode) as out:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
         try:
-            yield out
+            out.writelines(blocks)
         finally:
             out.truncate()
-
-
-def _write(path, first: str, blocks=()):
-    """Write the text first and a newline, then the blocks of
-    newline-terminated text, to path (see _rewriting).  Returns the
-    path."""
-    path = Path(path)
-    with _rewriting(path, "w") as out:
-        out.write(first + "\n")
-        out.writelines(blocks)
     return path
 
 
 def _hashed(digest, blocks):
-    """The text blocks, each added to digest as it is taken."""
+    """The byte blocks, each added to digest as it is taken."""
     for block in blocks:
-        digest.update(block.encode("ascii"))
+        digest.update(block)
         yield block
 
 
-def _sha256(data):
+def _sha256(data=b""):
     """A SHA-256 of data.  hashlib is imported here, on the first state
     read or write, and not with the module: loading it, and OpenSSL with
     it, at import made the benchmark's chain_continuation, whose sweeps
@@ -311,27 +308,29 @@ def _sha256(data):
     return hashlib.sha256(data)
 
 
-def write_state(csv_path, state: LatticeState, c: float, energy):
-    """Write the amplitude CSV, its sidecar JSON and its binary copy
-    (same stem, .json and .bin; see the module docstring)."""
+def write_state(csv_path, state: LatticeState, c: float, energy: float | None):
+    """Write the amplitude CSV, its sidecar JSON and its binary copy (see
+    the module docstring).  The sidecar holds c and energy as floats (an
+    energy of None as null), and is built before any file is written."""
+    csv_path = Path(csv_path)
+    if csv_path.suffix in (".json", ".bin"):
+        raise ValueError(f"{csv_path}: a state CSV cannot be named .json or .bin")
+    sidecar = json.dumps({"N": state.n_sites, "boundary": state.boundary.value, "c": float(c),
+                          "E": None if energy is None else float(energy)}, indent=2)
     values = np.ascontiguousarray(state.values, "<f8")
-    header = "index,psi"
-    digest = _sha256(f"{header}\n".encode("ascii"))
-    csv_path = _write(csv_path, header, _hashed(digest, _rows(values, numbered=True)))
-    sidecar = {
-        "N": state.n_sites,
-        "boundary": state.boundary.value,
-        "c": c,
-        "E": energy,
-    }
-    _write(csv_path.with_suffix(".json"), json.dumps(sidecar, indent=2))
+    digest = _sha256()
+    _write(csv_path, _hashed(digest, _rows("index,psi", values, numbered=True)))
+    _write(csv_path.with_suffix(".json"), [_line(sidecar)])
     digest.update(values)
-    copy = csv_path.with_suffix(".bin")
-    if copy != csv_path:  # a CSV named *.bin keeps its text and has no copy
-        with _rewriting(copy, "wb") as out:
-            out.write(digest.digest())
-            out.write(values)
+    _write(csv_path.with_suffix(".bin"), [digest.digest(), values])
     return csv_path
+
+
+def _decoded(path: Path, data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _copied_values(copy: Path, data: bytes):
@@ -351,9 +350,8 @@ def _copied_values(copy: Path, data: bytes):
 
 
 def _parsed_values(csv_path: Path, data: bytes):
-    """The amplitudes of the CSV bytes data, parsed as text decoded as
-    Path.read_text decodes it."""
-    lines = TextIOWrapper(BytesIO(data)).read().strip().splitlines()
+    """The amplitudes of the CSV bytes data, parsed as UTF-8 text."""
+    lines = _decoded(csv_path, data).strip().splitlines()
     if not lines or lines[0] != "index,psi":
         raise ValueError(f"{csv_path}: expected header 'index,psi'")
     values = np.empty(len(lines) - 1)
@@ -379,7 +377,7 @@ def read_state(csv_path):
         values = _parsed_values(csv_path, data)
     sidecar = csv_path.with_suffix(".json")
     try:
-        meta = json.loads(sidecar.read_text())
+        meta = json.loads(_decoded(sidecar, sidecar.read_bytes()))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{sidecar}: not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
@@ -400,15 +398,15 @@ def read_state(csv_path):
 
 
 def write_portrait(path, portrait: PhasePortrait):
-    return _write(path, "psi,dpsi", _rows(*portrait.points.T, numbered=False))
+    return _write(path, _rows("psi,dpsi", *portrait.points.T, numbered=False))
 
 
 def write_orbit(path, orbit: MapOrbit):
-    return _write(path, "step,psi,Z", _rows(*orbit.points.T, numbered=True))
+    return _write(path, _rows("step,psi,Z", *orbit.points.T, numbered=True))
 
 
 def write_pattern(path, spec: PatternSpec):
-    return _write(path, spec.text())
+    return _write(path, [_line(spec.text())])
 
 
 def _cell(value) -> str:
@@ -423,8 +421,9 @@ def write_csv(path, header, rows):
     A cell that is None is left empty, a str is written as is, and a
     number is written by fmt.
     """
-    return _write(path, ",".join(header), (",".join(map(_cell, row)) + "\n" for row in rows))
+    lines = chain([",".join(header)], (",".join(map(_cell, row)) for row in rows))
+    return _write(path, map(_line, lines))
 
 
 def write_json(path, payload: dict):
-    return _write(path, json.dumps(payload, indent=2, sort_keys=True))
+    return _write(path, [_line(json.dumps(payload, indent=2, sort_keys=True))])

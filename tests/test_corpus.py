@@ -72,7 +72,7 @@ def test_sweeps_are_the_benchmarks(workloads, tmp_path, monkeypatch):
 
 
 def _module(path):
-    return ast.parse(path.read_text(), filename=str(path))
+    return ast.parse(path.read_bytes(), filename=str(path))
 
 
 def _top_level_functions(path):

@@ -1,6 +1,9 @@
 """Only dnse_lab.io writes files: no other package module and no script
 calls write_text, write_bytes, mkdir, truncate or ftruncate, or opens a
-file for writing, by a mode string or by os.open's write flags."""
+file for writing, by a mode string or by os.open's write flags.  And the
+package reads and writes bytes: each of its open(...) calls has a
+constant mode holding b, and none calls read_text, so no file is decoded
+by the host's locale."""
 
 import ast
 from pathlib import Path
@@ -36,14 +39,37 @@ def _opens_for_writing(call):
         isinstance(m, str) and set(m) <= set("rwxabt+") and set(m) & set("wxa+") for m in modes)
 
 
-def _writes(path):
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _opens_in_text_mode(call):
+    """Whether an open(...) call (not os.open) lacks a constant mode
+    holding b."""
+    position = _mode_position(call.func)
+    if position is None:
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:position + 1]
+    return not any(isinstance(m, ast.Constant) and isinstance(m.value, str) and "b" in m.value
+                   for m in modes)
+
+
+def _calls(path, found):
+    """Each call in the module at path for which found(name, call) holds,
+    as 'directory/file:line function'."""
+    for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name in WRITE_METHODS or (name == "open" and _opens_for_writing(node)):
+        if found(name, node):
             yield f"{path.parent.name}/{path.name}:{node.lineno} {ast.unparse(func)}"
+
+
+def _writes(path):
+    return _calls(path, lambda name, call: name in WRITE_METHODS
+                  or (name == "open" and _opens_for_writing(call)))
+
+
+def _text_reads_and_writes(path):
+    return _calls(path, lambda name, call: name == "read_text"
+                  or (name == "open" and _opens_in_text_mode(call)))
 
 
 def test_only_io_writes_files():
@@ -53,6 +79,12 @@ def test_only_io_writes_files():
     found = [hit for path in sources if path.name != "io.py" or path.parent != package
              for hit in _writes(path)]
     assert not found, f"files written outside dnse_lab.io: {found}"
+
+
+def test_package_reads_and_writes_bytes():
+    found = [hit for path in sorted(Path(dnse_lab.__file__).parent.rglob("*.py"))
+             for hit in _text_reads_and_writes(path)]
+    assert not found, f"files opened in text mode or read by read_text: {found}"
 
 
 def test_guard_sees_writes():
@@ -80,3 +112,20 @@ def test_guard_reads_open_flags(tmp_path):
     assert [hit.split(":")[1] for hit in _writes(source)] == [
         "4 os.open", "5 os.open", "6 os.open", "7 os.ftruncate", "9 open",
         "10 Path('x').open", "11 io.open", "15 open"]
+
+
+def test_guard_reads_text_modes(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("open('f')\n"
+                      "open('f', 'rb')\n"
+                      "open(os.open('f', os.O_WRONLY), mode)\n"
+                      "open(3, 'wb')\n"
+                      "os.open('f', os.O_RDONLY)\n"
+                      "Path('f').open()\n"
+                      "Path('f').open(mode='br')\n"
+                      "io.open('f', 'r+')\n"
+                      "Path('f').read_text()\n"
+                      "Path('f').read_bytes()\n"
+                      "open('f', mode='w', encoding='utf-8')\n")
+    assert [hit.split(":")[1] for hit in _text_reads_and_writes(source)] == [
+        "1 open", "3 open", "6 Path('f').open", "8 io.open", "9 Path('f').read_text", "11 open"]

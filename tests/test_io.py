@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -5,9 +6,11 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mpf
 
 import dnse_lab as dl
 from dnse_lab import io as lab_io
@@ -43,6 +46,28 @@ class TestStateFiles:
         loaded, meta = lab_io.read_state(path)
         assert loaded.boundary is dl.Boundary.OPEN
         assert meta["E"] is None
+
+    @pytest.mark.parametrize("c, energy", [(np.float32(1.0), 0.5), (1.0, mpf("0.5"))],
+                             ids=["numpy c", "mpmath energy"])
+    def test_sidecar_numbers_are_floats(self, tmp_path, c, energy):
+        path = lab_io.write_state(tmp_path / "s.csv", dl.LatticeState([0.5, -0.25]), c, energy)
+        meta = lab_io.read_state(path)[1]
+        assert (meta["c"], meta["E"]) == (1.0, 0.5)
+        assert type(meta["c"]) is type(meta["E"]) is float
+
+    def test_bad_number_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            lab_io.write_state(tmp_path / "out" / "s.csv", dl.LatticeState([0.5]), "x", 0.5)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path, sidecar = tmp_path / "s.csv", tmp_path / "s.json"
+        for bad, csv, meta in ((path, b"0,0.\xff5", b""), (sidecar, b"0,0.5", b', "note": "\xff"')):
+            path.write_bytes(b"index,psi\n" + csv + b"\n")
+            sidecar.write_bytes(b'{"N": 1, "boundary": "open"' + meta + b"}")
+            with pytest.raises(ValueError) as got:
+                lab_io.read_state(path)
+            assert str(got.value).startswith(f"{bad}: not UTF-8")
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -197,11 +222,12 @@ class TestBinaryCopy:
                              env=env, check=True)
         assert run.stdout == "False\n"
 
-    def test_csv_named_bin_has_no_copy(self, tmp_path):
-        state = dl.LatticeState([0.5, -0.25])
-        path = lab_io.write_state(tmp_path / "s.bin", state, 1.0, 0.0)
-        assert path.read_bytes() == b"index,psi\n0,0.5\n1,-0.25\n"
-        assert lab_io.read_state(path)[0].values.tobytes() == state.values.tobytes()
+    def test_csv_named_json_or_bin_is_refused(self, tmp_path):
+        # the sidecar or the copy would overwrite the CSV
+        for name in ("s.json", "s.bin"):
+            with pytest.raises(ValueError, match="cannot be named .json or .bin"):
+                lab_io.write_state(tmp_path / name, dl.LatticeState([0.5, -0.25]), 1.0, 0.0)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOtherWriters:
@@ -313,3 +339,43 @@ class TestOtherWriters:
             tracemalloc.stop()
         assert peak < 1.5e6
         assert len(path.read_text().splitlines()) == 20_001
+
+
+# a state whose rows spell numbers in Arabic-Indic digits, which int() and
+# float() read, with a sidecar holding a non-ASCII string
+DIGITS_CSV = "index,psi\n0,0.5\n\u0661,-\u0663e-3\n\u0662,\u0661.5\n"
+DIGITS_SIDECAR = '{"N": 3, "boundary": "open", "note": "\u03c8"}'
+
+
+def _unicode_calls(digits, out):
+    """read_state of the state at digits, and write_csv of a non-ASCII
+    cell and write_state and write_portrait of a small state into the
+    directory out.  Returns what read_state read, as ASCII JSON."""
+    out = Path(out)
+    lab_io.write_csv(out / "t.csv", ["name", "E"], [["\u03c8\u2080 \u0663 \u00e9", 1.5]])
+    small = dl.LatticeState([0.5, -0.25, 1e-300])
+    lab_io.write_state(out / "s.csv", small, 4.0, -0.5)
+    lab_io.write_portrait(out / "p.csv", dl.phase_portrait(small))
+    state, meta = lab_io.read_state(digits)
+    return json.dumps([state.values.tobytes().hex(), meta])
+
+
+def test_same_bytes_under_an_ascii_locale(tmp_path):
+    # the calls here and in a child process whose locale encoding is ASCII
+    digits = tmp_path / "digits.csv"
+    digits.write_bytes(DIGITS_CSV.encode())
+    digits.with_suffix(".json").write_bytes(DIGITS_SIDECAR.encode())
+    here = _unicode_calls(digits, tmp_path / "here")
+    code = ("import locale, sys; sys.path.insert(0, sys.argv[1]); import test_io; "
+            "print(locale.getpreferredencoding(False)); print(test_io._unicode_calls(*sys.argv[2:]))")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(dl.__file__))}
+    run = subprocess.run([sys.executable, "-c", code, os.path.dirname(__file__), str(digits),
+                          str(tmp_path / "ascii")], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    encoding, there = run.stdout.splitlines()
+    assert codecs.lookup(encoding).name == "ascii"
+    assert there == here
+    assert json.loads(here)[1]["note"] == "\u03c8"
+    assert _files(tmp_path / "ascii") == _files(tmp_path / "here")
+    assert len(_files(tmp_path / "here")) == 5

@@ -370,7 +370,7 @@ def test_distinct_cloud_past_the_int64_row(monkeypatch):
 
 def _write_rows(tmp_path, name, rows, n=None):
     path = tmp_path / f"{name}.csv"
-    path.write_text("index,psi\n" + "".join(row + "\n" for row in rows))
+    path.write_bytes(("index,psi\n" + "".join(row + "\n" for row in rows)).encode())
     sidecar = {"N": len(rows) if n is None else n, "boundary": "open", "c": 1.0, "E": 0.0}
     path.with_suffix(".json").write_text(json.dumps(sidecar))
     return path

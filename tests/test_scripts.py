@@ -106,7 +106,7 @@ def test_code_lines_counts_src_and_tests(tmp_path):
         total = files.pop("total")
         assert sorted(files) == sorted(p.name for p in (ROOT / name).glob("*.py"))
         for file, lines in files.items():
-            source = (ROOT / name / file).read_text()
+            source = (ROOT / name / file).read_bytes().decode()
             assert lines == {"raw": source.count("\n"), "code": count(source)}, file
         assert total == {key: sum(lines[key] for lines in files.values())
                          for key in ("raw", "code")}

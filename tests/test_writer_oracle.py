@@ -24,8 +24,8 @@ from conftest import MAP_STARTS, map_orbit, reference_rows, tie_values
 def _assert_same_bytes(*columns):
     """The rows of the columns, numbered and not, as the oracle writes them."""
     for numbered in (True, False):
-        got = "".join(lab_io._rows(*columns, numbered=numbered)).splitlines()
-        want = reference_rows(*columns, numbered=numbered).splitlines()
+        got = b"".join(lab_io._rows("h", *columns, numbered=numbered)).decode().splitlines()
+        want = ["h", *reference_rows(*columns, numbered=numbered).splitlines()]
         assert len(got) == len(want)
         wrong = [(k, g, w) for k, (g, w) in enumerate(zip(got, want)) if g != w]
         assert not wrong, f"{len(wrong)} rows differ, first (row, written, expected): {wrong[0]}"
