@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Raw and code lines of each module of src/dnse_lab and of tests/, and
-their totals.
+"""Raw and code lines of each module of src/dnse_lab, of tests/ and of
+scripts/, and their totals.
 
 A raw line is a line of the file, as wc -l counts them.  A code line is
 a line that is not blank, not a comment alone and not part of a
@@ -19,7 +19,7 @@ from pathlib import Path
 from dnse_lab import io as lab_io
 
 ROOT = Path(__file__).resolve().parents[1]
-DIRECTORIES = ("src/dnse_lab", "tests")
+DIRECTORIES = ("src/dnse_lab", "tests", "scripts")
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}
 

@@ -1,10 +1,12 @@
 """Shared test inputs and oracles: the paper's chains, the corpus that
 every differential test compares on, the benchmark's two sweeps and the
-map starts, the writers' tie values, and the one reference
-implementation of each kernel that two test modules compare with.  A member starts from build_asymptotic_state,
-as `solve --pattern` and `solve --random` do; tests/test_corpus.py pins
-the corpus to the benchmark's."""
+map starts, the writers' tie values, the one reference implementation
+of each kernel that two test modules compare with, and the one parser
+of the AST guards' sources.  A member starts from
+build_asymptotic_state, as `solve --pattern` and `solve --random` do;
+tests/test_corpus.py pins the corpus to the benchmark's."""
 
+import ast
 from collections import namedtuple
 from decimal import Decimal
 from itertools import chain, repeat
@@ -188,3 +190,9 @@ def reference_tridiag_solve(diag, rhss, periodic):
             y[i] -= qi * factor
         solutions.append(y)
     return solutions
+
+
+def parse_module(path):
+    """The AST of the Python source at path, parsed from its bytes, so that
+    no locale decodes it."""
+    return ast.parse(path.read_bytes(), filename=str(path))

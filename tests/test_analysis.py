@@ -100,12 +100,6 @@ class TestDistinctPoints:
         span = float(np.max(np.abs(portrait.points - portrait.points[0])))
         assert dl.distinct_points(portrait, span + tol) == 1
 
-    def test_asymptotic_state_matches_limit_points(self):
-        for seed in range(5):
-            spec = dl.random_pattern(40, seed)
-            portrait = dl.phase_portrait(dl.build_asymptotic_state(spec))
-            assert dl.distinct_points(portrait, 1e-9) == len(dl.limit_points(spec))
-
 
 class TestClassification:
     def test_periodic_chain_is_regular(self, chain100_solution):

@@ -5,7 +5,8 @@ chain patterns of bench/workloads.py and the couplings of its two sweep
 commands.  An AST scan keeps each helper and oracle in one home: no
 top-level function is defined in two test modules, and conftest.py holds
 only what some test module uses.  Another finds imports that a test
-module never reads."""
+module never reads, and a third a def or class that a later one of the
+same module or class body replaces."""
 
 import ast
 import importlib.util
@@ -18,7 +19,7 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import cli
 
-from conftest import BENCH_SWEEPS, CHAINS, CORPUS
+from conftest import BENCH_SWEEPS, CHAINS, CORPUS, parse_module
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
@@ -71,12 +72,8 @@ def test_sweeps_are_the_benchmarks(workloads, tmp_path, monkeypatch):
     assert made == BENCH_SWEEPS
 
 
-def _module(path):
-    return ast.parse(path.read_bytes(), filename=str(path))
-
-
 def _top_level_functions(path):
-    return [node.name for node in _module(path).body
+    return [node.name for node in parse_module(path).body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
@@ -88,9 +85,48 @@ def test_no_function_defined_in_two_test_modules():
     assert {name: found for name, found in homes.items() if len(found) > 1} == {}
 
 
+def _names_defined_twice(path):
+    """'line name' of each def or class of a module body or a class body
+    whose name an earlier def or class of that body took: the later one
+    replaces it, and pytest never sees the first."""
+    tree = parse_module(path)
+    twice = []
+    for owner in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+        seen = set()
+        for node in owner.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    twice.append(f"{node.lineno} {node.name}")
+                seen.add(node.name)
+    return twice
+
+
+def test_no_name_defined_twice_in_one_body():
+    twice = [f"{path.name}:{hit}" for path in sorted(TESTS.glob("*.py"))
+             for hit in _names_defined_twice(path)]
+    assert not twice, f"defined twice in one body: {twice}"
+
+
+def test_guard_sees_names_defined_twice(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("def test_a(): pass\n"
+                      "class TestB:\n"
+                      "    def test_a(self): pass\n"
+                      "    def test_c(self):\n"
+                      "        def test_c(): pass\n"
+                      "    async def test_c(self): pass\n"
+                      "def test_a(): pass\n"
+                      "class TestD:\n"
+                      "    def test_c(self): pass\n"
+                      "class TestB: pass\n"
+                      "test_e = 1\n"
+                      "def test_e(): pass\n")
+    assert _names_defined_twice(source) == ["7 test_a", "10 TestB", "6 test_c"]
+
+
 def _unread_imports(path):
     """The names that the module at path imports and never reads."""
-    tree = _module(path)
+    tree = parse_module(path)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -112,7 +148,7 @@ def test_every_conftest_function_is_used():
     # a name read, or a fixture asked for by argument, in some test module
     used = set()
     for path in TESTS.glob("test_*.py"):
-        for node in ast.walk(_module(path)):
+        for node in ast.walk(parse_module(path)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.arg):

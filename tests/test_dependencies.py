@@ -6,11 +6,13 @@ from pathlib import Path
 
 import dnse_lab
 
+from conftest import parse_module
+
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "mpmath", "dnse_lab"}
 
 
 def _imported_packages(path):
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(parse_module(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name.split(".")[0]

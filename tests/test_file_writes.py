@@ -11,6 +11,8 @@ from pathlib import Path
 import dnse_lab
 from dnse_lab import io as lab_io
 
+from conftest import parse_module
+
 ROOT = Path(__file__).resolve().parents[1]
 WRITE_METHODS = {"write_text", "write_bytes", "mkdir", "truncate", "ftruncate"}
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
@@ -53,7 +55,7 @@ def _opens_in_text_mode(call):
 def _calls(path, found):
     """Each call in the module at path for which found(name, call) holds,
     as 'directory/file:line function'."""
-    for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+    for node in ast.walk(parse_module(path)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func

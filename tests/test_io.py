@@ -69,34 +69,9 @@ class TestStateFiles:
                 lab_io.read_state(path)
             assert str(got.value).startswith(f"{bad}: not UTF-8")
 
-    def test_deterministic_bytes(self, tmp_path):
-        rng = np.random.default_rng(2)
-        state = dl.LatticeState(rng.standard_normal(9))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        lab_io.write_state(a, state, 3.0, -1.0)
-        lab_io.write_state(b, state, 3.0, -1.0)
-        assert a.read_bytes() == b.read_bytes()
-        assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
-        rows = "".join(f"{i},{lab_io.fmt(v)}\n" for i, v in enumerate(state.values))
-        assert a.read_text() == "index,psi\n" + rows
-
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("psi,index\n0,1.0\n")
-        with pytest.raises(ValueError):
-            lab_io.read_state(path)
-
-    def test_gapped_index_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("index,psi\n0,1.0\n2,0.5\n")
-        path.with_suffix(".json").write_text('{"N": 2, "boundary": "periodic", "c": 1, "E": 0}')
-        with pytest.raises(ValueError):
-            lab_io.read_state(path)
-
-    def test_sidecar_size_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("index,psi\n0,1.0\n")
-        path.with_suffix(".json").write_text('{"N": 5, "boundary": "periodic", "c": 1, "E": 0}')
         with pytest.raises(ValueError):
             lab_io.read_state(path)
 
@@ -231,21 +206,6 @@ class TestBinaryCopy:
 
 
 class TestOtherWriters:
-    def test_portrait_file(self, tmp_path):
-        portrait = dl.phase_portrait(dl.LatticeState([1.0, 0.0, 0.0]))
-        path = lab_io.write_portrait(tmp_path / "p.csv", portrait)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "psi,dpsi"
-        assert len(lines) == 4
-
-    def test_orbit_file(self, tmp_path):
-        orbit = dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 0.0, 5)
-        path = lab_io.write_orbit(tmp_path / "o.csv", orbit)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,psi,Z"
-        assert len(lines) == 7
-        assert lines[1].startswith("0,")
-
     def test_json_sorted_and_stable(self, tmp_path):
         payload = {"b": 1, "a": [1.5, None]}
         path = lab_io.write_json(tmp_path / "r.json", payload)

@@ -14,6 +14,8 @@ import pytest
 
 import dnse_lab as dl
 
+from conftest import parse_module
+
 PATTERNS = [trits for n in range(1, 9) for trits in product((-1, 0, 1), repeat=n) if any(trits)]
 
 
@@ -72,7 +74,7 @@ def _roll_uses(path):
                 yield f"{path.name}:{'.'.join(scope)}"
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             yield from visit(child, scope + (child.name,) if named else scope)
-    return list(visit(ast.parse(path.read_text(), filename=str(path)), ()))
+    return list(visit(parse_module(path), ()))
 
 
 def test_np_roll_only_rotates_states():

@@ -180,8 +180,9 @@ class TestLimitPoints:
 
     def test_matches_portrait_of_limit_state(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            trits = dl.random_pattern(int(rng.integers(2, 50)), int(rng.integers(0, 10**5))).trits
+        drawn = [(int(rng.integers(2, 50)), int(rng.integers(0, 10**5))) for _ in range(50)]
+        for n, seed in [(40, seed) for seed in range(5)] + drawn:
+            trits = dl.random_pattern(n, seed).trits
             for boundary in dl.Boundary:
                 spec = dl.PatternSpec(trits, boundary)
                 portrait = dl.phase_portrait(dl.build_asymptotic_state(spec))

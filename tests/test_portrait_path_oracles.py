@@ -394,6 +394,7 @@ MALFORMED = {
     "nan": (GOOD[:3] + ["3,nan"] + GOOD[4:], "amplitudes must be finite"),
     "inf": (GOOD[:3] + ["3,-inf"] + GOOD[4:], "amplitudes must be finite"),
     "gapped index": (GOOD[:3] + GOOD[4:], GAP.format(3)),
+    "gapped last row": (GOOD[:1] + ["2,0.5"], GAP.format(1)),
     "index past int64": (GOOD[:3] + ["99999999999999999999999,0.5"] + GOOD[4:], GAP.format(3)),
     "bad psi after a gap": (GOOD[:2] + ["5,0.5", "3,x"] + GOOD[4:], GAP.format(2)),
     "gap after a bad psi": (GOOD[:2] + ["2,x", "9,0.5"] + GOOD[4:], NOT_A_ROW.format(2)),
@@ -477,6 +478,7 @@ ORBITS = [
     (1e200, 0.0, 1.0, 1.0, 10, 1e300),  # overflows at the first step
     (1e200, 0.0, 1.0, 1.0, 10, math.inf),
     (1e100, -1e100, 1.0, -1.0, 10, math.inf),  # Z - c psi**3 overflows to inf
+    (0.1, 0.0, 1.0, 0.0, 100, math.inf),  # bounded under an infinite bound
     (0.0, 0.0, -1.0, 24.0, 100, 1e8),
 ]
 

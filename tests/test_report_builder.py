@@ -10,6 +10,8 @@ the two runs' reports drift apart.
 import ast
 from pathlib import Path
 
+from conftest import parse_module
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "dnse_lab"
 
 
@@ -18,7 +20,7 @@ def _sites(matches):
     matches; code outside any definition is in "<module>"."""
     sites = []
     for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
+        for top in parse_module(path).body:
             owner = getattr(top, "name", "<module>")
             sites += [(path.stem, owner) for node in ast.walk(top) if matches(node)]
     return sites

@@ -24,7 +24,7 @@ from dnse_lab import io as lab_io
 from dnse_lab import lattice, newton
 from dnse_lab.errors import SumTooSmall
 
-from conftest import CORPUS, reference_quantize, reference_rows, solve_member
+from conftest import CORPUS, parse_module, reference_quantize, reference_rows, solve_member
 
 EPS = np.finfo(float).eps
 
@@ -188,7 +188,7 @@ def _integer_powers(path):
                     yield f"{path.name}:{'.'.join(scope)}"
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             yield from visit(child, scope + (child.name,) if named else scope)
-    return list(visit(ast.parse(path.read_text(), filename=str(path)), ()))
+    return list(visit(parse_module(path), ()))
 
 
 def test_integer_powers_only_in_scalar_map_steps():

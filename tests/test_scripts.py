@@ -97,10 +97,10 @@ def test_code_line_rule():
 
 def test_code_lines_counts_src_and_tests(tmp_path):
     # raw lines as wc -l counts them, and code lines, of every file of
-    # both directories, with each directory's sums
+    # the package, the tests and the scripts, with each directory's sums
     _run("code_lines.py", tmp_path, [])
     counts = json.loads((tmp_path / "code_lines.json").read_text())
-    assert sorted(counts) == ["src/dnse_lab", "tests"]
+    assert sorted(counts) == ["scripts", "src/dnse_lab", "tests"]
     count = _load(ROOT / "scripts" / "code_lines.py").count_code_lines
     for name, files in counts.items():
         total = files.pop("total")
