@@ -18,22 +18,28 @@ edge cells take every point beyond +-_GRID_LIMIT cells (the count turns
 quadratic only when most points lie there).  A point whose 3 x 3 cells
 hold no other point matches nothing; one pass over the sorted cell keys
 finds these lonely points, which are counted in bulk, and the greedy
-loop buckets cluster representatives among the other points; the period
-search tests in full only the shifts that carry each of the 8 largest
-sites to within tol of itself.  The thickness is taken in the
-portrait's own frame, the distinct points moved to their lower corner
-and scaled by a power of two so that the diameter lies in [0.5, 1).
-The test first counts them on a grid of cell side BAND_FRAC times the
-diameter: when more than half of them share a cell with NEIGHBORS
-others, the thickness is provably at most BAND_FRAC (_crowded).  Only
-the other portraits, of at most 2700 distinct points, get the exact
-thickness, whose nearest neighbors come from a ranking of all pairs,
-breaking distance ties by the lower index.  The count and the period
-search give the result their all-pairs versions would.  numpy does the
-arithmetic in blocks: the count computes the cells of _CELLS points at
-a time, once for its lonely-point pass and its greedy loop, which then
-only looks up buckets, and the thickness ranks _CELLS distances at a
-time on x and y columns.
+loop buckets cluster representatives among the other points.  The pass
+tests each side column of a one-point cell with one left searchsorted,
+two searches a cell.  The period search tests in full only the shifts
+that carry each of the 8 largest sites to within tol of itself.  The
+thickness is taken in the portrait's own frame, the distinct points
+moved to their lower corner and scaled by a power of two so that the
+diameter lies in [0.5, 1).  The test first counts them, with
+np.bincount, on a grid of cell side BAND_FRAC times the diameter, whose
+at most 21 x 21 cells have keys below 441: when more than half of them
+share a cell with NEIGHBORS others, the thickness is provably at most
+BAND_FRAC (_crowded).  When every point is distinct at tol, the rows go
+to that test as they are, without the dedupe's sort: two equal finite
+rows lie within any tol > 0, so no two finite rows are equal, and the
+test reads only the multiset of the rows and declines on a non-finite
+one.  Only the other portraits, of at most 2700 distinct points, get
+the exact thickness, whose nearest neighbors come from a ranking of all
+pairs, breaking distance ties by the lower index.  The count and the
+period search give the result their all-pairs versions would.  numpy
+does the arithmetic in blocks: the count computes the cells of _CELLS
+points at a time, once for its lonely-point pass and its greedy loop,
+which then only looks up buckets, and the thickness ranks _CELLS
+distances at a time on x and y columns.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -241,7 +247,10 @@ def _lonely(cells: np.ndarray) -> np.ndarray:
     a cell of one point with its column's two other cells empty.  That
     cell is lonely when the ranges [key + d _KEY_ROW - 1, key + d _KEY_ROW
     + 1], d = -1 and 1, which hold exactly the keys of the side columns'
-    cells, hold no key.  Each point's key is then looked up once among
+    cells, hold no key.  The keys are sorted, so a range holds no key
+    exactly when the first key at or above its low end, found by one
+    left searchsorted, is absent or above its high end: two searches for
+    the two side columns.  Each point's key is then looked up once among
     the lonely cells.  The pass holds two int64 keys per point.
     """
     n = cells.shape[1]
@@ -255,11 +264,11 @@ def _lonely(cells: np.ndarray) -> np.ndarray:
         stop = min(start + _CELLS, n)
         np.greater(occupied[start:stop] - occupied[start - 1:stop - 1], 1, out=apart[start:stop])
     single = occupied[apart[:-1] & apart[1:]]
-    crowd = np.zeros(single.size, np.int64)
+    alone = np.ones(single.size, bool)
     for d in (-_KEY_ROW, _KEY_ROW):
-        crowd += np.searchsorted(occupied, single + (d + 1), "right")
-        crowd -= np.searchsorted(occupied, single + (d - 1), "left")
-    lonely = single[crowd == 0]
+        first = np.searchsorted(occupied, single + (d - 1))
+        alone &= (first == n) | (occupied.take(first, mode="clip") > single + (d + 1))
+    lonely = single[alone]
     if not lonely.size:
         return np.zeros(n, bool)
     return lonely[np.searchsorted(lonely, keys).clip(max=lonely.size - 1)] == keys
@@ -322,14 +331,24 @@ def classify_portrait(portrait: PhasePortrait, tol: float = DISTINCT_TOL) -> Por
     A portrait that is not periodic is commensurate when its curve
     thickness is at most BAND_FRAC.  _crowded proves that for most thin
     portraits from a grid count; only when it cannot is the thickness
-    itself computed."""
+    itself computed.
+
+    _crowded is given the distinct rows, _distinct_rows, except when
+    distinct_points returned portrait.size: then it is given the rows as
+    they are, and the lexsort is skipped.  Two equal finite rows, -0.0
+    and 0.0 included, lie within any tol > 0 of each other, so one of
+    them would have joined the other's cluster; every point opening a
+    cluster of its own, no two finite rows are equal, and the dedupe
+    would drop no finite row.  _crowded reads only the multiset of the
+    rows and declines on any non-finite one, so the two inputs get the
+    same answer.  _curve_thickness dedupes and sorts for itself."""
     n_distinct = distinct_points(portrait, tol)
     if portrait.psi_sequence is not None and portrait.psi_sequence.size >= 2:
         period = _detect_period(portrait.psi_sequence, portrait.cyclic, SHIFT_TOL)
         if period is not None:
             return PortraitClass(PortraitLabel.REGULAR_PERIODIC, n_distinct, float(tol), period)
 
-    pts = _distinct_rows(portrait.points)
+    pts = portrait.points if n_distinct == portrait.size else _distinct_rows(portrait.points)
     thin = _crowded(pts)
     if not thin:
         thickness = _curve_thickness(pts)
@@ -375,7 +394,9 @@ def _frame(pts: np.ndarray):
 
 def _crowded(pts: np.ndarray) -> bool:
     """Whether the distinct points pts provably have a curve thickness of
-    at most BAND_FRAC, which it shows without a neighbour search.
+    at most BAND_FRAC, which it shows without a neighbour search.  It
+    reads only the multiset of the rows: their minimum and maximum and
+    the count in each cell; their order does not matter.
 
     Both it and _curve_thickness work in the frame of _frame, where every
     coordinate lies in [0, 1) and the diameter D in [0.5, 1).  Put the n
@@ -403,6 +424,12 @@ def _crowded(pts: np.ndarray) -> bool:
     cells of at most k points each, and the grid has at most
     (floor(1 / (sqrt(2) BAND_FRAC)) + 1)**2 = 225 occupied cells, so a
     portrait it declines has at most 2 NEIGHBORS 225 = 2700 points.
+
+    Every coordinate in the frame lies in [0, extent], and the extent is
+    at most D, so the cells run from 0 to 1/BAND_FRAC = 20 (a quotient
+    above 20 by rounding still floors to 20).  The key cx (max cy + 1) +
+    cy of a cell is then an exact integer below 21**2 = 441, and
+    np.bincount counts the cells.
     """
     n = pts.shape[0]
     if n < 4 or not np.all(np.isfinite(pts)):
@@ -411,8 +438,9 @@ def _crowded(pts: np.ndarray) -> bool:
     rel, diameter = _frame(pts)
     rel /= BAND_FRAC * diameter
     cx, cy = np.floor(rel, out=rel).T
-    # cells run from 0 to about 1/BAND_FRAC, so each key is an exact integer
-    sizes = np.unique(cx * (cy.max() + 1) + cy, return_counts=True)[1]
+    # cells run from 0 to 1/BAND_FRAC = 20, so the keys are the integers
+    # below 21**2 = 441
+    sizes = np.bincount((cx * (cy.max() + 1) + cy).astype(np.intp))
     return int(sizes[sizes > k].sum()) > n // 2
 
 

@@ -11,18 +11,26 @@ escape is recorded as data, not raised.  A step whose psi**3 leaves the
 float range takes the general path too: the cube reads +-inf, as float64
 gives, where a Python float raises OverflowError, so the step returns a
 non-finite point.
+
+iterate_map steps on plain floats and records psi and Z into one flat
+list, two floats a step and no tuple, which becomes the orbit's (k, 2)
+array without a second copy.  Its escape test is one chain of
+comparisons against the bound clamped to the largest float: a NaN fails
+every comparison and an infinity fails the clamped bound, so a point
+that leaves the float range escapes under any bound, inf included.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import EscapedOrbit
-from .lattice import Boundary, LatticeState, _as_index, _as_points
+from .lattice import Boundary, LatticeState, _as_index, _as_points, _held
 
 DEFAULT_ESCAPE_BOUND = 1e8
 
@@ -98,16 +106,20 @@ def iterate_map(
     if not escape_bound > 0:
         raise ValueError("escape bound must be positive")
     psi, z = float(initial.psi), float(initial.Z)
-    recorded = [(psi, z)]
+    # -bound <= v <= bound is abs(v) <= escape_bound for a finite v, and
+    # false for a NaN or an infinite v
+    bound = min(escape_bound, sys.float_info.max)
+    recorded = [psi, z]
     escape_index = None
     for k in range(1, steps + 1):
-        psi, z = _step(psi, z, energy, c)
-        recorded.append((psi, z))
-        # NaN fails every comparison; a non-finite Z makes psi = psi + Z non-finite
-        if not (math.isfinite(psi) and abs(psi) <= escape_bound and abs(z) <= escape_bound):
+        point = _step(psi, z, energy, c)
+        recorded.extend(point)
+        psi, z = point
+        if not (-bound <= psi <= bound and -bound <= z <= bound):
             escape_index = k
             break
-    return MapOrbit(np.array(recorded, dtype=float), escape_index is not None, escape_index)
+    points = np.array(recorded, dtype=float).reshape(-1, 2)
+    return _held(MapOrbit, points, escape_index is not None, escape_index)
 
 
 def seed_from_lattice(state: LatticeState) -> MapState:

@@ -646,6 +646,9 @@ class TestCrowdedCertificate:
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]] * 5,
         # a crowded band one ulp apart at 1e15, far above its diameter
         [[1e15 + 0.125 * j, 1e15 + 0.125 * m] for j in range(64) for m in range(5)],
+        # every row distinct at tol, so classify_portrait skips the
+        # dedupe, but (inf, 0) twice, which _distinct_rows merges, and a NaN
+        [[np.inf, 0.0], [np.nan, 0.0]] + [[0.1 * j, 0.01 * j * j] for j in range(9)] + [[np.inf, 0.0]],
     ])
     def test_declines(self, pts):
         # it must decline on fewer than four distinct points and on a

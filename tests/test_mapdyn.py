@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,12 +45,6 @@ class TestMapStep:
 
 
 class TestIterateMap:
-    def test_zero_orbit(self):
-        orbit = dl.iterate_map(dl.MapState(0.0, 0.0), -1.0, 24.0, 1000)
-        assert orbit.points.shape == (1001, 2)
-        assert not orbit.escaped
-        assert np.all(orbit.points == 0.0)
-
     def test_uniform_solution_is_fixed_point(self):
         # uniform ring state: Z = 0 and E psi + c psi**3 = 0 at E = -c/3;
         # c < 6 keeps the fixed point elliptic so round-off is not amplified
@@ -81,6 +77,20 @@ class TestIterateMap:
             back = dl.map_step_inverse(back, energy, c)
         assert abs(back.psi - s.psi) <= 1e-9
         assert abs(back.Z - s.Z) <= 1e-9
+
+    def test_orbit_memory(self):
+        # two floats a step in a flat list, then the orbit's array: about
+        # 80 bytes a step; a tuple a step, or a second copy of the array,
+        # passes 96
+        steps = 10**5
+        tracemalloc.start()
+        try:
+            orbit = dl.iterate_map(dl.MapState(0.05, 0), 1, 1, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not orbit.escaped
+        assert peak <= 96 * steps
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -104,12 +104,6 @@ class TestLinearSolve:
         x = dl.solve_linear(jac, rhs)
         assert np.max(np.abs(jac.matvec(x) - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
-    def test_singular_ring_detected(self):
-        # diag 2 with corners -1 is the ring Laplacian: exactly singular
-        jac = dl.JacobianMatrix(np.full(4, 2.0), periodic=True)
-        with pytest.raises(SingularJacobian):
-            dl.solve_linear(jac, np.ones(4))
-
     def test_zero_pivot_detected(self):
         # open chain with diag (1, 1, ...): second pivot is 1 - 1 = 0
         jac = dl.JacobianMatrix([1.0, 1.0, 5.0], periodic=False)
@@ -356,9 +350,11 @@ class TestSmallLattices:
             scale = np.linalg.cond(ref_matrix) * max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(x - ref)) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("diag", [[2.0, 2.0], [2.0]], ids=["two_site", "one_site"])
+    @pytest.mark.parametrize("diag", [[2.0, 2.0], [2.0], [2.0] * 4],
+                             ids=["two_site", "one_site", "four_site"])
     def test_singular_ring_detected(self, diag):
-        # [[2, -2], [-2, 2]] and the 1x1 system 2 - 2 = 0
+        # [[2, -2], [-2, 2]], the 1x1 system 2 - 2 = 0, and the 4-site
+        # ring Laplacian, diag 2 with corners -1
         with pytest.raises(SingularJacobian):
             dl.solve_linear(dl.JacobianMatrix(diag, periodic=True), np.ones(len(diag)))
 

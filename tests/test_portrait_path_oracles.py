@@ -12,6 +12,7 @@ errors name, with and without a stale binary copy beside them.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -479,7 +480,11 @@ ORBITS = [
     (1e200, 0.0, 1.0, 1.0, 10, math.inf),
     (1e100, -1e100, 1.0, -1.0, 10, math.inf),  # Z - c psi**3 overflows to inf
     (0.1, 0.0, 1.0, 0.0, 100, math.inf),  # bounded under an infinite bound
-    (0.0, 0.0, -1.0, 24.0, 100, 1e8),
+    (0.0, 0.0, -1.0, 24.0, 1000, 1e8),
+    (1e8, 0.0, 0.0, 0.0, 100, 1e8),  # exactly on the bound: bounded
+    (-1e8, 0.0, 0.0, 0.0, 100, 1e8),
+    (1e8, 1.0, 0.0, 0.0, 100, 1e8),  # a unit past it: escapes at step 1
+    (1e200, 0.0, 1.0, 1.0, 10, sys.float_info.max),  # overflows under the largest bound
 ]
 
 
