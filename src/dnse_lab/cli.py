@@ -170,6 +170,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_map(args) -> int:
+    # iterate_map clamps an infinite bound to the largest float, but JSON has no inf
+    if not args.escape < math.inf:
+        raise DnseError("--escape must be finite")
     orbit = iterate_map(
         MapState(args.psi0, args.z0), args.E, args.c, args.steps,
         escape_bound=args.escape,
@@ -299,8 +302,8 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)
         # the commands that classify check their tolerance before any work
-        if not vars(args).get("tol_distinct", DISTINCT_TOL) > 0:
-            raise DnseError("--tol-distinct must be positive")
+        if not 0 < vars(args).get("tol_distinct", DISTINCT_TOL) < math.inf:
+            raise DnseError("--tol-distinct must be positive and finite")
         code = args.func(args)
         _write_run_json(args)
     except (DnseError, ValueError, OSError) as exc:

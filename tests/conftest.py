@@ -1,15 +1,18 @@
 """Shared test inputs and oracles: the paper's chains, the corpus that
 every differential test compares on, the benchmark's two sweeps and the
 map starts, the writers' tie values, the one reference implementation
-of each kernel that two test modules compare with, and the one parser
-of the AST guards' sources.  A member starts from
+of each kernel that two test modules compare with, the one memory probe
+(traced_peak), and the one parser and the one walker of the AST guards'
+sources (parse_module, node_scopes).  A member starts from
 build_asymptotic_state, as `solve --pattern` and `solve --random` do;
 tests/test_corpus.py pins the corpus to the benchmark's."""
 
 import ast
+import tracemalloc
 from collections import namedtuple
 from decimal import Decimal
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,3 +199,27 @@ def parse_module(path):
     """The AST of the Python source at path, parsed from its bytes, so that
     no locale decodes it."""
     return ast.parse(path.read_bytes(), filename=str(path))
+
+
+def node_scopes(matches, paths=None):
+    """'file:scope' of every AST node that matches, in the modules at paths
+    (the package's modules by default); scope is the dotted names of the
+    defs and classes around the node, empty at module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if matches(child):
+                yield ".".join(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from visit(child, scope + (child.name,) if named else scope)
+    if paths is None:
+        paths = sorted(Path(dl.__file__).parent.rglob("*.py"))
+    return [f"{path.name}:{scope}" for path in paths for scope in visit(parse_module(path), ())]
+
+
+def traced_peak(call):
+    """(call(), the peak of the memory traced while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -16,7 +16,7 @@ from dnse_lab.errors import (
     ZeroAmplitudeInWindow,
 )
 
-from conftest import CORPUS, MAP_STARTS, RINGS, map_orbit
+from conftest import CORPUS, MAP_STARTS, RINGS, map_orbit, traced_peak
 
 
 class TestPhasePortrait:
@@ -102,13 +102,6 @@ class TestDistinctPoints:
 
 
 class TestClassification:
-    def test_periodic_chain_is_regular(self, chain100_solution):
-        _, state, _, _ = chain100_solution
-        cls = dl.classify_portrait(dl.phase_portrait(state))
-        assert cls.label is dl.PortraitLabel.REGULAR_PERIODIC
-        assert cls.period == 20
-        assert cls.distinct_points == 20
-
     def test_uniform_ring_period_one(self):
         cls = dl.classify_portrait(dl.phase_portrait(dl.LatticeState(np.full(6, 0.4))))
         assert cls.label is dl.PortraitLabel.REGULAR_PERIODIC
@@ -827,12 +820,7 @@ def test_classification_memory_bounded(monkeypatch):
 
     monkeypatch.setattr(analysis, "_distinct_rows", traced_rows)
     monkeypatch.setattr(analysis, "_nearest_neighbors", no_search)
-    tracemalloc.start()
-    try:
-        result = dl.classify_portrait(portrait)
-        peaks["label"] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peaks["label"] = traced_peak(lambda: dl.classify_portrait(portrait))
     assert result.distinct_points == 24143
     assert result.label is dl.PortraitLabel.IRREGULAR_COMMENSURATE
     assert peaks["distinct points"] < 9.5e6

@@ -5,8 +5,9 @@ chain patterns of bench/workloads.py and the couplings of its two sweep
 commands.  An AST scan keeps each helper and oracle in one home: no
 top-level function is defined in two test modules, and conftest.py holds
 only what some test module uses.  Another finds imports that a test
-module never reads, and a third a def or class that a later one of the
-same module or class body replaces."""
+module never reads, a third a def or class that a later one of the
+same module or class body replaces, and a fourth a test module that
+starts tracemalloc itself rather than through conftest.traced_peak."""
 
 import ast
 import importlib.util
@@ -19,7 +20,7 @@ import pytest
 import dnse_lab as dl
 from dnse_lab import cli
 
-from conftest import BENCH_SWEEPS, CHAINS, CORPUS, parse_module
+from conftest import BENCH_SWEEPS, CHAINS, CORPUS, node_scopes, parse_module
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
@@ -154,3 +155,24 @@ def test_every_conftest_function_is_used():
             elif isinstance(node, ast.arg):
                 used.add(node.arg)
     assert set(_top_level_functions(TESTS / "conftest.py")) - used == set()
+
+
+def _starts_tracemalloc(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "start" and getattr(node.func.value, "id", None) == "tracemalloc")
+
+
+def test_only_conftest_starts_tracemalloc():
+    # conftest.traced_peak is the one memory probe
+    assert node_scopes(_starts_tracemalloc, sorted(TESTS.glob("test_*.py"))) == []
+
+
+def test_guard_sees_tracemalloc_started(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import tracemalloc\n"
+                      "class TestA:\n"
+                      "    def test_b(self):\n"
+                      "        tracemalloc.start()\n"
+                      "        tracemalloc.get_traced_memory()\n"
+                      "        tracemalloc.stop()\n")
+    assert node_scopes(_starts_tracemalloc, [source]) == ["probe.py:TestA.test_b"]

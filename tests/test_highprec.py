@@ -226,20 +226,25 @@ class TestPolish:
         with pytest.raises(ValueError):
             polish_solution(state, dl.ModelParams(10.0))
 
-    @pytest.mark.parametrize("dps", [14, 0, -3])
-    def test_precision_below_float64_rejected(self, dps, chain100_solution):
-        # mp.workdps(0) would round the float64 input and return E = -0.4375
-        _, state, _, _ = chain100_solution
+    @staticmethod
+    def _assert_both_reject(dps, state):
         with pytest.raises(ValueError):
             polish_solution(state, dl.ModelParams(24.0), dps=dps)
+        with pytest.raises(ValueError):
+            map_reproduction_error([mpf(0), mpf(1), mpf(0)], -1.0, 10.0, dps=dps)
+
+    @pytest.mark.parametrize("dps", [14, 0, -3])
+    def test_precision_below_float64_rejected(self, dps, chain100_solution):
+        # by the polish and the map check: mp.workdps(0) would round the
+        # float64 input and return E = -0.4375
+        self._assert_both_reject(dps, chain100_solution[1])
 
     @pytest.mark.parametrize("dps", [15.5, 60.0, float("inf"), float("nan")])
     def test_non_integer_precision_rejected(self, dps, chain100_solution):
-        # mp.workdps(15.5) would work to 15 digits against a 10**-5.5
-        # tolerance, and inf would escape as mpmath's OverflowError
-        _, state, _, _ = chain100_solution
-        with pytest.raises(ValueError):
-            polish_solution(state, dl.ModelParams(24.0), dps=dps)
+        # by the polish and the map check: mp.workdps(15.5) would work to 15
+        # digits against a 10**-5.5 tolerance, and inf would escape as
+        # mpmath's OverflowError
+        self._assert_both_reject(dps, chain100_solution[1])
 
     def test_float64_precision_accepted(self, chain100_solution):
         _, state, energy, _ = chain100_solution
@@ -370,21 +375,6 @@ class TestMapReproduction:
     def test_needs_two_sites(self, psi):
         with pytest.raises(ValueError):
             map_reproduction_error(psi, -1.0, 10.0)
-
-    @pytest.mark.parametrize("dps", [14, 0, -3])
-    def test_precision_below_float64_rejected(self, dps):
-        with pytest.raises(ValueError):
-            map_reproduction_error([mpf(0), mpf(1), mpf(0)], -1.0, 10.0, dps=dps)
-
-    @pytest.mark.parametrize("dps", [15.5, 60.0, float("inf"), float("nan")])
-    def test_non_integer_precision_rejected(self, dps):
-        with pytest.raises(ValueError):
-            map_reproduction_error([mpf(0), mpf(1), mpf(0)], -1.0, 10.0, dps=dps)
-
-    def test_numpy_integer_precision_accepted(self):
-        psi = [mpf(0), mpf(1), mpf(0)]
-        assert (map_reproduction_error(psi, -1.0, 10.0, dps=np.int64(30))
-                == map_reproduction_error(psi, -1.0, 10.0, dps=30))
 
 
 def _mpf_map_reproduction_error(psi, energy, c, dps=60):

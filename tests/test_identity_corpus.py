@@ -16,9 +16,10 @@ written as strings at 60 digits.  Every file a run writes is one
 artifact, and so is its console (exit code, stdout and stderr).  run.json
 is left out: it records the absolute --out path.  The SHA-256 of each
 artifact is compared with identity_digests.json, which also records the
-Python, numpy and mpmath versions and the machine type it was made on:
-numpy's sums and dot products may round differently on another CPU or
-BLAS, and the failure message says so when the environment differs.
+Python, numpy and mpmath versions, the name and version of numpy's BLAS
+and the machine type it was made on: numpy's sums and dot products may
+round differently on another CPU or BLAS, and the failure message says
+so, naming both environments, when they differ.
 
 A change that moves outputs on purpose re-records the file, and lists the
 artifacts it changed and why, by running this module as a script:
@@ -102,8 +103,10 @@ def corpus_digests(root: Path) -> dict:
 
 
 def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "mpmath": mpmath.__version__, "machine": platform.machine()}
+            "blas": f"{blas['name']} {blas['version']}", "mpmath": mpmath.__version__,
+            "machine": platform.machine()}
 
 
 def test_identity_corpus(tmp_path):

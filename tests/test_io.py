@@ -5,7 +5,6 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from mpmath import mpf
 import dnse_lab as dl
 from dnse_lab import io as lab_io
 
-from conftest import tie_values
+from conftest import tie_values, traced_peak
 
 
 class TestFormat:
@@ -291,12 +290,7 @@ class TestOtherWriters:
         rng = np.random.default_rng(3)
         portrait = dl.phase_portrait(dl.LatticeState(rng.standard_normal(20_000)))
         path = tmp_path / "p.csv"
-        tracemalloc.start()
-        try:
-            lab_io.write_portrait(path, portrait)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: lab_io.write_portrait(path, portrait))
         assert peak < 1.5e6
         assert len(path.read_text().splitlines()) == 20_001
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,8 @@ from hypothesis import strategies as st
 
 import dnse_lab as dl
 from dnse_lab.errors import EscapedOrbit
+
+from conftest import traced_peak
 
 finite_float = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -80,17 +80,12 @@ class TestIterateMap:
 
     def test_orbit_memory(self):
         # two floats a step in a flat list, then the orbit's array: about
-        # 80 bytes a step; a tuple a step, or a second copy of the array,
-        # passes 96
+        # 80 bytes a step; a tuple a step (160), or a second copy of the
+        # array (96), passes 88
         steps = 10**5
-        tracemalloc.start()
-        try:
-            orbit = dl.iterate_map(dl.MapState(0.05, 0), 1, 1, steps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        orbit, peak = traced_peak(lambda: dl.iterate_map(dl.MapState(0.05, 0), 1, 1, steps))
         assert not orbit.escaped
-        assert peak <= 96 * steps
+        assert peak <= 88 * steps
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -120,20 +115,16 @@ class TestLatticeMapEquivalence:
         with pytest.raises(ValueError):
             dl.seed_from_lattice(dl.LatticeState([0.3]))
 
-    def test_orbit_lattice_interior_residual(self):
-        # any map orbit read back as an open chain satisfies the interior
-        # stencil exactly: the recursion IS the map
-        orbit = dl.iterate_map(dl.MapState(0.1, 0.05), 1.0, 0.0, 50)
-        state = dl.lattice_from_orbit(orbit)
-        res = dl.residual(state, dl.ModelParams(0.0, dl.Boundary.OPEN), 1.0)
-        assert np.max(np.abs(res[1:-1])) <= 1e-12
-
     def test_orbit_lattice_interior_residual_nonlinear(self):
-        orbit = dl.iterate_map(dl.MapState(0.2, -0.1), -0.5, 5.0, 40)
-        assert not orbit.escaped
-        state = dl.lattice_from_orbit(orbit)
-        res = dl.residual(state, dl.ModelParams(5.0, dl.Boundary.OPEN), -0.5)
-        assert np.max(np.abs(res[1:-1])) <= 1e-9
+        # any map orbit read back as an open chain satisfies the interior
+        # stencil: the recursion IS the map, exactly where it is linear
+        for seed, energy, c, steps, bound in [((0.2, -0.1), -0.5, 5.0, 40, 1e-9),
+                                              ((0.1, 0.05), 1.0, 0.0, 50, 1e-12)]:
+            orbit = dl.iterate_map(dl.MapState(*seed), energy, c, steps)
+            assert not orbit.escaped
+            state = dl.lattice_from_orbit(orbit)
+            res = dl.residual(state, dl.ModelParams(c, dl.Boundary.OPEN), energy)
+            assert np.max(np.abs(res[1:-1])) <= bound, c
 
     def test_escaped_orbit_rejected(self):
         orbit = dl.iterate_map(dl.MapState(5.0, 0.0), -2.0, 24.0, 100, escape_bound=1e3)

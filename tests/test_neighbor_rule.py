@@ -7,14 +7,13 @@ other package code shifts a whole track with np.roll.
 
 import ast
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dnse_lab as dl
 
-from conftest import parse_module
+from conftest import node_scopes
 
 PATTERNS = [trits for n in range(1, 9) for trits in product((-1, 0, 1), repeat=n) if any(trits)]
 
@@ -64,20 +63,11 @@ def test_phase_portrait_matches_oracle(boundary):
         assert np.array_equal(portrait.psi_sequence, state.values)
 
 
-def _roll_uses(path):
-    """'file:enclosing.scope' of every name `roll` the module refers to."""
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "roll"
-                    or isinstance(child, ast.Name) and child.id == "roll"
-                    or isinstance(child, ast.alias) and child.name.split(".")[-1] == "roll"):
-                yield f"{path.name}:{'.'.join(scope)}"
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            yield from visit(child, scope + (child.name,) if named else scope)
-    return list(visit(parse_module(path), ()))
+def _names_roll(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "roll"
+            or isinstance(node, ast.Name) and node.id == "roll"
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] == "roll")
 
 
 def test_np_roll_only_rotates_states():
-    package = Path(dl.__file__).parent
-    found = [use for path in sorted(package.rglob("*.py")) for use in _roll_uses(path)]
-    assert found == ["lattice.py:LatticeState.rotated"]
+    assert node_scopes(_names_roll) == ["lattice.py:LatticeState.rotated"]

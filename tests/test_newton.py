@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from dnse_lab.errors import (
 from dnse_lab import newton
 from dnse_lab.newton import _rounding_floor
 
-from conftest import alternating_spot_pattern, irregular_pair_pattern, random_state
+from conftest import alternating_spot_pattern, irregular_pair_pattern, random_state, traced_peak
 
 
 class TestEnergyEstimate:
@@ -53,11 +51,6 @@ class TestRayleighEnergy:
         a = dl.rayleigh_energy(s, p)
         b = dl.rayleigh_energy(dl.LatticeState(3.0 * s.values), p)
         assert abs(a - b) <= 1e-12
-
-    def test_agrees_with_cubic_estimator_at_solutions(self, chain130_solution):
-        _, state, _, _ = chain130_solution
-        p = dl.ModelParams(40.0)
-        assert abs(dl.energy_estimate(state, p) - dl.rayleigh_energy(state, p)) <= 1e-8
 
 
 class TestJacobianAssembly:
@@ -261,17 +254,12 @@ class TestNewtonSolve:
         for tol in (-1.0, 0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 dl.NewtonConfig(tol_residual=tol)
-        # at least one whole step: the loop's count never equals 2.5 or inf
-        for max_iter in (0, -1, 2.5, 2.0, float("inf"), float("nan")):
+        # at least one whole step: the loop's count never equals 2.5 or inf,
+        # and a bool is an Integral, so True would pass for a budget of one
+        for max_iter in (0, -1, 2.5, 2.0, float("inf"), float("nan"), True, False):
             with pytest.raises(ValueError):
                 dl.NewtonConfig(max_iter=max_iter)
         assert dl.NewtonConfig(max_iter=np.int64(2)).max_iter == 2
-
-    @pytest.mark.parametrize("max_iter", [True, False])
-    def test_bool_budget_rejected(self, max_iter):
-        # bool is an Integral: True would pass for a budget of one step
-        with pytest.raises(ValueError):
-            dl.NewtonConfig(max_iter=max_iter)
 
 
 class TestRoundingFloor:
@@ -436,11 +424,6 @@ def test_solve_memory_budget():
     # residuals 5.35 MiB, and each breaks the budget
     n = 100_000
     start = dl.build_asymptotic_state(dl.random_pattern(n, 1))
-    tracemalloc.start()
-    try:
-        _, _, report = dl.newton_solve(start, dl.ModelParams(4.0 * n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, _, report), peak = traced_peak(lambda: dl.newton_solve(start, dl.ModelParams(4.0 * n)))
     assert report.converged and report.bordered_from is not None
     assert peak <= 5.25 * 2**20, peak

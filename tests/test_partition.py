@@ -8,7 +8,6 @@ dominant are ill-conditioned, and there the two are compared by backward
 error.
 """
 
-import tracemalloc
 from array import array
 
 import numpy as np
@@ -20,7 +19,7 @@ from dnse_lab.errors import SingularJacobian
 from dnse_lab.newton import REDUCTION_MIN_SITES, _cyclic_reduction, _reduce, _tridiag_solve
 
 from conftest import (CORPUS, alternating_spot_pattern, irregular_pair_pattern, newton_system,
-                      reference_tridiag_solve)
+                      reference_tridiag_solve, traced_peak)
 
 
 def _scalar(diag, rhs, periodic):
@@ -140,7 +139,10 @@ class TestAgainstScalarKernel:
                 dl.solve_linear(jac, np.ones(shape))
 
     def test_every_small_size(self):
-        # every parity of the levels, random signs in the diagonal
+        # every parity of the levels, random signs in the diagonal: the
+        # wrap of an even ring closes on site 0, an odd one keeps its wrap
+        # hop, a two-site ring adds its hops and a one-site ring folds to
+        # d + 2 wrap
         rng = np.random.default_rng(11)
         for n in range(1, 200):
             for periodic in (True, False):
@@ -215,21 +217,6 @@ class TestThreshold:
     def test_paper_chains_take_the_scalar_kernel(self):
         for spec in (alternating_spot_pattern(), irregular_pair_pattern()):
             assert len(spec.trits) < REDUCTION_MIN_SITES
-
-
-class TestRingParity:
-    """The wrap at each level against a dense solve: an even ring closes on
-    site 0, an odd one keeps its wrap hop, a two-site ring adds its hops
-    and a one-site ring folds to d + 2 wrap."""
-
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_against_dense_solve(self, periodic):
-        rng = np.random.default_rng(8)
-        for n in (*range(1, 18), 31, 32, 33, 63, 64, 65):
-            diag = rng.uniform(3.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
-            rhs = rng.standard_normal(n)
-            ref = np.linalg.solve(dl.JacobianMatrix(diag, periodic).dense(), rhs)
-            _assert_agrees(_cyclic_reduction(diag, rhs, periodic), ref, (n, periodic))
 
 
 class TestSingularity:
@@ -343,12 +330,7 @@ def test_stacked_solve_memory():
     n = 100_000
     jac, res, _ = newton_system(n, 1)
     rhs = np.stack((res, np.ones(n)))
-    tracemalloc.start()
-    try:
-        dl.solve_linear(jac, rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: dl.solve_linear(jac, rhs))
     assert peak <= 3.75 * n * 8, peak
 
 
@@ -363,12 +345,7 @@ def test_scalar_fallback_memory():
     rhs = np.random.default_rng(4).standard_normal((2, n))
     assert _cyclic_reduction(diag, rhs, True) is None
     jac = dl.JacobianMatrix(diag, periodic=True)
-    tracemalloc.start()
-    try:
-        dl.solve_linear(jac, rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: dl.solve_linear(jac, rhs))
     assert peak <= 24e6
 
 

@@ -15,15 +15,13 @@ level its hops as a view of its pivots, and its pivot copy is freed
 before the backward-error residuals.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from dnse_lab.newton import (BACKWARD_REL_THRESHOLD, PIVOT_REL_THRESHOLD, _cyclic_reduction,
                              _matvec)
 
-from conftest import newton_system
+from conftest import newton_system, traced_peak
 
 SIZES = (*range(1, 65), 511, 512, 513, 640, 1000, 1023, 1024, 1025, 4097, 10_000, 100_000)
 
@@ -157,15 +155,6 @@ def test_newton_systems(n, seeds):
         _assert_same(jac.diag, np.stack((res, psi)), True, (n, seed))
 
 
-def _traced_peak(solve, diag, rhs):
-    tracemalloc.start()
-    try:
-        solve(diag, rhs, True)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("rhs_count", [1, 2])
 def test_peak_memory(rhs_count):
     # one Newton system at 10^5 sites: the recursion's first level makes no
@@ -176,5 +165,6 @@ def test_peak_memory(rhs_count):
     n = 100_000
     jac, res, psi = newton_system(n, 1)
     rhs = res if rhs_count == 1 else np.stack((res, psi))
-    peaks = [_traced_peak(solve, jac.diag, rhs) for solve in (_loop_reduction, _cyclic_reduction)]
+    peaks = [traced_peak(lambda: solve(jac.diag, rhs, True))[1]
+             for solve in (_loop_reduction, _cyclic_reduction)]
     assert peaks[1] <= peaks[0] - 0.4 * n * 8, peaks

@@ -13,7 +13,6 @@ steps.
 """
 
 import ast
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +23,7 @@ from dnse_lab import io as lab_io
 from dnse_lab import lattice, newton
 from dnse_lab.errors import SumTooSmall
 
-from conftest import CORPUS, parse_module, reference_quantize, reference_rows, solve_member
+from conftest import CORPUS, node_scopes, reference_quantize, reference_rows, solve_member
 
 EPS = np.finfo(float).eps
 
@@ -174,26 +173,18 @@ def test_portrait_and_orbit_file_bytes(tmp_path, n):
 
 # ---------------------------------------------------------- the guard
 
-def _integer_powers(path):
-    """'file:enclosing.scope' of every x**k, k an integer constant >= 3.
-
-    A power of two constants is folded when the module is compiled."""
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Pow):
-                base = child.left if isinstance(child, ast.BinOp) else child.target
-                exponent = child.right if isinstance(child, ast.BinOp) else child.value
-                if (isinstance(exponent, ast.Constant) and type(exponent.value) is int
-                        and exponent.value >= 3 and not isinstance(base, ast.Constant)):
-                    yield f"{path.name}:{'.'.join(scope)}"
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            yield from visit(child, scope + (child.name,) if named else scope)
-    return list(visit(parse_module(path), ()))
+def _integer_power(node):
+    """x**k or x **= k, k an integer constant >= 3.  A power of two
+    constants is folded when the module is compiled."""
+    if not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)):
+        return False
+    base = node.left if isinstance(node, ast.BinOp) else node.target
+    exponent = node.right if isinstance(node, ast.BinOp) else node.value
+    return (isinstance(exponent, ast.Constant) and type(exponent.value) is int
+            and exponent.value >= 3 and not isinstance(base, ast.Constant))
 
 
 def test_integer_powers_only_in_scalar_map_steps():
     """Array code forms cubes by multiplication; the scalar map steps keep
     psi**3, since their orbits are compared digit for digit."""
-    package = Path(dl.__file__).parent
-    found = [use for path in sorted(package.rglob("*.py")) for use in _integer_powers(path)]
-    assert found == ["mapdyn.py:_step"]
+    assert node_scopes(_integer_power) == ["mapdyn.py:_step"]
