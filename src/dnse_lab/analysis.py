@@ -20,11 +20,12 @@ hold no other point matches nothing; one pass over the sorted cell keys
 finds these lonely points, which are counted in bulk, and the greedy
 loop buckets cluster representatives among the other points.  The pass
 tests each side column of a one-point cell with one left searchsorted,
-two searches a cell.  The period search tests in full only the shifts
-that carry each of the 8 largest sites to within tol of itself.  The
-thickness is taken in the portrait's own frame, the distinct points
-moved to their lower corner and scaled by a power of two so that the
-diameter lies in [0.5, 1).  The test first counts them, with
+two searches a cell, and maps the lonely cells back to the points
+through the permutation that sorts their keys.  The period search tests
+in full only the shifts that carry each of the 8 largest sites to within
+tol of itself.  The thickness is taken in the portrait's own frame, the
+distinct points moved to their lower corner and scaled by a power of two
+so that the diameter lies in [0.5, 1).  The test first counts them, with
 np.bincount, on a grid of cell side BAND_FRAC times the diameter, whose
 at most 21 x 21 cells have keys below 441: when more than half of them
 share a cell with NEIGHBORS others, the thickness is provably at most
@@ -196,9 +197,11 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     The relation is symmetric, so a point whose 3 x 3 block of cells
     holds no other point matches no point, earlier or later: it opens a
     cluster, and no later point can join it.  _lonely finds these points
-    in one numpy pass, and they are counted in bulk and never stored, as
-    are the non-finite points for a finite tol.  The greedy loop runs, in
-    order, on the other points, _BLOCK of them at a time: each
+    in one numpy pass over the sorted cell keys, and maps them back to
+    the points through the sorting permutation only where one exists;
+    they are counted in bulk and never stored, as are the non-finite
+    points for a finite tol.  The greedy loop runs, in order, on the
+    other points, _BLOCK of them at a time: each
     representative is bucketed by its cell, and for each point _near
     looks in its own cell and then in the 8 around it, and stops at the
     first match; a point it does not match joins the bucket of its cell.
@@ -250,8 +253,12 @@ def _lonely(cells: np.ndarray) -> np.ndarray:
     cells, hold no key.  The keys are sorted, so a range holds no key
     exactly when the first key at or above its low end, found by one
     left searchsorted, is absent or above its high end: two searches for
-    the two side columns.  Each point's key is then looked up once among
-    the lonely cells.  The pass holds two int64 keys per point.
+    the two side columns.  Where no cell is lonely the pass ends there,
+    having held two int64 keys per point.  Otherwise the flags of the
+    lonely cells, in sorted order, go back to the points through
+    np.argsort of the keys, whose indices take the place of the sorted
+    keys.  Equal keys are a crowded cell's, flagged False at each of
+    their places, so an unstable sort gives the same mask.
     """
     n = cells.shape[1]
     keys = np.empty(n, np.int64)
@@ -263,15 +270,20 @@ def _lonely(cells: np.ndarray) -> np.ndarray:
     for start in range(1, n, _CELLS):
         stop = min(start + _CELLS, n)
         np.greater(occupied[start:stop] - occupied[start - 1:stop - 1], 1, out=apart[start:stop])
-    single = occupied[apart[:-1] & apart[1:]]
-    alone = np.ones(single.size, bool)
+    single = apart[:-1] & apart[1:]  # in sorted order
+    del apart
+    cell = occupied[single]
+    alone = np.ones(cell.size, bool)
     for d in (-_KEY_ROW, _KEY_ROW):
-        first = np.searchsorted(occupied, single + (d - 1))
-        alone &= (first == n) | (occupied.take(first, mode="clip") > single + (d + 1))
-    lonely = single[alone]
-    if not lonely.size:
+        first = np.searchsorted(occupied, cell + (d - 1))
+        alone &= (first == n) | (occupied.take(first, mode="clip") > cell + (d + 1))
+    if not alone.any():
         return np.zeros(n, bool)
-    return lonely[np.searchsorted(lonely, keys).clip(max=lonely.size - 1)] == keys
+    del occupied, cell
+    single[single] = alone  # now lonely, in sorted order
+    lonely = np.empty(n, bool)
+    lonely[np.argsort(keys)] = single
+    return lonely
 
 
 def _matches(x: float, y: float, reps, tol: float) -> bool:

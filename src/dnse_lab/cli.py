@@ -178,9 +178,9 @@ def cmd_map(args) -> int:
         escape_bound=args.escape,
     )
     outdir = Path(args.out)
-    lab_io.write_orbit(outdir / "orbit.csv", orbit)
-    _write_classified(outdir / "portrait.csv", outdir / "classification.json",
-                      portrait_from_orbit(orbit), args.tol_distinct)
+    lab_io.write_orbit(outdir / "orbit.csv", orbit, outdir / "portrait.csv")
+    lab_io.write_json(outdir / "classification.json",
+                      classify_portrait(portrait_from_orbit(orbit), args.tol_distinct).as_dict())
     print(json.dumps({"steps_recorded": int(orbit.points.shape[0]),
                       "escaped": orbit.escaped,
                       "escape_index": orbit.escape_index}, sort_keys=True))

@@ -26,7 +26,7 @@ or a FIFO takes the bytes, then raises OSError.
 
 State:        CSV `index,psi`, a sidecar JSON {"N", "boundary", "c", "E"}
               and a binary copy of the amplitudes (see below).
-Orbit:        CSV `step,psi,Z`.
+Orbit:        CSV `step,psi,Z`, written with its portrait's CSV.
 Portrait:     CSV `psi,dpsi`.
 Pattern:      one line of +, 0 and - trits.
 Tables:       CSV with a header row (sweeps, experiment summaries and
@@ -48,6 +48,16 @@ a value, so no text parser gets far below it.  On solved random rings
 0.08-0.13 ms at N = 10^3, from 75-117 to 3.4-3.9 ms at 10^5 and from
 0.8-1.3 s to 0.04 s at 10^6.  The digest and the extra file cost
 write_state about 0.4 ms at 10^4 and 3 ms at 10^5, on 1.5 and 14 ms.
+
+An orbit's portrait (analysis.portrait_from_orbit) pairs psi[k] with
+Z[k + 1], values the orbit file has already formatted, so write_orbit
+derives the portrait file from the orbit file's words (see _block)
+without formatting a value twice.  For each block of _CHUNK_LINES orbit
+rows it formats one row more, writes the block's orbit rows, clears the
+separator byte of each psi slot, and writes portrait row k as the psi
+slot of orbit row k next to the Z slot of row k + 1, a strided view of
+the same words.  Both files are open at once, each rewritten in place,
+and each holds at most one block's bytes at a time.
 
 The state, orbit and portrait files write each float as '%.17g' does,
 byte for byte, but a block of rows at a time in numpy.  At 17 digits
@@ -77,6 +87,7 @@ of ten, y lies outside [10**16, 10**17), so D is not inside the range.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -84,8 +95,9 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .analysis import PhasePortrait
+from .analysis import PhasePortrait, portrait_from_orbit
 from .lattice import Boundary, LatticeState, _as_readonly
 from .mapdyn import MapOrbit
 from .patterns import PatternSpec
@@ -251,42 +263,55 @@ def _rows(header: str, *columns, numbered: bool):
     """The bytes of a table: the header and a newline, then the columns
     in blocks of _CHUNK_LINES rows, where row k is its number k where
     numbered and then '%.17g' of each column's value, joined by commas
-    and ended by a newline.
-
-    A block is a matrix of 8-byte words, one row of it per row of text:
-    the row number in 4-byte words of four digits, then a 32-byte slot
-    per value (see _value_words) holding its separator, its text and
-    the newline after the last value, NUL wherever a layout leaves a
-    byte unused.  The block's text is the matrix's bytes without the
-    NULs.  Values that _decimal_digits decides take their text from
-    tables of four-digit groups, prefixes and exponents; the others are
-    formatted by one '%.17g' operation per block, into their slots."""
+    and ended by a newline."""
     yield _line(header)
     for start in range(0, len(columns[0]), _CHUNK_LINES):
         stop = min(start + _CHUNK_LINES, len(columns[0]))
-        # the row number in an even count of 4-byte words, so slots align
-        index = 2 * ((len(str(stop - 1)) + 7) // 8) if numbered else 0
-        words = np.empty((stop - start, index // 2 + 4 * len(columns)), np.uint64)
-        if numbered:
-            _index_words(start, stop, words.view(np.uint32)[:, :index])
-        for f, column in enumerate(columns):
-            slot = index // 2 + 4 * f
-            _value_words(column[start:stop], b"," if numbered or f else b"",
-                         b"\n" if f == len(columns) - 1 else b"", words[:, slot:slot + 4])
-        yield words.tobytes().translate(None, b"\0")
+        yield _block(columns, start, stop, numbered).tobytes().translate(None, b"\0")
 
 
-def _write(path, blocks):
-    """Write the byte blocks to path in place (see the module docstring),
-    also cutting it when taking a block raises.  Returns the path.
-    writelines drops each block before it takes the next."""
-    path = Path(path)
+def _block(columns, start, stop, numbered: bool):
+    """Rows start ... stop - 1 of a table (see _rows) as a matrix of
+    8-byte words, one row of it per row of text: the row number in
+    4-byte words of four digits, then a 32-byte slot per value (see
+    _value_words) holding its separator, its text and the newline after
+    the last value, NUL wherever a layout leaves a byte unused.  The
+    rows' text is the matrix's bytes without the NULs.  Values that
+    _decimal_digits decides take their text from tables of four-digit
+    groups, prefixes and exponents; the others are formatted by one
+    '%.17g' operation per block, into their slots."""
+    # the row number in an even count of 4-byte words, so slots align
+    index = 2 * ((len(str(stop - 1)) + 7) // 8) if numbered else 0
+    words = np.empty((stop - start, index // 2 + 4 * len(columns)), np.uint64)
+    if numbered:
+        _index_words(start, stop, words.view(np.uint32)[:, :index])
+    for f, column in enumerate(columns):
+        slot = index // 2 + 4 * f
+        _value_words(column[start:stop], b"," if numbered or f else b"",
+                     b"\n" if f == len(columns) - 1 else b"", words[:, slot:slot + 4])
+    return words
+
+
+@contextlib.contextmanager
+def _opened(path):
+    """The file at path, opened to be rewritten in place (see the module
+    docstring) and cut at the last byte written when the block exits,
+    whether it finished or raised."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
         try:
-            out.writelines(blocks)
+            yield out
         finally:
             out.truncate()
+
+
+def _write(path, blocks):
+    """Write the byte blocks to path in place, also cutting it when
+    taking a block raises.  Returns the path.  writelines drops each
+    block before it takes the next."""
+    path = Path(path)
+    with _opened(path) as out:
+        out.writelines(blocks)
     return path
 
 
@@ -401,8 +426,31 @@ def write_portrait(path, portrait: PhasePortrait):
     return _write(path, _rows("psi,dpsi", *portrait.points.T, numbered=False))
 
 
-def write_orbit(path, orbit: MapOrbit):
-    return _write(path, _rows("step,psi,Z", *orbit.points.T, numbered=True))
+def write_orbit(path, orbit: MapOrbit, portrait_path):
+    """Write the orbit CSV at path and its portrait's CSV at portrait_path
+    from one formatting pass (see the module docstring).  Returns path.
+    An orbit of one point has no portrait: portrait_from_orbit's
+    ValueError is raised before either file is written."""
+    path, portrait_path, n = Path(path), Path(portrait_path), orbit.points.shape[0]
+    if n < 2:
+        portrait_from_orbit(orbit)  # raises
+    columns = orbit.points.T
+    with _opened(path) as orbit_out, _opened(portrait_path) as portrait_out:
+        orbit_out.write(_line("step,psi,Z"))
+        portrait_out.write(_line("psi,dpsi"))
+        for start in range(0, n, _CHUNK_LINES):
+            stop = min(start + _CHUNK_LINES, n)
+            words = _block(columns, start, min(stop + 1, n), numbered=True)
+            orbit_out.write(words[:stop - start].tobytes().translate(None, b"\0"))
+            # portrait row k: psi's slot of row k, its separator cleared,
+            # then Z's slot of row k + 1; psi's and Z's are the last 8 words
+            width = words.shape[1]
+            words.view(np.uint8)[:, 8 * (width - 8)] = 0
+            pairs = as_strided(words[0, width - 8:], (min(stop, n - 1) - start, 2, 4),
+                               (8 * width, 8 * (width + 4), 8), writeable=False)
+            portrait_out.write(pairs.tobytes().translate(None, b"\0"))
+            del words, pairs  # before the next block's
+    return path
 
 
 def write_pattern(path, spec: PatternSpec):

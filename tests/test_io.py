@@ -233,6 +233,9 @@ class TestOtherWriters:
         assert lab_io.write_json(tmp_path / "c" / "r.json", {}).is_file()
         pattern = lab_io.write_pattern(tmp_path / "d" / "p.txt", dl.parse_pattern("+0-"))
         assert pattern.read_text() == "+0-\n"
+        orbit = dl.MapOrbit([[0.5, 0.0], [0.25, -0.25]])
+        assert lab_io.write_orbit(tmp_path / "e" / "o.csv", orbit, tmp_path / "f" / "p.csv").is_file()
+        assert (tmp_path / "f" / "p.csv").read_text() == "psi,dpsi\n0.5,-0.25\n"
 
     @pytest.mark.parametrize("old_sites, new_sites", [(50, 3), (3, 50)])
     def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_sites, new_sites):
@@ -244,6 +247,13 @@ class TestOtherWriters:
         fresh = lab_io.write_state(tmp_path / "fresh" / "s.csv", new, 2.0, None)
         for suffix in (".csv", ".json", ".bin"):
             assert path.with_suffix(suffix).read_bytes() == fresh.with_suffix(suffix).read_bytes()
+        # the orbit writer's two files, each rewritten in place
+        old, new = (dl.MapOrbit(rng.standard_normal((n + 1, 2))) for n in (old_sites, new_sites))
+        lab_io.write_orbit(tmp_path / "o.csv", old, tmp_path / "p.csv")
+        lab_io.write_orbit(tmp_path / "o.csv", new, tmp_path / "p.csv")
+        lab_io.write_orbit(tmp_path / "fresh" / "o.csv", new, tmp_path / "fresh" / "p.csv")
+        for name in ("o.csv", "p.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
     def test_rewrite_keeps_inode_and_mode(self, tmp_path):
         path = lab_io.write_json(tmp_path / "r.json", {"a": list(range(100))})
@@ -292,6 +302,13 @@ class TestOtherWriters:
         path = tmp_path / "p.csv"
         _, peak = traced_peak(lambda: lab_io.write_portrait(path, portrait))
         assert peak < 1.5e6
+        assert len(path.read_text().splitlines()) == 20_001
+        # the orbit and its portrait from one pass, a block of both at a
+        # time: the orbit file alone traced 0.89 MB, and a writer that
+        # held both files' blocks 1.36-1.65 MB
+        orbit = dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 1.0, 20_000)
+        _, peak = traced_peak(lambda: lab_io.write_orbit(tmp_path / "o.csv", orbit, path))
+        assert peak < 1.0e6
         assert len(path.read_text().splitlines()) == 20_001
 
 

@@ -151,9 +151,16 @@ def test_distinct_on_solved_rings_and_orbits(tol):
     # most orbit points lie past the clamp at 1e-17, where both counts
     # scan the edge cells' representatives for every point
     steps = 9000 if _GRID_LIMIT * tol >= 1.0 else 1000
-    orbit = dl.iterate_map(dl.MapState(0.3, 0.0), 1.0, 1.0, steps)
-    portrait = dl.portrait_from_orbit(orbit)
-    assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
+    orbits = [dl.iterate_map(dl.MapState(0.3, 0.0), 1.0, 1.0, steps)]
+    if tol == 1e-6:
+        # from (0.1, 0) every point is lonely up to 5 10^4 steps; over
+        # 10^5, 22 312 are lonely among 77 688 crowded ones
+        orbits.append(dl.iterate_map(dl.MapState(0.1, 0.0), 1.0, 1.0, 100_000))
+        cells = analysis._cells(dl.portrait_from_orbit(orbits[-1]).points, tol)
+        assert np.count_nonzero(analysis._lonely(cells)) == 22_312
+    for orbit in orbits:
+        portrait = dl.portrait_from_orbit(orbit)
+        assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
 
 
 def test_distinct_past_a_block():

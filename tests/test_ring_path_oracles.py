@@ -3,7 +3,8 @@ code it replaced.
 
 The residual and the cubic energy estimate form psi**3 as psi*psi*psi,
 quantize_state builds its trits with one numpy expression, and the state,
-portrait and orbit writers format their rows in numpy.  The residual and
+portrait and orbit writers format their rows in numpy, the orbit's
+portrait from the orbit's own digits.  The residual and
 energy code they replaced is kept here as the oracle, and the quantizer
 and the row text in conftest (reference_quantize, reference_rows): Newton
 from either must find the same states on the corpus, quantization must
@@ -165,10 +166,21 @@ def test_portrait_and_orbit_file_bytes(tmp_path, n):
     path = lab_io.write_portrait(tmp_path / "p.csv", portrait)
     want = "psi,dpsi\n" + reference_rows(*portrait.points.T, numbered=False)
     assert path.read_bytes() == want.encode()
+    # the orbit and, from the same digits, its portrait (psi[k], Z[k + 1])
     orbit = dl.MapOrbit(points)
-    path = lab_io.write_orbit(tmp_path / "o.csv", orbit)
+    derived = tmp_path / "op.csv"
+    if n == 1:
+        with pytest.raises(ValueError, match="orbit portrait needs at least two points"):
+            lab_io.write_orbit(tmp_path / "o.csv", orbit, derived)
+        assert not (tmp_path / "o.csv").exists() and not derived.exists()
+        return
+    path = lab_io.write_orbit(tmp_path / "o.csv", orbit, derived)
     want = "step,psi,Z\n" + reference_rows(*orbit.points.T, numbered=True)
     assert path.read_bytes() == want.encode()
+    want = "psi,dpsi\n" + reference_rows(points[:-1, 0], points[1:, 1], numbered=False)
+    assert derived.read_bytes() == want.encode()
+    path = lab_io.write_portrait(tmp_path / "q.csv", dl.portrait_from_orbit(orbit))
+    assert derived.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------- the guard
