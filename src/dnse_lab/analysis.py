@@ -429,13 +429,16 @@ def _crowded(pts: np.ndarray) -> bool:
     the squared distances that rank the neighbours by a few.  The
     neighbourhood mean rounds by at most k + 1 ulps of 1; that adds its
     square to the smaller eigenvalue, at most 2**-17 t**2 while
-    k + 1 <= 2**42 BAND_FRAC.  eigvalsh, the median and the division
-    by D each add a few ulps.  So it declines, and leaves the decision to
-    _curve_thickness, only on fewer than 4 points, on a non-finite point,
-    or where the count fails.  Then at least n - n // 2 points lie in
-    cells of at most k points each, and the grid has at most
-    (floor(1 / (sqrt(2) BAND_FRAC)) + 1)**2 = 225 occupied cells, so a
-    portrait it declines has at most 2 NEIGHBORS 225 = 2700 points.
+    k + 1 <= 2**42 BAND_FRAC.  The closed form subtracts a hypot, which
+    is not negative, from the half trace (a + c)/2, so it is at most that
+    half trace as computed, whose sums of k + 1 squares round by a few
+    ulps; the median and the division by D each add a few more.  So it
+    declines, and leaves the decision to _curve_thickness, only on fewer
+    than 4 points, on a non-finite point, or where the count fails.
+    Then at least n - n // 2 points lie in cells of at most k points
+    each, and the grid has at most (floor(1 / (sqrt(2) BAND_FRAC)) + 1)**2
+    = 225 occupied cells, so a portrait it declines has at most
+    2 NEIGHBORS 225 = 2700 points.
 
     Every coordinate in the frame lies in [0, extent], and the extent is
     at most D, so the cells run from 0 to 1/BAND_FRAC = 20 (a quotient
@@ -465,11 +468,12 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     there, itself included, with k = NEIGHBORS where there are that many
     others, by squared distance with ties going to the lower index in
     lexicographic order; the spread is the square root of the smaller
-    eigenvalue of their covariance.  A portrait with a non-finite point
-    has no thickness.  classify_portrait computes it only where _crowded
-    declines, on at most 2700 points, so the spreads of all the
-    neighbourhoods are taken in one batch: one covariance stack and one
-    eigvalsh call.
+    eigenvalue of their covariance [[a, b], [b, c]], in closed form
+    (a + c)/2 - hypot((a - c)/2, b), clamped at 0.  A portrait with a
+    non-finite point has no thickness.  classify_portrait computes it
+    only where _crowded declines, on at most 2700 points, so the spreads
+    of all the neighbourhoods are taken in one batch, with neither BLAS
+    nor LAPACK.
     """
     pts = _distinct_rows(points)
     if not np.all(np.isfinite(pts)):
@@ -479,9 +483,10 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     pts, diameter = _frame(pts)
     k = min(NEIGHBORS, pts.shape[0] - 1)
     hood = pts[np.concatenate(list(_nearest_neighbors(pts, k + 1)))]
-    local = hood - hood.mean(axis=1, keepdims=True)
-    cov = local.transpose(0, 2, 1) @ local / (k + 1)
-    spreads = np.sqrt(np.maximum(np.linalg.eigvalsh(cov)[:, 0], 0.0))
+    hood -= hood.mean(axis=1, keepdims=True)
+    x, y = hood[..., 0], hood[..., 1]
+    a, b, c = ((u * v).sum(axis=1) / (k + 1) for u, v in ((x, x), (x, y), (y, y)))
+    spreads = np.sqrt(np.maximum((a + c) / 2 - np.hypot((a - c) / 2, b), 0.0))
     return float(np.median(spreads)) / diameter
 
 

@@ -211,7 +211,8 @@ def _add_out(p):
 
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=NewtonConfig.tol_residual,
-                   help="residual max-norm tolerance (or the rounding floor, where larger)")
+                   help="tolerance on the residual max-norm and |psi.psi - 1|/2 "
+                        "(or the rounding floor, where larger)")
     p.add_argument("--max-iter", type=int, default=NewtonConfig.max_iter)
 
 

@@ -34,10 +34,10 @@ from .lattice import Boundary, LatticeState, ModelParams, _as_index, _stencil_re
 from .mapdyn import _step
 from .newton import _bordered_step, _jacobian_diagonal, _newton_loop, _tridiag_solve, rayleigh_energy
 
-# The polish stops once the residual max-norm is at most 10**-(dps - 10),
-# or raises NoConvergence after POLISH_MAX_ITER steps.  From a float64
-# solution its quadratic steps need a few: two for chain100 at 60 digits,
-# three for chain130 at 80.
+# The polish stops once the residual max-norm and |psi.psi - 1|/2 are at
+# most 10**-(dps - 10), or raises NoConvergence after POLISH_MAX_ITER
+# steps.  From a float64 solution its quadratic steps need a few: two for
+# chain100 at 60 digits, three for chain130 at 80.
 POLISH_MAX_ITER = 60
 
 
@@ -70,12 +70,12 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
     _bordered_step, solving J a = F and J b = psi in one kernel call, which
     converges quadratically from the float64 state and its Rayleigh
     energy, both taken exactly.  Returns (psi list, E) as mpf at dps once
-    the residual max-norm is at most 10**-(dps-10).  Serves a ring and an
-    open chain alike: the residual and the kernel take the state's
-    boundary, and params must carry the same one (ValueError otherwise, from
-    rayleigh_energy).  The coupling enters through _decimal, so a numpy
-    integer or float is taken as newton_solve takes it.  dps is an integer
-    >= 15.
+    the residual max-norm and |g| are at most 10**-(dps-10).  Serves a
+    ring and an open chain alike: the residual and the kernel take the
+    state's boundary, and params must carry the same one (ValueError
+    otherwise, from rayleigh_energy).  The coupling enters through
+    _decimal, so a numpy integer or float is taken as newton_solve takes
+    it.  dps is an integer >= 15.
 
     Raises NoConvergence when POLISH_MAX_ITER steps do not reach that
     tolerance; it carries the last iterate (an object array of mpf), its E
@@ -98,8 +98,7 @@ def polish_solution(state: LatticeState, params: ModelParams, dps: int = 60):
                 np.array([Decimal(v) for v in state.values.tolist()], dtype=object),
                 Decimal(rayleigh_energy(state, params)),
                 lambda psi, energy: _stencil_residual(psi, c, energy, state.boundary),
-                step, lambda *_: Decimal(10) ** (10 - dps), POLISH_MAX_ITER,
-                lambda psi: (None, float(np.dot(psi, psi))))
+                step, lambda *_: Decimal(10) ** (10 - dps), POLISH_MAX_ITER)
         except (NoConvergence, SingularJacobian) as exc:
             exc.state, exc.energy = _as_mpf(exc.state, exc.energy, dps)
             raise

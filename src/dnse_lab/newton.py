@@ -20,9 +20,9 @@ are tested once; a small pivot, or a solution whose backward error is not
 small, sends the system to the scalar kernel.  One private loop,
 _newton_loop, iterates both solvers and builds both runs' NewtonReport
 from what it recorded; each solver supplies only its step, and adds to
-the report only what depends on its state.  newton_solve stops at its
-tolerance or, where that is larger, at the residual that rounding alone
-can leave.
+the report only what depends on its state.  Both stop once the residual
+and the norm condition pass; newton_solve's tolerance is its own or,
+where that is larger, the residual that rounding alone can leave.
 
 An iteration allocates only the arrays of N numbers its arithmetic uses,
 and copies and tests none of them again: the residual is built in place
@@ -166,8 +166,9 @@ def _matvec(diag, x, periodic: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Residual max-norm tolerance and iteration budget (an integer >= 1).
-    newton_solve accepts a residual up to the rounding floor where larger."""
+    """Tolerance on the residual max-norm and on |psi.psi - 1|/2, and
+    iteration budget (an integer >= 1).  newton_solve accepts a residual
+    up to the rounding floor where larger."""
 
     tol_residual: float = 1e-12
     max_iter: int = 200
@@ -521,21 +522,24 @@ def _rounding_floor(state: LatticeState, params: ModelParams, energy: float) -> 
 
 
 def _newton_loop(state, energy, residual_of, step, tol_of, max_iter,
-                 describe=lambda state: (None, 0.0)):
+                 values_of=lambda state: state, counts_of=lambda state: None):
     """The Newton iteration of newton_solve and the high-precision polish.
 
     Each iteration evaluates res = residual_of(state, energy) once and
-    records E and the residual max-norm.  It stops when the norm is not
-    above tol_of(state, energy) (tested before stepping; NaN stops
-    unconverged) or after max_iter steps; otherwise step(state, energy,
-    res, norm) gives the next (state, energy, bordered), bordered telling
+    records E and the residual max-norm.  It stops when both halves of the
+    bordered system are at or below tol = tol_of(state, energy): the
+    residual max-norm, and |g| = |psi.psi - 1|/2 for psi =
+    values_of(state), the norm condition, evaluated only once the residual
+    passes.  It tests before stepping; a NaN norm stops unconverged.  It
+    also stops after max_iter steps; otherwise step(state, energy, res,
+    norm) gives the next (state, energy, bordered), bordered telling
     whether that step was a bordered (psi, E) step.  The loop builds the
     run's NewtonReport from what it recorded: the histories, convergence,
-    bordered_from and the first energy jump, with the final_counts and
-    final_norm that describe(state) gives for the last iterate (by
-    default, the report's defaults).  Returns (state, energy, report).
-    Raises NoConvergence, or SingularJacobian when a step does, with the
-    last iterate, its E and the report attached.
+    bordered_from and the first energy jump, with counts_of(state) (by
+    default None) as final_counts and psi.psi as final_norm for the last
+    iterate.  Returns (state, energy, report).  Raises NoConvergence, or
+    SingularJacobian when a step does, with the last iterate, its E and
+    the report attached.
     """
     e_hist, r_hist, bordered_from, failure = [], [], None, None
     for iterations in count():
@@ -544,7 +548,14 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter,
         e_hist.append(float(energy))
         r_hist.append(float(res_norm))
         tol = tol_of(state, energy)
-        if not res_norm > tol or iterations == max_iter:
+        norm2 = None
+        if not res_norm > tol:  # F passes, or is NaN and stops the run
+            psi = values_of(state)
+            norm2 = np.dot(psi, psi)
+            # step on only where F passes and g does not
+            if not res_norm <= tol < abs(norm2 - 1) / 2:
+                break
+        if iterations == max_iter:
             break
         try:
             state, energy, bordered = step(state, energy, res, res_norm)
@@ -558,12 +569,15 @@ def _newton_loop(state, energy, residual_of, step, tol_of, max_iter,
         del res
     changed_at = next((j for j in range(3, len(e_hist))
                        if abs(e_hist[j] - e_hist[j - 1]) > STRUCTURE_CHANGE_THRESHOLD), None)
-    # a step is taken only above tol, so a failed step leaves the run unconverged
-    final_counts, final_norm = describe(state)
+    if norm2 is None:  # the run stopped with its residual above tol
+        psi = values_of(state)
+        norm2 = np.dot(psi, psi)
+    # a step is taken only where F or g is above tol, so a failed step
+    # leaves the run unconverged
     report = NewtonReport(iterations, tuple(e_hist), tuple(r_hist),
-                          converged=bool(res_norm <= tol),
-                          structure_change_iteration=changed_at, final_counts=final_counts,
-                          final_norm=final_norm, bordered_from=bordered_from)
+                          converged=bool(res_norm <= tol and abs(norm2 - 1) / 2 <= tol),
+                          structure_change_iteration=changed_at, final_counts=counts_of(state),
+                          final_norm=float(norm2), bordered_from=bordered_from)
     if failure is not None:
         raise SingularJacobian(str(failure), state=state, energy=energy, report=report) from failure
     if not report.converged:
@@ -589,13 +603,15 @@ def newton_solve(
     report's bordered_from is the first iteration that took a bordered
     step.
 
-    Stops when the residual max-norm is not above the tolerance or, where
-    that is larger, the residual that rounding alone can leave
-    (_rounding_floor); this is checked before stepping, so an exact start
-    converges at iteration 0.  A jump in the energy history larger than
-    the structure-change threshold after the second iteration is flagged
-    as a change of localization pattern; the run still converges to the
-    new structure, which is a solution in its own right.
+    Stops when the residual max-norm and |psi.psi - 1|/2 are both at or
+    below the tolerance or, where that is larger, the residual that
+    rounding alone can leave (_rounding_floor); a run whose residual
+    passes off the unit sphere takes one more bordered step.  This is
+    checked before stepping, so an exact start converges at iteration 0.
+    A jump in the energy history larger than the structure-change
+    threshold after the second iteration is flagged as a change of
+    localization pattern; the run still converges to the new structure,
+    which is a solution in its own right.
 
     Returns (state, energy, report), the report completed with the
     quantized counts and the norm of the last iterate.  Raises
@@ -623,14 +639,12 @@ def newton_solve(
     def tolerance(state, energy):
         return max(config.tol_residual, _rounding_floor(state, params, energy))
 
-    def describe(state):
-        return _count(_trits(state.values), state.boundary), state.norm_squared()
-
     # the loop gets the only reference to the start, and frees it after its first step
     start = [normalize(initial)]
     energy = _estimate(start[0], params)
     return _newton_loop(start.pop(), energy, lambda state, energy: residual(state, params, energy),
-                        step, tolerance, config.max_iter, describe)
+                        step, tolerance, config.max_iter, lambda state: state.values,
+                        lambda state: _count(_trits(state.values), state.boundary))
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,24 @@ def portrait_corpus(solved_corpus):
     return corpus
 
 
+def _cancellation_portraits():
+    """(name, portrait) where the smaller eigenvalue of a neighbourhood's
+    covariance cancels to nothing or near it: an exactly collinear track,
+    the same with 1e-12 jitter, a circle, and a 2700-point uniform cloud,
+    the most points _curve_thickness is asked for.  Each amplitude track
+    is the points' first coordinate."""
+    rng = np.random.default_rng(52)
+    t = np.linspace(0.0, 1.0, 500)
+    track = np.column_stack([t, 2.0 * t])
+    clouds = {
+        "collinear": track,
+        "jittered": track + 1e-12 * rng.standard_normal(track.shape),
+        "circle": np.column_stack([np.cos(2 * np.pi * t[:-1]), np.sin(2 * np.pi * t[:-1])]),
+        "cloud2700": rng.uniform(-1.0, 1.0, (2700, 2)),
+    }
+    return [(name, dl.PhasePortrait(pts, psi_sequence=pts[:, 0])) for name, pts in clouds.items()]
+
+
 def _brute_neighbors(pts, count):
     """Rows of the `count` nearest points by (squared distance, index)."""
     rows = []
@@ -459,7 +477,7 @@ class TestAgainstOracle:
                 _oracle_period(psi, cyclic, tol), (psi.tolist(), cyclic)
 
     def test_thickness_and_labels(self, portrait_corpus):
-        for name, portrait in portrait_corpus:
+        for name, portrait in portrait_corpus + _cancellation_portraits():
             new = analysis._curve_thickness(portrait.points)
             old = _oracle_thickness(portrait.points, analysis.NEIGHBORS)
             assert _thickness_agrees(new, old), (name, new, old)

@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and mpmath."""
+"""The package imports only the standard library, numpy and mpmath, and
+reaches BLAS or LAPACK only from the scopes listed here."""
 
 import ast
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import dnse_lab
 
-from conftest import parse_module
+from conftest import node_scopes, parse_module
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "mpmath", "dnse_lab"}
 
@@ -26,3 +27,27 @@ def test_imports_are_stdlib_numpy_mpmath():
     stray = {(path.name, name) for path in sources for name in _imported_packages(path)
              if name not in ALLOWED}
     assert not stray, f"imports outside stdlib, numpy and mpmath: {sorted(stray)}"
+
+
+# numpy hands these to BLAS or LAPACK, whose results depend on the kernel
+# and thread count; np.polyfit solves through lstsq
+_BLAS_NAMES = {"matmul", "dot", "inner", "vdot", "polyfit"}
+
+
+def _enters_blas(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return isinstance(node, ast.Attribute) and (
+        ast.unparse(node.value) == "np.linalg"
+        or ast.unparse(node.value) == "np" and node.attr in _BLAS_NAMES)
+
+
+def test_blas_entry_points_are_listed():
+    assert set(node_scopes(_enters_blas)) == {
+        "lattice.py:LatticeState.norm_squared",
+        "lattice.py:_normalized",
+        "newton.py:rayleigh_energy",
+        "newton.py:_bordered_step",
+        "newton.py:_newton_loop",
+        "analysis.py:fit_tail",
+    }
