@@ -421,8 +421,8 @@ def _crowded(pts: np.ndarray) -> bool:
     so its smaller eigenvalue is at most half that, k t**2 / (k + 1), and
     the spread of p at most sqrt(k / (k + 1)) t, 0.93 t for k = 6.  When
     more than n // 2 of the points are in such cells, the median spread,
-    which np.median takes from the middle one or two, is at most that
-    too, and the thickness at most sqrt(k / (k + 1)) BAND_FRAC.
+    the middle one of the spreads or the mean of the middle two, is at
+    most that too, and the thickness at most sqrt(k / (k + 1)) BAND_FRAC.
 
     The factor's slack, 7% for k = 6, covers the rounding of the computed
     path.  The cell floors round by at most 1/BAND_FRAC ulps of t, and
@@ -469,11 +469,13 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     others, by squared distance with ties going to the lower index in
     lexicographic order; the spread is the square root of the smaller
     eigenvalue of their covariance [[a, b], [b, c]], in closed form
-    (a + c)/2 - hypot((a - c)/2, b), clamped at 0.  A portrait with a
-    non-finite point has no thickness.  classify_portrait computes it
-    only where _crowded declines, on at most 2700 points, so the spreads
-    of all the neighbourhoods are taken in one batch, with neither BLAS
-    nor LAPACK.
+    (a + c)/2 - hypot((a - c)/2, b), clamped at 0.  The thickness is the
+    median spread over the diameter: the middle spread, or the mean of
+    the middle two, which np.partition picks as np.median does, so the
+    value is np.median's to the bit.  A portrait with a non-finite point
+    has no thickness.  classify_portrait computes it only where _crowded
+    declines, on at most 2700 points, so the spreads of all the
+    neighbourhoods are taken in one batch, with neither BLAS nor LAPACK.
     """
     pts = _distinct_rows(points)
     if not np.all(np.isfinite(pts)):
@@ -487,7 +489,11 @@ def _curve_thickness(points: np.ndarray) -> Optional[float]:
     x, y = hood[..., 0], hood[..., 1]
     a, b, c = ((u * v).sum(axis=1) / (k + 1) for u, v in ((x, x), (x, y), (y, y)))
     spreads = np.sqrt(np.maximum((a + c) / 2 - np.hypot((a - c) / 2, b), 0.0))
-    return float(np.median(spreads)) / diameter
+    # np.median's value without its NaN check, which imports numpy.ma:
+    # the spreads are finite, since the frame is
+    half = spreads.size // 2
+    lower, upper = np.partition(spreads, (half - 1, half))[half - 1:half + 1]
+    return float(upper if spreads.size % 2 else (lower + upper) / 2) / diameter
 
 
 def _nearest_neighbors(pts: np.ndarray, count: int):

@@ -722,7 +722,11 @@ class TestNearestNeighbors:
         points = dl.phase_portrait(state).points
         for count in (7, 21):
             self._check(points, count)
-        assert analysis._curve_thickness(points) == _oracle_thickness(points, analysis.NEIGHBORS)
+        # the thickness bit for bit, on it (an odd count of spreads) and on
+        # a cloud with an even count, whose median is the mean of two
+        cloud = dict(_cancellation_portraits())["cloud2700"].points
+        for pts in (points, cloud):
+            assert analysis._curve_thickness(pts) == _oracle_thickness(pts, analysis.NEIGHBORS)
 
     def test_budget_below_one_query(self, monkeypatch):
         # blocks of one query, each over the budget

@@ -2,6 +2,9 @@
 reaches BLAS or LAPACK only from the scopes listed here."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,32 @@ def test_blas_entry_points_are_listed():
         "newton.py:_newton_loop",
         "analysis.py:fit_tail",
     }
+
+
+# a uniform cloud, which _crowded declines, so the exact thickness labels
+# it, and a dense circle, which _crowded settles
+_LABELLING = """
+import json, sys
+import dnse_lab as dl
+from dnse_lab import analysis
+import numpy as np
+t = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+portraits = [dl.PhasePortrait(np.random.default_rng(53).uniform(-1.0, 1.0, (300, 2))),
+             dl.PhasePortrait(np.column_stack([np.cos(t), np.sin(t)]))]
+loaded = set(sys.modules)
+for p in portraits:
+    dl.classify_portrait(p)
+added = sorted(set(sys.modules) - loaded)
+print(json.dumps({"added": added,
+                  "crowded": [bool(analysis._crowded(p.points)) for p in portraits]}))
+"""
+
+
+def test_labelling_loads_no_module():
+    # np.median's NaN check imports numpy.ma, about 1 MB, on its first call
+    env = {**os.environ, "PYTHONPATH": str(Path(dnse_lab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _LABELLING], capture_output=True, text=True,
+                         env=env, check=True)
+    got = json.loads(run.stdout)
+    assert got["crowded"] == [False, True]
+    assert got["added"] == []

@@ -19,6 +19,8 @@ from dnse_lab import io as lab_io
 ROOT = Path(__file__).resolve().parents[1]
 
 TOY_ARGS = {
+    "ab.py": ["--base", str(ROOT), "--head", str(ROOT), "--pairs", "1", "--seconds", "1",
+              "--workloads", "portrait_scan", "--label", "toy"],
     "code_lines.py": [],
     "irregular_chain.py": [],
     "map_portraits.py": ["--seeds", "1", "--steps", "200"],
@@ -172,3 +174,44 @@ def test_newton_scaling_records_its_environment(tmp_path, monkeypatch):
         subprocess.run([*git, "init", "-q"], check=True)
         subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "outer"], check=True)
     assert _load(copy / "scripts" / "newton_scaling.py").environment()["git_sha"] is None
+
+
+def test_ab_compares_two_copies(tmp_path):
+    _run("ab.py", tmp_path, TOY_ARGS["ab.py"])
+    result = json.loads((tmp_path / "BENCH_toy.json").read_text())
+    assert result["environment"]["sha"] == {"base": None, "head": None}  # directories
+    assert sorted(result["environment"]["openblas"]) == ["OPENBLAS_CORETYPE",
+                                                         "OPENBLAS_NUM_THREADS"]
+    [(name, workload)] = result["workloads"].items()
+    assert name == "portrait_scan"
+    [run] = workload["runs"]
+    assert (run["pair"], run["seed"], run["first"]) == (0, 0, "base")
+    assert run["base"]["correct"] and run["head"]["correct"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(workload["metrics"]) == sorted(m["name"] for m in declared)
+    for metric, compared in workload["metrics"].items():
+        for side in ("base", "head"):
+            value = run[side]["metrics"][metric]["value"]
+            assert compared[side] == {"median": value, "q1": value, "q3": value}, metric
+
+
+def test_ab_gain_rule():
+    # a gain needs wins in 9 of every 10 pairs, ties counting for neither,
+    # and a median gap wider than the base's interquartile range, 0.45 here
+    compare = _load(ROOT / "scripts" / "ab.py").compare
+    base = [10.0 + 0.1 * k for k in range(10)]
+    lower = [b - 1.0 for b in base]
+    for head, better, wins, gain in [
+        (lower, "lower", 10, True),
+        ([20.0] + lower[1:], "lower", 9, True),
+        ([20.0, 20.0] + lower[2:], "lower", 8, False),
+        ([b - 0.3 for b in base], "lower", 10, False),
+        (base, "lower", 0, False),
+        ([b + 1.0 for b in base], "higher", 10, True),
+        (lower, "higher", 0, False),
+    ]:
+        got = compare(base, head, better)
+        assert (got["head_wins"], got["gain"], got["pairs"]) == (wins, gain, 10), (head, better)
+    got = compare(base, lower, "lower")
+    assert got["base"] == pytest.approx({"median": 10.45, "q1": 10.225, "q3": 10.675})
+    assert got["ratio"] == got["head"]["median"] / 10.45
