@@ -42,15 +42,11 @@ from dnse_lab import io as lab_io
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "head")
+WORKLOADS = ("ring_solve", "portrait_scan", "chain_continuation")
 # what a directory copy leaves out: version control, and what building,
 # testing and running leave behind
 LEFT_BEHIND = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_run",
                ".benchmarks", "out")
-
-
-def _git(*args) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
-                          check=True).stdout.strip()
 
 
 def checkout(tree: str, dest: Path):
@@ -59,9 +55,14 @@ def checkout(tree: str, dest: Path):
     if Path(tree).is_dir():
         shutil.copytree(tree, dest, ignore=shutil.ignore_patterns(*LEFT_BEHIND))
         return None
-    sha = _git("rev-parse", "--verify", f"{tree}^{{commit}}")
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
-                             capture_output=True, check=True).stdout
+    git = ["git", "-C", str(ROOT)]
+    rev = subprocess.run([*git, "rev-parse", "--verify", "--quiet", f"{tree}^{{commit}}"],
+                         stdout=subprocess.PIPE, text=True)
+    if rev.returncode != 0:
+        sys.exit(f"{tree} is neither a directory nor a revision of {ROOT}")
+    sha = rev.stdout.strip()
+    archive = subprocess.run([*git, "archive", "--format=tar", sha], stdout=subprocess.PIPE,
+                             check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
@@ -106,8 +107,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision or directory")
     parser.add_argument("--head", required=True, help="git revision or directory")
-    parser.add_argument("--workloads", nargs="+", default=["ring_solve", "portrait_scan",
-                                                            "chain_continuation"])
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=0, help="the seed of the first pair")
