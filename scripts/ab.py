@@ -19,9 +19,11 @@ the medians, the pairs the head won (ties count for neither) and
 whether the head's gain holds: wins in at least 9 of every 10 pairs, and
 a median better than the base's by more than the base's interquartile
 range.  The environment block holds the SHAs of the revisions (null for
-a directory), the Python and numpy versions, the CPU count, and
-OPENBLAS_NUM_THREADS and OPENBLAS_CORETYPE as set (null where unset;
-bench/run.py pins OPENBLAS_NUM_THREADS to 1 in its own process).
+a directory), the Python and numpy versions, the CPU count, the OpenBLAS
+kernel that a child reports under OPENBLAS_VERBOSE=2 (newton_scaling.py's
+openblas_core; null where it reports none), and OPENBLAS_NUM_THREADS
+and OPENBLAS_CORETYPE as set (null where unset; bench/run.py pins
+OPENBLAS_NUM_THREADS to 1 in its own process).
 """
 
 import argparse
@@ -97,8 +99,11 @@ def compare(base, head, better: str) -> dict:
 
 
 def environment(shas: dict) -> dict:
+    # newton_scaling.py sits beside this script, on sys.path when it runs
+    from newton_scaling import openblas_core
+
     return {"sha": shas, "python": platform.python_version(), "numpy": np.__version__,
-            "nproc": len(os.sched_getaffinity(0)),
+            "nproc": len(os.sched_getaffinity(0)), "openblas_core": openblas_core(),
             "openblas": {name: os.environ.get(name)
                          for name in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}}
 

@@ -91,12 +91,12 @@ def environment() -> dict:
             "cpu_count": os.cpu_count(),
             "blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "configuration": blas.get("openblas configuration")},
-            "openblas_core": _openblas_core(),
+            "openblas_core": openblas_core(),
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE")}
 
 
-def _openblas_core():
+def openblas_core():
     """The kernel OpenBLAS picks in a child that imports numpy, from the
     "Core: <name>" line that OPENBLAS_VERBOSE=2 makes it print."""
     child = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,

@@ -21,7 +21,8 @@ finds these lonely points, which are counted in bulk, and the greedy
 loop buckets cluster representatives among the other points.  The pass
 tests each side column of a one-point cell with one left searchsorted,
 two searches a cell, and maps the lonely cells back to the points
-through the permutation that sorts their keys.  The period search tests
+through the permutation that sorts their keys, unless every point is
+lonely, as in most 2000-step map orbits.  The period search tests
 in full only the shifts that carry each of the 8 largest sites to within
 tol of itself.  The thickness is taken in the portrait's own frame, the
 distinct points moved to their lower corner and scaled by a power of two
@@ -40,7 +41,10 @@ period search give the result their all-pairs versions would.  numpy
 does the arithmetic in blocks: the count computes the cells of _CELLS
 points at a time, once for its lonely-point pass and its greedy loop,
 which then only looks up buckets, and the thickness ranks _CELLS
-distances at a time on x and y columns.
+distances at a time on x and y columns.  numpy reduces a (k, 2) array
+along an axis several times slower than it reduces a column, so the
+frame's corner and extent, the finite-row mask and the dedupe's test of
+adjacent rows take the x and y columns one at a time.
 
 Tail behaviour between well-separated peaks is exponential.  The discrete
 per-site decay factor mu solves mu + 1/mu = 2 - E; the continuum
@@ -198,13 +202,14 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     holds no other point matches no point, earlier or later: it opens a
     cluster, and no later point can join it.  _lonely finds these points
     in one numpy pass over the sorted cell keys, and maps them back to
-    the points through the sorting permutation only where one exists;
-    they are counted in bulk and never stored, as are the non-finite
-    points for a finite tol.  The greedy loop runs, in order, on the
-    other points, _BLOCK of them at a time: each
-    representative is bucketed by its cell, and for each point _near
-    looks in its own cell and then in the 8 around it, and stops at the
-    first match; a point it does not match joins the bucket of its cell.
+    the points through the sorting permutation only where some but not
+    all points are lonely; they are counted in bulk and never stored, as
+    are the non-finite points for a finite tol (_finite_rows).  The
+    greedy loop runs, in order, on the other points, _BLOCK of them at a
+    time: each representative is bucketed by its cell, and for each
+    point _near looks in its own cell and then in the 8 around it, and
+    stops at the first match; a point it does not match joins the bucket
+    of its cell.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -212,7 +217,7 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
     cells = _cells(points, tol)
     alone = _lonely(cells)
     if tol < math.inf:  # a non-finite point matches nothing
-        alone |= ~np.isfinite(points).all(axis=1)
+        alone |= ~_finite_rows(points)
     buckets: dict = {}  # cx * _ROW + cy -> the representatives in cell (cx, cy)
     crowded = np.flatnonzero(~alone)
     for start in range(0, crowded.size, _BLOCK):
@@ -222,6 +227,13 @@ def distinct_points(portrait: PhasePortrait, tol: float) -> int:
             if not _near(buckets, x, y, key, tol):
                 buckets.setdefault(key, []).append((x, y))
     return int(np.count_nonzero(alone)) + sum(map(len, buckets.values()))
+
+
+def _finite_rows(points: np.ndarray) -> np.ndarray:
+    """Whether each row of the (k, 2) points is finite, taken one column
+    at a time: numpy reduces along an axis of two slowly."""
+    x, y = points.T
+    return np.isfinite(x) & np.isfinite(y)
 
 
 def _cells(points: np.ndarray, tol: float) -> np.ndarray:
@@ -254,11 +266,13 @@ def _lonely(cells: np.ndarray) -> np.ndarray:
     exactly when the first key at or above its low end, found by one
     left searchsorted, is absent or above its high end: two searches for
     the two side columns.  Where no cell is lonely the pass ends there,
-    having held two int64 keys per point.  Otherwise the flags of the
-    lonely cells, in sorted order, go back to the points through
-    np.argsort of the keys, whose indices take the place of the sorted
-    keys.  Equal keys are a crowded cell's, flagged False at each of
-    their places, so an unstable sort gives the same mask.
+    having held two int64 keys per point, and so it does where every key
+    is a cell of one point and every such cell is lonely: then every
+    point is.  Otherwise the flags of the lonely cells, in sorted order,
+    go back to the points through np.argsort of the keys, whose indices
+    take the place of the sorted keys.  Equal keys are a crowded cell's,
+    flagged False at each of their places, so an unstable sort gives the
+    same mask.
     """
     n = cells.shape[1]
     keys = np.empty(n, np.int64)
@@ -279,6 +293,8 @@ def _lonely(cells: np.ndarray) -> np.ndarray:
         alone &= (first == n) | (occupied.take(first, mode="clip") > cell + (d + 1))
     if not alone.any():
         return np.zeros(n, bool)
+    if cell.size == n and alone.all():  # every key a cell of one lonely point
+        return np.ones(n, bool)
     del occupied, cell
     single[single] = alone  # now lonely, in sorted order
     lonely = np.empty(n, bool)
@@ -374,10 +390,13 @@ def _distinct_rows(points: np.ndarray) -> np.ndarray:
     once: a stable lexsort and a test of adjacent rows, which counts -0.0
     and 0.0 as equal and every NaN as distinct, as np.unique does.  Of
     rows equal up to the sign of a zero it keeps the first, where
-    np.unique keeps the one its unstable sort puts first."""
+    np.unique keeps the one its unstable sort puts first.  Adjacent rows
+    are compared one column at a time, (x[1:] != x[:-1]) | (y[1:] !=
+    y[:-1]): np.any along the rows' axis of two is several times slower."""
     rows = points[np.lexsort((points[:, 1], points[:, 0]))]
+    x, y = rows.T
     fresh = np.ones(rows.shape[0], dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    np.logical_or(x[1:] != x[:-1], y[1:] != y[:-1], out=fresh[1:])
     return rows[fresh]
 
 
@@ -392,16 +411,27 @@ def _frame(pts: np.ndarray):
     the span passes the largest float, the rows are quartered before the
     subtraction, which rounds only values below 2**-1020, so no finite
     input overflows.
+
+    lo and the extent are reduced one column at a time, several times
+    faster than along the rows' axis of two.  Of a column's zeros of
+    both signs either may come out as its minimum, as with the axis
+    form; that moves only the sign of zeros in the frame, which no
+    floor, squared distance or covariance sum reads.
     """
-    lo = pts.min(axis=0)
+    lo = np.array([column.min() for column in pts.T])
     with np.errstate(over="ignore"):
         rel = pts - lo
-        diameter = float(np.hypot(*rel.max(axis=0)))
+        diameter = _extent(rel)
     if diameter == math.inf:
         rel = pts * 0.25 - lo * 0.25
-        diameter = float(np.hypot(*rel.max(axis=0)))
+        diameter = _extent(rel)
     scale = -math.frexp(diameter)[1]
     return np.ldexp(rel, scale, out=rel), math.ldexp(diameter, scale)
+
+
+def _extent(rel: np.ndarray) -> float:
+    """The hypot of the largest x and the largest y of the rows rel."""
+    return float(np.hypot(*(column.max() for column in rel.T)))
 
 
 def _crowded(pts: np.ndarray) -> bool:

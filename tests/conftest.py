@@ -1,13 +1,15 @@
 """Shared test inputs and oracles: the paper's chains, the corpus that
 every differential test compares on, the benchmark's two sweeps and the
 map starts, the writers' tie values, the one reference implementation
-of each kernel that two test modules compare with, the one memory probe
-(traced_peak), and the one parser and the one walker of the AST guards'
-sources (parse_module, node_scopes).  A member starts from
+of each kernel that two test modules compare with, the axis-reducing
+forms of the portrait's frame, finite-row mask and dedupe, the one
+memory probe (traced_peak), and the one parser and the one walker of
+the AST guards' sources (parse_module, node_scopes).  A member starts from
 build_asymptotic_state, as `solve --pattern` and `solve --random` do;
 tests/test_corpus.py pins the corpus to the benchmark's."""
 
 import ast
+import math
 import tracemalloc
 from collections import namedtuple
 from decimal import Decimal
@@ -193,6 +195,36 @@ def reference_tridiag_solve(diag, rhss, periodic):
             y[i] -= qi * factor
         solutions.append(y)
     return solutions
+
+
+def reference_frame(pts):
+    """analysis._frame as it was, reducing the (k, 2) rows along axis 0:
+    the rows moved to their lower corner and scaled by the power of two
+    that puts the diameter in [0.5, 1), quartered first where the span
+    overflows, and that diameter."""
+    lo = pts.min(axis=0)
+    with np.errstate(over="ignore"):
+        rel = pts - lo
+        diameter = float(np.hypot(*rel.max(axis=0)))
+    if diameter == np.inf:
+        rel = pts * 0.25 - lo * 0.25
+        diameter = float(np.hypot(*rel.max(axis=0)))
+    scale = -math.frexp(diameter)[1]
+    return np.ldexp(rel, scale), math.ldexp(diameter, scale)
+
+
+def reference_finite_rows(points):
+    """Whether each row is finite, as distinct_points' mask was taken."""
+    return np.isfinite(points).all(axis=1)
+
+
+def reference_distinct_rows(points):
+    """analysis._distinct_rows as it was, testing adjacent rows with
+    np.any along axis 1."""
+    rows = points[np.lexsort((points[:, 1], points[:, 0]))]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return rows[fresh]
 
 
 def parse_module(path):

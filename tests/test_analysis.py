@@ -16,7 +16,8 @@ from dnse_lab.errors import (
     ZeroAmplitudeInWindow,
 )
 
-from conftest import CORPUS, MAP_STARTS, RINGS, map_orbit, traced_peak
+from conftest import (CORPUS, MAP_STARTS, RINGS, map_orbit, reference_distinct_rows,
+                      reference_finite_rows, reference_frame, traced_peak)
 
 
 class TestPhasePortrait:
@@ -371,17 +372,7 @@ def _oracle_thickness(points, neighbors):
     pts = np.unique(points, axis=0)
     if pts.shape[0] < 4:
         return 0.0
-    # the frame: the lower corner at 0, and the diameter, scaled by a
-    # power of two, in [0.5, 1); quartered first where the span overflows
-    lo = pts.min(axis=0)
-    with np.errstate(over="ignore"):
-        rel = pts - lo
-        diameter = float(np.hypot(*rel.max(axis=0)))
-    if diameter == np.inf:
-        rel = pts * 0.25 - lo * 0.25
-        diameter = float(np.hypot(*rel.max(axis=0)))
-    scale = -math.frexp(diameter)[1]
-    pts, diameter = np.ldexp(rel, scale), math.ldexp(diameter, scale)
+    pts, diameter = reference_frame(pts)
     spreads = []
     for near in _brute_neighbors(pts, min(neighbors, pts.shape[0] - 1) + 1):
         local = near - near.mean(axis=0)
@@ -488,6 +479,45 @@ class TestAgainstOracle:
             else:
                 expected = dl.PortraitLabel.IRREGULAR_INCOMMENSURATE
             assert dl.classify_portrait(portrait).label is expected, name
+
+    def test_column_reductions_match_axis_forms(self, portrait_corpus, monkeypatch):
+        # the frame, the finite-row mask and the dedupe reduce the (k, 2)
+        # rows one column at a time; the axis forms they replaced are the
+        # oracles
+        rng = np.random.default_rng(54)
+        cloud = rng.uniform(-1.0, 1.0, (2000, 2))
+        signed_zeros = rng.choice([0.0, -0.0, 0.5, 1.0, 2.5], (2000, 2))
+        inputs = [(name, portrait.points) for name, portrait in portrait_corpus]
+        inputs += [(f"signed zeros, {size} rows", signed_zeros[:size]) for size in (17, 100, 2000)]
+        inputs += [
+            ("subnormal", cloud * 2.0**-1050),
+            ("subnormal grid", rng.integers(-9, 9, (300, 2)) * 5e-324),
+            ("a +-1.7e308 span", cloud * 1.7e308),  # the frame quarters it
+            ("nan and inf rows", np.where(rng.random((300, 2)) < 0.1,
+                                          rng.choice([np.nan, np.inf, -np.inf], (300, 2)),
+                                          rng.choice([0.0, -0.0, 1.0], (300, 2)))),
+        ]
+        for name, pts in inputs:
+            finite = analysis._finite_rows(pts)
+            assert finite.tobytes() == reference_finite_rows(pts).tobytes(), name
+            assert analysis._distinct_rows(pts).tobytes() == \
+                reference_distinct_rows(pts).tobytes(), name
+            rows = pts[finite]
+            rel, diameter = analysis._frame(rows)
+            want_rel, want_diameter = reference_frame(rows)
+            assert diameter == want_diameter, name
+            if np.any(rows.min(axis=0) == 0):
+                # numpy may take either zero as a column's minimum (here
+                # it does, on 17 and 100 rows), so the frames may differ
+                # in the sign of a zero, which neither _crowded nor the
+                # thickness reads
+                assert np.array_equal(rel, want_rel), name
+                with monkeypatch.context() as patch:
+                    patch.setattr(analysis, "_frame", reference_frame)
+                    want = analysis._crowded(rows), analysis._curve_thickness(rows)
+                assert (analysis._crowded(rows), analysis._curve_thickness(rows)) == want, name
+            else:
+                assert rel.tobytes() == want_rel.tobytes(), name
 
     def test_thickness_with_forty_neighbors(self, portrait_corpus, monkeypatch):
         # k + 1 = 41 points per neighbourhood

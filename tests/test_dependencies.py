@@ -1,5 +1,6 @@
 """The package imports only the standard library, numpy and mpmath, and
-reaches BLAS or LAPACK only from the scopes listed here."""
+reaches BLAS or LAPACK, or reduces along an axis, only from the scopes
+listed here."""
 
 import ast
 import json
@@ -53,6 +54,21 @@ def test_blas_entry_points_are_listed():
         "newton.py:_bordered_step",
         "newton.py:_newton_loop",
         "analysis.py:fit_tail",
+    }
+
+
+def _reduces_along_an_axis(node):
+    return isinstance(node, ast.keyword) and node.arg == "axis"
+
+
+def test_axis_reductions_are_listed():
+    # numpy reduces a (k, 2) array along either axis slowly, so the
+    # portrait's frame, its finite-row mask and its dedupe go one column
+    # at a time; these scopes work on wider rows
+    assert set(node_scopes(_reduces_along_an_axis)) == {
+        "analysis.py:_curve_thickness",
+        "analysis.py:_nearest_neighbors",
+        "io.py:_digit_words",
     }
 
 

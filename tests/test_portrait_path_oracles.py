@@ -255,17 +255,31 @@ def test_lonely_points_skip_the_greedy_loop(monkeypatch):
     assert len(calls) == _crowded_count(portrait.points, 1e-6) < portrait.size // 100
 
 
+def _one_shared_cell(tol):
+    """A 20 x 20 grid of step 1, every point alone in its 3 x 3 block of
+    cells at tol 1e-6 or 0.1, and one more point half a tol from (5, 5),
+    in its cell: exactly one cell is shared."""
+    grid = [[float(i), float(j)] for i in range(20) for j in range(20)]
+    points = np.random.default_rng(54).permutation(grid + [[5.0 + 0.5 * tol, 5.0]])
+    return dl.PhasePortrait(points)
+
+
 @pytest.mark.parametrize("cells", (1, 2, 7))
 def test_lonely_pass_in_small_blocks(monkeypatch, cells):
     # the pass keys the cells, and compares neighbouring sorted keys,
     # _CELLS points at a time; small blocks put many block edges inside
-    # runs of equal or adjacent keys
+    # runs of equal or adjacent keys.  At 1e-6 every point of the orbits
+    # from MAP_STARTS[1] and [4] is lonely, where the pass returns before
+    # its argsort, and the grid's one shared cell holds the only points
+    # that are not
     monkeypatch.setattr(analysis, "_CELLS", cells)
-    orbit = dl.portrait_from_orbit(map_orbit(MAP_STARTS[1]))
+    orbits = [dl.portrait_from_orbit(map_orbit(MAP_STARTS[k])) for k in (1, 4)]
+    for orbit in orbits:
+        assert analysis._lonely(analysis._cells(orbit.points, 1e-6)).all()
     ring = dl.phase_portrait(dl.build_asymptotic_state(dl.random_pattern(208, 0)))
     calls = _near_calls(monkeypatch)
-    for portrait in (orbit, ring):
-        for tol in (1e-6, 0.1):
+    for tol in (1e-6, 0.1):
+        for portrait in (*orbits, ring, _one_shared_cell(tol)):
             del calls[:]
             assert dl.distinct_points(portrait, tol) == _distinct_oracle(portrait, tol)
             assert len(calls) == _crowded_count(portrait.points, tol)

@@ -10,7 +10,7 @@ and the row text in conftest (reference_quantize, reference_rows): Newton
 from either must find the same states on the corpus, quantization must
 agree exactly, and the files must be byte-identical.  An AST scan keeps
 integer powers of 3 and up out of the package, but for the scalar map
-steps.
+steps, _step and iterate_map's loop.
 """
 
 import ast
@@ -198,5 +198,6 @@ def _integer_power(node):
 
 def test_integer_powers_only_in_scalar_map_steps():
     """Array code forms cubes by multiplication; the scalar map steps keep
-    psi**3, since their orbits are compared digit for digit."""
-    assert node_scopes(_integer_power) == ["mapdyn.py:_step"]
+    psi**3, since their orbits are compared digit for digit.  iterate_map
+    steps in its loop body, which _iterate_map_oracle pins to map_step."""
+    assert node_scopes(_integer_power) == ["mapdyn.py:_step", "mapdyn.py:iterate_map"]

@@ -182,6 +182,9 @@ def test_ab_compares_two_copies(tmp_path):
     assert result["environment"]["sha"] == {"base": None, "head": None}  # directories
     assert sorted(result["environment"]["openblas"]) == ["OPENBLAS_CORETYPE",
                                                          "OPENBLAS_NUM_THREADS"]
+    # the kernel a child reports, as newton_scaling.py records it
+    core = result["environment"]["openblas_core"]
+    assert core is None or re.fullmatch(r"\w+", core)
     [(name, workload)] = result["workloads"].items()
     assert name == "portrait_scan"
     [run] = workload["runs"]
